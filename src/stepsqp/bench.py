@@ -59,6 +59,11 @@ def _default_problems() -> tuple[str, ...]:
     return tuple(problem_names())
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass; True must not pass for 1.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """One benchmark campaign: problems x noise pairs x replicates."""
@@ -80,9 +85,9 @@ class ExperimentGrid:
         for ef, eg in pairs:
             if ef < 0 or eg < 0 or not (math.isfinite(ef) and math.isfinite(eg)):
                 raise ValueError("noise levels must be finite and >= 0")
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        if not _is_int(self.replicates) or self.replicates < 1:
             raise ValueError("replicates must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2^64)")
 
 

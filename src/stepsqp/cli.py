@@ -154,7 +154,10 @@ def parse_config(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
         ):
             raise ValidationError("grid.noise_pairs must be a list of [eps_f, eps_g] pairs")
-        grid_kwargs["noise_pairs"] = tuple((float(a), float(b)) for a, b in pairs)
+        try:
+            grid_kwargs["noise_pairs"] = tuple((float(a), float(b)) for a, b in pairs)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
     if "replicates" in grid_section:
         grid_kwargs["replicates"] = grid_section["replicates"]
     try:

@@ -1,19 +1,22 @@
 """Dense linear-algebra kernel: validated arrays, norms, direct solves.
 
 Everything here operates on float64 numpy arrays sized for desk-scale
-problems (a few hundred unknowns at most), so factorizations are simply
-recomputed on every call. Solves are backed by LAPACK through scipy but
-wrapped with explicit pivot checks so that near-singular systems fail
-loudly instead of returning garbage.
+problems (a few hundred unknowns at most). LU factorizations are made
+by LAPACK ``getrf`` and returned as :class:`LuFactors`, so a caller that
+solves several right-hand sides against one matrix (the SQP loop solves
+two per KKT matrix, and keeps the factors while its iterate does not
+move) factors it once. Factorizations are wrapped with explicit pivot
+checks so that near-singular systems fail loudly instead of returning
+garbage.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 # Relative floor for pivots / Cholesky diagonal entries.
 PIVOT_RTOL = 1e-14
@@ -67,7 +70,7 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
@@ -96,6 +99,43 @@ def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
         raise AssertionError(f"solve residual {res:g} exceeds bound {bound:g}")
 
 
+class LuFactors(NamedTuple):
+    """LU factors of the square matrix a, which is kept for residual checks."""
+
+    a: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve a x = b for one right-hand side of length a.shape[0]."""
+        x, _ = dgetrs(self.lu, self.piv, b)
+        if _CHECK_RESIDUALS:
+            _check_residual(self.a, x, b)
+        return x
+
+
+def lu_factor(a: np.ndarray) -> LuFactors:
+    """Factor a square float64 matrix by LU with partial pivoting.
+
+    Raises
+    ------
+    SingularMatrixError
+        If any pivot magnitude falls below 1e-14 * ||A||_max.
+    """
+    scale = max_abs(a)
+    if scale == 0.0:
+        raise SingularMatrixError("matrix is identically zero")
+    # getrf reports an exactly zero pivot through its info code; the
+    # pivot floor below catches that case along with near-zero pivots.
+    lu, piv, _ = dgetrf(a)
+    smallest = float(np.abs(lu.diagonal()).min())
+    if smallest < PIVOT_RTOL * scale:
+        raise SingularMatrixError(
+            f"pivot {smallest:g} below {PIVOT_RTOL:g} * ||A||_max = {PIVOT_RTOL * scale:g}"
+        )
+    return LuFactors(a, lu, piv)
+
+
 def lu_solve(a, b) -> np.ndarray:
     """Solve A x = b by LU with partial pivoting.
 
@@ -121,23 +161,7 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
-    scale = max_abs(a)
-    if scale == 0.0:
-        raise SingularMatrixError("matrix is identically zero")
-    with warnings.catch_warnings():
-        # The pivot check below raises a typed error for singular input;
-        # scipy's advisory warning about it is redundant here.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    if np.min(pivots) < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot {np.min(pivots):g} below {PIVOT_RTOL:g} * ||A||_max = {PIVOT_RTOL * scale:g}"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    if _CHECK_RESIDUALS:
-        _check_residual(a, x, b)
-    return x
+    return lu_factor(a).solve(b)
 
 
 def cholesky_solve(a, b) -> np.ndarray:

@@ -47,7 +47,8 @@ class OracleConfig:
             raise ValueError("eps_g_noise must be finite and >= 0")
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= _UINT64_MAX:
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if not is_int or not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
 

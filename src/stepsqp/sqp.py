@@ -19,6 +19,16 @@ iterate, shrinks alpha, and the next iteration recomputes a direction
 from fresh samples. Constraint values and the termination diagnostics
 (exact-gradient least-squares KKT residual, infinity-norm
 infeasibility) are exact and never consume oracle budget.
+
+The KKT matrix is factored once per iterate. With the default H = I,
+the one LU factorization of [[I, J^T], [J, 0]] serves two right-hand
+sides: (-grad f, 0) gives the least-squares multipliers and the KKT
+residual (the augmented-system method for linear least squares), and
+(-gbar, -c) gives the step. A user-supplied H costs a second
+factorization, of [[H, J^T], [J, 0]], per iterate. The exact values c,
+J, grad f and f, the factors and the KKT residual all depend on x
+alone, so after a rejected step they are carried over rather than
+recomputed; no oracle sample is ever reused.
 """
 
 from __future__ import annotations
@@ -33,9 +43,10 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
-    NotPositiveDefiniteError,
+    LuFactors,
     SingularMatrixError,
     as_matrix,
+    lu_factor,
     lu_solve,
     max_abs,
     require_symmetric,
@@ -106,7 +117,8 @@ class SolverParams:
             self.eps_f_accept >= 0.0 and np.isfinite(self.eps_f_accept)
         ):
             raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
-        if not isinstance(self.max_iters, int) or self.max_iters < 0:
+        is_int = isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
+        if not is_int or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
         if not self.tol_infeas >= 0.0:
             raise ValueError("tol_infeas must be >= 0")
@@ -156,14 +168,53 @@ def solve_kkt(h: np.ndarray, jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> K
     require_symmetric(h, "H")
     jac = as_matrix(jac, (m, n), "J")
 
+    kkt = kkt_matrix(h, jac)
+    rhs = np.concatenate([-g, -c])
+    return _kkt_solution(kkt, lu_solve(kkt, rhs), rhs, n)
+
+
+def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Assemble [[H, J^T], [J, 0]] from validated float64 blocks."""
+    m, n = jac.shape
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = h
     kkt[:n, n:] = jac.T
     kkt[n:, :n] = jac
+    return kkt
+
+
+def _kkt_solution(kkt: np.ndarray, z: np.ndarray, rhs: np.ndarray, n: int) -> KktSolution:
+    return KktSolution(d=z[:n], y=z[n:], residual_inf=max_abs(kkt @ z - rhs))
+
+
+def kkt_step(factors: LuFactors, g: np.ndarray, c: np.ndarray) -> KktSolution:
+    """Direction and multipliers from factors of [[H, J^T], [J, 0]].
+
+    Solves the system of :func:`solve_kkt` for gradient g and constraint
+    values c without refactoring the matrix.
+    """
     rhs = np.concatenate([-g, -c])
-    z = lu_solve(kkt, rhs)
-    residual = max_abs(kkt @ z - rhs)
-    return KktSolution(d=z[:n], y=z[n:], residual_inf=residual)
+    return _kkt_solution(factors.a, factors.solve(rhs), rhs, g.size)
+
+
+def kkt_multipliers(factors: LuFactors, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares multipliers from factors of [[I, J^T], [J, 0]].
+
+    The right-hand side (-g, 0) gives d + J^T y = -g and J d = 0, so y
+    minimizes ||g + J^T y||_2 and d = -(g + J^T y) is the residual
+    itself (the augmented-system method for linear least squares).
+    Returns y and ||d||_inf. Unlike the normal equations J J^T y = -J g
+    this forms no product J J^T, so where the singular values of J are
+    at least 1 the matrix is conditioned like J, not like J J^T. Singular
+    values below 1 still enter squared; Bjorck's scaled form, with
+    alpha * I in place of I and alpha near sigma_min(J), would avoid that
+    at the price of a factorization separate from the step's.
+    """
+    n = g.size
+    rhs = np.zeros(factors.a.shape[0])
+    rhs[:n] = -g
+    z = factors.solve(rhs)
+    return z[n:], max_abs(z[:n])
 
 
 def model_reduction(tau_bar: float, g: np.ndarray, d: np.ndarray, c_l1: float) -> float:
@@ -360,7 +411,7 @@ def classify_iteration(
 
 
 def _all_finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def solve(
@@ -382,7 +433,8 @@ def solve(
     oracle_cfg : OracleConfig
         Noise scales and RNG identity for the objective oracles.
     hessian : array_like, optional
-        Constant symmetric model Hessian; identity when omitted.
+        Constant symmetric model Hessian; identity when omitted. A
+        non-identity H costs a second KKT factorization per iterate.
     classify : bool
         Record the true-iteration flag on each log entry (costs two
         exact objective evaluations per iteration, diagnostics only).
@@ -402,11 +454,13 @@ def solve(
     """
     t_start = time.perf_counter()
     n = problem.n
+    identity = np.eye(n)
     if hessian is None:
-        h = np.eye(n)
+        h = identity
     else:
         h = as_matrix(hessian, (n, n), "hessian")
         require_symmetric(h, "hessian")
+    h_is_identity = np.array_equal(h, identity)
 
     oracle = StochasticOracle(problem, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
@@ -419,36 +473,45 @@ def solve(
     reason: Optional[str] = None
     final_infeas: Optional[float] = None
     final_kkt: Optional[float] = None
+    # True until the exact quantities below describe the current x.
+    moved = True
 
     k = 0
     while True:
         if k >= params.max_iters:
             status = RunStatus.BUDGET_EXHAUSTED
-            final_infeas, final_kkt = _exact_metrics(problem, x)
+            if moved:
+                final_infeas, final_kkt = _exact_metrics(problem, x)
             break
 
-        # Exact diagnostics at the current iterate (no oracle budget).
-        c_vec = problem.c(x)
-        jac = problem.jacobian(x)
-        g_exact = problem.grad_f(x)
-        f_exact = problem.f(x)
-        if not (_all_finite(c_vec, jac, g_exact) and math.isfinite(f_exact)):
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
-            reason = "non-finite problem evaluation at the current iterate"
-            final_infeas, final_kkt = None, None
-            break
-        try:
-            _, kkt_inf = least_squares_multipliers(g_exact, jac)
-        except NotPositiveDefiniteError:
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
-            reason = "constraint Jacobian is rank deficient"
-            final_infeas, final_kkt = max_abs(c_vec), None
-            break
-        infeas_inf = max_abs(c_vec)
-        final_infeas, final_kkt = infeas_inf, kkt_inf
-        if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
-            status = RunStatus.CONVERGED
-            break
+        if moved:
+            # Exact diagnostics at a new iterate (no oracle budget). They
+            # and the KKT factors stay valid while rejected steps keep x.
+            c_vec = problem.c(x)
+            jac = problem.jacobian(x)
+            g_exact = problem.grad_f(x)
+            f_exact = problem.f(x)
+            if not (_all_finite(c_vec, jac, g_exact) and math.isfinite(f_exact)):
+                status = RunStatus.LINEAR_ALGEBRA_FAILURE
+                reason = "non-finite problem evaluation at the current iterate"
+                final_infeas, final_kkt = None, None
+                break
+            infeas_inf = max_abs(c_vec)
+            try:
+                multiplier_factors = lu_factor(kkt_matrix(identity, jac))
+            except SingularMatrixError:
+                status = RunStatus.LINEAR_ALGEBRA_FAILURE
+                reason = "constraint Jacobian is rank deficient"
+                final_infeas, final_kkt = infeas_inf, None
+                break
+            _, kkt_inf = kkt_multipliers(multiplier_factors, g_exact)
+            step_factors = multiplier_factors if h_is_identity else None
+            c_l1 = float(np.sum(np.abs(c_vec)))
+            moved = False
+            final_infeas, final_kkt = infeas_inf, kkt_inf
+            if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
+                status = RunStatus.CONVERGED
+                break
 
         # Noisy gradient, KKT direction.
         g_bar = oracle.noisy_grad(x)
@@ -456,12 +519,14 @@ def solve(
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        try:
-            kkt = solve_kkt(h, jac, g_bar, c_vec)
-        except SingularMatrixError as exc:
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
-            reason = f"singular KKT system: {exc}"
-            break
+        if step_factors is None:
+            try:
+                step_factors = lu_factor(kkt_matrix(h, jac))
+            except SingularMatrixError as exc:
+                status = RunStatus.LINEAR_ALGEBRA_FAILURE
+                reason = f"singular KKT system: {exc}"
+                break
+        kkt = kkt_step(step_factors, g_bar, c_vec)
         d = kkt.d
         lin_feas = max_abs(jac @ d + c_vec)
         if lin_feas > LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf):
@@ -470,7 +535,6 @@ def solve(
             break
 
         # Merit parameter update and predicted reduction.
-        c_l1 = float(np.sum(np.abs(c_vec)))
         trial = tau_trial(
             g_bar, d, h, c_l1, params.sigma,
             extra_noise_floor=kkt_denom_noise_floor(kkt),
@@ -532,12 +596,13 @@ def solve(
             ).true_iter
         if track_true_model_reduction:
             log.delta_l_true = _true_model_reduction(
-                h, jac, g_exact, c_vec, c_l1, tau_bar, params
+                step_factors, h, g_exact, c_vec, c_l1, tau_bar, params
             )
         logs.append(log)
 
         if accepted:
             x = x_plus
+            moved = True
         alpha = step_size_update(alpha, accepted, params.gamma, params.alpha_max)
         k += 1
 
@@ -554,7 +619,11 @@ def solve(
 
 
 def _exact_metrics(problem: Problem, x: np.ndarray) -> tuple[Optional[float], Optional[float]]:
-    """Exact (infeasibility, KKT residual) at x; None components on breakdown."""
+    """Exact (infeasibility, KKT residual) at x; None components on breakdown.
+
+    Uses the loop's kernel: the residual comes from factors of
+    [[I, J^T], [J, 0]] exactly as at the top of an iteration.
+    """
     try:
         c_vec = problem.c(x)
         jac = problem.jacobian(x)
@@ -562,26 +631,23 @@ def _exact_metrics(problem: Problem, x: np.ndarray) -> tuple[Optional[float], Op
         if not _all_finite(c_vec, jac, g_exact):
             return None, None
         infeas = max_abs(c_vec)
-        _, kkt_inf = least_squares_multipliers(g_exact, jac)
+        _, kkt_inf = kkt_multipliers(lu_factor(kkt_matrix(np.eye(x.size), jac)), g_exact)
         return infeas, kkt_inf
-    except (NotPositiveDefiniteError, ValueError):
+    except (SingularMatrixError, ValueError):
         return None, None
 
 
 def _true_model_reduction(
+    factors: LuFactors,
     h: np.ndarray,
-    jac: np.ndarray,
     g_exact: np.ndarray,
     c_vec: np.ndarray,
     c_l1: float,
     tau_bar: float,
     params: SolverParams,
-) -> Optional[float]:
+) -> float:
     """Model reduction along the exact-gradient direction (diagnostic)."""
-    try:
-        kkt_true = solve_kkt(h, jac, g_exact, c_vec)
-    except SingularMatrixError:
-        return None
+    kkt_true = kkt_step(factors, g_exact, c_vec)
     trial_true = tau_trial(
         g_exact, kkt_true.d, h, c_l1, params.sigma,
         extra_noise_floor=kkt_denom_noise_floor(kkt_true),

@@ -114,6 +114,10 @@ class TestGridEnumeration:
         with pytest.raises(ValueError, match="seed"):
             ExperimentGrid(seed=-1)
 
+    def test_replicates_rejects_bool(self):
+        with pytest.raises(ValueError, match="replicates"):
+            ExperimentGrid(replicates=True)
+
     def test_run_cell_is_reproducible(self):
         cell = grid_cells(SMALL_GRID)[1]
         first = run_cell(SMALL_GRID, cell)

@@ -108,6 +108,19 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="pairs"):
             parse_config(None, ["grid.noise_pairs=[[1]]"])
 
+    def test_non_numeric_noise_level_is_a_validation_error(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="noise_pairs entries must be numbers"):
+            parse_config(None, ['grid.noise_pairs=[["x", 1]]'])
+        code = main(
+            ["bench", "--set", 'grid.noise_pairs=[["x",1]]', "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: grid.noise_pairs")
+
+    def test_bool_replicates_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="replicates"):
+            parse_config(None, ["grid.replicates=true"])
+
     def test_bad_files(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             parse_config(tmp_path / "absent.json")

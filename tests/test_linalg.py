@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from reference import gauss_jordan_inverse
 
+from stepsqp import linalg
 from stepsqp.linalg import (
     Norms,
     NotPositiveDefiniteError,
@@ -16,6 +17,7 @@ from stepsqp.linalg import (
     as_matrix,
     as_vector,
     cholesky_solve,
+    lu_factor,
     lu_solve,
     max_abs,
     norms,
@@ -127,6 +129,31 @@ class TestLuSolve:
             x = lu_solve(a, b)
             x_ref = gauss_jordan_inverse(a) @ b
             np.testing.assert_allclose(x, x_ref, atol=1e-8, rtol=1e-8)
+
+
+class TestLuFactor:
+    def test_factors_serve_several_right_hand_sides(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        factors = lu_factor(a)
+        for _ in range(3):
+            b = rng.standard_normal(6)
+            np.testing.assert_array_equal(factors.solve(b), lu_solve(a, b))
+
+    def test_singular_raises_with_pivot_message(self):
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularMatrixError, match="identically zero"):
+            lu_factor(np.zeros((2, 2)))
+
+    def test_solve_checks_its_residual(self, monkeypatch):
+        # Factors paired with a different matrix cannot solve it: the
+        # residual self-check must notice.
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        mismatched = lu_factor(a)._replace(a=2.0 * a)
+        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+        with pytest.raises(AssertionError, match="residual"):
+            mismatched.solve(np.array([5.0, 10.0]))
 
 
 class TestCholeskySolve:

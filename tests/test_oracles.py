@@ -34,6 +34,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="stream_id"):
             OracleConfig(stream_id=2**64)
 
+    def test_seed_rejects_bool(self):
+        with pytest.raises(ValueError, match="seed"):
+            OracleConfig(seed=True)
+
+    def test_stream_id_rejects_bool(self):
+        with pytest.raises(ValueError, match="stream_id"):
+            OracleConfig(stream_id=False)
+
 
 class TestDeriveStream:
     def test_golden_value(self):

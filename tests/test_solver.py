@@ -1,13 +1,23 @@
 """End-to-end tests for the solve loop on registry and custom problems."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from stepsqp.linalg import lu_factor
 from stepsqp.oracles import OracleConfig
 from stepsqp.problems import Problem, get_problem
-from stepsqp.sqp import RunStatus, SolverParams, solve, step_size_update
+from stepsqp.sqp import (
+    RunStatus,
+    SolverParams,
+    kkt_matrix,
+    kkt_multipliers,
+    solve,
+    step_size_update,
+)
 
 NOISY = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=5, stream_id=2)
 
@@ -134,6 +144,62 @@ class TestTrajectoryInvariants:
             assert log.k == j
             assert log.zeroth_calls == 2 * (j + 1)
             assert log.first_calls == j + 1
+
+
+def _counting(problem):
+    """The problem with every evaluator call tallied by name."""
+    counts = Counter()
+
+    def tally(name, fn):
+        def counted(x):
+            counts[name] += 1
+            return fn(x)
+
+        return counted
+
+    wrapped = dataclasses.replace(
+        problem,
+        eval_f=tally("f", problem.eval_f),
+        eval_grad_f=tally("grad_f", problem.eval_grad_f),
+        eval_c=tally("c", problem.eval_c),
+        eval_jacobian=tally("jacobian", problem.eval_jacobian),
+    )
+    return wrapped, counts
+
+
+class TestExactEvaluationReuse:
+    """Exact quantities are evaluated once per distinct iterate."""
+
+    @pytest.mark.parametrize("name", ["P1", "hs6", "hs40"])
+    def test_evaluations_per_distinct_iterate(self, name):
+        problem, counts = _counting(get_problem(name))
+        record = solve(problem, params=SolverParams(max_iters=150), oracle_cfg=NOISY)
+        k = len(record.iterations)
+        accepted = sum(log.accepted for log in record.iterations)
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+        assert 0 < accepted < k
+        iterates = 1 + accepted
+        assert counts["jacobian"] == iterates
+        # noisy_grad samples grad f once per iteration, and each
+        # iteration evaluates c at its trial point.
+        assert counts["grad_f"] == iterates + k
+        assert counts["c"] == iterates + k
+        # f: once per iterate at the loop top (the budget-exhausted final
+        # metrics need none), twice per iteration for noisy_f and once
+        # for classifying the trial point.
+        assert iterates - 1 <= counts["f"] - 3 * k <= iterates
+        assert record.zeroth_calls == 2 * k
+        assert record.first_calls == k
+
+    def test_logged_kkt_residual_comes_from_the_kernel(self):
+        problem = get_problem("hs6")
+        record = solve(problem, params=SolverParams(max_iters=60), oracle_cfg=NOISY)
+        for log in record.iterations:
+            factors = lu_factor(kkt_matrix(np.eye(problem.n), problem.jacobian(log.x)))
+            assert log.kkt_inf == kkt_multipliers(factors, problem.grad_f(log.x))[1]
+        final_x = record.final_x
+        factors = lu_factor(kkt_matrix(np.eye(problem.n), problem.jacobian(final_x)))
+        assert record.final_kkt_inf == kkt_multipliers(factors, problem.grad_f(final_x))[1]
 
 
 class TestReproducibility:

@@ -210,6 +210,12 @@ class TestMultipliers:
         assert pair.sqrt_infeas_l2 == pytest.approx(2.0, abs=1e-14)
 
 
+class TestSolverParams:
+    def test_max_iters_rejects_bool(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverParams(max_iters=True)
+
+
 class TestEffectiveEpsF:
     def test_none_couples_to_oracle(self):
         params = SolverParams(eps_f_accept=None)
