@@ -1,121 +1,4 @@
 """Step-search SQP for equality-constrained problems with noisy objective
 oracles, plus a reproducible benchmarking harness."""
 
-from .bench import (
-    DEFAULT_NOISE_PAIRS,
-    EmptyInputError,
-    ExperimentGrid,
-    GridCell,
-    GridResult,
-    PerformanceProfile,
-    ProfileInput,
-    Trajectory,
-    build_grid_profiles,
-    build_profile,
-    convergence_budget,
-    grid_cells,
-    profiles_from_directories,
-    record_trajectories,
-    run_cell,
-    run_grid,
-)
-from .linalg import (
-    NotPositiveDefiniteError,
-    Norms,
-    SingularMatrixError,
-    cholesky_solve,
-    lu_solve,
-    norms,
-)
-from .oracles import EvalCounters, OracleConfig, StochasticOracle, derive_stream
-from .problems import (
-    GradientCheck,
-    Problem,
-    SuiteEntry,
-    UnknownProblemError,
-    check_gradients,
-    get_entry,
-    get_problem,
-    load_qp_json,
-    problem_names,
-)
-from .sqp import (
-    InvariantViolationError,
-    IterationClass,
-    IterationLog,
-    KktSolution,
-    RunRecord,
-    RunStatus,
-    SolverParams,
-    StationarityPair,
-    acceptance_test,
-    classify_iteration,
-    effective_eps_f,
-    least_squares_multipliers,
-    model_reduction,
-    solve,
-    solve_kkt,
-    stationarity_pair,
-    step_size_update,
-    tau_trial,
-    update_tau,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_NOISE_PAIRS",
-    "EmptyInputError",
-    "EvalCounters",
-    "ExperimentGrid",
-    "GradientCheck",
-    "GridCell",
-    "GridResult",
-    "InvariantViolationError",
-    "IterationClass",
-    "IterationLog",
-    "KktSolution",
-    "Norms",
-    "NotPositiveDefiniteError",
-    "OracleConfig",
-    "PerformanceProfile",
-    "Problem",
-    "ProfileInput",
-    "RunRecord",
-    "RunStatus",
-    "SingularMatrixError",
-    "SolverParams",
-    "StationarityPair",
-    "StochasticOracle",
-    "SuiteEntry",
-    "Trajectory",
-    "UnknownProblemError",
-    "acceptance_test",
-    "build_grid_profiles",
-    "build_profile",
-    "check_gradients",
-    "cholesky_solve",
-    "classify_iteration",
-    "convergence_budget",
-    "derive_stream",
-    "effective_eps_f",
-    "get_entry",
-    "get_problem",
-    "grid_cells",
-    "least_squares_multipliers",
-    "load_qp_json",
-    "lu_solve",
-    "model_reduction",
-    "norms",
-    "problem_names",
-    "profiles_from_directories",
-    "record_trajectories",
-    "run_cell",
-    "run_grid",
-    "solve",
-    "solve_kkt",
-    "stationarity_pair",
-    "step_size_update",
-    "tau_trial",
-    "update_tau",
-]

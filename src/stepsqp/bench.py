@@ -146,19 +146,30 @@ def _trajectories_from_rows(
     Each row is (infeas_inf, kkt_inf, zeroth_calls, first_calls) with
     cumulative counters; row j describes iterate x_j, and the final
     metrics (when available) describe the last iterate.
+
+    Raises
+    ------
+    ValueError
+        If a metric value is not finite or the work counts decrease.
     """
     infeas = [r[0] for r in rows]
-    kkt = [max(r[0], r[1]) for r in rows]
+    residual = [r[1] for r in rows]
     work = [0.0] + [float(r[2] + r[3]) for r in rows]
     if final_infeas is not None and final_kkt is not None:
         infeas.append(final_infeas)
-        kkt.append(max(final_infeas, final_kkt))
+        residual.append(final_kkt)
     else:
         work.pop()
-    return {
-        "infeasibility": Trajectory(np.asarray(infeas), np.asarray(work)),
-        "kkt": Trajectory(np.asarray(kkt), np.asarray(work)),
-    }
+    infeas = np.array(infeas, dtype=np.float64)
+    residual = np.array(residual, dtype=np.float64)
+    work = np.array(work)
+    if not (np.isfinite(infeas).all() and np.isfinite(residual).all()):
+        raise ValueError("metric values must be finite")
+    # Work starts at 0, so non-decreasing work is also non-negative.
+    if np.any(np.diff(work) < 0):
+        raise ValueError("work counts must be non-negative and non-decreasing")
+    kkt = np.maximum(infeas, residual)
+    return {"infeasibility": Trajectory(infeas, work), "kkt": Trajectory(kkt, work)}
 
 
 def record_trajectories(record: RunRecord) -> dict[str, Trajectory]:
@@ -170,30 +181,8 @@ def record_trajectories(record: RunRecord) -> dict[str, Trajectory]:
     return _trajectories_from_rows(rows, record.final_infeas_inf, record.final_kkt_inf)
 
 
-@dataclass(frozen=True)
-class ProfileInput:
-    """One solver configuration's trajectory on one problem instance."""
-
-    solver: str
-    instance: str
-    values: np.ndarray
-    work: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        work = np.asarray(self.work, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "work", work)
-        if values.shape != work.shape or values.ndim != 1:
-            raise ValueError("values and work must be 1-d arrays of equal length")
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("metric values must be finite")
-        if values.size and (np.any(work < 0) or np.any(np.diff(work) < 0)):
-            raise ValueError("work counts must be non-negative and non-decreasing")
-
-
 def convergence_budget(
-    trajectory: "ProfileInput | Trajectory",
+    trajectory: Trajectory,
     m0: float,
     m_best: float,
     eps_pp: float = EPS_PP_DEFAULT,
@@ -323,17 +312,25 @@ def _label_runs(
     return labeled
 
 
+def _run_instances(run: _LabeledRun, grid_replicates: int) -> list[str]:
+    """Instances a run covers: a deterministic run covers every replicate."""
+    reps = range(grid_replicates) if run.deterministic else (run.replicate,)
+    return [f"{run.problem}__r{rep}" for rep in reps]
+
+
 def _grid_budgets(
     grid_replicates: int,
     runs: list[_LabeledRun],
     eps_pp: float = EPS_PP_DEFAULT,
+    keep: Optional[set[str]] = None,
 ) -> dict[str, dict[str, dict[str, Optional[float]]]]:
     """Per metric/axis then solver/instance convergence budgets.
 
     Solver configurations are the noise pairs (optionally prefixed by a
     campaign name); instances are (problem, replicate) pairs. A
     deterministic (0, 0) run stands in for every replicate of its
-    problem, since replicates of it would be bit-identical.
+    problem, since replicates of it would be bit-identical. When keep
+    is given, instances outside it are left out.
     """
     # (label, instance) -> Trajectory, expanded across replicates for (0, 0).
     per_metric: dict[str, dict[tuple[str, str], Trajectory]] = {
@@ -345,12 +342,9 @@ def _grid_budgets(
     for run in runs:
         if run.label not in labels:
             labels.append(run.label)
-        if run.deterministic:
-            reps = range(grid_replicates)
-        else:
-            reps = range(run.replicate, run.replicate + 1)
-        for rep in reps:
-            instance = f"{run.problem}__r{rep}"
+        for instance in _run_instances(run, grid_replicates):
+            if keep is not None and instance not in keep:
+                continue
             if instance not in instances:
                 instances.append(instance)
             for metric in per_metric:
@@ -380,9 +374,11 @@ def _grid_budgets(
                         if axis == "iterations"
                         else traj.work
                     )
-                    pinput = ProfileInput(label, instance, traj.values, axis_work)
                     row[instance] = convergence_budget(
-                        pinput, start[instance], best[instance], eps_pp
+                        Trajectory(traj.values, axis_work),
+                        start[instance],
+                        best[instance],
+                        eps_pp,
                     )
                 per_solver[label] = row
             budgets[f"{metric}__{axis}"] = per_solver
@@ -495,7 +491,8 @@ def write_profile_csv(path: Path, points: list[tuple[float, float]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_summary(cell: GridCell, record: RunRecord) -> dict:
+def run_summary(cell: GridCell, record: RunRecord) -> dict:
+    """One run's summary.json entry; csv names the run CSV beside it."""
     return {
         "problem": cell.problem,
         "eps_f_noise": cell.eps_f,
@@ -532,7 +529,7 @@ def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
         },
         "wall_time_s": result.wall_time,
         "runs": [
-            _run_summary(cell, record)
+            run_summary(cell, record)
             for cell, record in zip(result.cells, result.records)
         ],
     }
@@ -577,8 +574,13 @@ def load_run_trajectories(run_dir: Path) -> tuple[int, list[tuple[GridCell, dict
     replicates = int(summary["grid"]["replicates"])
     runs = []
     for entry in summary["runs"]:
-        rows = _read_run_rows(run_dir / entry["csv"])
-        trajs = _trajectories_from_rows(rows, entry["final_infeas_inf"], entry["final_kkt_inf"])
+        path = run_dir / entry["csv"]
+        try:
+            trajs = _trajectories_from_rows(
+                _read_run_rows(path), entry["final_infeas_inf"], entry["final_kkt_inf"]
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         cell = GridCell(
             problem=entry["problem"],
             eps_f=float(entry["eps_f_noise"]),
@@ -598,17 +600,36 @@ def profiles_from_directories(
 
     With several directories, solver labels are prefixed by the
     directory name so that separately produced campaigns can be
-    compared on their common instances.
+    compared on their common instances; instances that some directory
+    lacks are left out.
+
+    Raises
+    ------
+    ValueError
+        If two directories have the same name, so their labels would clash.
+    EmptyInputError
+        If no directory is given or the directories share no instance.
     """
     if not run_dirs:
         raise EmptyInputError("no run directories given")
-    labeled: list[_LabeledRun] = []
-    replicate_counts = []
+    run_dirs = [Path(d) for d in run_dirs]
     prefix_labels = len(run_dirs) > 1
-    for run_dir in run_dirs:
-        replicates, runs = load_run_trajectories(Path(run_dir))
-        replicate_counts.append(replicates)
-        prefix = f"{Path(run_dir).name}__" if prefix_labels else ""
-        labeled.extend(_label_runs(runs, prefix))
-    budgets = _grid_budgets(max(replicate_counts), labeled, eps_pp)
+    names = [d.name for d in run_dirs]
+    for name in names:
+        if names.count(name) > 1:
+            clash = ", ".join(str(d) for d in run_dirs if d.name == name)
+            raise ValueError(f"run directories {clash} share the name {name!r}")
+    loaded = [load_run_trajectories(d) for d in run_dirs]
+    replicates = max(count for count, _ in loaded)
+    per_dir = [
+        _label_runs(runs, f"{d.name}__" if prefix_labels else "")
+        for d, (_, runs) in zip(run_dirs, loaded)
+    ]
+    common = set.intersection(
+        *({inst for run in runs for inst in _run_instances(run, replicates)} for runs in per_dir)
+    )
+    if not common:
+        raise EmptyInputError("the run directories share no instances")
+    labeled = [run for runs in per_dir for run in runs]
+    budgets = _grid_budgets(replicates, labeled, eps_pp, keep=common)
     return {name: build_profile(table) for name, table in budgets.items()}

@@ -22,10 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    EmptyInputError,
     ExperimentGrid,
+    GridCell,
     profiles_from_directories,
-    run_filename,
     run_grid,
+    run_summary,
     write_profile_files,
     write_run_csv,
 )
@@ -248,32 +250,16 @@ def _cmd_run(args) -> int:
     params, oracle_cfg, grid = parse_config(args.config, args.overrides)
     oracle_cfg, grid = _apply_seed(args, oracle_cfg, grid)
     problem = _resolve_problem(args.problem)
-    stream = derive_stream(
-        oracle_cfg.seed,
-        problem.name,
-        (oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise),
-        0,
-    )
-    oracle_cfg = dataclasses.replace(oracle_cfg, stream_id=stream)
-    record = solve(problem, params, oracle_cfg)
+    noise = (oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise)
+    stream = derive_stream(oracle_cfg.seed, problem.name, noise, 0)
+    cell = GridCell(problem.name, *noise, replicate=0, stream_id=stream)
+    record = solve(problem, params, dataclasses.replace(oracle_cfg, stream_id=cell.stream_id))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_name = run_filename(problem.name, oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise, 0)
-    write_run_csv(out_dir / csv_name, record)
-    summary = {
-        "problem": problem.name,
-        "status": record.status.value,
-        "iterations": len(record.iterations),
-        "zeroth_calls": record.zeroth_calls,
-        "first_calls": record.first_calls,
-        "final_infeas_inf": record.final_infeas_inf,
-        "final_kkt_inf": record.final_kkt_inf,
-        "failure_reason": record.failure_reason,
-        "wall_time_s": record.wall_time,
-        "csv": str(out_dir / csv_name),
-    }
-    (out_dir / (Path(csv_name).stem + ".json")).write_text(
+    summary = run_summary(cell, record)
+    write_run_csv(out_dir / summary["csv"], record)
+    (out_dir / (Path(summary["csv"]).stem + ".json")).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     print(json.dumps(summary, sort_keys=True))
@@ -311,7 +297,7 @@ def _cmd_bench(args) -> int:
 def _cmd_profile(args) -> int:
     try:
         profiles = profiles_from_directories([Path(d) for d in args.run_dirs])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, EmptyInputError) as exc:
         raise ParseError(f"cannot rebuild profiles: {exc}") from exc
     out_dir = Path(args.out)
     write_profile_files(profiles, out_dir)

@@ -35,12 +35,6 @@ class NotPositiveDefiniteError(Exception):
     """Cholesky factorization failed or hit a non-positive pivot."""
 
 
-class Norms(NamedTuple):
-    l1: float
-    l2: float
-    linf: float
-
-
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-d float64 array, optionally of length n."""
     v = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -80,15 +74,6 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     tol = SYMMETRY_RTOL * max(1.0, max_abs(a))
     if max_abs(a - a.T) > tol:
         raise ValueError(f"{name} is not symmetric to tolerance {tol:g}")
-
-
-def norms(v) -> Norms:
-    """l1, l2 and l-infinity norms of a vector (all 0.0 for empty input)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        return Norms(0.0, 0.0, 0.0)
-    av = np.abs(v)
-    return Norms(float(av.sum()), float(np.linalg.norm(v)), float(av.max()))
 
 
 def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:

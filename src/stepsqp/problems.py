@@ -56,18 +56,11 @@ class Problem:
     eval_c: Callable[[np.ndarray], np.ndarray]
     eval_jacobian: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    known_solution: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.m > self.n:
             raise ValueError(f"{self.name}: need 1 <= m <= n, got n={self.n}, m={self.m}")
         object.__setattr__(self, "x0", as_vector(self.x0, self.n, f"{self.name}.x0"))
-        if self.known_solution is not None:
-            object.__setattr__(
-                self,
-                "known_solution",
-                as_vector(self.known_solution, self.n, f"{self.name}.known_solution"),
-            )
 
     def f(self, x: np.ndarray) -> float:
         return float(self.eval_f(x))
@@ -126,9 +119,6 @@ class GradientCheck:
     max_rel_err_grad: float
     max_rel_err_jac: float
 
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.max_rel_err_grad <= tol and self.max_rel_err_jac <= tol
-
 
 def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
     """Compare analytic derivatives against central differences at x.
@@ -166,7 +156,6 @@ def _p1() -> SuiteEntry:
         eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
         eval_jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
         x0=np.array([2.0, 1.0]),
-        known_solution=np.array([-1.0, -1.0]),
     )
     # Stationarity at (-1, -1): 1 + 2*(-1)*y = 0 gives y = 1/2.
     return SuiteEntry(problem, (np.array([-1.0, -1.0]), np.array([0.5])))
@@ -187,7 +176,6 @@ def _p2() -> SuiteEntry:
         eval_c=lambda x: _P2_A @ x - _P2_B,
         eval_jacobian=lambda x: _P2_A.copy(),
         x0=np.array([0.0, 0.0]),
-        known_solution=np.array([1.0, 1.0]),
     )
     return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([-1.0])))
 
@@ -219,7 +207,6 @@ def _p3() -> SuiteEntry:
         eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
         eval_jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
         x0=np.array([0.5, 0.5]),
-        known_solution=np.array([1.0, 1.0]),
     )
     # (1, 1) is an unconstrained minimizer lying on the circle, so y = 0.
     return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([0.0])))
@@ -255,7 +242,6 @@ def _qp10() -> SuiteEntry:
         eval_c=lambda x: a_mat @ x - b_vec,
         eval_jacobian=lambda x: a_mat.copy(),
         x0=np.zeros(n),
-        known_solution=x_star,
     )
     return SuiteEntry(problem, (x_star, y_star))
 
@@ -271,7 +257,6 @@ def _hs6() -> SuiteEntry:
         eval_c=lambda x: np.array([10.0 * (x[1] - x[0] ** 2)]),
         eval_jacobian=lambda x: np.array([[-20.0 * x[0], 10.0]]),
         x0=np.array([-1.2, 1.0]),
-        known_solution=np.array([1.0, 1.0]),
     )
     return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([0.0])))
 
@@ -289,7 +274,6 @@ def _hs7() -> SuiteEntry:
             [[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]]
         ),
         x0=np.array([2.0, 2.0]),
-        known_solution=np.array([0.0, np.sqrt(3.0)]),
     )
     y_star = 1.0 / (2.0 * np.sqrt(3.0))
     return SuiteEntry(problem, (np.array([0.0, np.sqrt(3.0)]), np.array([y_star])))
@@ -316,7 +300,6 @@ def _hs27() -> SuiteEntry:
         eval_c=lambda x: np.array([x[0] + x[2] ** 2 + 1.0]),
         eval_jacobian=lambda x: np.array([[1.0, 0.0, 2.0 * x[2]]]),
         x0=np.array([2.0, 2.0, 2.0]),
-        known_solution=np.array([-1.0, 1.0, 0.0]),
     )
     return SuiteEntry(problem, (np.array([-1.0, 1.0, 0.0]), np.array([0.04])))
 
@@ -366,7 +349,6 @@ def _hs40() -> SuiteEntry:
         eval_c=constraints,
         eval_jacobian=jac,
         x0=np.array([0.8, 0.8, 0.8, 0.8]),
-        known_solution=x_star,
     )
     return SuiteEntry(problem, (x_star, y_star))
 
@@ -402,7 +384,6 @@ def _hs42() -> SuiteEntry:
         eval_c=constraints,
         eval_jacobian=jac,
         x0=np.array([1.0, 1.0, 1.0, 1.0]),
-        known_solution=x_star,
     )
     return SuiteEntry(problem, (x_star, y_star))
 
@@ -438,7 +419,6 @@ def _hs48() -> SuiteEntry:
         eval_jacobian=lambda x: a_mat.copy(),
         # The textbook start is feasible; shifted to an infeasible one.
         x0=np.array([3.0, 5.0, -3.0, 2.0, -1.0]),
-        known_solution=np.ones(5),
     )
     return SuiteEntry(problem, (np.ones(5), np.zeros(2)))
 
@@ -478,7 +458,6 @@ def _hs51() -> SuiteEntry:
         eval_jacobian=lambda x: a_mat.copy(),
         # The textbook start is feasible; shifted to an infeasible one.
         x0=np.array([2.5, 1.0, 2.0, -1.0, 1.0]),
-        known_solution=np.ones(5),
     )
     return SuiteEntry(problem, (np.ones(5), np.zeros(3)))
 
@@ -499,7 +478,6 @@ def _sphere30() -> SuiteEntry:
         eval_c=lambda x: np.array([float(x @ x) - 1.0]),
         eval_jacobian=lambda x: (2.0 * x)[np.newaxis, :],
         x0=(1.0 + 0.05 * np.arange(n)) / np.sqrt(n),
-        known_solution=np.eye(n)[0],
     )
     # grad f + J^T y = w1*e1 + 2*e1*y = 0 at e1 gives y = -w1/2 = -1/2.
     return SuiteEntry(problem, (np.eye(n)[0], np.array([-0.5])))

@@ -3,15 +3,15 @@
 Solves min f(x) subject to c(x) = 0. Each iteration draws a noisy
 gradient, computes a Newton-KKT direction d from
 
-    [ H  J^T ] [ d ]     [ gbar ]
-    [ J   0  ] [ y ] = - [  c   ],
+    [ I  J^T ] [ d ]     [ gbar ]
+    [ J   0  ] [ y ] = - [  c   ]
 
-updates the l1-merit penalty parameter tau so that the predicted merit
-reduction
+(the model Hessian is the identity), updates the l1-merit penalty
+parameter tau so that the predicted merit reduction
 
     delta_l = -tau * gbar'd + ||c||_1
 
-dominates tau * max(d'Hd, 0) + sigma * ||c||_1, then tests a single
+dominates tau * d'd + sigma * ||c||_1, then tests a single
 trial point x + alpha*d with a noise-relaxed sufficient-decrease
 condition on the sampled merit tau * fbar + ||c||_1. Acceptance moves
 the iterate and grows alpha (capped at alpha_max); rejection keeps the
@@ -20,15 +20,13 @@ from fresh samples. Constraint values and the termination diagnostics
 (exact-gradient least-squares KKT residual, infinity-norm
 infeasibility) are exact and never consume oracle budget.
 
-The KKT matrix is factored once per iterate. With the default H = I,
-the one LU factorization of [[I, J^T], [J, 0]] serves two right-hand
-sides: (-grad f, 0) gives the least-squares multipliers and the KKT
-residual (the augmented-system method for linear least squares), and
-(-gbar, -c) gives the step. A user-supplied H costs a second
-factorization, of [[H, J^T], [J, 0]], per iterate. The exact values c,
-J, grad f and f, the factors and the KKT residual all depend on x
-alone, so after a rejected step they are carried over rather than
-recomputed; no oracle sample is ever reused.
+The KKT matrix is factored once per iterate: the one LU factorization
+of [[I, J^T], [J, 0]] serves two right-hand sides. (-grad f, 0) gives
+the least-squares multipliers and the KKT residual (the augmented-system
+method for linear least squares), and (-gbar, -c) gives the step. The
+exact values c, J, grad f and f, the factors and the KKT residual all
+depend on x alone, so after a rejected step they are carried over rather
+than recomputed; no oracle sample is ever reused.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -225,29 +223,25 @@ def model_reduction(tau_bar: float, g: np.ndarray, d: np.ndarray, c_l1: float) -
 def tau_trial(
     g: np.ndarray,
     d: np.ndarray,
-    h: np.ndarray,
     c_l1: float,
     sigma: float,
     extra_noise_floor: float = 0.0,
 ) -> float:
     """Largest penalty parameter keeping the model reduction adequate.
 
-    Returns math.inf when g'd + max(d'Hd, 0) <= 0, in which case any
-    positive parameter is adequate. The sign is decided against a noise
-    floor rather than bare zero: for directions from the KKT system the
-    quantity equals c'y (for curvature >= 0), which vanishes exactly at
-    feasible points, so the computed value there is pure cancellation
-    noise. The floor covers the dot products' own rounding; callers
-    solving the KKT system in floating point must add the identity's
-    solve-error bound residual_inf * (||d||_1 + ||y||_1), scaled by a
-    safety factor, through extra_noise_floor.
+    The curvature term is d'd (model Hessian H = I). Returns math.inf
+    when g'd + d'd <= 0, in which case any positive parameter is
+    adequate. The sign is decided against a noise floor rather than bare
+    zero: for directions from the KKT system the quantity equals c'y,
+    which vanishes exactly at feasible points, so the computed value
+    there is pure cancellation noise. The floor covers the dot products'
+    own rounding; callers solving the KKT system in floating point must
+    add the identity's solve-error bound residual_inf * (||d||_1 +
+    ||y||_1), scaled by a safety factor, through extra_noise_floor.
     """
-    gd = float(g @ d)
-    dhd = max(float(d @ (h @ d)), 0.0)
-    denom = gd + dhd
-    noise_floor = extra_noise_floor + DENOM_SIGN_RTOL * (
-        float(np.abs(g) @ np.abs(d)) + float(np.abs(d) @ (np.abs(h) @ np.abs(d)))
-    )
+    dd = float(d @ d)
+    denom = float(g @ d) + dd
+    noise_floor = extra_noise_floor + DENOM_SIGN_RTOL * (float(np.abs(g) @ np.abs(d)) + dd)
     if denom <= noise_floor:
         return math.inf
     return (1.0 - sigma) * c_l1 / denom
@@ -257,7 +251,7 @@ def kkt_denom_noise_floor(kkt: KktSolution) -> float:
     """Noise certificate for the tau-trial denominator of a KKT direction.
 
     Bounds |d'r_1 - r_2'y| for the solve residual r = (r_1, r_2), the
-    amount by which the computed g'd + d'Hd can drift from its exact
+    amount by which the computed g'd + d'd can drift from its exact
     value c'y, with a safety factor for the bound's own rounding.
     """
     return DENOM_SOLVE_NOISE_FACTOR * kkt.residual_inf * (
@@ -311,27 +305,14 @@ def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarra
     return y, max_abs(residual)
 
 
-class StationarityPair(NamedTuple):
-    kkt_l2: float
-    sqrt_infeas_l2: float
-
-
-def stationarity_pair(g_exact: np.ndarray, jac: np.ndarray, c: np.ndarray) -> StationarityPair:
-    """(||g + J^T y||_2, sqrt(||c||_2)) with least-squares multipliers y."""
-    y, _ = least_squares_multipliers(g_exact, jac)
-    kkt_l2 = float(np.linalg.norm(g_exact + jac.T @ y))
-    return StationarityPair(kkt_l2, math.sqrt(float(np.linalg.norm(c))))
-
-
 @dataclass
 class IterationLog:
     """Diagnostics for one iteration, recorded at its start point x.
 
     Call counters are cumulative totals after the iteration finished.
     true_iter marks iterations whose sampled gradient and function
-    values were within their nominal noise allowances (None when
-    classification was skipped); delta_l_true is the model reduction the
-    exact gradient would have produced (None unless tracked).
+    values were within their nominal noise allowances (see
+    classify_iteration).
     """
 
     k: int
@@ -350,8 +331,7 @@ class IterationLog:
     kkt_inf: float
     zeroth_calls: int
     first_calls: int
-    true_iter: Optional[bool] = None
-    delta_l_true: Optional[float] = None
+    true_iter: bool = False
 
 
 @dataclass
@@ -375,39 +355,29 @@ class RunRecord:
         return self.iterations[-1].first_calls if self.iterations else 0
 
 
-class IterationClass(NamedTuple):
-    true_iter: bool
-    successful: bool
-
-
 def classify_iteration(
     log: IterationLog,
     exact_f_values: tuple[float, float],
     exact_grad: np.ndarray,
     oracle_cfg: OracleConfig,
     params: SolverParams,
-    kappa_fo: float = 1.0,
-    eps_g: Optional[float] = None,
-) -> IterationClass:
-    """Label an iteration as true and/or successful.
+) -> bool:
+    """Whether an iteration is true in the sense of the paper.
 
     True: the sampled gradient error is within
-    max(eps_g, kappa_fo * alpha * sqrt(delta_l)) and the two sampled
-    function values are jointly within 2 * eps_f of the exact ones.
-    Successful: the acceptance test passed (as recorded).
-
-    Parameters default to the run's own allowances: eps_g to the
-    oracle's eps_g_noise and eps_f to the acceptance allowance.
+    max(eps_g, alpha * sqrt(delta_l)), with eps_g the oracle's
+    eps_g_noise, and the two sampled function values are jointly within
+    2 * eps_f of the exact ones, with eps_f the acceptance allowance.
     """
-    if eps_g is None:
-        eps_g = oracle_cfg.eps_g_noise
     eps_f = effective_eps_f(params, oracle_cfg)
     grad_err = float(np.linalg.norm(log.g_bar - exact_grad))
-    grad_ok = grad_err <= max(eps_g, kappa_fo * log.alpha * math.sqrt(max(log.delta_l, 0.0)))
+    grad_ok = grad_err <= max(
+        oracle_cfg.eps_g_noise, log.alpha * math.sqrt(max(log.delta_l, 0.0))
+    )
     e_current = abs(log.f_bar_current - exact_f_values[0])
     e_trial = abs(log.f_bar_trial - exact_f_values[1])
     zeroth_ok = e_current + e_trial <= 2.0 * eps_f
-    return IterationClass(bool(grad_ok and zeroth_ok), log.accepted)
+    return bool(grad_ok and zeroth_ok)
 
 
 def _all_finite(*arrays) -> bool:
@@ -418,9 +388,6 @@ def solve(
     problem: Problem,
     params: SolverParams = SolverParams(),
     oracle_cfg: OracleConfig = OracleConfig(),
-    hessian: Optional[np.ndarray] = None,
-    classify: bool = True,
-    track_true_model_reduction: bool = False,
 ) -> RunRecord:
     """Run the step-search SQP loop on one problem.
 
@@ -432,15 +399,6 @@ def solve(
         Algorithm constants, iteration budget, termination thresholds.
     oracle_cfg : OracleConfig
         Noise scales and RNG identity for the objective oracles.
-    hessian : array_like, optional
-        Constant symmetric model Hessian; identity when omitted. A
-        non-identity H costs a second KKT factorization per iterate.
-    classify : bool
-        Record the true-iteration flag on each log entry (costs two
-        exact objective evaluations per iteration, diagnostics only).
-    track_true_model_reduction : bool
-        Additionally solve each KKT system with the exact gradient and
-        log the model reduction it would have produced.
 
     Returns
     -------
@@ -448,19 +406,12 @@ def solve(
         Status is CONVERGED only if the final iterate passes both
         termination thresholds; a budget of 0 always returns
         BUDGET_EXHAUSTED with no iterations. Linear-algebra breakdowns
-        (singular KKT systems, rank-deficient Jacobians, non-finite
+        (rank-deficient Jacobians, inaccurate KKT solves, non-finite
         evaluations, merit-parameter collapse) end the run with status
         LINEAR_ALGEBRA_FAILURE and a failure_reason instead of raising.
     """
     t_start = time.perf_counter()
-    n = problem.n
-    identity = np.eye(n)
-    if hessian is None:
-        h = identity
-    else:
-        h = as_matrix(hessian, (n, n), "hessian")
-        require_symmetric(h, "hessian")
-    h_is_identity = np.array_equal(h, identity)
+    identity = np.eye(problem.n)
 
     oracle = StochasticOracle(problem, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
@@ -498,14 +449,13 @@ def solve(
                 break
             infeas_inf = max_abs(c_vec)
             try:
-                multiplier_factors = lu_factor(kkt_matrix(identity, jac))
+                factors = lu_factor(kkt_matrix(identity, jac))
             except SingularMatrixError:
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
                 final_infeas, final_kkt = infeas_inf, None
                 break
-            _, kkt_inf = kkt_multipliers(multiplier_factors, g_exact)
-            step_factors = multiplier_factors if h_is_identity else None
+            _, kkt_inf = kkt_multipliers(factors, g_exact)
             c_l1 = float(np.sum(np.abs(c_vec)))
             moved = False
             final_infeas, final_kkt = infeas_inf, kkt_inf
@@ -519,14 +469,7 @@ def solve(
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        if step_factors is None:
-            try:
-                step_factors = lu_factor(kkt_matrix(h, jac))
-            except SingularMatrixError as exc:
-                status = RunStatus.LINEAR_ALGEBRA_FAILURE
-                reason = f"singular KKT system: {exc}"
-                break
-        kkt = kkt_step(step_factors, g_bar, c_vec)
+        kkt = kkt_step(factors, g_bar, c_vec)
         d = kkt.d
         lin_feas = max_abs(jac @ d + c_vec)
         if lin_feas > LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf):
@@ -536,8 +479,7 @@ def solve(
 
         # Merit parameter update and predicted reduction.
         trial = tau_trial(
-            g_bar, d, h, c_l1, params.sigma,
-            extra_noise_floor=kkt_denom_noise_floor(kkt),
+            g_bar, d, c_l1, params.sigma, extra_noise_floor=kkt_denom_noise_floor(kkt)
         )
         tau_bar = update_tau(tau_bar, trial, params.eps_tau)
         if tau_bar <= TAU_COLLAPSE_FLOOR:
@@ -545,7 +487,7 @@ def solve(
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
         delta_l = model_reduction(tau_bar, g_bar, d, c_l1)
-        curvature = max(float(d @ (h @ d)), 0.0)
+        curvature = float(d @ d)
         if delta_l < tau_bar * curvature + params.sigma * c_l1 - MODEL_REDUCTION_SLACK:
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound "
@@ -589,15 +531,9 @@ def solve(
             zeroth_calls=oracle.counters.zeroth_calls,
             first_calls=oracle.counters.first_calls,
         )
-        if classify:
-            f_exact_trial = problem.f(x_plus)
-            log.true_iter = classify_iteration(
-                log, (f_exact, f_exact_trial), g_exact, oracle_cfg, params
-            ).true_iter
-        if track_true_model_reduction:
-            log.delta_l_true = _true_model_reduction(
-                step_factors, h, g_exact, c_vec, c_l1, tau_bar, params
-            )
+        log.true_iter = classify_iteration(
+            log, (f_exact, problem.f(x_plus)), g_exact, oracle_cfg, params
+        )
         logs.append(log)
 
         if accepted:
@@ -636,21 +572,3 @@ def _exact_metrics(problem: Problem, x: np.ndarray) -> tuple[Optional[float], Op
     except (SingularMatrixError, ValueError):
         return None, None
 
-
-def _true_model_reduction(
-    factors: LuFactors,
-    h: np.ndarray,
-    g_exact: np.ndarray,
-    c_vec: np.ndarray,
-    c_l1: float,
-    tau_bar: float,
-    params: SolverParams,
-) -> float:
-    """Model reduction along the exact-gradient direction (diagnostic)."""
-    kkt_true = kkt_step(factors, g_exact, c_vec)
-    trial_true = tau_trial(
-        g_exact, kkt_true.d, h, c_l1, params.sigma,
-        extra_noise_floor=kkt_denom_noise_floor(kkt_true),
-    )
-    tau_true = update_tau(tau_bar, trial_true, params.eps_tau)
-    return model_reduction(tau_true, g_exact, kkt_true.d, c_l1)

@@ -1,8 +1,10 @@
-"""Hand-rolled reference implementations shared by the test modules.
+"""Hand-rolled reference implementations and helpers shared by the test modules.
 
 Everything here is deliberately naive and independent of the library's
 LAPACK-backed code paths.
 """
+
+import json
 
 import numpy as np
 
@@ -23,3 +25,18 @@ def gauss_jordan_inverse(a):
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:]
+
+
+def doctor_run_csv(run_dir, column, row, value):
+    """Overwrite one cell of the first run CSV with at least row + 1 rows."""
+    for entry in json.loads((run_dir / "summary.json").read_text())["runs"]:
+        path = run_dir / entry["csv"]
+        lines = path.read_text().splitlines()
+        if len(lines) > row + 1:
+            header = lines[0].split(",")
+            fields = lines[row + 1].split(",")
+            fields[header.index(column)] = value
+            lines[row + 1] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+            return path
+    raise AssertionError("no run CSV is long enough")

@@ -39,7 +39,7 @@ def test_ac1_noise_free_suite_converges_quickly():
     t0 = time.perf_counter()
     iteration_counts = {}
     for name in problem_names():
-        record = solve(get_problem(name), oracle_cfg=QUIET, classify=False)
+        record = solve(get_problem(name), oracle_cfg=QUIET)
         assert record.status == RunStatus.CONVERGED, f"{name}: {record.status}"
         assert record.final_infeas_inf <= 1e-6
         assert record.final_kkt_inf <= 1e-4
@@ -82,7 +82,7 @@ def test_ac3_invariants_hold_across_the_full_grid():
             seed=grid.seed,
             stream_id=cell.stream_id,
         )
-        record = solve(problem, params, cfg, classify=False)
+        record = solve(problem, params, cfg)
         runs += 1
         if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
             failures += 1
@@ -140,7 +140,7 @@ def test_ac4_noisy_runs_reach_noise_level_stationarity():
             seed=0,
             stream_id=derive_stream(0, "P2", (eps_f, eps_g), rep),
         )
-        record = solve(get_problem("P2"), oracle_cfg=cfg, classify=False)
+        record = solve(get_problem("P2"), oracle_cfg=cfg)
         # The start has a zero objective gradient by construction, so its
         # dual residual is trivially zero; exclude it.
         candidates = [log.kkt_inf for log in record.iterations if log.k > 0]
@@ -160,7 +160,7 @@ def test_ac4_noisy_runs_reach_noise_level_stationarity():
 
 def test_ac5_stationarity_decades_cost_bounded_iterations():
     """Successive accuracy decades cost at most 100x the iterations."""
-    record = solve(get_problem("P3"), oracle_cfg=QUIET, classify=False)
+    record = solve(get_problem("P3"), oracle_cfg=QUIET)
     assert record.status == RunStatus.CONVERGED
     series = [max(log.kkt_inf, math.sqrt(log.infeas_inf)) for log in record.iterations]
     series.append(max(record.final_kkt_inf, math.sqrt(record.final_infeas_inf)))

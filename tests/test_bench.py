@@ -1,17 +1,19 @@
 """Tests for the benchmark harness: grids, trajectories, budgets, profiles."""
 
+import dataclasses
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
+from reference import doctor_run_csv
 
 from stepsqp.bench import (
     CSV_COLUMNS,
     DEFAULT_NOISE_PAIRS,
     EmptyInputError,
     ExperimentGrid,
-    ProfileInput,
     Trajectory,
     build_grid_profiles,
     build_profile,
@@ -191,22 +193,6 @@ class TestConvergenceBudget:
             assert loose in work and tight in work
 
 
-class TestProfileInput:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            ProfileInput("s", "i", np.zeros(3), np.zeros(2))
-
-    def test_non_finite_values(self):
-        with pytest.raises(ValueError, match="finite"):
-            ProfileInput("s", "i", np.array([1.0, math.nan]), np.array([0.0, 1.0]))
-
-    def test_decreasing_work(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            ProfileInput("s", "i", np.zeros(2), np.array([2.0, 1.0]))
-        with pytest.raises(ValueError, match="non-negative"):
-            ProfileInput("s", "i", np.zeros(2), np.array([-1.0, 1.0]))
-
-
 class TestBuildProfile:
     def test_two_solver_hand_fixture(self):
         profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
@@ -287,7 +273,7 @@ class TestNamingAndFiles:
         assert fields[0] == "0"
         assert fields[1] == "1.0"
         assert fields[4] == "1"
-        assert fields[-1] == ""  # true_iter was None
+        assert fields[-1] == "0"  # true_iter
 
     def test_empty_run_csv_is_header_only(self, tmp_path):
         record = _make_record([], final_infeas=None, final_kkt=None)
@@ -419,3 +405,55 @@ class TestBuildGridProfiles:
             assert profile.solvers == ("f0__g0",)
             assert profile.instances == ("P2__r0",)
             assert profile.ratios[("f0__g0", "P2__r0")] == 1.0
+
+
+class TestProfileValidation:
+    """Run CSVs read back by profiles_from_directories are checked once per run."""
+
+    @pytest.mark.parametrize(
+        "column, row, value, message",
+        [
+            ("kkt_inf", 1, "nan", "finite"),
+            ("infeas_inf", 1, "inf", "finite"),
+            ("zeroth_calls", 2, "0", "non-decreasing"),
+            ("zeroth_calls", 0, "-5", "non-negative"),
+        ],
+    )
+    def test_doctored_csv_rejected(self, small_result, tmp_path, column, row, value, message):
+        out, _ = small_result
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = doctor_run_csv(copy, column, row, value)
+        with pytest.raises(ValueError, match=message) as info:
+            profiles_from_directories([copy])
+        assert path.name in str(info.value)
+
+
+MIXED_GRID = ExperimentGrid(
+    problems=("P1", "P2"),
+    noise_pairs=((0.0, 0.0), (1e-2, 1e-1)),
+    replicates=2,
+    params=SolverParams(max_iters=50),
+    seed=3,
+)
+
+
+class TestCommonInstances:
+    def test_directories_compare_on_their_common_instances(self, tmp_path):
+        both = tmp_path / "both"
+        only_p1 = tmp_path / "only_p1"
+        run_grid(MIXED_GRID, out_dir=both)
+        run_grid(dataclasses.replace(MIXED_GRID, problems=("P1",)), out_dir=only_p1)
+        for profile in profiles_from_directories([both, only_p1]).values():
+            assert profile.instances == ("P1__r0", "P1__r1")
+            assert len(profile.solvers) == 4
+        # Alone, each directory keeps all of its instances.
+        alone = profiles_from_directories([both])["kkt__work"]
+        assert alone.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
+
+    def test_disjoint_directories_rejected(self, tmp_path):
+        p1, p2 = tmp_path / "p1", tmp_path / "p2"
+        run_grid(dataclasses.replace(MIXED_GRID, problems=("P1",)), out_dir=p1)
+        run_grid(dataclasses.replace(MIXED_GRID, problems=("P2",)), out_dir=p2)
+        with pytest.raises(EmptyInputError, match="share no instances"):
+            profiles_from_directories([p1, p2])

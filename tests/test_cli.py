@@ -1,8 +1,10 @@
 """Tests for configuration parsing and the command-line entry point."""
 
 import json
+import shutil
 
 import pytest
+from reference import doctor_run_csv
 
 from stepsqp.bench import DEFAULT_NOISE_PAIRS
 from stepsqp.cli import (
@@ -148,6 +150,16 @@ class TestRunCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
 
+    def test_summary_is_a_bench_run_entry(self, tmp_path, bench_dir):
+        out = tmp_path / "out"
+        main(["run", "P1", "--set", "oracle.eps_g_noise=0.1", "--out", str(out)])
+        summary = json.loads((out / "P1__f0__g0.1__r0.json").read_text())
+        entry = json.loads((bench_dir / "summary.json").read_text())["runs"][0]
+        assert set(summary) == set(entry)
+        assert summary["csv"] == "P1__f0__g0.1__r0.csv"
+        assert summary["problem"] == "P1"
+        assert (summary["eps_g_noise"], summary["replicate"]) == (0.1, 0)
+
     def test_zero_budget_exit_code(self, tmp_path):
         code = main(
             ["run", "P2", "--set", "solver.max_iters=0", "--out", str(tmp_path / "o")]
@@ -245,6 +257,46 @@ class TestBenchAndProfileCommands:
         ]
         written = list(out.glob("profile__*.csv"))
         assert len(written) == 8  # 4 profile keys x 2 noise configurations
+
+    def test_profile_rejects_same_named_directories(self, bench_dir, tmp_path, capsys):
+        first, second = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        shutil.copytree(bench_dir, first)
+        shutil.copytree(bench_dir, second)
+        code = main(["profile", str(first), str(second), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "share the name 'out'" in err
+        assert str(first) in err and str(second) in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "column, row, value, message",
+        [
+            ("kkt_inf", 1, "nan", "metric values must be finite"),
+            ("zeroth_calls", 2, "0", "non-decreasing"),
+        ],
+    )
+    def test_profile_rejects_a_doctored_run_csv(
+        self, bench_dir, tmp_path, capsys, column, row, value, message
+    ):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        doctor_run_csv(copy, column, row, value)
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_profile_without_common_instances(self, bench_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        code = main(
+            ["bench", "--set", 'grid.problems=["P2"]', "--set", "grid.noise_pairs=[[0,0]]",
+             "--out", str(other)]
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = main(["profile", str(bench_dir), str(other), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "share no instances" in capsys.readouterr().err
 
     def test_profile_missing_directory(self, tmp_path, capsys):
         code = main(["profile", str(tmp_path / "nowhere"), "--out", str(tmp_path / "p")])

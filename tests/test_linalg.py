@@ -11,7 +11,6 @@ from reference import gauss_jordan_inverse
 
 from stepsqp import linalg
 from stepsqp.linalg import (
-    Norms,
     NotPositiveDefiniteError,
     SingularMatrixError,
     as_matrix,
@@ -20,7 +19,6 @@ from stepsqp.linalg import (
     lu_factor,
     lu_solve,
     max_abs,
-    norms,
     require_symmetric,
 )
 
@@ -67,11 +65,6 @@ class TestValidation:
     def test_max_abs(self):
         assert max_abs(np.array([-3.0, 2.0])) == 3.0
         assert max_abs(np.array([])) == 0.0
-
-    def test_norms_hand_values(self):
-        result = norms(np.array([3.0, -4.0]))
-        assert result == Norms(7.0, 5.0, 4.0)
-        assert norms(np.array([])) == Norms(0.0, 0.0, 0.0)
 
     def test_require_symmetric_accepts_tiny_asymmetry(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]])

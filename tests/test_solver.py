@@ -45,17 +45,6 @@ class TestProjectionProblem:
         assert record.first_calls == 1
         assert record.wall_time > 0.0
 
-    def test_scaled_hessian_takes_the_same_step(self):
-        # With H = 2I the direction is unchanged (only y rescales).
-        record = solve(get_problem("P2"), oracle_cfg=quiet(), hessian=2.0 * np.eye(2))
-        assert record.status == RunStatus.CONVERGED
-        assert len(record.iterations) == 1
-        np.testing.assert_allclose(record.final_x, [1.0, 1.0], atol=1e-8)
-
-    def test_asymmetric_hessian_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve(get_problem("P2"), hessian=[[1.0, 2.0], [0.0, 1.0]])
-
 
 class TestBudgets:
     def test_zero_budget_reports_initial_metrics(self):
@@ -230,10 +219,6 @@ class TestClassification:
         assert record.status == RunStatus.CONVERGED
         assert all(log.true_iter is True for log in record.iterations)
 
-    def test_classification_can_be_skipped(self):
-        record = solve(get_problem("P1"), oracle_cfg=quiet(), classify=False)
-        assert all(log.true_iter is None for log in record.iterations)
-
     def test_noisy_runs_contain_false_iterations(self):
         # At gradient noise comparable to the gradient scale some samples
         # must exceed their allowance.
@@ -242,17 +227,6 @@ class TestClassification:
         flags = [log.true_iter for log in record.iterations]
         assert all(isinstance(flag, bool) for flag in flags)
         assert not all(flags)
-
-    def test_true_model_reduction_matches_without_noise(self):
-        record = solve(
-            get_problem("P1"), oracle_cfg=quiet(), track_true_model_reduction=True
-        )
-        for log in record.iterations:
-            assert log.delta_l_true == log.delta_l
-
-    def test_true_model_reduction_untracked_by_default(self):
-        record = solve(get_problem("P1"), oracle_cfg=quiet())
-        assert all(log.delta_l_true is None for log in record.iterations)
 
 
 def _custom(name, n, m, f, grad, c, jac, x0):
@@ -280,31 +254,42 @@ class TestFailurePaths:
         assert record.iterations == []
         assert record.final_kkt_inf is None
 
-    def test_merit_parameter_collapse(self):
-        # Concave objective with H = -I: at the feasible start the trial
-        # penalty parameter is exactly 0 and the update cannot recover.
+    def test_duplicated_constraints_are_rank_deficient(self):
+        # With H = I the KKT matrix is singular exactly when J is rank
+        # deficient; two copies of one constraint give J = [[1, 0], [1, 0]].
         problem = _custom(
-            "concave",
+            "twice",
             2,
-            1,
-            f=lambda x: -0.5 * float(x @ x),
-            grad=lambda x: -x,
-            c=lambda x: np.array([x[0]]),
-            jac=lambda x: np.array([[1.0, 0.0]]),
-            x0=np.array([0.0, 1.0]),
+            2,
+            f=lambda x: x[1],
+            grad=lambda x: np.array([0.0, 1.0]),
+            c=lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
+            jac=lambda x: np.array([[1.0, 0.0], [1.0, 0.0]]),
+            x0=np.array([0.0, 0.0]),
         )
-        record = solve(problem, oracle_cfg=quiet(), hessian=-np.eye(2))
+        record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
-        assert record.failure_reason.startswith("merit parameter collapsed")
+        assert record.failure_reason == "constraint Jacobian is rank deficient"
         assert record.iterations == []
 
-    def test_singular_kkt_system(self):
-        # H = all-ones is singular on the null space of J = [1 1].
-        record = solve(
-            get_problem("P2"), oracle_cfg=quiet(), hessian=np.ones((2, 2))
+    def test_merit_parameter_collapse(self):
+        # f = 1e12 * x1, c = x1 - 1 from the origin: d = (1, 0), so
+        # g'd + d'd = 1e12 + 1 against ||c||_1 = 1 and the trial penalty
+        # parameter 0.9 / (1e12 + 1) falls below the collapse floor.
+        problem = _custom(
+            "steep",
+            2,
+            1,
+            f=lambda x: 1e12 * x[0],
+            grad=lambda x: np.array([1e12, 0.0]),
+            c=lambda x: np.array([x[0] - 1.0]),
+            jac=lambda x: np.array([[1.0, 0.0]]),
+            x0=np.array([0.0, 0.0]),
         )
+        record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
-        assert record.failure_reason.startswith("singular KKT system")
+        assert record.failure_reason == "merit parameter collapsed to 9e-13"
+        assert record.iterations == []
 
     def test_non_finite_objective_at_start(self):
         problem = _custom(
