@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .oracles import OracleConfig, derive_stream
-from .problems import get_problem, problem_names
+from .problems import get_entry, get_problem, problem_names
 from .sqp import RunRecord, RunStatus, SolverParams, solve
 
 EPS_PP_DEFAULT = 1e-3
@@ -75,12 +75,26 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "problems", tuple(self.problems))
-        pairs = tuple((float(ef), float(eg)) for ef, eg in self.noise_pairs)
-        object.__setattr__(self, "noise_pairs", pairs)
-        if not self.problems:
+        problems, pairs = self.problems, self.noise_pairs
+        if not isinstance(problems, (list, tuple)) or not all(
+            isinstance(p, str) for p in problems
+        ):
+            raise ValueError("grid.problems must be a list of problem names")
+        if not problems:
             raise ValueError("grid needs at least one problem")
-        if not self.noise_pairs:
+        for name in problems:
+            get_entry(name)  # raises UnknownProblemError, a ValueError
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+        ):
+            raise ValueError("grid.noise_pairs must be a list of [eps_f, eps_g] pairs")
+        try:
+            pairs = tuple((float(ef), float(eg)) for ef, eg in pairs)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
+        object.__setattr__(self, "problems", tuple(problems))
+        object.__setattr__(self, "noise_pairs", pairs)
+        if not pairs:
             raise ValueError("grid needs at least one noise pair")
         for ef, eg in pairs:
             if ef < 0 or eg < 0 or not (math.isfinite(ef) and math.isfinite(eg)):
@@ -289,112 +303,75 @@ def config_label(eps_f: float, eps_g: float) -> str:
 
 
 def run_filename(problem: str, eps_f: float, eps_g: float, replicate: int) -> str:
-    return f"{problem}__f{format(eps_f, 'g')}__g{format(eps_g, 'g')}__r{replicate}.csv"
+    return f"{problem}__{config_label(eps_f, eps_g)}__r{replicate}.csv"
 
 
-class _LabeledRun(NamedTuple):
-    label: str
-    problem: str
-    replicate: int
-    deterministic: bool
-    trajectories: dict[str, Trajectory]
+# (solver, instance) -> the trajectories of the run that covers it.
+_RunTable = dict[tuple[str, str], dict[str, Trajectory]]
 
 
-def _label_runs(
+def _run_table(
     runs: list[tuple[GridCell, dict[str, Trajectory]]],
+    replicates: int,
     label_prefix: str = "",
-) -> list[_LabeledRun]:
-    labeled = []
-    for cell, trajs in runs:
-        label = label_prefix + config_label(cell.eps_f, cell.eps_g)
-        deterministic = cell.eps_f == 0.0 and cell.eps_g == 0.0
-        labeled.append(_LabeledRun(label, cell.problem, cell.replicate, deterministic, trajs))
-    return labeled
-
-
-def _run_instances(run: _LabeledRun, grid_replicates: int) -> list[str]:
-    """Instances a run covers: a deterministic run covers every replicate."""
-    reps = range(grid_replicates) if run.deterministic else (run.replicate,)
-    return [f"{run.problem}__r{rep}" for rep in reps]
-
-
-def _grid_budgets(
-    grid_replicates: int,
-    runs: list[_LabeledRun],
-    eps_pp: float = EPS_PP_DEFAULT,
-    keep: Optional[set[str]] = None,
-) -> dict[str, dict[str, dict[str, Optional[float]]]]:
-    """Per metric/axis then solver/instance convergence budgets.
+) -> _RunTable:
+    """Key each run by its solver configuration and the instances it covers.
 
     Solver configurations are the noise pairs (optionally prefixed by a
     campaign name); instances are (problem, replicate) pairs. A
     deterministic (0, 0) run stands in for every replicate of its
-    problem, since replicates of it would be bit-identical. When keep
-    is given, instances outside it are left out.
+    problem, since replicates of it would be bit-identical.
     """
-    # (label, instance) -> Trajectory, expanded across replicates for (0, 0).
-    per_metric: dict[str, dict[tuple[str, str], Trajectory]] = {
-        "infeasibility": {},
-        "kkt": {},
-    }
-    labels: list[str] = []
-    instances: list[str] = []
-    for run in runs:
-        if run.label not in labels:
-            labels.append(run.label)
-        for instance in _run_instances(run, grid_replicates):
-            if keep is not None and instance not in keep:
-                continue
-            if instance not in instances:
-                instances.append(instance)
-            for metric in per_metric:
-                per_metric[metric][(run.label, instance)] = run.trajectories[metric]
+    table: _RunTable = {}
+    for cell, trajs in runs:
+        label = label_prefix + config_label(cell.eps_f, cell.eps_g)
+        deterministic = cell.eps_f == 0.0 and cell.eps_g == 0.0
+        for rep in range(replicates) if deterministic else (cell.replicate,):
+            table[(label, f"{cell.problem}__r{rep}")] = trajs
+    return table
 
-    budgets: dict[str, dict[str, dict[str, Optional[float]]]] = {}
-    for metric, table in per_metric.items():
-        # Best reachable value per instance across all configurations.
+
+def _table_profiles(table: _RunTable) -> dict[str, PerformanceProfile]:
+    """Profiles per metric and cost axis; a missing (solver, instance) is unsolved."""
+    labels = list(dict.fromkeys(label for label, _ in table))
+    instances = list(dict.fromkeys(instance for _, instance in table))
+    profiles: dict[str, PerformanceProfile] = {}
+    for metric in ("infeasibility", "kkt"):
+        # Start value and best reachable value per instance across all
+        # configurations.
         best: dict[str, float] = {}
         start: dict[str, float] = {}
-        for (label, instance), traj in table.items():
-            if traj.values.size == 0:
-                continue
-            best[instance] = min(best.get(instance, math.inf), float(traj.values.min()))
-            start.setdefault(instance, float(traj.values[0]))
+        for (_, instance), trajs in table.items():
+            values = trajs[metric].values
+            if values.size:
+                best[instance] = min(best.get(instance, math.inf), float(values.min()))
+                start.setdefault(instance, float(values[0]))
         for axis in ("iterations", "work"):
-            per_solver: dict[str, dict[str, Optional[float]]] = {}
+            budgets: dict[str, dict[str, Optional[float]]] = {}
             for label in labels:
                 row: dict[str, Optional[float]] = {}
                 for instance in instances:
-                    traj = table.get((label, instance))
-                    if traj is None or traj.values.size == 0 or instance not in best:
+                    trajs = table.get((label, instance))
+                    if trajs is None or trajs[metric].values.size == 0:
                         row[instance] = None
                         continue
-                    axis_work = (
-                        np.arange(traj.values.size, dtype=np.float64)
-                        if axis == "iterations"
-                        else traj.work
-                    )
-                    row[instance] = convergence_budget(
-                        Trajectory(traj.values, axis_work),
-                        start[instance],
-                        best[instance],
-                        eps_pp,
-                    )
-                per_solver[label] = row
-            budgets[f"{metric}__{axis}"] = per_solver
-    return budgets
+                    traj = trajs[metric]
+                    if axis == "iterations":
+                        traj = traj._replace(work=np.arange(traj.values.size, dtype=np.float64))
+                    row[instance] = convergence_budget(traj, start[instance], best[instance])
+                budgets[label] = row
+            profiles[f"{metric}__{axis}"] = build_profile(budgets)
+    return profiles
 
 
 def build_grid_profiles(
     grid: ExperimentGrid,
     cells: list[GridCell],
     records: list[RunRecord],
-    eps_pp: float = EPS_PP_DEFAULT,
 ) -> dict[str, PerformanceProfile]:
     """Profiles per metric and cost axis for one grid's runs."""
     runs = [(cell, record_trajectories(rec)) for cell, rec in zip(cells, records)]
-    budgets = _grid_budgets(grid.replicates, _label_runs(runs), eps_pp)
-    return {name: build_profile(table) for name, table in budgets.items()}
+    return _table_profiles(_run_table(runs, grid.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +454,7 @@ def write_run_csv(path: Path, record: RunRecord) -> None:
                     repr(log.kkt_inf),
                     str(log.zeroth_calls),
                     str(log.first_calls),
-                    "" if log.true_iter is None else str(int(log.true_iter)),
+                    str(int(log.true_iter)),
                 )
             )
         )
@@ -592,16 +569,14 @@ def load_run_trajectories(run_dir: Path) -> tuple[int, list[tuple[GridCell, dict
     return replicates, runs
 
 
-def profiles_from_directories(
-    run_dirs: list[Path],
-    eps_pp: float = EPS_PP_DEFAULT,
-) -> dict[str, PerformanceProfile]:
+def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProfile]:
     """Rebuild profiles from one or more grid output directories.
 
     With several directories, solver labels are prefixed by the
     directory name so that separately produced campaigns can be
     compared on their common instances; instances that some directory
-    lacks are left out.
+    lacks are left out. A deterministic run covers as many replicates
+    as the directory with the most.
 
     Raises
     ------
@@ -621,15 +596,13 @@ def profiles_from_directories(
             raise ValueError(f"run directories {clash} share the name {name!r}")
     loaded = [load_run_trajectories(d) for d in run_dirs]
     replicates = max(count for count, _ in loaded)
-    per_dir = [
-        _label_runs(runs, f"{d.name}__" if prefix_labels else "")
+    tables = [
+        _run_table(runs, replicates, f"{d.name}__" if prefix_labels else "")
         for d, (_, runs) in zip(run_dirs, loaded)
     ]
-    common = set.intersection(
-        *({inst for run in runs for inst in _run_instances(run, replicates)} for runs in per_dir)
-    )
+    common = set.intersection(*({instance for _, instance in table} for table in tables))
     if not common:
         raise EmptyInputError("the run directories share no instances")
-    labeled = [run for runs in per_dir for run in runs]
-    budgets = _grid_budgets(replicates, labeled, eps_pp, keep=common)
-    return {name: build_profile(table) for name, table in budgets.items()}
+    return _table_profiles(
+        {key: trajs for table in tables for key, trajs in table.items() if key[1] in common}
+    )

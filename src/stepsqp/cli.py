@@ -138,32 +138,7 @@ def parse_config(
     try:
         params = SolverParams(**sections["solver"])
         oracle_cfg = OracleConfig(stream_id=0, **sections["oracle"])
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc)) from exc
-
-    grid_section = sections["grid"]
-    grid_kwargs: dict = {}
-    if "problems" in grid_section:
-        problems = grid_section["problems"]
-        if not isinstance(problems, (list, tuple)) or not all(
-            isinstance(p, str) for p in problems
-        ):
-            raise ValidationError("grid.problems must be a list of problem names")
-        grid_kwargs["problems"] = tuple(problems)
-    if "noise_pairs" in grid_section:
-        pairs = grid_section["noise_pairs"]
-        if not isinstance(pairs, (list, tuple)) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
-        ):
-            raise ValidationError("grid.noise_pairs must be a list of [eps_f, eps_g] pairs")
-        try:
-            grid_kwargs["noise_pairs"] = tuple((float(a), float(b)) for a, b in pairs)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
-    if "replicates" in grid_section:
-        grid_kwargs["replicates"] = grid_section["replicates"]
-    try:
-        grid = ExperimentGrid(params=params, seed=oracle_cfg.seed, **grid_kwargs)
+        grid = ExperimentGrid(params=params, seed=oracle_cfg.seed, **sections["grid"])
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc
     return params, oracle_cfg, grid
@@ -236,19 +211,14 @@ def _resolve_problem(identifier: str) -> Problem:
     )
 
 
-def _apply_seed(args, oracle_cfg: OracleConfig, grid: ExperimentGrid):
-    if args.seed is None:
-        return oracle_cfg, grid
-    if not 0 <= args.seed < 2**64:
-        raise ValidationError("--seed must be in [0, 2^64)")
-    oracle_cfg = dataclasses.replace(oracle_cfg, seed=args.seed)
-    grid = dataclasses.replace(grid, seed=args.seed)
-    return oracle_cfg, grid
+def _config(args) -> tuple[SolverParams, OracleConfig, ExperimentGrid]:
+    # --seed N is the last oracle.seed=N override.
+    seed = [] if args.seed is None else [f"oracle.seed={args.seed}"]
+    return parse_config(args.config, [*args.overrides, *seed])
 
 
 def _cmd_run(args) -> int:
-    params, oracle_cfg, grid = parse_config(args.config, args.overrides)
-    oracle_cfg, grid = _apply_seed(args, oracle_cfg, grid)
+    params, oracle_cfg, _ = _config(args)
     problem = _resolve_problem(args.problem)
     noise = (oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise)
     stream = derive_stream(oracle_cfg.seed, problem.name, noise, 0)
@@ -267,13 +237,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _, oracle_cfg, grid = parse_config(args.config, args.overrides)
-    oracle_cfg, grid = _apply_seed(args, oracle_cfg, grid)
-    for name in grid.problems:
-        try:
-            get_problem(name)
-        except UnknownProblemError as exc:
-            raise ValidationError(str(exc)) from exc
+    _, _, grid = _config(args)
     if args.jobs < 1:
         raise ValidationError("--jobs must be a positive integer")
     result = run_grid(grid, out_dir=args.out, jobs=args.jobs)

@@ -35,7 +35,7 @@ from .linalg import (
 )
 
 
-class UnknownProblemError(Exception):
+class UnknownProblemError(ValueError):
     """Requested name is not in the registry."""
 
 

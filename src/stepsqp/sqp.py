@@ -403,12 +403,14 @@ def solve(
     Returns
     -------
     RunRecord
-        Status is CONVERGED only if the final iterate passes both
-        termination thresholds; a budget of 0 always returns
-        BUDGET_EXHAUSTED with no iterations. Linear-algebra breakdowns
-        (rank-deficient Jacobians, inaccurate KKT solves, non-finite
-        evaluations, merit-parameter collapse) end the run with status
-        LINEAR_ALGEBRA_FAILURE and a failure_reason instead of raising.
+        Status and final metrics come from the last iterate the run
+        evaluated: CONVERGED exactly when that iterate passes both
+        termination thresholds, even if the budget is spent (a budget of
+        0 evaluates x0 alone), else BUDGET_EXHAUSTED after max_iters
+        iterations. Linear-algebra breakdowns (rank-deficient Jacobians,
+        inaccurate KKT solves, non-finite evaluations, merit-parameter
+        collapse) end the run with status LINEAR_ALGEBRA_FAILURE and a
+        failure_reason instead of raising.
     """
     t_start = time.perf_counter()
     identity = np.eye(problem.n)
@@ -422,22 +424,17 @@ def solve(
     logs: list[IterationLog] = []
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
-    final_infeas: Optional[float] = None
-    final_kkt: Optional[float] = None
     # True until the exact quantities below describe the current x.
     moved = True
 
     k = 0
     while True:
-        if k >= params.max_iters:
-            status = RunStatus.BUDGET_EXHAUSTED
-            if moved:
-                final_infeas, final_kkt = _exact_metrics(problem, x)
-            break
-
         if moved:
             # Exact diagnostics at a new iterate (no oracle budget). They
-            # and the KKT factors stay valid while rejected steps keep x.
+            # and the KKT factors stay valid while rejected steps keep x;
+            # infeas_inf and kkt_inf are the run's final metrics, None
+            # where the evaluation broke down.
+            infeas_inf = kkt_inf = None
             c_vec = problem.c(x)
             jac = problem.jacobian(x)
             g_exact = problem.grad_f(x)
@@ -445,7 +442,6 @@ def solve(
             if not (_all_finite(c_vec, jac, g_exact) and math.isfinite(f_exact)):
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "non-finite problem evaluation at the current iterate"
-                final_infeas, final_kkt = None, None
                 break
             infeas_inf = max_abs(c_vec)
             try:
@@ -453,15 +449,17 @@ def solve(
             except SingularMatrixError:
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
-                final_infeas, final_kkt = infeas_inf, None
                 break
             _, kkt_inf = kkt_multipliers(factors, g_exact)
             c_l1 = float(np.sum(np.abs(c_vec)))
             moved = False
-            final_infeas, final_kkt = infeas_inf, kkt_inf
             if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
                 status = RunStatus.CONVERGED
                 break
+
+        if k >= params.max_iters:
+            status = RunStatus.BUDGET_EXHAUSTED
+            break
 
         # Noisy gradient, KKT direction.
         g_bar = oracle.noisy_grad(x)
@@ -548,27 +546,8 @@ def solve(
         iterations=logs,
         final_x=x.copy(),
         wall_time=wall,
-        final_infeas_inf=final_infeas,
-        final_kkt_inf=final_kkt,
+        final_infeas_inf=infeas_inf,
+        final_kkt_inf=kkt_inf,
         failure_reason=reason,
     )
-
-
-def _exact_metrics(problem: Problem, x: np.ndarray) -> tuple[Optional[float], Optional[float]]:
-    """Exact (infeasibility, KKT residual) at x; None components on breakdown.
-
-    Uses the loop's kernel: the residual comes from factors of
-    [[I, J^T], [J, 0]] exactly as at the top of an iteration.
-    """
-    try:
-        c_vec = problem.c(x)
-        jac = problem.jacobian(x)
-        g_exact = problem.grad_f(x)
-        if not _all_finite(c_vec, jac, g_exact):
-            return None, None
-        infeas = max_abs(c_vec)
-        _, kkt_inf = kkt_multipliers(lu_factor(kkt_matrix(np.eye(x.size), jac)), g_exact)
-        return infeas, kkt_inf
-    except (SingularMatrixError, ValueError):
-        return None, None
 

@@ -116,6 +116,12 @@ class TestGridEnumeration:
         with pytest.raises(ValueError, match="seed"):
             ExperimentGrid(seed=-1)
 
+    def test_problems_checked_at_construction(self):
+        with pytest.raises(ValueError, match="list of problem names"):
+            ExperimentGrid(problems="P1")
+        with pytest.raises(ValueError, match="ghost"):
+            ExperimentGrid(problems=("P1", "ghost"))
+
     def test_replicates_rejects_bool(self):
         with pytest.raises(ValueError, match="replicates"):
             ExperimentGrid(replicates=True)
@@ -450,6 +456,20 @@ class TestCommonInstances:
         # Alone, each directory keeps all of its instances.
         alone = profiles_from_directories([both])["kkt__work"]
         assert alone.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
+
+    def test_deterministic_run_covers_the_larger_replicate_count(self, tmp_path):
+        two, three = tmp_path / "two", tmp_path / "three"
+        run_grid(MIXED_GRID, out_dir=two)
+        run_grid(dataclasses.replace(MIXED_GRID, replicates=3), out_dir=three)
+        for profile in profiles_from_directories([two, three]).values():
+            assert profile.instances == tuple(
+                f"{p}__r{rep}" for p in ("P1", "P2") for rep in range(3)
+            )
+            for problem in ("P1", "P2"):
+                # The (0, 0) run stands in for the third replicate; the
+                # noisy pair has no run there, so it counts as unsolved.
+                assert math.isfinite(profile.ratios[("two__f0__g0", f"{problem}__r2")])
+                assert profile.ratios[("two__f0.01__g0.1", f"{problem}__r2")] == math.inf
 
     def test_disjoint_directories_rejected(self, tmp_path):
         p1, p2 = tmp_path / "p1", tmp_path / "p2"

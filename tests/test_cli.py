@@ -166,6 +166,20 @@ class TestRunCommand:
         )
         assert code == EXIT_BUDGET_EXHAUSTED
 
+    def test_budget_spent_on_the_solution_exit_code(self, tmp_path):
+        code = main(
+            ["run", "P2", "--set", "solver.max_iters=1", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed(self, tmp_path, capsys, seed):
+        code = main(["run", "P1", "--seed", seed, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer in [0, 2^64)")
+        assert "Traceback" not in err
+
     def test_unknown_problem(self, tmp_path, capsys):
         code = main(["run", "nosuch", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
