@@ -25,18 +25,20 @@ budget.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import functools
 import json
 import math
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .oracles import OracleConfig, derive_stream
+from .oracles import OracleConfig, derive_stream, is_int
 from .problems import get_entry, get_problem, problem_names
 from .sqp import RunRecord, RunStatus, SolverParams, solve
 
@@ -57,11 +59,6 @@ class EmptyInputError(Exception):
 
 def _default_problems() -> tuple[str, ...]:
     return tuple(problem_names())
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass; True must not pass for 1.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -92,17 +89,19 @@ class ExperimentGrid:
             pairs = tuple((float(ef), float(eg)) for ef, eg in pairs)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
-        object.__setattr__(self, "problems", tuple(problems))
-        object.__setattr__(self, "noise_pairs", pairs)
         if not pairs:
             raise ValueError("grid needs at least one noise pair")
         for ef, eg in pairs:
-            if ef < 0 or eg < 0 or not (math.isfinite(ef) and math.isfinite(eg)):
-                raise ValueError("noise levels must be finite and >= 0")
-        if not _is_int(self.replicates) or self.replicates < 1:
+            # OracleConfig owns the noise-level and seed rules.
+            OracleConfig(eps_f_noise=ef, eps_g_noise=eg, seed=self.seed)
+        for label, values in (("problem", problems), ("noise pair", pairs)):
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValueError(f"grid lists the {label} {value} more than once")
+        if not is_int(self.replicates) or self.replicates < 1:
             raise ValueError("replicates must be a positive integer")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an integer in [0, 2^64)")
+        object.__setattr__(self, "problems", tuple(problems))
+        object.__setattr__(self, "noise_pairs", pairs)
 
 
 @dataclass(frozen=True)
@@ -311,16 +310,16 @@ _RunTable = dict[tuple[str, str], dict[str, Trajectory]]
 
 
 def _run_table(
-    runs: list[tuple[GridCell, dict[str, Trajectory]]],
     replicates: int,
+    runs: list[tuple[GridCell, dict[str, Trajectory]]],
     label_prefix: str = "",
 ) -> _RunTable:
     """Key each run by its solver configuration and the instances it covers.
 
     Solver configurations are the noise pairs (optionally prefixed by a
     campaign name); instances are (problem, replicate) pairs. A
-    deterministic (0, 0) run stands in for every replicate of its
-    problem, since replicates of it would be bit-identical.
+    deterministic (0, 0) run stands in for each of its grid's replicates
+    of its problem, since replicates of it would be bit-identical.
     """
     table: _RunTable = {}
     for cell, trajs in runs:
@@ -371,7 +370,7 @@ def build_grid_profiles(
 ) -> dict[str, PerformanceProfile]:
     """Profiles per metric and cost axis for one grid's runs."""
     runs = [(cell, record_trajectories(rec)) for cell, rec in zip(cells, records)]
-    return _table_profiles(_run_table(runs, grid.replicates))
+    return _table_profiles(_run_table(grid.replicates, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def run_grid(
     <problem>__f<eps_f>__g<eps_g>__r<replicate>.csv), a summary.json
     with statuses, final metrics and timings, and one CSV per profile
     curve. Outputs are written in deterministic cell order; jobs only
-    sets the worker-thread count and never affects file contents.
+    sets the worker-process count and never affects file contents.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
@@ -415,8 +414,8 @@ def run_grid(
     if jobs == 1:
         records = [run_cell(grid, cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda cell: run_cell(grid, cell), cells))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(functools.partial(run_cell, grid), cells))
     profiles = build_grid_profiles(grid, cells, records)
     result = GridResult(grid, cells, records, profiles, time.perf_counter() - t_start)
     if out_dir is not None:
@@ -436,28 +435,15 @@ CSV_COLUMNS = (
     "first_calls",
     "true_iter",
 )
+_csv_row = operator.attrgetter(*CSV_COLUMNS)
 
 
 def write_run_csv(path: Path, record: RunRecord) -> None:
-    """One row per iteration; float fields use shortest round-trip repr."""
+    """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
     lines = [",".join(CSV_COLUMNS)]
     for log in record.iterations:
-        lines.append(
-            ",".join(
-                (
-                    str(log.k),
-                    repr(log.alpha),
-                    repr(log.tau_bar),
-                    repr(log.delta_l),
-                    str(int(log.accepted)),
-                    repr(log.infeas_inf),
-                    repr(log.kkt_inf),
-                    str(log.zeroth_calls),
-                    str(log.first_calls),
-                    str(int(log.true_iter)),
-                )
-            )
-        )
+        values = _csv_row(log)
+        lines.append(",".join([str(int(v)) if isinstance(v, int) else repr(v) for v in values]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -575,8 +561,8 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     With several directories, solver labels are prefixed by the
     directory name so that separately produced campaigns can be
     compared on their common instances; instances that some directory
-    lacks are left out. A deterministic run covers as many replicates
-    as the directory with the most.
+    lacks are left out. A deterministic run covers the replicates of
+    its own directory only.
 
     Raises
     ------
@@ -594,11 +580,9 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
         if names.count(name) > 1:
             clash = ", ".join(str(d) for d in run_dirs if d.name == name)
             raise ValueError(f"run directories {clash} share the name {name!r}")
-    loaded = [load_run_trajectories(d) for d in run_dirs]
-    replicates = max(count for count, _ in loaded)
     tables = [
-        _run_table(runs, replicates, f"{d.name}__" if prefix_labels else "")
-        for d, (_, runs) in zip(run_dirs, loaded)
+        _run_table(*load_run_trajectories(d), f"{d.name}__" if prefix_labels else "")
+        for d in run_dirs
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))
     if not common:

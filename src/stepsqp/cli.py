@@ -58,35 +58,25 @@ class CliError(Exception):
     """Configuration or usage problem; maps to exit code 1."""
 
 
-class ParseError(CliError):
-    """Unreadable config file or malformed override."""
+def _fields(cls, *set_by_cli: str) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)} - set(set_by_cli)
 
 
-class ValidationError(CliError):
-    """Structurally valid input with an unknown key or bad value."""
-
-
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverParams)}
-_ORACLE_KEYS = {"eps_f_noise", "eps_g_noise", "seed"}
-_GRID_KEYS = {"problems", "noise_pairs", "replicates"}
-_SECTIONS = ("solver", "oracle", "grid")
-
-
-def _check_keys(section: str, given: dict, allowed: set) -> None:
-    unknown = sorted(set(given) - allowed)
-    if unknown:
-        raise ValidationError(
-            f"unknown key(s) in section {section!r}: {', '.join(unknown)}"
-        )
+# Each section accepts its dataclass's fields, except those the CLI sets.
+_SECTIONS = {
+    "solver": _fields(SolverParams),
+    "oracle": _fields(OracleConfig, "stream_id"),
+    "grid": _fields(ExperimentGrid, "params", "seed"),
+}
 
 
 def _parse_override(text: str) -> tuple[str, str, object]:
     key, sep, raw = text.partition("=")
     if not sep:
-        raise ParseError(f"override {text!r} is not of the form section.key=value")
+        raise CliError(f"override {text!r} is not of the form section.key=value")
     section, dot, name = key.partition(".")
     if not dot or section not in _SECTIONS or not name:
-        raise ParseError(
+        raise CliError(
             f"override key {key!r} must be one of "
             + ", ".join(f"{s}.<key>" for s in _SECTIONS)
         )
@@ -104,7 +94,7 @@ def parse_config(
     """Read solver/oracle/grid settings from JSON plus overrides.
 
     Missing file sections and keys fall back to defaults; unknown
-    sections or keys raise ValidationError naming the offender.
+    sections or keys raise CliError naming the offender.
     """
     data: dict = {}
     if path is not None:
@@ -112,42 +102,43 @@ def parse_config(
         try:
             data = json.loads(path.read_text())
         except OSError as exc:
-            raise ParseError(f"cannot read config file {path}: {exc}") from exc
+            raise CliError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ParseError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValidationError(f"config file {path} must contain a JSON object")
+            raise CliError(f"config file {path} must contain a JSON object")
     unknown_sections = sorted(set(data) - set(_SECTIONS))
     if unknown_sections:
-        raise ValidationError(f"unknown config section(s): {', '.join(unknown_sections)}")
+        raise CliError(f"unknown config section(s): {', '.join(unknown_sections)}")
     sections: dict[str, dict] = {}
     for name in _SECTIONS:
         value = data.get(name, {})
         if not isinstance(value, dict):
-            raise ValidationError(f"config section {name!r} must be an object")
+            raise CliError(f"config section {name!r} must be an object")
         sections[name] = dict(value)
 
     for text in overrides:
         section, key, value = _parse_override(text)
         sections[section][key] = value
 
-    _check_keys("solver", sections["solver"], _SOLVER_KEYS)
-    _check_keys("oracle", sections["oracle"], _ORACLE_KEYS)
-    _check_keys("grid", sections["grid"], _GRID_KEYS)
+    for name, allowed in _SECTIONS.items():
+        unknown = sorted(set(sections[name]) - allowed)
+        if unknown:
+            raise CliError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
 
     try:
         params = SolverParams(**sections["solver"])
         oracle_cfg = OracleConfig(stream_id=0, **sections["oracle"])
         grid = ExperimentGrid(params=params, seed=oracle_cfg.seed, **sections["grid"])
     except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     return params, oracle_cfg, grid
 
 
 class _Parser(argparse.ArgumentParser):
     # Route argparse usage errors through the config-error exit code.
     def error(self, message):
-        raise ParseError(message)
+        raise CliError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,14 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[config_flags], help="solve one problem")
     p_run.add_argument("problem", help="registry name or path to a QP JSON file")
     p_run.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_bench = sub.add_parser("bench", parents=[config_flags], help="run a benchmark grid")
     p_bench.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_bench.set_defaults(handler=_cmd_bench)
 
     p_prof = sub.add_parser("profile", help="build profiles from bench outputs")
     p_prof.add_argument("run_dirs", nargs="+", metavar="RUN_DIR", help="bench output directories")
     p_prof.add_argument("--out", metavar="DIR", default="profiles", help="output directory")
+    p_prof.set_defaults(handler=_cmd_profile)
 
     p_check = sub.add_parser("check-grad", help="finite-difference derivative checks")
     p_check.add_argument(
@@ -190,8 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="registry name or QP JSON path (default: every registered problem)",
     )
+    p_check.set_defaults(handler=_cmd_check_grad)
 
-    sub.add_parser("list-problems", help="list registered problems")
+    sub.add_parser("list-problems", help="list registered problems").set_defaults(
+        handler=_cmd_list_problems
+    )
     return parser
 
 
@@ -205,8 +202,8 @@ def _resolve_problem(identifier: str) -> Problem:
         try:
             return load_qp_json(path)
         except (OSError, ValueError) as exc:
-            raise ParseError(str(exc)) from exc
-    raise ValidationError(
+            raise CliError(str(exc)) from exc
+    raise CliError(
         f"unknown problem {identifier!r}; see list-problems, or pass a QP JSON file"
     )
 
@@ -239,7 +236,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     _, _, grid = _config(args)
     if args.jobs < 1:
-        raise ValidationError("--jobs must be a positive integer")
+        raise CliError("--jobs must be a positive integer")
     result = run_grid(grid, out_dir=args.out, jobs=args.jobs)
     by_status: dict[str, int] = {}
     for record in result.records:
@@ -262,7 +259,7 @@ def _cmd_profile(args) -> int:
     try:
         profiles = profiles_from_directories([Path(d) for d in args.run_dirs])
     except (OSError, ValueError, KeyError, EmptyInputError) as exc:
-        raise ParseError(f"cannot rebuild profiles: {exc}") from exc
+        raise CliError(f"cannot rebuild profiles: {exc}") from exc
     out_dir = Path(args.out)
     write_profile_files(profiles, out_dir)
     print(json.dumps({"profiles": sorted(profiles), "out": str(out_dir)}, sort_keys=True))
@@ -318,23 +315,10 @@ def _cmd_list_problems(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "bench": _cmd_bench,
-    "profile": _cmd_profile,
-    "check-grad": _cmd_check_grad,
-    "list-problems": _cmd_list_problems,
-}
-
-
-def dispatch(args) -> int:
-    return _COMMANDS[args.command](args)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return dispatch(args)
+        return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

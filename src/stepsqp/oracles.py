@@ -31,6 +31,11 @@ from .problems import Problem
 _UINT64_MAX = 2**64 - 1
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (bool is an int subclass; True must not pass for 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Noise scales plus RNG identity for one run."""
@@ -47,8 +52,7 @@ class OracleConfig:
             raise ValueError("eps_g_noise must be finite and >= 0")
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            if not is_int or not 0 <= value <= _UINT64_MAX:
+            if not is_int(value) or not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an integer in [0, 2^64)")
 
 

@@ -12,8 +12,8 @@ programming literature; the remaining entries are simple constructions
 (linear objective on a circle, minimum-norm projection, a convex QP, a
 weighted quadratic on a sphere).
 
-Quadratic programs can also be loaded from JSON files, see
-:func:`load_qp_json`.
+Quadratic programs are built by :func:`quadratic_program`, also from
+JSON files by :func:`load_qp_json`.
 """
 
 from __future__ import annotations
@@ -141,6 +141,26 @@ def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
     return GradientCheck(float(err_grad.max()), float(err_jac.max()))
 
 
+def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
+    """min 0.5 x'Qx + q'x s.t. Ax = b, with shapes checked and Q symmetric."""
+    q_vec = as_vector(q, name="q")
+    n = q_vec.size
+    q_mat = as_matrix(Q, (n, n), name="Q")
+    require_symmetric(q_mat, "Q")
+    b_vec = as_vector(b, name="b")
+    a_mat = as_matrix(A, (b_vec.size, n), name="A")
+    return Problem(
+        name=name,
+        n=n,
+        m=b_vec.size,
+        eval_f=lambda x: 0.5 * float(x @ (q_mat @ x)) + float(q_vec @ x),
+        eval_grad_f=lambda x: q_mat @ x + q_vec,
+        eval_c=lambda x: a_mat @ x - b_vec,
+        eval_jacobian=lambda x: a_mat.copy(),
+        x0=as_vector(x0, n, name="x0"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Registry construction. Starting points are deliberately infeasible.
 
@@ -231,19 +251,8 @@ def _qp10() -> SuiteEntry:
     kkt[:n, n:] = a_mat.T
     kkt[n:, :n] = a_mat
     sol = lu_solve(kkt, np.concatenate([-q_vec, b_vec]))
-    x_star, y_star = sol[:n], sol[n:]
-
-    problem = Problem(
-        name="qp10",
-        n=n,
-        m=m,
-        eval_f=lambda x: 0.5 * float(x @ (q_mat @ x)) + float(q_vec @ x),
-        eval_grad_f=lambda x: q_mat @ x + q_vec,
-        eval_c=lambda x: a_mat @ x - b_vec,
-        eval_jacobian=lambda x: a_mat.copy(),
-        x0=np.zeros(n),
-    )
-    return SuiteEntry(problem, (x_star, y_star))
+    problem = quadratic_program("qp10", q_mat, q_vec, a_mat, b_vec, np.zeros(n))
+    return SuiteEntry(problem, (sol[:n], sol[n:]))
 
 
 def _hs6() -> SuiteEntry:
@@ -549,23 +558,4 @@ def load_qp_json(path) -> Problem:
         raise ValueError(f"{path}: missing field(s): {', '.join(missing)}")
     if not isinstance(data["name"], str) or not data["name"]:
         raise ValueError(f"{path}: name must be a non-empty string")
-
-    q_vec = as_vector(data["q"], name="q")
-    n = q_vec.size
-    q_mat = as_matrix(data["Q"], (n, n), name="Q")
-    require_symmetric(q_mat, "Q")
-    b_vec = as_vector(data["b"], name="b")
-    m = b_vec.size
-    a_mat = as_matrix(data["A"], (m, n), name="A")
-    x0 = as_vector(data["x0"], n, name="x0")
-
-    return Problem(
-        name=data["name"],
-        n=n,
-        m=m,
-        eval_f=lambda x: 0.5 * float(x @ (q_mat @ x)) + float(q_vec @ x),
-        eval_grad_f=lambda x: q_mat @ x + q_vec,
-        eval_c=lambda x: a_mat @ x - b_vec,
-        eval_jacobian=lambda x: a_mat.copy(),
-        x0=x0,
-    )
+    return quadratic_program(**data)

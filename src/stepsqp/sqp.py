@@ -49,7 +49,7 @@ from .linalg import (
     max_abs,
     require_symmetric,
 )
-from .oracles import OracleConfig, StochasticOracle
+from .oracles import OracleConfig, StochasticOracle, is_int
 from .problems import Problem
 
 # Runs abort once the merit penalty parameter falls to this floor; the
@@ -115,8 +115,7 @@ class SolverParams:
             self.eps_f_accept >= 0.0 and np.isfinite(self.eps_f_accept)
         ):
             raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
-        is_int = isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
-        if not is_int or self.max_iters < 0:
+        if not is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
         if not self.tol_infeas >= 0.0:
             raise ValueError("tol_infeas must be >= 0")

@@ -111,10 +111,17 @@ class TestGridEnumeration:
             ExperimentGrid(noise_pairs=())
         with pytest.raises(ValueError, match="replicates"):
             ExperimentGrid(replicates=0)
-        with pytest.raises(ValueError, match="noise levels"):
+        with pytest.raises(ValueError, match="eps_f_noise"):
             ExperimentGrid(noise_pairs=((-1.0, 0.0),))
         with pytest.raises(ValueError, match="seed"):
             ExperimentGrid(seed=-1)
+
+    def test_repeated_entries_rejected(self):
+        with pytest.raises(ValueError, match="problem P2 more than once"):
+            ExperimentGrid(problems=["P2", "P2"])
+        # Pairs compare after float conversion.
+        with pytest.raises(ValueError, match=r"noise pair \(0.0, 0.1\) more than once"):
+            ExperimentGrid(noise_pairs=[[0, 0.1], [0.0, 0.1]])
 
     def test_problems_checked_at_construction(self):
         with pytest.raises(ValueError, match="list of problem names"):
@@ -457,19 +464,19 @@ class TestCommonInstances:
         alone = profiles_from_directories([both])["kkt__work"]
         assert alone.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
 
-    def test_deterministic_run_covers_the_larger_replicate_count(self, tmp_path):
+    def test_deterministic_run_covers_its_own_replicates(self, tmp_path):
         two, three = tmp_path / "two", tmp_path / "three"
         run_grid(MIXED_GRID, out_dir=two)
         run_grid(dataclasses.replace(MIXED_GRID, replicates=3), out_dir=three)
         for profile in profiles_from_directories([two, three]).values():
-            assert profile.instances == tuple(
-                f"{p}__r{rep}" for p in ("P1", "P2") for rep in range(3)
-            )
-            for problem in ("P1", "P2"):
-                # The (0, 0) run stands in for the third replicate; the
-                # noisy pair has no run there, so it counts as unsolved.
-                assert math.isfinite(profile.ratios[("two__f0__g0", f"{problem}__r2")])
-                assert profile.ratios[("two__f0.01__g0.1", f"{problem}__r2")] == math.inf
+            # The third replicate is not common: the two-replicate
+            # directory's (0, 0) run does not stand in for it.
+            assert profile.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
+            assert all(math.isfinite(r) for r in profile.ratios.values())
+        # Alone, the three-replicate directory's (0, 0) run covers all three.
+        alone = profiles_from_directories([three])["kkt__work"]
+        assert alone.instances[-1] == "P2__r2"
+        assert math.isfinite(alone.ratios[("f0__g0", "P2__r2")])
 
     def test_disjoint_directories_rejected(self, tmp_path):
         p1, p2 = tmp_path / "p1", tmp_path / "p2"

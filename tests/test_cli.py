@@ -1,23 +1,30 @@
 """Tests for configuration parsing and the command-line entry point."""
 
+import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from reference import doctor_run_csv
 
-from stepsqp.bench import DEFAULT_NOISE_PAIRS
+import stepsqp
+from stepsqp.bench import DEFAULT_NOISE_PAIRS, ExperimentGrid
 from stepsqp.cli import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_CONFIG_ERROR,
     EXIT_FAILURE,
     EXIT_OK,
-    ParseError,
-    ValidationError,
+    CliError,
     main,
     parse_config,
 )
+from stepsqp.oracles import OracleConfig
 from stepsqp.problems import problem_names
+from stepsqp.sqp import SolverParams
 
 QP_DOC = {
     "name": "tinyqp",
@@ -82,36 +89,76 @@ class TestParseConfig:
 
     def test_unknown_section(self, tmp_path):
         path = _write_json(tmp_path / "cfg.json", {"sovler": {}})
-        with pytest.raises(ValidationError, match="unknown config section.*sovler"):
+        with pytest.raises(CliError, match="unknown config section.*sovler"):
             parse_config(path)
 
     def test_unknown_key_names_the_offender(self, tmp_path):
         path = _write_json(tmp_path / "cfg.json", {"solver": {"gama": 1, "zeta": 2}})
-        with pytest.raises(ValidationError, match="'solver': gama, zeta"):
+        with pytest.raises(CliError, match="'solver': gama, zeta"):
             parse_config(path)
-        with pytest.raises(ValidationError, match="'oracle': stream_id"):
+        with pytest.raises(CliError, match="'oracle': stream_id"):
             parse_config(None, ["oracle.stream_id=4"])
 
+    def test_every_config_dataclass_field_is_a_key(self):
+        overrides = [
+            f"solver.{f.name}={json.dumps(f.default)}" for f in dataclasses.fields(SolverParams)
+        ]
+        overrides += [
+            "oracle.eps_f_noise=0.01",
+            "oracle.eps_g_noise=0.1",
+            "oracle.seed=3",
+            'grid.problems=["P1"]',
+            "grid.noise_pairs=[[0, 0]]",
+            "grid.replicates=2",
+        ]
+        fields = {
+            f"{section}.{f.name}"
+            for section, cls in (
+                ("solver", SolverParams),
+                ("oracle", OracleConfig),
+                ("grid", ExperimentGrid),
+            )
+            for f in dataclasses.fields(cls)
+        }
+        # The CLI sets these itself.
+        assert fields - {o.partition("=")[0] for o in overrides} == {
+            "oracle.stream_id",
+            "grid.params",
+            "grid.seed",
+        }
+        params, oracle_cfg, grid = parse_config(None, overrides)
+        assert params == SolverParams()
+        assert oracle_cfg == OracleConfig(eps_f_noise=0.01, eps_g_noise=0.1, seed=3)
+        assert (grid.problems, grid.noise_pairs, grid.replicates) == (("P1",), ((0.0, 0.0),), 2)
+        assert (grid.params, grid.seed) == (params, 3)
+
+    @pytest.mark.parametrize("override", ["grid.seed=1", "grid.params={}", "oracle.stream_id=4"])
+    def test_keys_the_cli_sets_are_unknown(self, tmp_path, capsys, override):
+        code = main(["run", "P2", "--set", override, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: unknown key(s)")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_overrides(self):
-        with pytest.raises(ParseError, match="section.key=value"):
+        with pytest.raises(CliError, match="section.key=value"):
             parse_config(None, ["solver.gamma"])
-        with pytest.raises(ParseError, match="must be one of"):
+        with pytest.raises(CliError, match="must be one of"):
             parse_config(None, ["gamma=0.5"])
-        with pytest.raises(ParseError, match="must be one of"):
+        with pytest.raises(CliError, match="must be one of"):
             parse_config(None, ["engine.gamma=0.5"])
 
     def test_bad_values_are_validation_errors(self):
-        with pytest.raises(ValidationError, match="gamma"):
+        with pytest.raises(CliError, match="gamma"):
             parse_config(None, ["solver.gamma=2"])
-        with pytest.raises(ValidationError, match="replicates"):
+        with pytest.raises(CliError, match="replicates"):
             parse_config(None, ["grid.replicates=0"])
-        with pytest.raises(ValidationError, match="problem names"):
+        with pytest.raises(CliError, match="problem names"):
             parse_config(None, ["grid.problems=7"])
-        with pytest.raises(ValidationError, match="pairs"):
+        with pytest.raises(CliError, match="pairs"):
             parse_config(None, ["grid.noise_pairs=[[1]]"])
 
     def test_non_numeric_noise_level_is_a_validation_error(self, tmp_path, capsys):
-        with pytest.raises(ValidationError, match="noise_pairs entries must be numbers"):
+        with pytest.raises(CliError, match="noise_pairs entries must be numbers"):
             parse_config(None, ['grid.noise_pairs=[["x", 1]]'])
         code = main(
             ["bench", "--set", 'grid.noise_pairs=[["x",1]]', "--out", str(tmp_path / "o")]
@@ -120,21 +167,21 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: grid.noise_pairs")
 
     def test_bool_replicates_is_a_validation_error(self):
-        with pytest.raises(ValidationError, match="replicates"):
+        with pytest.raises(CliError, match="replicates"):
             parse_config(None, ["grid.replicates=true"])
 
     def test_bad_files(self, tmp_path):
-        with pytest.raises(ParseError, match="cannot read"):
+        with pytest.raises(CliError, match="cannot read"):
             parse_config(tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ParseError, match="not valid JSON"):
+        with pytest.raises(CliError, match="not valid JSON"):
             parse_config(bad)
         toplevel = _write_json(tmp_path / "list.json", [1, 2])
-        with pytest.raises(ValidationError, match="JSON object"):
+        with pytest.raises(CliError, match="JSON object"):
             parse_config(toplevel)
         badsec = _write_json(tmp_path / "badsec.json", {"solver": 3})
-        with pytest.raises(ValidationError, match="'solver' must be an object"):
+        with pytest.raises(CliError, match="'solver' must be an object"):
             parse_config(badsec)
 
 
@@ -254,6 +301,24 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (['grid.problems=["P2","P2"]', "grid.noise_pairs=[[0,0]]"], "problem P2"),
+            (
+                ['grid.problems=["P2"]', "grid.noise_pairs=[[0,0.1],[0.0,0.1]]",
+                 "grid.replicates=1"],
+                "noise pair (0.0, 0.1)",
+            ),
+        ],
+    )
+    def test_bench_rejects_repeated_grid_entries(self, tmp_path, capsys, overrides, message):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["bench", *sets, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"{message} more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bench_bad_jobs(self, tmp_path, capsys):
         code = main(["bench", "--jobs", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
@@ -350,3 +415,17 @@ class TestOtherCommands:
         assert main(["run"]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.count("error:") == 3
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # bench reaches its process pool through concurrent.futures, which
+    # loads it on first use; loading it eagerly slows every start-up.
+    src = Path(stepsqp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, stepsqp.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
