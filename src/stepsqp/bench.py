@@ -86,7 +86,8 @@ class ExperimentGrid:
         ):
             raise ValueError("grid.noise_pairs must be a list of [eps_f, eps_g] pairs")
         try:
-            pairs = tuple((float(ef), float(eg)) for ef, eg in pairs)
+            # Adding 0.0 folds -0.0 into 0.0, so both name the same cell.
+            pairs = tuple((float(ef) + 0.0, float(eg) + 0.0) for ef, eg in pairs)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
         if not pairs:

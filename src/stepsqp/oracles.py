@@ -1,21 +1,27 @@
 """Stochastic function-value and gradient oracles.
 
-The solver never sees exact objective values or gradients directly; it
-queries an oracle that adds centered Gaussian noise:
+The solver never uses exact objective values or gradients in its
+steps; it takes oracle samples, which add centered Gaussian noise:
 
 * zeroth order:  fbar(x) = f(x) + eps_f_noise * z,          z ~ N(0, 1)
 * first order:   gbar(x) = grad f(x) + (eps_g_noise / sqrt(n)) * z,
                  z ~ N(0, I_n)
 
-so that E ||gbar - grad f||^2 = eps_g_noise^2 independently of n. With
-both noise scales zero the oracles are exact pass-throughs. Every call
-draws fresh noise and bumps the corresponding counter; constraint values
-are always exact and are not counted here.
+so that E ||gbar - grad f||^2 = eps_g_noise^2 independently of n. The
+caller passes the exact value f(x) or grad f(x), which the solver holds
+anyway, and the oracle returns it plus fresh noise, so a sample does not
+evaluate the problem again. With both noise scales zero the oracles are
+exact pass-throughs. Every call draws fresh noise and bumps the
+corresponding counter; constraint values are always exact and are not
+counted here.
 
 Streams are counter-based (Philox) and keyed by (seed, stream_id), so
 runs with equal configuration reproduce bit-identical traces and
 distinct stream ids are independent by construction. Use
-:func:`derive_stream` to map benchmark coordinates to a stream id.
+:func:`derive_stream` to map benchmark coordinates to a stream id. The
+standard normals are drawn from the stream in blocks and handed out in
+stream order, which is the order of one draw per call: a run's samples
+are the same bits whatever the block size.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ import numpy as np
 from .problems import Problem
 
 _UINT64_MAX = 2**64 - 1
+# Standard normals drawn from the stream at a time; a block serves many
+# iterations of n + 2 draws each.
+NOISE_BLOCK = 1024
 
 
 def is_int(value) -> bool:
@@ -90,14 +99,31 @@ class StochasticOracle:
         key = np.array([config.seed, config.stream_id], dtype=np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key))
         self._grad_scale = config.eps_g_noise / np.sqrt(problem.n)
+        self._block = np.empty(0)
+        self._pos = 0
 
-    def noisy_f(self, x: np.ndarray) -> float:
-        """One fresh zeroth-order sample at x; increments zeroth_calls."""
+    def _take(self, count: int) -> int:
+        """Reserve the stream's next count normals; return their offset in _block."""
+        pos = self._pos
+        end = pos + count
+        if end > self._block.size:
+            # Unused normals stay ahead of the new ones, so the order of
+            # the stream is kept across refills.
+            fresh = self._rng.standard_normal(max(NOISE_BLOCK, count))
+            self._block = np.concatenate((self._block[pos:], fresh))
+            pos, end = 0, count
+        self._pos = end
+        return pos
+
+    def noisy_f(self, f_value: float) -> float:
+        """Exact value f(x) plus one fresh zeroth-order noise draw; increments zeroth_calls."""
         self.counters.zeroth_calls += 1
-        return self.problem.f(x) + self.config.eps_f_noise * self._rng.standard_normal()
+        pos = self._take(1)
+        return f_value + self.config.eps_f_noise * self._block.item(pos)
 
-    def noisy_grad(self, x: np.ndarray) -> np.ndarray:
-        """One fresh first-order sample at x; increments first_calls."""
+    def noisy_grad(self, g_value: np.ndarray) -> np.ndarray:
+        """Exact gradient grad f(x) plus one fresh noise draw; increments first_calls."""
         self.counters.first_calls += 1
-        noise = self._rng.standard_normal(self.problem.n)
-        return self.problem.grad_f(x) + self._grad_scale * noise
+        n = self.problem.n
+        pos = self._take(n)
+        return g_value + self._grad_scale * self._block[pos : pos + n]

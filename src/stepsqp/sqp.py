@@ -20,6 +20,14 @@ from fresh samples. Constraint values and the termination diagnostics
 (exact-gradient least-squares KKT residual, infinity-norm
 infeasibility) are exact and never consume oracle budget.
 
+Each exact quantity is evaluated once per point. f and c are evaluated
+once at each trial point; on acceptance those values become the new
+iterate's, so only grad f and J are evaluated there. The oracle samples
+add fresh noise to the exact f and grad f the loop holds, and the same
+exact values classify the iteration. The dot products and norms of an
+iteration (g'd, d'd, |g|'|d|, ||d||_1, ||y||_1, ||c||_1) are each
+computed once and handed to the helpers below as scalars.
+
 The KKT matrix is factored once per iterate: the one LU factorization
 of [[I, J^T], [J, 0]] serves two right-hand sides. (-grad f, 0) gives
 the least-squares multipliers and the KKT residual (the augmented-system
@@ -35,7 +43,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +53,10 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     lu_factor,
-    lu_solve,
-    max_abs,
+    # lu_solve and max_abs stay importable here: perfbench/workloads.py
+    # traces them as sqp attributes.
+    lu_solve,  # noqa: F401
+    max_abs,  # noqa: F401
     require_symmetric,
 )
 from .oracles import OracleConfig, StochasticOracle, is_int
@@ -130,8 +140,7 @@ def effective_eps_f(params: SolverParams, oracle_cfg: OracleConfig) -> float:
     return oracle_cfg.eps_f_noise
 
 
-@dataclass(frozen=True)
-class KktSolution:
+class KktSolution(NamedTuple):
     """Direction d, multipliers y, and the solve's residual infinity-norm."""
 
     d: np.ndarray
@@ -165,9 +174,7 @@ def solve_kkt(h: np.ndarray, jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> K
     require_symmetric(h, "H")
     jac = as_matrix(jac, (m, n), "J")
 
-    kkt = kkt_matrix(h, jac)
-    rhs = np.concatenate([-g, -c])
-    return _kkt_solution(kkt, lu_solve(kkt, rhs), rhs, n)
+    return kkt_step(lu_factor(kkt_matrix(h, jac)), g, c)
 
 
 def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -180,18 +187,16 @@ def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return kkt
 
 
-def _kkt_solution(kkt: np.ndarray, z: np.ndarray, rhs: np.ndarray, n: int) -> KktSolution:
-    return KktSolution(d=z[:n], y=z[n:], residual_inf=max_abs(kkt @ z - rhs))
-
-
 def kkt_step(factors: LuFactors, g: np.ndarray, c: np.ndarray) -> KktSolution:
     """Direction and multipliers from factors of [[H, J^T], [J, 0]].
 
     Solves the system of :func:`solve_kkt` for gradient g and constraint
     values c without refactoring the matrix.
     """
-    rhs = np.concatenate([-g, -c])
-    return _kkt_solution(factors.a, factors.solve(rhs), rhs, g.size)
+    n = g.size
+    rhs = -np.concatenate((g, c))
+    z = factors.solve(rhs)
+    return KktSolution(z[:n], z[n:], float(np.abs(factors.a.dot(z) - rhs).max()))
 
 
 def kkt_multipliers(factors: LuFactors, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -211,51 +216,51 @@ def kkt_multipliers(factors: LuFactors, g: np.ndarray) -> tuple[np.ndarray, floa
     rhs = np.zeros(factors.a.shape[0])
     rhs[:n] = -g
     z = factors.solve(rhs)
-    return z[n:], max_abs(z[:n])
+    return z[n:], float(np.abs(z[:n]).max())
 
 
-def model_reduction(tau_bar: float, g: np.ndarray, d: np.ndarray, c_l1: float) -> float:
-    """Predicted merit decrease -tau * g'd + ||c||_1 of the step d."""
-    return -tau_bar * float(g @ d) + c_l1
+def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
+    """Predicted merit decrease -tau * g'd + ||c||_1 of a step, given gd = g'd."""
+    return -tau_bar * gd + c_l1
 
 
 def tau_trial(
-    g: np.ndarray,
-    d: np.ndarray,
+    gd: float,
+    dd: float,
+    abs_gd: float,
     c_l1: float,
     sigma: float,
     extra_noise_floor: float = 0.0,
 ) -> float:
     """Largest penalty parameter keeping the model reduction adequate.
 
-    The curvature term is d'd (model Hessian H = I). Returns math.inf
-    when g'd + d'd <= 0, in which case any positive parameter is
-    adequate. The sign is decided against a noise floor rather than bare
-    zero: for directions from the KKT system the quantity equals c'y,
-    which vanishes exactly at feasible points, so the computed value
-    there is pure cancellation noise. The floor covers the dot products'
-    own rounding; callers solving the KKT system in floating point must
-    add the identity's solve-error bound residual_inf * (||d||_1 +
-    ||y||_1), scaled by a safety factor, through extra_noise_floor.
+    Takes the step's products gd = g'd, dd = d'd (the curvature term,
+    model Hessian H = I) and abs_gd = |g|'|d|. Returns math.inf when
+    g'd + d'd <= 0, in which case any positive parameter is adequate.
+    The sign is decided against a noise floor rather than bare zero: for
+    directions from the KKT system the quantity equals c'y, which
+    vanishes exactly at feasible points, so the computed value there is
+    pure cancellation noise. The floor covers the dot products' own
+    rounding; callers solving the KKT system in floating point must add
+    the identity's solve-error bound residual_inf * (||d||_1 + ||y||_1),
+    scaled by a safety factor, through extra_noise_floor.
     """
-    dd = float(d @ d)
-    denom = float(g @ d) + dd
-    noise_floor = extra_noise_floor + DENOM_SIGN_RTOL * (float(np.abs(g) @ np.abs(d)) + dd)
+    denom = gd + dd
+    noise_floor = extra_noise_floor + DENOM_SIGN_RTOL * (abs_gd + dd)
     if denom <= noise_floor:
         return math.inf
     return (1.0 - sigma) * c_l1 / denom
 
 
-def kkt_denom_noise_floor(kkt: KktSolution) -> float:
+def kkt_denom_noise_floor(residual_inf: float, d_l1: float, y_l1: float) -> float:
     """Noise certificate for the tau-trial denominator of a KKT direction.
 
     Bounds |d'r_1 - r_2'y| for the solve residual r = (r_1, r_2), the
     amount by which the computed g'd + d'd can drift from its exact
-    value c'y, with a safety factor for the bound's own rounding.
+    value c'y, with a safety factor for the bound's own rounding. Takes
+    ||r||_inf, ||d||_1 and ||y||_1.
     """
-    return DENOM_SOLVE_NOISE_FACTOR * kkt.residual_inf * (
-        float(np.sum(np.abs(kkt.d))) + float(np.sum(np.abs(kkt.y)))
-    )
+    return DENOM_SOLVE_NOISE_FACTOR * residual_inf * (d_l1 + y_l1)
 
 
 def update_tau(tau_bar: float, trial: float, eps_tau: float) -> float:
@@ -304,7 +309,7 @@ def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarra
     return y, max_abs(residual)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationLog:
     """Diagnostics for one iteration, recorded at its start point x.
 
@@ -355,32 +360,32 @@ class RunRecord:
 
 
 def classify_iteration(
-    log: IterationLog,
-    exact_f_values: tuple[float, float],
-    exact_grad: np.ndarray,
-    oracle_cfg: OracleConfig,
-    params: SolverParams,
+    grad_err: float,
+    value_err: float,
+    alpha: float,
+    delta_l: float,
+    eps_g: float,
+    eps_f: float,
 ) -> bool:
     """Whether an iteration is true in the sense of the paper.
 
-    True: the sampled gradient error is within
-    max(eps_g, alpha * sqrt(delta_l)), with eps_g the oracle's
-    eps_g_noise, and the two sampled function values are jointly within
-    2 * eps_f of the exact ones, with eps_f the acceptance allowance.
+    True: the sampled gradient's error grad_err = ||gbar - grad f||_2 is
+    within max(eps_g, alpha * sqrt(delta_l)), with eps_g the oracle's
+    eps_g_noise, and the two sampled function values' errors, summed to
+    value_err = |fbar(x) - f(x)| + |fbar(x+) - f(x+)|, are within
+    2 * eps_f, with eps_f the acceptance allowance.
     """
-    eps_f = effective_eps_f(params, oracle_cfg)
-    grad_err = float(np.linalg.norm(log.g_bar - exact_grad))
-    grad_ok = grad_err <= max(
-        oracle_cfg.eps_g_noise, log.alpha * math.sqrt(max(log.delta_l, 0.0))
-    )
-    e_current = abs(log.f_bar_current - exact_f_values[0])
-    e_trial = abs(log.f_bar_trial - exact_f_values[1])
-    zeroth_ok = e_current + e_trial <= 2.0 * eps_f
-    return bool(grad_ok and zeroth_ok)
+    grad_ok = grad_err <= max(eps_g, alpha * math.sqrt(max(delta_l, 0.0)))
+    return grad_ok and value_err <= 2.0 * eps_f
 
 
-def _all_finite(*arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+def _finite(a: np.ndarray, total: float) -> bool:
+    """Whether every entry of a is finite, given the sum of its entries or of their magnitudes.
+
+    A finite total settles it; a non-finite one may be an overflow of
+    finite entries, so it falls back to the per-entry test.
+    """
+    return math.isfinite(total) or bool(np.isfinite(a).all())
 
 
 def solve(
@@ -416,13 +421,20 @@ def solve(
 
     oracle = StochasticOracle(problem, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
+    eps_g = oracle_cfg.eps_g_noise
 
+    # x is rebound, never written in place, so logs share it uncopied.
     x = problem.x0.copy()
     alpha = params.alpha0
     tau_bar = params.tau_init
     logs: list[IterationLog] = []
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
+    # f and c at the current iterate: evaluated here for x0, then carried
+    # over from the trial point of each accepted step.
+    f_exact = problem.f(x)
+    c_vec = problem.c(x)
+    c_l1 = float(np.abs(c_vec).sum())
     # True until the exact quantities below describe the current x.
     moved = True
 
@@ -434,15 +446,18 @@ def solve(
             # infeas_inf and kkt_inf are the run's final metrics, None
             # where the evaluation broke down.
             infeas_inf = kkt_inf = None
-            c_vec = problem.c(x)
             jac = problem.jacobian(x)
             g_exact = problem.grad_f(x)
-            f_exact = problem.f(x)
-            if not (_all_finite(c_vec, jac, g_exact) and math.isfinite(f_exact)):
+            if not (
+                _finite(c_vec, c_l1)
+                and _finite(jac, jac.sum())
+                and _finite(g_exact, g_exact.sum())
+                and math.isfinite(f_exact)
+            ):
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "non-finite problem evaluation at the current iterate"
                 break
-            infeas_inf = max_abs(c_vec)
+            infeas_inf = float(np.abs(c_vec).max())
             try:
                 factors = lu_factor(kkt_matrix(identity, jac))
             except SingularMatrixError:
@@ -450,7 +465,6 @@ def solve(
                 reason = "constraint Jacobian is rank deficient"
                 break
             _, kkt_inf = kkt_multipliers(factors, g_exact)
-            c_l1 = float(np.sum(np.abs(c_vec)))
             moved = False
             if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
                 status = RunStatus.CONVERGED
@@ -461,43 +475,50 @@ def solve(
             break
 
         # Noisy gradient, KKT direction.
-        g_bar = oracle.noisy_grad(x)
-        if not _all_finite(g_bar):
+        g_bar = oracle.noisy_grad(g_exact)
+        if not _finite(g_bar, g_bar.sum()):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        kkt = kkt_step(factors, g_bar, c_vec)
-        d = kkt.d
-        lin_feas = max_abs(jac @ d + c_vec)
+        d, y, residual_inf = kkt_step(factors, g_bar, c_vec)
+        lin_feas = float(np.abs(jac.dot(d) + c_vec).max())
         if lin_feas > LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
             break
 
-        # Merit parameter update and predicted reduction.
-        trial = tau_trial(
-            g_bar, d, c_l1, params.sigma, extra_noise_floor=kkt_denom_noise_floor(kkt)
+        # The step's reductions, each computed once.
+        gd = float(g_bar.dot(d))
+        dd = float(d.dot(d))
+        abs_d = np.abs(d)
+        abs_gd = float(np.abs(g_bar).dot(abs_d))
+        denom_floor = kkt_denom_noise_floor(
+            residual_inf, float(abs_d.sum()), float(np.abs(y).sum())
         )
+
+        # Merit parameter update and predicted reduction.
+        trial = tau_trial(gd, dd, abs_gd, c_l1, params.sigma, extra_noise_floor=denom_floor)
         tau_bar = update_tau(tau_bar, trial, params.eps_tau)
         if tau_bar <= TAU_COLLAPSE_FLOOR:
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
-        delta_l = model_reduction(tau_bar, g_bar, d, c_l1)
-        curvature = float(d @ d)
-        if delta_l < tau_bar * curvature + params.sigma * c_l1 - MODEL_REDUCTION_SLACK:
+        delta_l = model_reduction(tau_bar, gd, c_l1)
+        if delta_l < tau_bar * dd + params.sigma * c_l1 - MODEL_REDUCTION_SLACK:
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound "
-                f"{tau_bar * curvature + params.sigma * c_l1:g} at iteration {k}"
+                f"{tau_bar * dd + params.sigma * c_l1:g} at iteration {k}"
             )
 
-        # Trial point and the two fresh merit samples.
+        # Trial point, its exact f and c, and the two fresh merit samples.
         x_plus = x + alpha * d
-        f_bar_current = oracle.noisy_f(x)
-        f_bar_trial = oracle.noisy_f(x_plus)
+        f_plus = problem.f(x_plus)
         c_plus = problem.c(x_plus)
+        f_bar_current = oracle.noisy_f(f_exact)
+        f_bar_trial = oracle.noisy_f(f_plus)
+        c_plus_l1 = float(np.abs(c_plus).sum())
         if not (
-            _all_finite(c_plus)
+            _finite(c_plus, c_plus_l1)
             and math.isfinite(f_bar_current)
             and math.isfinite(f_bar_trial)
         ):
@@ -505,36 +526,44 @@ def solve(
             reason = "non-finite evaluation at the trial point"
             break
         phi_bar_current = tau_bar * f_bar_current + c_l1
-        phi_bar_trial = tau_bar * f_bar_trial + float(np.sum(np.abs(c_plus)))
+        phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
         accepted = acceptance_test(
             phi_bar_trial, phi_bar_current, alpha, params.theta, delta_l, tau_bar, eps_f
         )
 
-        log = IterationLog(
-            k=k,
-            x=x.copy(),
-            d=d,
-            g_bar=g_bar,
-            alpha=alpha,
-            tau_bar=tau_bar,
-            delta_l=delta_l,
-            phi_bar_current=phi_bar_current,
-            phi_bar_trial=phi_bar_trial,
-            f_bar_current=f_bar_current,
-            f_bar_trial=f_bar_trial,
-            accepted=accepted,
-            infeas_inf=infeas_inf,
-            kkt_inf=kkt_inf,
-            zeroth_calls=oracle.counters.zeroth_calls,
-            first_calls=oracle.counters.first_calls,
+        g_err = g_bar - g_exact
+        true_iter = classify_iteration(
+            math.sqrt(g_err.dot(g_err)),
+            abs(f_bar_current - f_exact) + abs(f_bar_trial - f_plus),
+            alpha,
+            delta_l,
+            eps_g,
+            eps_f,
         )
-        log.true_iter = classify_iteration(
-            log, (f_exact, problem.f(x_plus)), g_exact, oracle_cfg, params
+        logs.append(
+            IterationLog(
+                k=k,
+                x=x,
+                d=d,
+                g_bar=g_bar,
+                alpha=alpha,
+                tau_bar=tau_bar,
+                delta_l=delta_l,
+                phi_bar_current=phi_bar_current,
+                phi_bar_trial=phi_bar_trial,
+                f_bar_current=f_bar_current,
+                f_bar_trial=f_bar_trial,
+                accepted=accepted,
+                infeas_inf=infeas_inf,
+                kkt_inf=kkt_inf,
+                zeroth_calls=oracle.counters.zeroth_calls,
+                first_calls=oracle.counters.first_calls,
+                true_iter=true_iter,
+            )
         )
-        logs.append(log)
 
         if accepted:
-            x = x_plus
+            x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
         alpha = step_size_update(alpha, accepted, params.gamma, params.alpha_max)
         k += 1

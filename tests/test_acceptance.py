@@ -229,9 +229,9 @@ def test_ac7_oracle_noise_statistics():
     f_exact = problem.f(x)
     g_exact = problem.grad_f(x)
 
-    value_errors = np.array([oracle.noisy_f(x) - f_exact for _ in range(samples)])
+    value_errors = np.array([oracle.noisy_f(f_exact) - f_exact for _ in range(samples)])
     grad_sq_errors = np.array(
-        [float(np.sum((oracle.noisy_grad(x) - g_exact) ** 2)) for _ in range(samples)]
+        [float(np.sum((oracle.noisy_grad(g_exact) - g_exact) ** 2)) for _ in range(samples)]
     )
     mean_band = 3.0 * eps_f / math.sqrt(samples)
     mean_ok = abs(float(value_errors.mean())) <= mean_band

@@ -123,6 +123,16 @@ class TestGridEnumeration:
         with pytest.raises(ValueError, match=r"noise pair \(0.0, 0.1\) more than once"):
             ExperimentGrid(noise_pairs=[[0, 0.1], [0.0, 0.1]])
 
+    def test_negative_zero_noise_is_zero(self):
+        signed = ExperimentGrid(problems=("P1",), noise_pairs=[[-0.0, 0.1]], replicates=1)
+        plain = ExperimentGrid(problems=("P1",), noise_pairs=[[0.0, 0.1]], replicates=1)
+        assert grid_cells(signed) == grid_cells(plain)
+        (cell,) = grid_cells(signed)
+        assert math.copysign(1.0, cell.eps_f) == 1.0
+        assert run_filename(cell.problem, cell.eps_f, cell.eps_g, cell.replicate) == (
+            "P1__f0__g0.1__r0.csv"
+        )
+
     def test_problems_checked_at_construction(self):
         with pytest.raises(ValueError, match="list of problem names"):
             ExperimentGrid(problems="P1")

@@ -8,13 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stepsqp.linalg import NotPositiveDefiniteError, SingularMatrixError
 from stepsqp.oracles import OracleConfig
 from stepsqp.sqp import (
-    IterationLog,
-    KktSolution,
+    DENOM_SIGN_RTOL,
     SolverParams,
+    _finite,
     acceptance_test,
     classify_iteration,
     effective_eps_f,
@@ -68,21 +70,33 @@ class TestSolveKkt:
             solve_kkt([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0]], [0.0, 0.0], [0.0])
 
 
+def _trial(g, d, c_l1, sigma, extra_noise_floor=0.0):
+    """tau_trial on the products the solve loop forms from g and d."""
+    return tau_trial(
+        float(g @ d),
+        float(d @ d),
+        float(np.abs(g) @ np.abs(d)),
+        c_l1,
+        sigma,
+        extra_noise_floor=extra_noise_floor,
+    )
+
+
 class TestMeritParameter:
     def test_tau_trial_hand_value(self):
         # g'd = 1, d'd = 1: (1 - 0.1) * 2 / 2 = 0.9.
-        value = tau_trial(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.1)
+        value = _trial(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.1)
         assert value == pytest.approx(0.9, abs=1e-15)
 
     def test_tau_trial_nonpositive_denominator_is_unbounded(self):
         # g'd + d'd = -2 + 1 < 0.
-        value = tau_trial(np.array([-2.0, 0.0]), np.array([1.0, 0.0]), 2.0, 0.1)
+        value = _trial(np.array([-2.0, 0.0]), np.array([1.0, 0.0]), 2.0, 0.1)
         assert value == math.inf
 
     def test_tau_trial_zero_c_with_positive_denominator(self):
         # The genuinely degenerate pairing: zero infeasibility but a
         # clearly positive denominator collapses the trial to 0.
-        value = tau_trial(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, 0.1)
+        value = _trial(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, 0.1)
         assert value == 0.0
 
     def test_tau_trial_cancellation_noise_reads_as_nonpositive(self):
@@ -92,12 +106,12 @@ class TestMeritParameter:
         g = np.array([np.nextafter(-1.0, 0.0), 0.0])
         d = np.array([1.0, 0.0])
         assert float(g @ d) + float(d @ d) > 0.0
-        value = tau_trial(g, d, 0.0, 0.1)
+        value = _trial(g, d, 0.0, 0.1)
         assert value == math.inf
 
     def test_tau_trial_exact_zero_denominator(self):
         # g = -d: g'd + d'd = 0 exactly.
-        value = tau_trial(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 0.1)
+        value = _trial(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 0.1)
         assert value == math.inf
 
     def test_tau_trial_extra_floor_absorbs_solve_residue(self):
@@ -106,23 +120,21 @@ class TestMeritParameter:
         # floor is treated as noise, not as a collapse.
         g = np.array([-1.0 + 1e-11])
         d = np.array([1.0])
-        assert tau_trial(g, d, 0.0, 0.1) == 0.0
-        assert tau_trial(g, d, 0.0, 0.1, extra_noise_floor=1e-10) == math.inf
+        assert _trial(g, d, 0.0, 0.1) == 0.0
+        assert _trial(g, d, 0.0, 0.1, extra_noise_floor=1e-10) == math.inf
 
     def test_tau_trial_extra_floor_leaves_real_denominators_alone(self):
-        value = tau_trial(
+        value = _trial(
             np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.1, extra_noise_floor=1e-10
         )
         assert value == pytest.approx(0.9, abs=1e-15)
 
     def test_kkt_denom_noise_floor_hand_value(self):
-        # 4.0 * 1e-14 * (|1| + |-2| + |3|) = 2.4e-13.
-        sol = KktSolution(d=np.array([1.0, -2.0]), y=np.array([3.0]), residual_inf=1e-14)
-        assert kkt_denom_noise_floor(sol) == pytest.approx(2.4e-13, rel=1e-12)
+        # d = (1, -2), y = (3): 4.0 * 1e-14 * (||d||_1 + ||y||_1) = 4.0 * 1e-14 * 6 = 2.4e-13.
+        assert kkt_denom_noise_floor(1e-14, 3.0, 3.0) == pytest.approx(2.4e-13, rel=1e-12)
 
     def test_kkt_denom_noise_floor_zero_for_exact_solve(self):
-        sol = KktSolution(d=np.array([1.0, -2.0]), y=np.array([3.0]), residual_inf=0.0)
-        assert kkt_denom_noise_floor(sol) == 0.0
+        assert kkt_denom_noise_floor(0.0, 3.0, 3.0) == 0.0
 
     def test_update_tau_keeps_small_parameter(self):
         assert update_tau(0.1, math.inf, 1e-2) == 0.1
@@ -136,9 +148,52 @@ class TestMeritParameter:
         assert update_tau(0.1, 0.0, 1e-2) == 0.0
 
     def test_model_reduction_hand_values(self):
-        # -0.1 * (-2) + 3 = 3.2 and -0.5 * 4 + 0 = -2.
-        assert model_reduction(0.1, np.array([2.0]), np.array([-1.0]), 3.0) == pytest.approx(3.2)
-        assert model_reduction(0.5, np.array([2.0]), np.array([2.0]), 0.0) == pytest.approx(-2.0)
+        # -0.1 * (2 * -1) + 3 = 3.2 and -0.5 * (2 * 2) + 0 = -2.
+        assert model_reduction(0.1, -2.0, 3.0) == pytest.approx(3.2)
+        assert model_reduction(0.5, 4.0, 0.0) == pytest.approx(-2.0)
+
+
+# Magnitudes wide enough to exercise the rules, narrow enough that no
+# product or quotient below overflows or underflows.
+_magnitudes = st.floats(min_value=1e-100, max_value=1e100)
+_signed = st.one_of(_magnitudes, _magnitudes.map(lambda v: -v), st.just(0.0))
+
+
+class TestMeritParameterProperties:
+    @given(
+        tau_bar=_magnitudes,
+        trial=st.one_of(st.just(0.0), _magnitudes, st.just(math.inf)),
+        eps_tau=st.floats(min_value=1e-6, max_value=0.999),
+    )
+    def test_update_tau_never_grows_and_cuts_by_the_factor(self, tau_bar, trial, eps_tau):
+        updated = update_tau(tau_bar, trial, eps_tau)
+        assert updated <= tau_bar
+        if updated < tau_bar:
+            assert updated <= (1.0 - eps_tau) * tau_bar
+
+    @given(
+        gd=_signed,
+        dd=st.one_of(_magnitudes, st.just(0.0)),
+        excess=st.one_of(_magnitudes, st.just(0.0)),
+        c_l1=_magnitudes,
+        growth=st.floats(min_value=1.0, max_value=1e6),
+        sigma=st.floats(min_value=1e-3, max_value=0.999),
+        extra=st.one_of(st.just(0.0), _magnitudes),
+    )
+    def test_tau_trial_is_unbounded_exactly_below_the_floor(
+        self, gd, dd, excess, c_l1, growth, sigma, extra
+    ):
+        # |g|'|d| is at least |g'd|; excess is the gap.
+        abs_gd = abs(gd) + excess
+        denom = gd + dd
+        floor = extra + DENOM_SIGN_RTOL * (abs_gd + dd)
+        value = tau_trial(gd, dd, abs_gd, c_l1, sigma, extra_noise_floor=extra)
+        if denom <= floor:
+            assert value == math.inf
+            return
+        assert 0.0 < value < math.inf
+        larger = tau_trial(gd, dd, abs_gd, c_l1 * growth, sigma, extra_noise_floor=extra)
+        assert larger >= value
 
 
 class TestAcceptance:
@@ -200,6 +255,21 @@ class TestMultipliers:
             np.testing.assert_allclose(y, y_ref, atol=1e-9)
 
 
+class TestFiniteCheck:
+    def test_overflowing_sum_of_finite_entries_is_finite(self):
+        big = np.array([1e308, 1e308, -1e308])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.abs(big).sum())
+            assert _finite(big, np.abs(big).sum())
+            assert _finite(big, big[:2].sum())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_any_non_finite_entry_is_caught(self, bad):
+        a = np.array([[1.0, bad], [2.0, 3.0]])
+        assert not _finite(a, a.sum())
+        assert not _finite(a, np.abs(a).sum())
+
+
 class TestSolverParams:
     def test_max_iters_rejects_bool(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -218,50 +288,28 @@ class TestEffectiveEpsF:
         assert effective_eps_f(params, cfg) == 0.0
 
 
-def _log(**kwargs):
-    base = dict(
-        k=0,
-        x=np.zeros(2),
-        d=np.zeros(2),
-        g_bar=np.zeros(2),
-        alpha=0.5,
-        tau_bar=0.1,
-        delta_l=4.0,
-        phi_bar_current=0.0,
-        phi_bar_trial=0.0,
-        f_bar_current=1.0,
-        f_bar_trial=2.0,
-        accepted=True,
-        infeas_inf=0.0,
-        kkt_inf=0.0,
-        zeroth_calls=2,
-        first_calls=1,
-    )
-    base.update(kwargs)
-    return IterationLog(**base)
+def _classify(f_bar, f_exact, g_bar, eps_f=0.2, eps_g=0.5, alpha=0.5, delta_l=4.0):
+    """classify_iteration on the errors the solve loop forms, gradient exact at 0."""
+    grad_err = float(np.linalg.norm(np.asarray(g_bar)))
+    value_err = abs(f_bar[0] - f_exact[0]) + abs(f_bar[1] - f_exact[1])
+    return classify_iteration(grad_err, value_err, alpha, delta_l, eps_g, eps_f)
 
 
 class TestClassifyIteration:
-    def _cfg(self, eps_f=0.2, eps_g=0.5):
-        return OracleConfig(eps_f_noise=eps_f, eps_g_noise=eps_g)
-
     def test_within_both_allowances_is_true(self):
         # values off by 0.1 each (sum 0.2 <= 2 * 0.2), gradient off by 0.3 <= 0.5.
-        log = _log(f_bar_current=1.1, f_bar_trial=2.1, g_bar=np.array([0.3, 0.0]))
-        assert classify_iteration(log, (1.0, 2.0), np.zeros(2), self._cfg(), SolverParams())
+        assert _classify((1.1, 2.1), (1.0, 2.0), [0.3, 0.0])
 
     def test_value_noise_beyond_allowance(self):
         # errors 0.3 + 0.3 = 0.6 > 2 * 0.2.
-        log = _log(f_bar_current=1.3, f_bar_trial=2.3)
-        assert not classify_iteration(log, (1.0, 2.0), np.zeros(2), self._cfg(), SolverParams())
+        assert not _classify((1.3, 2.3), (1.0, 2.0), [0.0, 0.0])
 
     def test_gradient_bound_uses_step_scaled_term(self):
         # eps_g = 0: bound is alpha * sqrt(delta_l) = 0.5 * 2 = 1.
-        log = _log(g_bar=np.array([0.3, 0.0]), f_bar_current=1.0, f_bar_trial=2.0)
-        cfg = self._cfg(eps_g=0.0)
-        assert classify_iteration(log, (1.0, 2.0), np.zeros(2), cfg, SolverParams())
+        assert _classify((1.0, 2.0), (1.0, 2.0), [0.3, 0.0], eps_g=0.0)
         # with delta_l = 0.04 the bound drops to 0.1 < 0.3.
-        tight = _log(
-            g_bar=np.array([0.3, 0.0]), delta_l=0.04, f_bar_current=1.0, f_bar_trial=2.0
-        )
-        assert not classify_iteration(tight, (1.0, 2.0), np.zeros(2), cfg, SolverParams())
+        assert not _classify((1.0, 2.0), (1.0, 2.0), [0.3, 0.0], eps_g=0.0, delta_l=0.04)
+
+    def test_result_is_a_bool(self):
+        assert _classify((1.0, 2.0), (1.0, 2.0), [0.0, 0.0]) is True
+        assert _classify((1.0, 9.0), (1.0, 2.0), [0.0, 0.0]) is False
