@@ -528,14 +528,13 @@ def _read_run_rows(path: Path) -> list[tuple[float, float, int, int]]:
     return rows
 
 
-def load_run_trajectories(run_dir: Path) -> tuple[int, list[tuple[GridCell, dict[str, Trajectory]]]]:
-    """Read a grid output directory back into (replicates, per-run trajectories)."""
+def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dict[str, Trajectory]]]]:
+    """Read a grid output directory back into (its summary's grid entry, per-run trajectories)."""
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():
         raise FileNotFoundError(f"{run_dir} has no summary.json; not a grid output directory")
     summary = json.loads(summary_path.read_text())
-    replicates = int(summary["grid"]["replicates"])
     runs = []
     for entry in summary["runs"]:
         path = run_dir / entry["csv"]
@@ -553,7 +552,7 @@ def load_run_trajectories(run_dir: Path) -> tuple[int, list[tuple[GridCell, dict
             stream_id=int(entry["stream_id"]),
         )
         runs.append((cell, trajs))
-    return replicates, runs
+    return summary["grid"], runs
 
 
 def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProfile]:
@@ -568,7 +567,8 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     Raises
     ------
     ValueError
-        If two directories have the same name, so their labels would clash.
+        If two directories have the same name, so their labels would clash,
+        or ran with different solver parameters (summary grid.params).
     EmptyInputError
         If no directory is given or the directories share no instance.
     """
@@ -581,9 +581,15 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
         if names.count(name) > 1:
             clash = ", ".join(str(d) for d in run_dirs if d.name == name)
             raise ValueError(f"run directories {clash} share the name {name!r}")
+    loaded = [load_run_trajectories(d) for d in run_dirs]
+    params = loaded[0][0]["params"]
+    for run_dir, (grid, _) in zip(run_dirs, loaded):
+        if differ := sorted(key for key, value in params.items() ^ grid["params"].items()):
+            raise ValueError(f"run directories {run_dirs[0]} and {run_dir} differ in "
+                             f"grid.params (first differing key: {differ[0]})")
     tables = [
-        _run_table(*load_run_trajectories(d), f"{d.name}__" if prefix_labels else "")
-        for d in run_dirs
+        _run_table(int(grid["replicates"]), runs, f"{d.name}__" if prefix_labels else "")
+        for d, (grid, runs) in zip(run_dirs, loaded)
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))
     if not common:

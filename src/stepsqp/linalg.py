@@ -60,11 +60,12 @@ def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> 
 
 
 def max_abs(a) -> float:
-    """Largest entry magnitude; 0.0 for empty input."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
+    """Largest entry magnitude; 0.0 for empty input, NaN if an entry is NaN.
+
+    Among magnitudes argmax selects the value np.abs(a).max() returns.
+    """
+    a = np.abs(a)
+    return a.item(a.argmax()) if a.size else 0.0
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
@@ -113,8 +114,9 @@ def lu_factor(a: np.ndarray) -> LuFactors:
     # getrf reports an exactly zero pivot through its info code; the
     # pivot floor below catches that case along with near-zero pivots.
     lu, piv, _ = dgetrf(a)
-    smallest = float(np.abs(lu.diagonal()).min())
-    if smallest < PIVOT_RTOL * scale:
+    pivots = np.abs(lu.diagonal())
+    smallest = pivots.item(pivots.argmin())
+    if not (smallest >= PIVOT_RTOL * scale):
         raise SingularMatrixError(
             f"pivot {smallest:g} below {PIVOT_RTOL:g} * ||A||_max = {PIVOT_RTOL * scale:g}"
         )

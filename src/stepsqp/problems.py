@@ -72,13 +72,17 @@ class Problem:
         return g
 
     def c(self, x: np.ndarray) -> np.ndarray:
-        c = np.atleast_1d(np.asarray(self.eval_c(x), dtype=np.float64))
+        c = np.asarray(self.eval_c(x), dtype=np.float64)
+        if c.ndim == 0 and self.m == 1:  # a single constraint as a scalar
+            c = c.reshape(1)
         if c.shape != (self.m,):
             raise ValueError(f"{self.name}: constraint shape {c.shape} != ({self.m},)")
         return c
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        jac = np.atleast_2d(np.asarray(self.eval_jacobian(x), dtype=np.float64))
+        jac = np.asarray(self.eval_jacobian(x), dtype=np.float64)
+        if jac.ndim < 2 and self.m == 1 and jac.size == self.n:  # a gradient row
+            jac = jac.reshape(1, self.n)
         if jac.shape != (self.m, self.n):
             raise ValueError(f"{self.name}: jacobian shape {jac.shape} != ({self.m}, {self.n})")
         return jac

@@ -28,13 +28,15 @@ exact values classify the iteration. The dot products and norms of an
 iteration (g'd, d'd, |g|'|d|, ||d||_1, ||y||_1, ||c||_1) are each
 computed once and handed to the helpers below as scalars.
 
-The KKT matrix is factored once per iterate: the one LU factorization
-of [[I, J^T], [J, 0]] serves two right-hand sides. (-grad f, 0) gives
-the least-squares multipliers and the KKT residual (the augmented-system
-method for linear least squares), and (-gbar, -c) gives the step. The
-exact values c, J, grad f and f, the factors and the KKT residual all
-depend on x alone, so after a rejected step they are carried over rather
-than recomputed; no oracle sample is ever reused.
+Each run owns one KKT workspace: [[I, J^T], [J, 0]], allocated once,
+into which each new iterate writes J and J^T, and the right-hand sides
+(-grad f, 0) and (-gbar, -c), of which each new iterate writes -c. Its
+one LU factorization per iterate gives the least-squares multipliers and
+the KKT residual (the augmented-system method for linear least squares)
+and the step, whose solve residual holds J d + c. The exact values c, J,
+grad f and f, the factors and the KKT residual all depend on x alone, so
+after a rejected step they are carried over rather than recomputed; no
+oracle sample is ever reused, and no logged array is a workspace view.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     lu_factor,
-    # lu_solve and max_abs stay importable here: perfbench/workloads.py
-    # traces them as sqp attributes.
+    # lu_solve stays importable here: perfbench/workloads.py traces it
+    # (and max_abs) as sqp attributes.
     lu_solve,  # noqa: F401
-    max_abs,  # noqa: F401
+    max_abs,
     require_symmetric,
 )
 from .oracles import OracleConfig, StochasticOracle, is_int
@@ -141,11 +143,12 @@ def effective_eps_f(params: SolverParams, oracle_cfg: OracleConfig) -> float:
 
 
 class KktSolution(NamedTuple):
-    """Direction d, multipliers y, and the solve's residual infinity-norm."""
+    """Direction d, multipliers y, and inf-norms of the solve's residual and its J d + c block."""
 
     d: np.ndarray
     y: np.ndarray
     residual_inf: float
+    lin_feas: float
 
 
 def solve_kkt(h: np.ndarray, jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
@@ -174,7 +177,7 @@ def solve_kkt(h: np.ndarray, jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> K
     require_symmetric(h, "H")
     jac = as_matrix(jac, (m, n), "J")
 
-    return kkt_step(lu_factor(kkt_matrix(h, jac)), g, c)
+    return kkt_step(lu_factor(kkt_matrix(h, jac)), g, -np.concatenate((g, c)))
 
 
 def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -187,19 +190,21 @@ def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return kkt
 
 
-def kkt_step(factors: LuFactors, g: np.ndarray, c: np.ndarray) -> KktSolution:
+def kkt_step(factors: LuFactors, g: np.ndarray, rhs: np.ndarray) -> KktSolution:
     """Direction and multipliers from factors of [[H, J^T], [J, 0]].
 
-    Solves the system of :func:`solve_kkt` for gradient g and constraint
-    values c without refactoring the matrix.
+    Solves the system of :func:`solve_kkt` for gradient g without
+    refactoring the matrix. rhs is a right-hand-side buffer of length
+    n + m whose lower block holds -c; -g is written into its upper block.
     """
     n = g.size
-    rhs = -np.concatenate((g, c))
+    np.negative(g, out=rhs[:n])
     z = factors.solve(rhs)
-    return KktSolution(z[:n], z[n:], float(np.abs(factors.a.dot(z) - rhs).max()))
+    r = factors.a.dot(z) - rhs
+    return KktSolution(z[:n], z[n:], max_abs(r), max_abs(r[n:]))
 
 
-def kkt_multipliers(factors: LuFactors, g: np.ndarray) -> tuple[np.ndarray, float]:
+def kkt_multipliers(factors: LuFactors, g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares multipliers from factors of [[I, J^T], [J, 0]].
 
     The right-hand side (-g, 0) gives d + J^T y = -g and J d = 0, so y
@@ -210,13 +215,13 @@ def kkt_multipliers(factors: LuFactors, g: np.ndarray) -> tuple[np.ndarray, floa
     at least 1 the matrix is conditioned like J, not like J J^T. Singular
     values below 1 still enter squared; Bjorck's scaled form, with
     alpha * I in place of I and alpha near sigma_min(J), would avoid that
-    at the price of a factorization separate from the step's.
+    at the price of a factorization separate from the step's. rhs is a
+    buffer of length n + m with lower block 0; -g is written above it.
     """
     n = g.size
-    rhs = np.zeros(factors.a.shape[0])
-    rhs[:n] = -g
+    np.negative(g, out=rhs[:n])
     z = factors.solve(rhs)
-    return z[n:], float(np.abs(z[:n]).max())
+    return z[n:], max_abs(z[:n])
 
 
 def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
@@ -417,7 +422,10 @@ def solve(
         failure_reason instead of raising.
     """
     t_start = time.perf_counter()
-    identity = np.eye(problem.n)
+    n = problem.n
+    # The run's KKT workspace (see the module docstring).
+    kkt = kkt_matrix(np.eye(n), np.zeros((problem.m, n)))
+    step_rhs, mult_rhs = np.zeros(n + problem.m), np.zeros(n + problem.m)
 
     oracle = StochasticOracle(problem, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
@@ -434,7 +442,7 @@ def solve(
     # over from the trial point of each accepted step.
     f_exact = problem.f(x)
     c_vec = problem.c(x)
-    c_l1 = float(np.abs(c_vec).sum())
+    c_l1 = float(np.add.reduce(np.abs(c_vec)))
     # True until the exact quantities below describe the current x.
     moved = True
 
@@ -450,21 +458,24 @@ def solve(
             g_exact = problem.grad_f(x)
             if not (
                 _finite(c_vec, c_l1)
-                and _finite(jac, jac.sum())
-                and _finite(g_exact, g_exact.sum())
+                and _finite(jac, np.add.reduce(jac, axis=None))
+                and _finite(g_exact, np.add.reduce(g_exact))
                 and math.isfinite(f_exact)
             ):
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "non-finite problem evaluation at the current iterate"
                 break
-            infeas_inf = float(np.abs(c_vec).max())
+            infeas_inf = max_abs(c_vec)
+            kkt[:n, n:] = jac.T
+            kkt[n:, :n] = jac
+            np.negative(c_vec, out=step_rhs[n:])
             try:
-                factors = lu_factor(kkt_matrix(identity, jac))
+                factors = lu_factor(kkt)
             except SingularMatrixError:
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
                 break
-            _, kkt_inf = kkt_multipliers(factors, g_exact)
+            _, kkt_inf = kkt_multipliers(factors, g_exact, mult_rhs)
             moved = False
             if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
                 status = RunStatus.CONVERGED
@@ -476,13 +487,13 @@ def solve(
 
         # Noisy gradient, KKT direction.
         g_bar = oracle.noisy_grad(g_exact)
-        if not _finite(g_bar, g_bar.sum()):
+        if not _finite(g_bar, np.add.reduce(g_bar)):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        d, y, residual_inf = kkt_step(factors, g_bar, c_vec)
-        lin_feas = float(np.abs(jac.dot(d) + c_vec).max())
-        if lin_feas > LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf):
+        d, y, residual_inf, lin_feas = kkt_step(factors, g_bar, step_rhs)
+        # Negated, so that a NaN fails the test.
+        if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf)):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
             break
@@ -493,7 +504,7 @@ def solve(
         abs_d = np.abs(d)
         abs_gd = float(np.abs(g_bar).dot(abs_d))
         denom_floor = kkt_denom_noise_floor(
-            residual_inf, float(abs_d.sum()), float(np.abs(y).sum())
+            residual_inf, float(np.add.reduce(abs_d)), float(np.add.reduce(np.abs(y)))
         )
 
         # Merit parameter update and predicted reduction.
@@ -504,7 +515,7 @@ def solve(
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
         delta_l = model_reduction(tau_bar, gd, c_l1)
-        if delta_l < tau_bar * dd + params.sigma * c_l1 - MODEL_REDUCTION_SLACK:
+        if not (delta_l >= tau_bar * dd + params.sigma * c_l1 - MODEL_REDUCTION_SLACK):
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound "
                 f"{tau_bar * dd + params.sigma * c_l1:g} at iteration {k}"
@@ -516,7 +527,7 @@ def solve(
         c_plus = problem.c(x_plus)
         f_bar_current = oracle.noisy_f(f_exact)
         f_bar_trial = oracle.noisy_f(f_plus)
-        c_plus_l1 = float(np.abs(c_plus).sum())
+        c_plus_l1 = float(np.add.reduce(np.abs(c_plus)))
         if not (
             _finite(c_plus, c_plus_l1)
             and math.isfinite(f_bar_current)

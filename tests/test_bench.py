@@ -366,8 +366,8 @@ class TestRunGrid:
 
     def test_round_trip_through_files(self, small_result):
         out, result = small_result
-        replicates, runs = load_run_trajectories(out)
-        assert replicates == 2
+        grid, runs = load_run_trajectories(out)
+        assert grid["replicates"] == 2
         assert [cell for cell, _ in runs] == result.cells
         for (_, trajs), record in zip(runs, result.records):
             fresh = record_trajectories(record)

@@ -377,6 +377,22 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert "share no instances" in capsys.readouterr().err
 
+    def test_profile_rejects_directories_with_different_params(self, tmp_path, capsys):
+        dirs = []
+        for max_iters in (20, 30):
+            out = tmp_path / f"iters{max_iters}"
+            code = main(
+                ["bench", "--set", 'grid.problems=["P2"]', "--set", "grid.noise_pairs=[[0,0]]",
+                 "--set", f"solver.max_iters={max_iters}", "--out", str(out)]
+            )
+            assert code == EXIT_OK
+            dirs.append(str(out))
+        capsys.readouterr()
+        code = main(["profile", *dirs, "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "first differing key: max_iters" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_profile_missing_directory(self, tmp_path, capsys):
         code = main(["profile", str(tmp_path / "nowhere"), "--out", str(tmp_path / "p")])
         assert code == EXIT_CONFIG_ERROR

@@ -26,24 +26,32 @@ class TestKktKernel:
             h = basis @ basis.T + np.eye(n)
             jac = rng.standard_normal((m, n))
             factors = lu_factor(kkt_matrix(h, jac))
+            rhs = np.zeros(n + m)
             for _ in range(2):
                 g = rng.standard_normal(n)
                 c = rng.standard_normal(m)
-                step = kkt_step(factors, g, c)
+                rhs[n:] = -c
+                step = kkt_step(factors, g, rhs)
                 ref = solve_kkt(h, jac, g, c)
                 np.testing.assert_array_equal(step.d, ref.d)
                 np.testing.assert_array_equal(step.y, ref.y)
                 assert step.residual_inf == ref.residual_inf
+                assert step.lin_feas == ref.lin_feas
+                # lin_feas is the residual's constraint block, J d + c.
+                assert step.lin_feas <= step.residual_inf
+                assert step.lin_feas == pytest.approx(
+                    np.max(np.abs(jac @ step.d + c)), abs=1e-12
+                )
 
     def test_multipliers_hand_values(self):
         # J = [1 1], g = (1, 1): y = -1 zeroes the residual.
         factors = lu_factor(kkt_matrix(np.eye(2), np.array([[1.0, 1.0]])))
-        y, res = kkt_multipliers(factors, np.array([1.0, 1.0]))
+        y, res = kkt_multipliers(factors, np.array([1.0, 1.0]), np.zeros(3))
         np.testing.assert_allclose(y, [-1.0], atol=1e-14)
         assert res <= 1e-14
         # J = [1 0], g = (0, 1): no component in range(J'), residual 1.
         factors = lu_factor(kkt_matrix(np.eye(2), np.array([[1.0, 0.0]])))
-        y, res = kkt_multipliers(factors, np.array([0.0, 1.0]))
+        y, res = kkt_multipliers(factors, np.array([0.0, 1.0]), np.zeros(3))
         np.testing.assert_allclose(y, [0.0], atol=1e-14)
         assert res == pytest.approx(1.0, abs=1e-14)
 
@@ -79,7 +87,8 @@ class TestKktKernel:
         jac = u @ np.diag(s) @ v[:m]
         g = rng.standard_normal(n) * 10.0**log_g_scale
 
-        y, kkt_inf = kkt_multipliers(lu_factor(kkt_matrix(np.eye(n), jac)), g)
+        factors = lu_factor(kkt_matrix(np.eye(n), jac))
+        y, kkt_inf = kkt_multipliers(factors, g, np.zeros(n + m))
         y_ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
         kkt_ref = float(np.max(np.abs(g + jac.T @ y_ref)))
         tol = 1e3 * float(np.linalg.cond(jac)) * np.finfo(float).eps

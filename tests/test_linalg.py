@@ -66,6 +66,22 @@ class TestValidation:
         assert max_abs(np.array([-3.0, 2.0])) == 3.0
         assert max_abs(np.array([])) == 0.0
 
+    def test_max_abs_is_the_reduction_bit_for_bit(self):
+        # max_abs selects an entry by argmax; it must return exactly what
+        # np.abs(a).max() returns, signed zeros, infinities and NaNs included.
+        rng = np.random.default_rng(3)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7e308])
+        for _ in range(500):
+            shape = tuple(int(k) for k in rng.integers(1, 8, size=int(rng.integers(1, 3))))
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300)
+            flat = a.reshape(-1)
+            for i in rng.integers(0, flat.size, size=int(rng.integers(0, 3))):
+                flat[i] = rng.choice(specials)
+            got, want = max_abs(a), float(np.abs(a).max())
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.signbit(got) == np.signbit(want)
+
     def test_require_symmetric_accepts_tiny_asymmetry(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]])
         require_symmetric(a)
@@ -138,6 +154,11 @@ class TestLuFactor:
             lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError, match="identically zero"):
             lu_factor(np.zeros((2, 2)))
+
+    def test_nan_matrix_fails_the_pivot_floor(self):
+        # A NaN pivot or scale must not pass the floor test silently.
+        with pytest.raises(SingularMatrixError, match="pivot nan"):
+            lu_factor(np.array([[np.nan, 1.0], [1.0, 2.0]]))
 
     def test_solve_checks_its_residual(self, monkeypatch):
         # Factors paired with a different matrix cannot solve it: the

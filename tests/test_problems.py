@@ -168,6 +168,36 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="constraint shape"):
             p.c(p.x0)
 
+    def test_single_constraint_may_be_scalar_with_a_vector_jacobian(self):
+        p = Problem(
+            name="flat",
+            n=3,
+            m=1,
+            eval_f=lambda x: 0.0,
+            eval_grad_f=lambda x: np.zeros(3),
+            eval_c=lambda x: float(x.sum()) - 1.0,
+            eval_jacobian=lambda x: np.ones(3),
+            x0=np.zeros(3),
+        )
+        c = p.c(p.x0)
+        assert c.shape == (1,) and c[0] == -1.0
+        np.testing.assert_array_equal(p.jacobian(p.x0), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_transposed_jacobian_flagged_at_call(self, m):
+        p = Problem(
+            name="bad",
+            n=3,
+            m=m,
+            eval_f=lambda x: 0.0,
+            eval_grad_f=lambda x: np.zeros(3),
+            eval_c=lambda x: np.zeros(m),
+            eval_jacobian=lambda x: np.ones((3, m)),  # (n, m), not (m, n)
+            x0=np.zeros(3),
+        )
+        with pytest.raises(ValueError, match="jacobian shape"):
+            p.jacobian(p.x0)
+
     def test_wrong_gradient_shape_flagged_at_call(self):
         p = Problem(
             name="bad",

@@ -7,15 +7,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stepsqp import sqp
 from stepsqp.linalg import lu_factor
 from stepsqp.oracles import OracleConfig
 from stepsqp.problems import Problem, get_problem
 from stepsqp.sqp import (
+    InvariantViolationError,
     RunStatus,
     SolverParams,
     kkt_matrix,
     kkt_multipliers,
     solve,
+    solve_kkt,
     step_size_update,
 )
 
@@ -189,12 +192,27 @@ class TestExactEvaluationReuse:
     def test_logged_kkt_residual_comes_from_the_kernel(self):
         problem = get_problem("hs6")
         record = solve(problem, params=SolverParams(max_iters=60), oracle_cfg=NOISY)
+        rhs = np.zeros(problem.n + problem.m)
         for log in record.iterations:
             factors = lu_factor(kkt_matrix(np.eye(problem.n), problem.jacobian(log.x)))
-            assert log.kkt_inf == kkt_multipliers(factors, problem.grad_f(log.x))[1]
+            assert log.kkt_inf == kkt_multipliers(factors, problem.grad_f(log.x), rhs)[1]
         final_x = record.final_x
         factors = lu_factor(kkt_matrix(np.eye(problem.n), problem.jacobian(final_x)))
-        assert record.final_kkt_inf == kkt_multipliers(factors, problem.grad_f(final_x))[1]
+        assert record.final_kkt_inf == kkt_multipliers(factors, problem.grad_f(final_x), rhs)[1]
+
+    @pytest.mark.parametrize("name", ["hs40", "sphere30", "P2"])
+    def test_logged_steps_match_a_fresh_kkt_solve(self, name):
+        # The loop reuses one KKT matrix and right-hand side per run; each
+        # step must equal, bit for bit, a solve of a freshly assembled
+        # system. hs40 has m = 3, sphere30 n = 30, and P2 a constant J.
+        problem = get_problem(name)
+        record = solve(problem, params=SolverParams(max_iters=60), oracle_cfg=NOISY)
+        assert len(record.iterations) == 60
+        for log in record.iterations:
+            ref = solve_kkt(
+                np.eye(problem.n), problem.jacobian(log.x), log.g_bar, problem.c(log.x)
+            )
+            np.testing.assert_array_equal(log.d, ref.d)
 
 
 class TestReproducibility:
@@ -330,6 +348,23 @@ class TestFailurePaths:
         assert record.failure_reason == "non-finite evaluation at the trial point"
         assert len(record.iterations) == 1
         assert record.iterations[0].accepted
+
+    def test_nan_linearized_feasibility_fails_the_run(self, monkeypatch):
+        kkt_step = sqp.kkt_step
+
+        def nan_residual(factors, g, rhs):
+            return kkt_step(factors, g, rhs)._replace(lin_feas=math.nan)
+
+        monkeypatch.setattr(sqp, "kkt_step", nan_residual)
+        record = solve(get_problem("hs6"), oracle_cfg=NOISY)
+        assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
+        assert record.failure_reason.startswith("inaccurate KKT solve")
+        assert record.iterations == []
+
+    def test_nan_model_reduction_violates_the_invariant(self, monkeypatch):
+        monkeypatch.setattr(sqp, "model_reduction", lambda tau_bar, gd, c_l1: math.nan)
+        with pytest.raises(InvariantViolationError, match="model reduction nan"):
+            solve(get_problem("hs6"), oracle_cfg=NOISY)
 
 
 class TestSuiteSmoke:
