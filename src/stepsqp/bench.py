@@ -26,11 +26,10 @@ budget.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import functools
+import io
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -150,35 +149,40 @@ class Trajectory(NamedTuple):
     work: np.ndarray
 
 
-def _trajectories_from_rows(
-    rows: list[tuple[float, float, int, int]],
+# The run-CSV columns a trajectory is built from, in this order.
+_TRAJECTORY_COLUMNS = ("infeas_inf", "kkt_inf", "zeroth_calls", "first_calls")
+
+
+def _trajectories(
+    columns: np.ndarray,
     final_infeas: Optional[float],
     final_kkt: Optional[float],
 ) -> dict[str, Trajectory]:
-    """Build metric trajectories from per-iteration rows plus final metrics.
+    """Build metric trajectories from per-iteration columns plus final metrics.
 
-    Each row is (infeas_inf, kkt_inf, zeroth_calls, first_calls) with
-    cumulative counters; row j describes iterate x_j, and the final
-    metrics (when available) describe the last iterate.
+    columns is a (4, K) float64 array whose rows are the
+    _TRAJECTORY_COLUMNS, with cumulative counters; entry j describes
+    iterate x_j, and the final metrics (when available) describe the
+    last iterate.
 
     Raises
     ------
     ValueError
-        If a metric value is not finite or the work counts decrease.
+        If a metric value is not finite, a call count is not an integer,
+        or the work counts decrease.
     """
-    infeas = [r[0] for r in rows]
-    residual = [r[1] for r in rows]
-    work = [0.0] + [float(r[2] + r[3]) for r in rows]
+    infeas, residual, zeroth, first = columns
+    work = np.concatenate(([0.0], zeroth + first))
     if final_infeas is not None and final_kkt is not None:
-        infeas.append(final_infeas)
-        residual.append(final_kkt)
+        infeas = np.append(infeas, final_infeas)
+        residual = np.append(residual, final_kkt)
     else:
-        work.pop()
-    infeas = np.array(infeas, dtype=np.float64)
-    residual = np.array(residual, dtype=np.float64)
-    work = np.array(work)
+        work = work[:-1]
     if not (np.isfinite(infeas).all() and np.isfinite(residual).all()):
         raise ValueError("metric values must be finite")
+    calls = columns[2:]
+    if not (np.isfinite(calls).all() and (np.floor(calls) == calls).all()):
+        raise ValueError("call counts must be integers")
     # Work starts at 0, so non-decreasing work is also non-negative.
     if np.any(np.diff(work) < 0):
         raise ValueError("work counts must be non-negative and non-decreasing")
@@ -188,11 +192,17 @@ def _trajectories_from_rows(
 
 def record_trajectories(record: RunRecord) -> dict[str, Trajectory]:
     """Metric trajectories (values, cumulative work) of one run."""
-    rows = [
-        (log.infeas_inf, log.kkt_inf, log.zeroth_calls, log.first_calls)
-        for log in record.iterations
-    ]
-    return _trajectories_from_rows(rows, record.final_infeas_inf, record.final_kkt_inf)
+    logs = record.iterations
+    columns = np.array(
+        [
+            [log.infeas_inf for log in logs],
+            [log.kkt_inf for log in logs],
+            [log.zeroth_calls for log in logs],
+            [log.first_calls for log in logs],
+        ],
+        dtype=np.float64,
+    )
+    return _trajectories(columns, record.final_infeas_inf, record.final_kkt_inf)
 
 
 def convergence_budget(
@@ -436,15 +446,18 @@ CSV_COLUMNS = (
     "first_calls",
     "true_iter",
 )
-_csv_row = operator.attrgetter(*CSV_COLUMNS)
 
 
 def write_run_csv(path: Path, record: RunRecord) -> None:
     """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
+    # The row template lists CSV_COLUMNS in order.
     lines = [",".join(CSV_COLUMNS)]
-    for log in record.iterations:
-        values = _csv_row(log)
-        lines.append(",".join([str(int(v)) if isinstance(v, int) else repr(v) for v in values]))
+    lines.extend(
+        f"{log.k:d},{log.alpha!r},{log.tau_bar!r},{log.delta_l!r},{log.accepted:d},"
+        f"{log.infeas_inf!r},{log.kkt_inf!r},{log.zeroth_calls:d},{log.first_calls:d},"
+        f"{log.true_iter:d}"
+        for log in record.iterations
+    )
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -513,43 +526,93 @@ def write_profile_files(profiles: dict[str, PerformanceProfile], out_dir: Path) 
 # Rebuilding profiles from previously written run directories.
 
 
-def _read_run_rows(path: Path) -> list[tuple[float, float, int, int]]:
-    rows = []
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                (
-                    float(row["infeas_inf"]),
-                    float(row["kkt_inf"]),
-                    int(row["zeroth_calls"]),
-                    int(row["first_calls"]),
-                )
-            )
-    return rows
+def _read_run_columns(path: Path) -> np.ndarray:
+    """A run CSV's _TRAJECTORY_COLUMNS, found by header name, as a (4, rows) float64 array."""
+    text = path.read_text()
+    header, _, body = text.partition("\n")
+    if not header:
+        raise ValueError("has no header")
+    if not text.endswith("\n"):
+        raise ValueError("ends mid-line")
+    names = header.split(",")
+    for name in _TRAJECTORY_COLUMNS:
+        if name not in names:
+            raise ValueError(f"has no {name!r} column")
+    if not body.strip():
+        # A zero-iteration run; loadtxt would warn that it read no data.
+        return np.empty((len(_TRAJECTORY_COLUMNS), 0))
+    return np.loadtxt(
+        io.StringIO(body),
+        delimiter=",",
+        comments=None,
+        usecols=[names.index(name) for name in _TRAJECTORY_COLUMNS],
+        ndmin=2,
+        unpack=True,
+    )
+
+
+# The summary.json run-entry fields load_run_trajectories reads, with
+# the JSON types each may take (bools are rejected where ints are allowed).
+_ENTRY_FIELDS = {
+    "problem": (str,),
+    "eps_f_noise": (int, float),
+    "eps_g_noise": (int, float),
+    "replicate": (int,),
+    "stream_id": (int,),
+    "iterations": (int,),
+    "final_infeas_inf": (int, float, type(None)),
+    "final_kkt_inf": (int, float, type(None)),
+    "csv": (str,),
+}
+
+
+def _check_entry(entry, where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object")
+    for key, types in _ENTRY_FIELDS.items():
+        if key not in entry:
+            raise ValueError(f"{where} has no {key!r}")
+        value = entry[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            allowed = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{where}.{key} must be {allowed}, not {json.dumps(value)}")
 
 
 def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dict[str, Trajectory]]]]:
-    """Read a grid output directory back into (its summary's grid entry, per-run trajectories)."""
+    """Read a grid output directory back into (its summary's grid entry, per-run trajectories).
+
+    Raises
+    ------
+    ValueError
+        If a run entry in summary.json lacks a field or has one of the
+        wrong type, or a run CSV is damaged: it has no header, ends
+        mid-line, lacks a column, holds a value that is not a number,
+        or its row count differs from the entry's iterations.
+    """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():
         raise FileNotFoundError(f"{run_dir} has no summary.json; not a grid output directory")
     summary = json.loads(summary_path.read_text())
     runs = []
-    for entry in summary["runs"]:
+    for i, entry in enumerate(summary["runs"]):
+        _check_entry(entry, f"{summary_path}: runs[{i}]")
         path = run_dir / entry["csv"]
         try:
-            trajs = _trajectories_from_rows(
-                _read_run_rows(path), entry["final_infeas_inf"], entry["final_kkt_inf"]
-            )
+            columns = _read_run_columns(path)
+            rows = columns.shape[1]
+            if rows != entry["iterations"]:
+                raise ValueError(f"has {rows} rows where summary.json records "
+                                 f"{entry['iterations']} iterations")
+            trajs = _trajectories(columns, entry["final_infeas_inf"], entry["final_kkt_inf"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         cell = GridCell(
             problem=entry["problem"],
             eps_f=float(entry["eps_f_noise"]),
             eps_g=float(entry["eps_g_noise"]),
-            replicate=int(entry["replicate"]),
-            stream_id=int(entry["stream_id"]),
+            replicate=entry["replicate"],
+            stream_id=entry["stream_id"],
         )
         runs.append((cell, trajs))
     return summary["grid"], runs

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import operator
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from stepsqp.bench import (
     EmptyInputError,
     ExperimentGrid,
     Trajectory,
+    _read_run_columns,
     build_grid_profiles,
     build_profile,
     config_label,
@@ -74,6 +77,51 @@ def _make_record(rows, final_infeas, final_kkt):
         final_infeas_inf=final_infeas,
         final_kkt_inf=final_kkt,
     )
+
+
+def _reference_row(log):
+    """The per-value run-CSV row formatter that write_run_csv's template replaced."""
+    values = operator.attrgetter(*CSV_COLUMNS)(log)
+    return ",".join(str(int(v)) if isinstance(v, int) else repr(v) for v in values)
+
+
+# 17-digit floats, the smallest subnormal and normal, signed zeros and
+# infinities, NaN and the largest float.
+EDGE_FLOATS = (
+    0.1 + 0.2,
+    1 / 3,
+    -123456789.01234567,
+    5e-324,
+    2.2250738585072014e-308,
+    -0.0,
+    0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    1.7976931348623157e308,
+)
+
+
+def _edge_record():
+    """Every edge float in every float column, with ints past 2**32 and both bools."""
+    n = len(EDGE_FLOATS)
+    logs = []
+    for k in range(n):
+        alpha, tau_bar, delta_l, infeas, kkt = (EDGE_FLOATS[(k + j) % n] for j in range(5))
+        log = _make_log(k, infeas, kkt, 2**40 + 3 * k, 7 * k)
+        logs.append(dataclasses.replace(
+            log, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,
+            accepted=k % 2 == 0, true_iter=k % 3 == 0,
+        ))
+    return RunRecord(RunStatus.BUDGET_EXHAUSTED, logs, np.zeros(2), 0.0)
+
+
+def _logged_columns(record):
+    return np.array(
+        [(log.infeas_inf, log.kkt_inf, log.zeroth_calls, log.first_calls)
+         for log in record.iterations],
+        dtype=np.float64,
+    ).reshape(-1, 4).T
 
 
 class TestGridEnumeration:
@@ -304,6 +352,21 @@ class TestNamingAndFiles:
         write_run_csv(path, record)
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
+    def test_run_csv_matches_the_reference_formatter(self, tmp_path):
+        record = _edge_record()
+        path = tmp_path / "run.csv"
+        write_run_csv(path, record)
+        lines = [",".join(CSV_COLUMNS)] + [_reference_row(log) for log in record.iterations]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_run_csv_round_trip_is_bit_exact(self, tmp_path):
+        record = _edge_record()
+        path = tmp_path / "run.csv"
+        write_run_csv(path, record)
+        parsed = _read_run_columns(path)
+        logged = _logged_columns(record)
+        np.testing.assert_array_equal(parsed.view(np.uint64), logged.view(np.uint64))
+
     def test_profile_csv(self, tmp_path):
         path = tmp_path / "profile.csv"
         write_profile_csv(path, [(1.0, 0.5), (2.5, 1.0)])
@@ -375,6 +438,19 @@ class TestRunGrid:
                 np.testing.assert_array_equal(trajs[metric].values, fresh[metric].values)
                 np.testing.assert_array_equal(trajs[metric].work, fresh[metric].work)
 
+    def test_run_csv_columns_are_read_by_name(self, small_result, tmp_path):
+        out, result = small_result
+        copy = tmp_path / "reversed"
+        shutil.copytree(out, copy)
+        for entry in json.loads((copy / "summary.json").read_text())["runs"]:
+            path = copy / entry["csv"]
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            path.write_text("".join(",".join(reversed(row)) + "\n" for row in rows))
+        rebuilt = profiles_from_directories([copy])
+        for key, profile in result.profiles.items():
+            assert rebuilt[key].ratios == profile.ratios
+            assert rebuilt[key].curves == profile.curves
+
     def test_profiles_rebuilt_from_files_match(self, small_result):
         out, result = small_result
         rebuilt = profiles_from_directories([out])
@@ -440,6 +516,9 @@ class TestProfileValidation:
             ("infeas_inf", 1, "inf", "finite"),
             ("zeroth_calls", 2, "0", "non-decreasing"),
             ("zeroth_calls", 0, "-5", "non-negative"),
+            ("first_calls", 1, "2.5", "call counts must be integers"),
+            ("zeroth_calls", 1, "inf", "call counts must be integers"),
+            ("kkt_inf", 0, "0.5x", "could not convert"),
         ],
     )
     def test_doctored_csv_rejected(self, small_result, tmp_path, column, row, value, message):
@@ -450,6 +529,48 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match=message) as info:
             profiles_from_directories([copy])
         assert path.name in str(info.value)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: "", "has no header"),
+            (lambda text: text[: text.index("\n") // 2], "ends mid-line"),
+            (
+                lambda text: "".join(text.splitlines(keepends=True)[:-200]),
+                "rows where summary.json records",
+            ),
+            (lambda text: text.replace("kkt_inf", "kkt", 1), "has no 'kkt_inf' column"),
+        ],
+        ids=["zero-bytes", "cut-header", "rows-removed", "missing-column"],
+    )
+    def test_damaged_csv_rejected(self, small_result, tmp_path, damage, message):
+        out, _ = small_result
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        runs = json.loads((copy / "summary.json").read_text())["runs"]
+        longest = max(runs, key=lambda entry: entry["iterations"])
+        assert longest["iterations"] >= 300
+        path = copy / longest["csv"]
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValueError, match=message) as info:
+            profiles_from_directories([copy])
+        assert str(path) in str(info.value)
+
+    def test_header_only_csv_is_a_zero_iteration_run(self, tmp_path):
+        grid = ExperimentGrid(
+            problems=("P2",), noise_pairs=((0.0, 0.0),), replicates=1,
+            params=SolverParams(max_iters=0),
+        )
+        result = run_grid(grid, out_dir=tmp_path)
+        (record,) = result.records
+        assert record.iterations == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, [(_, trajs)] = load_run_trajectories(tmp_path)
+        fresh = record_trajectories(record)
+        for metric in ("infeasibility", "kkt"):
+            np.testing.assert_array_equal(trajs[metric].values, fresh[metric].values)
+            np.testing.assert_array_equal(trajs[metric].work, [0.0])
 
 
 MIXED_GRID = ExperimentGrid(

@@ -365,6 +365,33 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
 
+    def test_profile_rejects_a_run_csv_cut_mid_line(self, bench_dir, tmp_path, capsys):
+        # A bench killed while writing leaves the last row's tail missing.
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        path = copy / json.loads((copy / "summary.json").read_text())["runs"][0]["csv"]
+        text = path.read_text()
+        last = text.rindex("\n", 0, len(text) - 1) + 1
+        path.write_text(text[:last] + ",".join(text[last:].split(",")[:3]))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {path}: ends mid-line\n"
+        )
+
+    def test_profile_rejects_a_summary_entry_without_a_csv(self, bench_dir, tmp_path, capsys):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["runs"][1]["csv"] = None
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: runs[1].csv must be str, not null\n"
+        )
+
     def test_profile_without_common_instances(self, bench_dir, tmp_path, capsys):
         other = tmp_path / "other"
         code = main(
