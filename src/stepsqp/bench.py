@@ -37,6 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .linalg import load_lapack
 from .oracles import OracleConfig, derive_stream, is_int
 from .problems import get_entry, get_problem, problem_names
 from .sqp import RunRecord, RunStatus, SolverParams, solve
@@ -425,6 +426,8 @@ def run_grid(
     if jobs == 1:
         records = [run_cell(grid, cell) for cell in cells]
     else:
+        # Forked workers inherit LAPACK from here instead of each loading it.
+        load_lapack()
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(functools.partial(run_cell, grid), cells))
     profiles = build_grid_profiles(grid, cells, records)
@@ -566,16 +569,35 @@ _ENTRY_FIELDS = {
 }
 
 
-def _check_entry(entry, where: str) -> None:
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be an object")
-    for key, types in _ENTRY_FIELDS.items():
-        if key not in entry:
-            raise ValueError(f"{where} has no {key!r}")
-        value = entry[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            allowed = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ValueError(f"{where}.{key} must be {allowed}, not {json.dumps(value)}")
+_JSON_TYPE_NAMES = {type(None): "null", dict: "object", list: "array"}
+
+
+def _field(obj: dict, key: str, types: tuple, path: Path, owner: str = ""):
+    """obj[key] if it is one of types (never a bool); owner names obj in messages, "" the top level."""
+    if key not in obj:
+        raise ValueError(f"{path}: {owner or 'top level'} has no {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        allowed = " or ".join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in types)
+        name = f"{owner}.{key}" if owner else key
+        raise ValueError(f"{path}: {name} must be {allowed}, not {json.dumps(value)}")
+    return value
+
+
+def _check_summary(summary, path: Path) -> None:
+    """Reject a summary.json whose grid entry or run entries profiles cannot use."""
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: top level must be an object")
+    grid = _field(summary, "grid", (dict,), path)
+    replicates = _field(grid, "replicates", (int,), path, "grid")
+    if replicates < 1:
+        raise ValueError(f"{path}: grid.replicates must be at least 1, not {replicates}")
+    _field(grid, "params", (dict,), path, "grid")
+    for i, entry in enumerate(_field(summary, "runs", (list,), path)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: runs[{i}] must be an object")
+        for key, types in _ENTRY_FIELDS.items():
+            _field(entry, key, types, path, f"runs[{i}]")
 
 
 def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dict[str, Trajectory]]]]:
@@ -584,19 +606,21 @@ def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dic
     Raises
     ------
     ValueError
-        If a run entry in summary.json lacks a field or has one of the
-        wrong type, or a run CSV is damaged: it has no header, ends
-        mid-line, lacks a column, holds a value that is not a number,
-        or its row count differs from the entry's iterations.
+        If summary.json's grid entry, run list or a run entry lacks a
+        field or has one of the wrong type (grid.replicates must be an
+        integer of at least 1), or a run CSV is damaged: it has no
+        header, ends mid-line, lacks a column, holds a value that is
+        not a number, or its row count differs from the entry's
+        iterations.
     """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():
         raise FileNotFoundError(f"{run_dir} has no summary.json; not a grid output directory")
     summary = json.loads(summary_path.read_text())
+    _check_summary(summary, summary_path)
     runs = []
-    for i, entry in enumerate(summary["runs"]):
-        _check_entry(entry, f"{summary_path}: runs[{i}]")
+    for entry in summary["runs"]:
         path = run_dir / entry["csv"]
         try:
             columns = _read_run_columns(path)
@@ -647,11 +671,14 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     loaded = [load_run_trajectories(d) for d in run_dirs]
     params = loaded[0][0]["params"]
     for run_dir, (grid, _) in zip(run_dirs, loaded):
-        if differ := sorted(key for key, value in params.items() ^ grid["params"].items()):
+        other = grid["params"]
+        # JSON values may be unhashable, so items() views cannot be xor-ed.
+        if differ := sorted(key for key in params.keys() | other.keys()
+                            if key not in params or key not in other or params[key] != other[key]):
             raise ValueError(f"run directories {run_dirs[0]} and {run_dir} differ in "
                              f"grid.params (first differing key: {differ[0]})")
     tables = [
-        _run_table(int(grid["replicates"]), runs, f"{d.name}__" if prefix_labels else "")
+        _run_table(grid["replicates"], runs, f"{d.name}__" if prefix_labels else "")
         for d, (grid, runs) in zip(run_dirs, loaded)
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))

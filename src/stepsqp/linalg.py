@@ -8,6 +8,11 @@ two per KKT matrix, and keeps the factors while its iterate does not
 move) factors it once. Factorizations are wrapped with explicit pivot
 checks so that near-singular systems fail loudly instead of returning
 garbage.
+
+LAPACK comes from SciPy, whose import costs about as much as the rest of
+the package's start-up. It is loaded at the first factorization (or by
+:func:`load_lapack`), never at import, so commands that solve nothing
+never load SciPy.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 # Relative floor for pivots / Cholesky diagonal entries.
 PIVOT_RTOL = 1e-14
@@ -25,6 +28,25 @@ SYMMETRY_RTOL = 1e-12
 
 # Flipped on by the test suite: every solve then verifies its own residual.
 _CHECK_RESIDUALS = False
+
+
+def load_lapack() -> None:
+    """Bind ``dgetrf``/``dgetrs`` to SciPy's LAPACK routines; later calls cost one import lookup."""
+    global dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+
+# Stand-ins until LAPACK is loaded. load_lapack rebinds both module globals,
+# so the call below each reaches the real routine, and so does every later
+# factorization and solve, with no extra Python call.
+def dgetrf(*args, **kwargs):
+    load_lapack()
+    return dgetrf(*args, **kwargs)
+
+
+def dgetrs(*args, **kwargs):
+    load_lapack()
+    return dgetrs(*args, **kwargs)
 
 
 class SingularMatrixError(Exception):
@@ -167,6 +189,8 @@ def cholesky_solve(a, b) -> np.ndarray:
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
     scale = max_abs(a)
+    import scipy.linalg  # not at module import; see the module docstring
+
     try:
         factor = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

@@ -25,14 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    as_vector,
-    cholesky_solve,
-    lu_solve,
-    max_abs,
-    require_symmetric,
-)
+from .linalg import as_matrix, as_vector, max_abs, require_symmetric
 
 
 class UnknownProblemError(ValueError):
@@ -254,7 +247,7 @@ def _qp10() -> SuiteEntry:
     kkt[:n, :n] = q_mat
     kkt[:n, n:] = a_mat.T
     kkt[n:, :n] = a_mat
-    sol = lu_solve(kkt, np.concatenate([-q_vec, b_vec]))
+    sol = np.linalg.solve(kkt, np.concatenate([-q_vec, b_vec]))
     problem = quadratic_program("qp10", q_mat, q_vec, a_mat, b_vec, np.zeros(n))
     return SuiteEntry(problem, (sol[:n], sol[n:]))
 
@@ -351,7 +344,7 @@ def _hs40() -> SuiteEntry:
     x_star = np.array([2.0 ** (-1 / 3), 2.0 ** (-1 / 2), 2.0 ** (-11 / 12), 2.0 ** (-1 / 4)])
     j_star = jac(x_star)
     g_star = grad(x_star)
-    y_star = cholesky_solve(j_star @ j_star.T, -(j_star @ g_star))
+    y_star = np.linalg.lstsq(j_star.T, -g_star, rcond=None)[0]
 
     problem = Problem(
         name="hs40",

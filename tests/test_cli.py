@@ -6,12 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from reference import doctor_run_csv
 
 import stepsqp
+from stepsqp import cli
 from stepsqp.bench import DEFAULT_NOISE_PAIRS, ExperimentGrid
 from stepsqp.cli import (
     EXIT_BUDGET_EXHAUSTED,
@@ -323,6 +325,37 @@ class TestBenchAndProfileCommands:
         code = main(["bench", "--jobs", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("asked, cpus, expected", [(8, 2, 2), (2, 2, 2), (1, 4, 1)])
+    def test_bench_jobs_capped_at_usable_cpus(
+        self, tmp_path, capsys, monkeypatch, asked, cpus, expected
+    ):
+        # Stubbed run_grid: no grid runs and no worker process starts.
+        seen = []
+
+        def fake_run_grid(grid, out_dir, jobs):
+            seen.append(jobs)
+            return types.SimpleNamespace(records=[], wall_time=0.0, failed_cells=[])
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "run_grid", fake_run_grid)
+        code = main(["bench", "--jobs", str(asked), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert seen == [expected]
+        err = capsys.readouterr().err
+        if expected < asked:
+            assert err == f"note: --jobs {asked} lowered to {expected}, the CPUs this process may use\n"
+        else:
+            assert err == ""
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+
     def test_profile_from_bench_dir(self, bench_dir, tmp_path, capsys):
         out = tmp_path / "profiles"
         code = main(["profile", str(bench_dir), "--out", str(out)])
@@ -392,6 +425,47 @@ class TestBenchAndProfileCommands:
             f"error: cannot rebuild profiles: {summary_path}: runs[1].csv must be str, not null\n"
         )
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda s: s.update(grid=None), "grid must be object, not null"),
+            (lambda s: s["grid"].update(replicates=None), "grid.replicates must be int, not null"),
+            (lambda s: s["grid"].update(replicates=True), "grid.replicates must be int, not true"),
+            (lambda s: s["grid"].update(replicates=0), "grid.replicates must be at least 1, not 0"),
+            (lambda s: s["grid"].update(params=None), "grid.params must be object, not null"),
+            (lambda s: s["grid"].pop("params"), "grid has no 'params'"),
+            (lambda s: s.update(runs={}), "runs must be array, not {}"),
+        ],
+        ids=["grid", "replicates-null", "replicates-bool", "replicates-zero", "params-null",
+             "params-missing", "runs"],
+    )
+    def test_profile_rejects_a_damaged_grid_entry(
+        self, bench_dir, tmp_path, capsys, damage, message
+    ):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        damage(summary)
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: {message}\n"
+        )
+        assert not (tmp_path / "p").exists()
+
+    def test_profile_compares_unhashable_params(self, bench_dir, tmp_path, capsys):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["grid"]["params"]["gamma"] = [0.5]
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(bench_dir), str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "first differing key: gamma" in capsys.readouterr().err
+
     def test_profile_without_common_instances(self, bench_dir, tmp_path, capsys):
         other = tmp_path / "other"
         code = main(
@@ -458,6 +532,66 @@ class TestOtherCommands:
         assert main(["run"]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.count("error:") == 3
+
+
+def _modules_loaded_after(statements: str, *modules: str) -> list[bool]:
+    """In a fresh interpreter, run statements and report which modules are loaded."""
+    src = Path(stepsqp.__file__).resolve().parents[1]
+    script = f"import json, sys\n{statements}\nprint(json.dumps([m in sys.modules for m in {modules!r}]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+# SciPy's import costs about as much as the rest of start-up; only a
+# factorization needs it (for LAPACK).
+@pytest.mark.parametrize(
+    "statements",
+    [
+        "import stepsqp.cli",
+        "from stepsqp.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass",
+        "from stepsqp.cli import main\nmain(['list-problems'])\nmain(['nope'])",
+        "from stepsqp.cli import main\nassert main(['profile', {dir!r}, '--out', {out!r}]) == 0",
+    ],
+    ids=["import", "help", "no-solve-commands", "profile"],
+)
+def test_commands_that_solve_nothing_leave_scipy_unloaded(bench_dir, tmp_path, statements):
+    statements = statements.format(dir=str(bench_dir), out=str(tmp_path / "p"))
+    assert _modules_loaded_after(statements, "scipy") == [False]
+
+
+def test_a_run_loads_lapack_at_its_first_factorization(tmp_path):
+    statements = (
+        "from stepsqp import linalg\nfrom stepsqp.cli import main\n"
+        "before = 'scipy' in sys.modules\n"
+        f"main(['run', 'P1', '--out', {str(tmp_path)!r}])\n"
+        "assert not before and type(linalg.dgetrf).__name__ == 'fortran'"
+    )
+    assert _modules_loaded_after(statements, "scipy.linalg") == [True]
+
+
+def test_bench_loads_lapack_before_its_worker_pool(tmp_path):
+    # Forked workers inherit the parent's modules. A thread pool stands in
+    # for the process pool, so no worker process starts.
+    statements = (
+        "import concurrent.futures\n"
+        "from stepsqp.bench import ExperimentGrid, run_grid\n"
+        "at_pool = []\n"
+        "class Pool(concurrent.futures.ThreadPoolExecutor):\n"
+        "    def __init__(self, max_workers):\n"
+        "        at_pool.append('scipy.linalg' in sys.modules)\n"
+        "        super().__init__(max_workers)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "run_grid(ExperimentGrid(problems=('P2',), noise_pairs=((0.0, 0.0),), replicates=2), "
+        "jobs=2)\n"
+        "assert at_pool == [True]"
+    )
+    assert _modules_loaded_after(statements, "scipy.linalg") == [True]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
