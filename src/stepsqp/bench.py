@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import load_lapack
-from .oracles import OracleConfig, derive_stream, is_int
+from .oracles import OracleConfig, derive_stream, is_finite, is_int
 from .problems import get_entry, get_problem, problem_names
 from .sqp import RunRecord, RunStatus, SolverParams, solve
 
@@ -88,7 +88,7 @@ class ExperimentGrid:
         try:
             # Adding 0.0 folds -0.0 into 0.0, so both name the same cell.
             pairs = tuple((float(ef) + 0.0, float(eg) + 0.0) for ef, eg in pairs)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
         if not pairs:
             raise ValueError("grid needs at least one noise pair")
@@ -573,14 +573,17 @@ _JSON_TYPE_NAMES = {type(None): "null", dict: "object", list: "array"}
 
 
 def _field(obj: dict, key: str, types: tuple, path: Path, owner: str = ""):
-    """obj[key] if it is one of types (never a bool); owner names obj in messages, "" the top level."""
+    """obj[key] if it is one of types: never a bool, nor, where floats are allowed, an int too
+    large for one. owner names obj in messages, "" the top level."""
     if key not in obj:
         raise ValueError(f"{path}: {owner or 'top level'} has no {key!r}")
     value = obj[key]
+    name = f"{owner}.{key}" if owner else key
     if isinstance(value, bool) or not isinstance(value, types):
         allowed = " or ".join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in types)
-        name = f"{owner}.{key}" if owner else key
         raise ValueError(f"{path}: {name} must be {allowed}, not {json.dumps(value)}")
+    if float in types and is_int(value) and not is_finite(value):
+        raise ValueError(f"{path}: {name} is an integer too large for a float")
     return value
 
 

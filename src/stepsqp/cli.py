@@ -215,16 +215,25 @@ def _config(args) -> tuple[SolverParams, OracleConfig, ExperimentGrid]:
     return parse_config(args.config, [*args.overrides, *seed])
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory; run and bench call this first, so a bad --out costs no work."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write to {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     params, oracle_cfg, _ = _config(args)
     problem = _resolve_problem(args.problem)
+    out_dir = _out_dir(args.out)
     noise = (oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise)
     stream = derive_stream(oracle_cfg.seed, problem.name, noise, 0)
     cell = GridCell(problem.name, *noise, replicate=0, stream_id=stream)
     record = solve(problem, params, dataclasses.replace(oracle_cfg, stream_id=cell.stream_id))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = run_summary(cell, record)
     write_run_csv(out_dir / summary["csv"], record)
     (out_dir / (Path(summary["csv"]).stem + ".json")).write_text(
@@ -252,7 +261,7 @@ def _cmd_bench(args) -> int:
     if jobs < args.jobs:
         print(f"note: --jobs {args.jobs} lowered to {jobs}, the CPUs this process may use",
               file=sys.stderr)
-    result = run_grid(grid, out_dir=args.out, jobs=jobs)
+    result = run_grid(grid, out_dir=_out_dir(args.out), jobs=jobs)
     by_status: dict[str, int] = {}
     for record in result.records:
         by_status[record.status.value] = by_status.get(record.status.value, 0) + 1
@@ -275,7 +284,8 @@ def _cmd_profile(args) -> int:
         profiles = profiles_from_directories([Path(d) for d in args.run_dirs])
     except (OSError, ValueError, KeyError, EmptyInputError) as exc:
         raise CliError(f"cannot rebuild profiles: {exc}") from exc
-    out_dir = Path(args.out)
+    # Only once the inputs load, so that rejected inputs leave no directory.
+    out_dir = _out_dir(args.out)
     write_profile_files(profiles, out_dir)
     print(json.dumps({"profiles": sorted(profiles), "out": str(out_dir)}, sort_keys=True))
     return EXIT_OK

@@ -53,13 +53,22 @@ class SingularMatrixError(Exception):
     """LU factorization produced a pivot below the relative floor."""
 
 
+# No package code calls cholesky_solve, which raises this; both stay only
+# because the benchmark's tracer (perfbench/workloads.py) patches it.
 class NotPositiveDefiniteError(Exception):
     """Cholesky factorization failed or hit a non-positive pivot."""
 
 
+def _float64_array(a, name: str) -> np.ndarray:
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (OverflowError, TypeError) as exc:  # an int too large for a float; None; a mapping
+        raise ValueError(f"{name} must hold finite numbers: {exc}") from exc
+
+
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-d float64 array, optionally of length n."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    v = np.atleast_1d(_float64_array(x, name))
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if n is not None and v.size != n:
@@ -71,7 +80,7 @@ def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 def as_matrix(a, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d float64 array, optionally of a given shape."""
-    m = np.asarray(a, dtype=np.float64)
+    m = _float64_array(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
     if shape is not None and m.shape != tuple(shape):
@@ -146,22 +155,10 @@ def lu_factor(a: np.ndarray) -> LuFactors:
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting.
+    """Solve A x = b for one right-hand side by LU with partial pivoting.
 
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-    b : array_like, shape (n,)
-
-    Returns
-    -------
-    numpy.ndarray
-        Solution vector. A zero right-hand side returns exact zeros.
-
-    Raises
-    ------
-    SingularMatrixError
-        If any pivot magnitude falls below 1e-14 * ||A||_max.
+    A zero right-hand side returns exact zeros. Raises SingularMatrixError
+    if any pivot magnitude falls below 1e-14 * ||A||_max.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -176,11 +173,8 @@ def lu_solve(a, b) -> np.ndarray:
 def cholesky_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If factorization fails or a diagonal factor entry is
-        <= 1e-14 * ||A||_max.
+    Raises NotPositiveDefiniteError if factorization fails or a diagonal
+    factor entry is <= 1e-14 * ||A||_max.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """Whether a real number is finite; an int too large for a float is not."""
+    return abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Noise scales plus RNG identity for one run."""
@@ -55,9 +61,9 @@ class OracleConfig:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (self.eps_f_noise >= 0.0 and np.isfinite(self.eps_f_noise)):
+        if not (self.eps_f_noise >= 0.0 and is_finite(self.eps_f_noise)):
             raise ValueError("eps_f_noise must be finite and >= 0")
-        if not (self.eps_g_noise >= 0.0 and np.isfinite(self.eps_g_noise)):
+        if not (self.eps_g_noise >= 0.0 and is_finite(self.eps_g_noise)):
             raise ValueError("eps_g_noise must be finite and >= 0")
         for name in ("seed", "stream_id"):
             value = getattr(self, name)

@@ -28,15 +28,15 @@ exact values classify the iteration. The dot products and norms of an
 iteration (g'd, d'd, |g|'|d|, ||d||_1, ||y||_1, ||c||_1) are each
 computed once and handed to the helpers below as scalars.
 
-Each run owns one KKT workspace: [[I, J^T], [J, 0]], allocated once,
-into which each new iterate writes J and J^T, and the right-hand sides
-(-grad f, 0) and (-gbar, -c), of which each new iterate writes -c. Its
-one LU factorization per iterate gives the least-squares multipliers and
-the KKT residual (the augmented-system method for linear least squares)
-and the step, whose solve residual holds J d + c. The exact values c, J,
-grad f and f, the factors and the KKT residual all depend on x alone, so
-after a rejected step they are carried over rather than recomputed; no
-oracle sample is ever reused, and no logged array is a workspace view.
+Each run owns one KktSystem: the matrix [[I, J^T], [J, 0]] and the
+right-hand sides (-grad f, 0) and (-gbar, -c), allocated once, into
+which each new iterate writes J, J^T and -c. Its one LU factorization
+per iterate gives the least-squares multipliers and the KKT residual
+(the augmented-system method for linear least squares) and the step,
+whose solve residual holds J d + c. The exact values c, J, grad f and
+f, the factors and the KKT residual all depend on x alone, so after a
+rejected step they are carried over rather than recomputed; no oracle
+sample is ever reused, and no logged array is a workspace view.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     LuFactors,
     SingularMatrixError,
@@ -59,9 +58,8 @@ from .linalg import (
     # (and max_abs) as sqp attributes.
     lu_solve,  # noqa: F401
     max_abs,
-    require_symmetric,
 )
-from .oracles import OracleConfig, StochasticOracle, is_int
+from .oracles import OracleConfig, StochasticOracle, is_finite, is_int
 from .problems import Problem
 
 # Runs abort once the merit penalty parameter falls to this floor; the
@@ -113,7 +111,7 @@ class SolverParams:
     tol_kkt: float = 1e-4
 
     def __post_init__(self):
-        if not (self.tau_init > 0.0 and np.isfinite(self.tau_init)):
+        if not (self.tau_init > 0.0 and is_finite(self.tau_init)):
             raise ValueError("tau_init must be finite and > 0")
         for name in ("sigma", "eps_tau", "theta", "gamma"):
             value = getattr(self, name)
@@ -124,7 +122,7 @@ class SolverParams:
         if not 0.0 < self.alpha0 <= self.alpha_max:
             raise ValueError("alpha0 must lie in (0, alpha_max]")
         if self.eps_f_accept is not None and not (
-            self.eps_f_accept >= 0.0 and np.isfinite(self.eps_f_accept)
+            self.eps_f_accept >= 0.0 and is_finite(self.eps_f_accept)
         ):
             raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
         if not is_int(self.max_iters) or self.max_iters < 0:
@@ -151,77 +149,68 @@ class KktSolution(NamedTuple):
     lin_feas: float
 
 
-def solve_kkt(h: np.ndarray, jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
-    """Solve the Newton-KKT system for a direction and multipliers.
+class KktSystem:
+    """[[I, J^T], [J, 0]] for n variables and m constraints, its LU factors and right-hand sides.
 
-    Parameters
-    ----------
-    h : array_like, shape (n, n)
-        Symmetric model Hessian.
-    jac : array_like, shape (m, n)
-        Constraint Jacobian at the current iterate.
-    g : array_like, shape (n,)
-        (Possibly noisy) objective gradient.
-    c : array_like, shape (m,)
-        Constraint values at the current iterate.
+    update() writes a new J and c in place and factors once; multipliers()
+    and step() then solve against those factors for any number of gradients.
+    """
 
-    Raises
-    ------
-    SingularMatrixError
-        If the assembled KKT matrix is (near-)singular.
+    def __init__(self, n: int, m: int):
+        self._n = n
+        self._a = np.zeros((n + m, n + m))
+        self._a[:n, :n] = np.eye(n)
+        self._mult_rhs = np.zeros(n + m)
+        self._step_rhs = np.zeros(n + m)
+        self._factors: Optional[LuFactors] = None
+
+    def update(self, jac: np.ndarray, c: np.ndarray) -> None:
+        """Write J and c, then factor; raises SingularMatrixError if J is (near-)rank deficient."""
+        n = self._n
+        self._a[:n, n:] = jac.T
+        self._a[n:, :n] = jac
+        np.negative(c, out=self._step_rhs[n:])
+        self._factors = lu_factor(self._a)
+
+    def multipliers(self, g: np.ndarray) -> tuple[np.ndarray, float]:
+        """Multipliers y minimizing ||g + J^T y||_2, and ||g + J^T y||_inf.
+
+        The right-hand side (-g, 0) gives d + J^T y = -g and J d = 0, so y
+        minimizes ||g + J^T y||_2 and d = -(g + J^T y) is the residual
+        itself (the augmented-system method for linear least squares).
+        Unlike the normal equations J J^T y = -J g this forms no product
+        J J^T, so where the singular values of J are at least 1 the matrix
+        is conditioned like J, not like J J^T. Singular values below 1
+        still enter squared; Bjorck's scaled form, with alpha * I in place
+        of I and alpha near sigma_min(J), would avoid that at the price of
+        a factorization separate from the step's.
+        """
+        n = self._n
+        rhs = self._mult_rhs
+        np.negative(g, out=rhs[:n])
+        z = self._factors.solve(rhs)
+        return z[n:], max_abs(z[:n])
+
+    def step(self, g: np.ndarray) -> KktSolution:
+        """Direction d and multipliers y from [[I, J^T], [J, 0]] (d, y) = -(g, c)."""
+        n = self._n
+        rhs = self._step_rhs
+        np.negative(g, out=rhs[:n])
+        z = self._factors.solve(rhs)
+        r = self._a.dot(z) - rhs
+        return KktSolution(z[:n], z[n:], max_abs(r), max_abs(r[n:]))
+
+
+def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
+    """One KktSystem.step for the (m, n) Jacobian J, gradient g and constraint values c.
+
+    Raises SingularMatrixError if J is (near-)rank deficient.
     """
     g = np.asarray(g, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    n, m = g.size, c.size
-    h = as_matrix(h, (n, n), "H")
-    require_symmetric(h, "H")
-    jac = as_matrix(jac, (m, n), "J")
-
-    return kkt_step(lu_factor(kkt_matrix(h, jac)), g, -np.concatenate((g, c)))
-
-
-def kkt_matrix(h: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Assemble [[H, J^T], [J, 0]] from validated float64 blocks."""
-    m, n = jac.shape
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = h
-    kkt[:n, n:] = jac.T
-    kkt[n:, :n] = jac
-    return kkt
-
-
-def kkt_step(factors: LuFactors, g: np.ndarray, rhs: np.ndarray) -> KktSolution:
-    """Direction and multipliers from factors of [[H, J^T], [J, 0]].
-
-    Solves the system of :func:`solve_kkt` for gradient g without
-    refactoring the matrix. rhs is a right-hand-side buffer of length
-    n + m whose lower block holds -c; -g is written into its upper block.
-    """
-    n = g.size
-    np.negative(g, out=rhs[:n])
-    z = factors.solve(rhs)
-    r = factors.a.dot(z) - rhs
-    return KktSolution(z[:n], z[n:], max_abs(r), max_abs(r[n:]))
-
-
-def kkt_multipliers(factors: LuFactors, g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares multipliers from factors of [[I, J^T], [J, 0]].
-
-    The right-hand side (-g, 0) gives d + J^T y = -g and J d = 0, so y
-    minimizes ||g + J^T y||_2 and d = -(g + J^T y) is the residual
-    itself (the augmented-system method for linear least squares).
-    Returns y and ||d||_inf. Unlike the normal equations J J^T y = -J g
-    this forms no product J J^T, so where the singular values of J are
-    at least 1 the matrix is conditioned like J, not like J J^T. Singular
-    values below 1 still enter squared; Bjorck's scaled form, with
-    alpha * I in place of I and alpha near sigma_min(J), would avoid that
-    at the price of a factorization separate from the step's. rhs is a
-    buffer of length n + m with lower block 0; -g is written above it.
-    """
-    n = g.size
-    np.negative(g, out=rhs[:n])
-    z = factors.solve(rhs)
-    return z[n:], max_abs(z[:n])
+    kkt = KktSystem(g.size, c.size)
+    kkt.update(as_matrix(jac, (c.size, g.size), "J"), c)
+    return kkt.step(g)
 
 
 def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
@@ -301,17 +290,11 @@ def step_size_update(alpha: float, accepted: bool, gamma: float, alpha_max: floa
 
 
 def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
-    """Multipliers minimizing ||g + J^T y||_2, and that residual's inf-norm.
-
-    Solves the normal equations (J J^T) y = -J g by Cholesky; requires J
-    to have full row rank.
-    """
-    g = np.asarray(g, dtype=np.float64)
+    """KktSystem.multipliers for one J: (y, ||g + J^T y||_inf); J must have full row rank."""
     jac = np.asarray(jac, dtype=np.float64)
-    jjt = jac @ jac.T
-    y = linalg.cholesky_solve(jjt, -(jac @ g))
-    residual = g + jac.T @ y
-    return y, max_abs(residual)
+    kkt = KktSystem(jac.shape[1], jac.shape[0])
+    kkt.update(jac, np.zeros(jac.shape[0]))
+    return kkt.multipliers(np.asarray(g, dtype=np.float64))
 
 
 @dataclass(slots=True)
@@ -422,10 +405,8 @@ def solve(
         failure_reason instead of raising.
     """
     t_start = time.perf_counter()
-    n = problem.n
     # The run's KKT workspace (see the module docstring).
-    kkt = kkt_matrix(np.eye(n), np.zeros((problem.m, n)))
-    step_rhs, mult_rhs = np.zeros(n + problem.m), np.zeros(n + problem.m)
+    kkt = KktSystem(problem.n, problem.m)
 
     oracle = StochasticOracle(problem, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
@@ -466,16 +447,13 @@ def solve(
                 reason = "non-finite problem evaluation at the current iterate"
                 break
             infeas_inf = max_abs(c_vec)
-            kkt[:n, n:] = jac.T
-            kkt[n:, :n] = jac
-            np.negative(c_vec, out=step_rhs[n:])
             try:
-                factors = lu_factor(kkt)
+                kkt.update(jac, c_vec)
             except SingularMatrixError:
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
                 break
-            _, kkt_inf = kkt_multipliers(factors, g_exact, mult_rhs)
+            _, kkt_inf = kkt.multipliers(g_exact)
             moved = False
             if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
                 status = RunStatus.CONVERGED
@@ -491,7 +469,7 @@ def solve(
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        d, y, residual_inf, lin_feas = kkt_step(factors, g_bar, step_rhs)
+        d, y, residual_inf, lin_feas = kkt.step(g_bar)
         # Negated, so that a NaN fails the test.
         if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf)):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE

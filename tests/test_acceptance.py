@@ -190,20 +190,18 @@ def test_ac6_kkt_solver_matches_explicit_inversion():
     while checked < 100:
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, min(n, 8 - n) + 1))
-        basis = rng.standard_normal((n, n))
-        h = basis @ basis.T + np.eye(n)
         jac = rng.standard_normal((m, n))
         g = rng.standard_normal(n)
         c = rng.standard_normal(m)
         kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = h
+        kkt[:n, :n] = np.eye(n)
         kkt[:n, n:] = jac.T
         kkt[n:, :n] = jac
         if np.linalg.cond(kkt) > 1e6:
             continue
         rhs = np.concatenate([-g, -c])
         expected = gauss_jordan_inverse(kkt) @ rhs
-        sol = solve_kkt(h, jac, g, c)
+        sol = solve_kkt(jac, g, c)
         z = np.concatenate([sol.d, sol.y])
         np.testing.assert_allclose(z, expected, rtol=1e-8, atol=1e-8)
         assert sol.residual_inf <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference import doctor_run_csv
 
 import stepsqp
@@ -36,6 +39,10 @@ QP_DOC = {
     "b": [2.0],
     "x0": [0.0, 0.0],
 }
+
+
+# A JSON integer that no float can hold.
+HUGE = "1" + "0" * 400
 
 
 def _write_json(path, doc):
@@ -258,6 +265,48 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "unknown field" in capsys.readouterr().err
 
+    def test_noise_pair_too_large_for_a_float(self, tmp_path, capsys):
+        code = main(["run", "P2", "--set", f"grid.noise_pairs=[[{HUGE}, 0]]",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: grid.noise_pairs entries must be numbers: int too large to convert to float\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("solver.tau_init", "tau_init must be finite and > 0"),
+            ("solver.eps_f_accept", "eps_f_accept must be finite and >= 0 (or None)"),
+            ("oracle.eps_f_noise", "eps_f_noise must be finite and >= 0"),
+            ("oracle.eps_g_noise", "eps_g_noise must be finite and >= 0"),
+        ],
+    )
+    def test_setting_too_large_for_a_float_names_its_field(self, tmp_path, capsys, key, message):
+        code = main(["run", "P2", "--set", f"{key}={HUGE}", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
+        # json.dumps writes the int digit for digit.
+        qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
+        code = main(["run", qp, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: q must hold finite numbers: int too large to convert to float\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_created_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solve was reached"))
+        code = main(["run", "P2", "--out", str(tmp_path / out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / out}: ")
+
     def test_seed_reproducibility(self, tmp_path):
         noise = ["--set", "oracle.eps_f_noise=0.01", "--set", "oracle.eps_g_noise=0.1"]
         csv_name = "P1__f0.01__g0.1__r0.csv"
@@ -324,6 +373,16 @@ class TestBenchAndProfileCommands:
     def test_bench_bad_jobs(self, tmp_path, capsys):
         code = main(["bench", "--jobs", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_bench_out_that_cannot_be_created_fails_before_the_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "file"
+        out.write_text("")
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("grid ran"))
+        code = main(["bench", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
 
     @pytest.mark.parametrize("asked, cpus, expected", [(8, 2, 2), (2, 2, 2), (1, 4, 1)])
     def test_bench_jobs_capped_at_usable_cpus(
@@ -499,6 +558,29 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert "cannot rebuild profiles" in capsys.readouterr().err
 
+    def test_profile_out_that_cannot_be_created(self, bench_dir, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        code = main(["profile", str(bench_dir), "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+
+    def test_profile_rejects_a_noise_level_too_large_for_a_float(
+        self, bench_dir, tmp_path, capsys
+    ):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["runs"][0]["eps_f_noise"] = int(HUGE)
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: "
+            "runs[0].eps_f_noise is an integer too large for a float\n"
+        )
+
 
 class TestOtherCommands:
     def test_check_grad_all(self, capsys):
@@ -516,6 +598,13 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["problem"] == "P1"
 
+    def test_check_grad_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
+        qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
+        assert main(["check-grad", qp]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: q must hold finite numbers: int too large to convert to float\n"
+        )
+
     def test_list_problems(self, capsys):
         code = main(["list-problems"])
         assert code == EXIT_OK
@@ -532,6 +621,52 @@ class TestOtherCommands:
         assert main(["run"]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.count("error:") == 3
+
+
+# --set fuzzing: keys from every config section plus unknown ones, values
+# any JSON (and raw text that is no JSON), and texts that are no override.
+_JSON_SCALARS = st.one_of(
+    st.sampled_from([int(HUGE), -int(HUGE), 1e308, -1e308, math.nan, math.inf, -math.inf,
+                     0, -0.0, 1, 0.5, 2**64]),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.one_of(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    ),
+    # Lists of pairs, the shape grid.noise_pairs takes.
+    st.lists(st.lists(_JSON_SCALARS, min_size=2, max_size=2), min_size=1, max_size=2),
+)
+_SET_KEYS = sorted(
+    f"{section}.{key}" for section, keys in cli._SECTIONS.items() for key in keys
+) + ["solver.nope", "oracle.stream_id", "grid.seed", "grid.params", "engine.gamma", "solver."]
+_OVERRIDES = st.one_of(
+    st.builds(lambda key, value: f"{key}={json.dumps(value)}",
+              st.sampled_from(_SET_KEYS), _JSON_VALUES),
+    st.builds(lambda key, raw: f"{key}={raw}", st.sampled_from(_SET_KEYS), st.text(max_size=6)),
+    st.sampled_from(["solver.gamma", "gamma=0.5", "=1", ".gamma=1", "solver=0.5"]),
+    st.text(max_size=12),
+)
+
+
+# Fuzzing run, not bench: a huge grid.replicates is valid and would make
+# bench enumerate cells without end. The exit code is what is checked, so
+# overflow warnings from extreme noise levels do not matter here.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(override=_OVERRIDES)
+def test_any_set_override_exits_with_a_code(tmp_path_factory, override):
+    out = tmp_path_factory.getbasetemp() / "set_fuzz"
+    argv = ["run", "P2", "--out", str(out), "--set", override, "--set", "solver.max_iters=5"]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_BUDGET_EXHAUSTED, EXIT_FAILURE)
 
 
 def _modules_loaded_after(statements: str, *modules: str) -> list[bool]:

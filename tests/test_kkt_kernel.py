@@ -1,4 +1,4 @@
-"""Tests for the KKT kernel: one factorization, several right-hand sides.
+"""Tests for the KKT kernel KktSystem: one factorization, several right-hand sides.
 
 The step must match the single-shot solve_kkt bit for bit; the
 least-squares multipliers read off the augmented system are compared
@@ -10,29 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsqp.linalg import SingularMatrixError, lu_factor
-from stepsqp.sqp import kkt_matrix, kkt_multipliers, kkt_step, solve_kkt
+from stepsqp.linalg import SingularMatrixError
+from stepsqp.sqp import KktSystem, solve_kkt
 
 
 class TestKktKernel:
-    """One factorization of [[H, J^T], [J, 0]], several right-hand sides."""
+    """One factorization of [[I, J^T], [J, 0]], several right-hand sides."""
 
     def test_step_matches_solve_kkt_bitwise(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, n + 1))
-            basis = rng.standard_normal((n, n))
-            h = basis @ basis.T + np.eye(n)
             jac = rng.standard_normal((m, n))
-            factors = lu_factor(kkt_matrix(h, jac))
-            rhs = np.zeros(n + m)
+            c = rng.standard_normal(m)
+            kkt = KktSystem(n, m)
+            kkt.update(jac, c)
             for _ in range(2):
                 g = rng.standard_normal(n)
-                c = rng.standard_normal(m)
-                rhs[n:] = -c
-                step = kkt_step(factors, g, rhs)
-                ref = solve_kkt(h, jac, g, c)
+                step = kkt.step(g)
+                ref = solve_kkt(jac, g, c)
                 np.testing.assert_array_equal(step.d, ref.d)
                 np.testing.assert_array_equal(step.y, ref.y)
                 assert step.residual_inf == ref.residual_inf
@@ -44,20 +41,27 @@ class TestKktKernel:
                 )
 
     def test_multipliers_hand_values(self):
+        # One system, updated twice: each update replaces J and c in place.
+        kkt = KktSystem(2, 1)
         # J = [1 1], g = (1, 1): y = -1 zeroes the residual.
-        factors = lu_factor(kkt_matrix(np.eye(2), np.array([[1.0, 1.0]])))
-        y, res = kkt_multipliers(factors, np.array([1.0, 1.0]), np.zeros(3))
+        kkt.update(np.array([[1.0, 1.0]]), np.array([5.0]))
+        y, res = kkt.multipliers(np.array([1.0, 1.0]))
         np.testing.assert_allclose(y, [-1.0], atol=1e-14)
         assert res <= 1e-14
         # J = [1 0], g = (0, 1): no component in range(J'), residual 1.
-        factors = lu_factor(kkt_matrix(np.eye(2), np.array([[1.0, 0.0]])))
-        y, res = kkt_multipliers(factors, np.array([0.0, 1.0]), np.zeros(3))
+        kkt.update(np.array([[1.0, 0.0]]), np.array([-3.0]))
+        y, res = kkt.multipliers(np.array([0.0, 1.0]))
         np.testing.assert_allclose(y, [0.0], atol=1e-14)
         assert res == pytest.approx(1.0, abs=1e-14)
+        # The step sees the second J and c: J d = 3 and d + J'y = 0 give
+        # d = (3, 0), y = -3.
+        step = kkt.step(np.zeros(2))
+        np.testing.assert_allclose(step.d, [3.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(step.y, [-3.0], atol=1e-14)
 
     def test_rank_deficient_jacobian_is_singular(self):
         with pytest.raises(SingularMatrixError):
-            lu_factor(kkt_matrix(np.eye(2), np.array([[2.0, 0.0], [2.0, 0.0]])))
+            KktSystem(2, 2).update(np.array([[2.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -87,8 +91,9 @@ class TestKktKernel:
         jac = u @ np.diag(s) @ v[:m]
         g = rng.standard_normal(n) * 10.0**log_g_scale
 
-        factors = lu_factor(kkt_matrix(np.eye(n), jac))
-        y, kkt_inf = kkt_multipliers(factors, g, np.zeros(n + m))
+        kkt = KktSystem(n, m)
+        kkt.update(jac, np.zeros(m))
+        y, kkt_inf = kkt.multipliers(g)
         y_ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
         kkt_ref = float(np.max(np.abs(g + jac.T @ y_ref)))
         tol = 1e3 * float(np.linalg.cond(jac)) * np.finfo(float).eps
