@@ -31,7 +31,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -51,6 +51,13 @@ DEFAULT_NOISE_PAIRS: tuple[tuple[float, float], ...] = ((0.0, 0.0),) + tuple(
     for ef in (0.0, 1e-4, 1e-2, 1e-1)
     for eg in (1e-4, 1e-2, 1e-1)
 )
+
+# grid_cells lists every cell before any solve, and profiles expand a
+# deterministic run over every replicate, so an unbounded count fills
+# memory before any work is done. 1,000 is far beyond any campaign here
+# and keeps the default grid at 144,012 cells (0.55-0.70 s to enumerate
+# on a 2-vCPU machine).
+MAX_REPLICATES = 1000
 
 
 class EmptyInputError(Exception):
@@ -99,8 +106,8 @@ class ExperimentGrid:
             for value in values:
                 if values.count(value) > 1:
                     raise ValueError(f"grid lists the {label} {value} more than once")
-        if not is_int(self.replicates) or self.replicates < 1:
-            raise ValueError("replicates must be a positive integer")
+        if not is_int(self.replicates) or not 1 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"replicates must be an integer from 1 to {MAX_REPLICATES}")
         object.__setattr__(self, "problems", tuple(problems))
         object.__setattr__(self, "noise_pairs", pairs)
 
@@ -114,6 +121,17 @@ class GridCell:
     eps_g: float
     replicate: int
     stream_id: int
+
+    def identity(self) -> dict:
+        """The fields of this cell's summary.json run entry that name its run and its CSV."""
+        return {
+            "problem": self.problem,
+            "eps_f_noise": self.eps_f,
+            "eps_g_noise": self.eps_g,
+            "replicate": self.replicate,
+            "stream_id": self.stream_id,
+            "csv": run_filename(self.problem, self.eps_f, self.eps_g, self.replicate),
+        }
 
 
 def grid_cells(grid: ExperimentGrid) -> list[GridCell]:
@@ -474,11 +492,7 @@ def write_profile_csv(path: Path, points: list[tuple[float, float]]) -> None:
 def run_summary(cell: GridCell, record: RunRecord) -> dict:
     """One run's summary.json entry; csv names the run CSV beside it."""
     return {
-        "problem": cell.problem,
-        "eps_f_noise": cell.eps_f,
-        "eps_g_noise": cell.eps_g,
-        "replicate": cell.replicate,
-        "stream_id": cell.stream_id,
+        **cell.identity(),
         "status": record.status.value,
         "iterations": len(record.iterations),
         "zeroth_calls": record.zeroth_calls,
@@ -487,32 +501,17 @@ def run_summary(cell: GridCell, record: RunRecord) -> dict:
         "final_kkt_inf": record.final_kkt_inf,
         "failure_reason": record.failure_reason,
         "wall_time_s": record.wall_time,
-        "csv": run_filename(cell.problem, cell.eps_f, cell.eps_g, cell.replicate),
     }
 
 
 def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for cell, record in zip(result.cells, result.records):
-        write_run_csv(
-            out_dir / run_filename(cell.problem, cell.eps_f, cell.eps_g, cell.replicate),
-            record,
-        )
-    summary = {
-        "grid": {
-            "problems": list(result.grid.problems),
-            "noise_pairs": [list(pair) for pair in result.grid.noise_pairs],
-            "replicates": result.grid.replicates,
-            "seed": result.grid.seed,
-            "params": asdict(result.grid.params),
-        },
-        "wall_time_s": result.wall_time,
-        "runs": [
-            run_summary(cell, record)
-            for cell, record in zip(result.cells, result.records)
-        ],
-    }
+    runs = [run_summary(cell, record) for cell, record in zip(result.cells, result.records)]
+    for entry, record in zip(runs, result.records):
+        write_run_csv(out_dir / entry["csv"], record)
+    # load_run_trajectories rebuilds the grid from this entry.
+    summary = {"grid": asdict(result.grid), "wall_time_s": result.wall_time, "runs": runs}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_profile_files(result.profiles, out_dir)
 
@@ -554,21 +553,6 @@ def _read_run_columns(path: Path) -> np.ndarray:
     )
 
 
-# The summary.json run-entry fields load_run_trajectories reads, with
-# the JSON types each may take (bools are rejected where ints are allowed).
-_ENTRY_FIELDS = {
-    "problem": (str,),
-    "eps_f_noise": (int, float),
-    "eps_g_noise": (int, float),
-    "replicate": (int,),
-    "stream_id": (int,),
-    "iterations": (int,),
-    "final_infeas_inf": (int, float, type(None)),
-    "final_kkt_inf": (int, float, type(None)),
-    "csv": (str,),
-}
-
-
 _JSON_TYPE_NAMES = {type(None): "null", dict: "object", list: "array"}
 
 
@@ -587,33 +571,41 @@ def _field(obj: dict, key: str, types: tuple, path: Path, owner: str = ""):
     return value
 
 
-def _check_summary(summary, path: Path) -> None:
-    """Reject a summary.json whose grid entry or run entries profiles cannot use."""
-    if not isinstance(summary, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    grid = _field(summary, "grid", (dict,), path)
-    replicates = _field(grid, "replicates", (int,), path, "grid")
-    if replicates < 1:
-        raise ValueError(f"{path}: grid.replicates must be at least 1, not {replicates}")
-    _field(grid, "params", (dict,), path, "grid")
-    for i, entry in enumerate(_field(summary, "runs", (list,), path)):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: runs[{i}] must be an object")
-        for key, types in _ENTRY_FIELDS.items():
-            _field(entry, key, types, path, f"runs[{i}]")
+def _grid_from_entry(entry: dict, path: Path) -> ExperimentGrid:
+    """The ExperimentGrid whose asdict is summary.json's grid entry.
+
+    The entry and its params must hold exactly their dataclass's fields,
+    so no missing key is filled with a default.
+    """
+    params = _field(entry, "params", (dict,), path, "grid")
+    for owner, obj, cls in (("grid", entry, ExperimentGrid), ("grid.params", params, SolverParams)):
+        names = {f.name for f in fields(cls)}
+        if differ := sorted(names ^ obj.keys()):
+            what = "has no" if differ[0] in names else "has the unknown key"
+            raise ValueError(f"{path}: {owner} {what} {differ[0]!r}")
+    try:
+        return ExperimentGrid(**{**entry, "params": SolverParams(**params)})
+    except ValueError as exc:
+        raise ValueError(f"{path}: grid: {exc}") from exc
 
 
-def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dict[str, Trajectory]]]]:
-    """Read a grid output directory back into (its summary's grid entry, per-run trajectories).
+def load_run_trajectories(
+    run_dir: Path,
+) -> tuple[ExperimentGrid, list[tuple[GridCell, dict[str, Trajectory]]]]:
+    """Read a grid output directory back into its grid and each cell's trajectories.
+
+    summary.json must be what write_grid_outputs writes: a grid entry
+    that rebuilds an ExperimentGrid bench accepts, and runs that are
+    that grid's cells in order, each with its cell's identity fields.
+    A run CSV is opened by its cell's name, never by a path from the file.
 
     Raises
     ------
     ValueError
-        If summary.json's grid entry, run list or a run entry lacks a
-        field or has one of the wrong type (grid.replicates must be an
-        integer of at least 1), or a run CSV is damaged: it has no
-        header, ends mid-line, lacks a column, holds a value that is
-        not a number, or its row count differs from the entry's
+        If summary.json breaks those rules or a run entry's iterations
+        or final metrics are missing or of the wrong type, or if a run
+        CSV has no header, ends mid-line, lacks a column, holds a value
+        that is not a number, or has a row count other than the entry's
         iterations.
     """
     run_dir = Path(run_dir)
@@ -621,28 +613,40 @@ def load_run_trajectories(run_dir: Path) -> tuple[dict, list[tuple[GridCell, dic
     if not summary_path.is_file():
         raise FileNotFoundError(f"{run_dir} has no summary.json; not a grid output directory")
     summary = json.loads(summary_path.read_text())
-    _check_summary(summary, summary_path)
+    if not isinstance(summary, dict):
+        raise ValueError(f"{summary_path}: top level must be an object")
+    grid = _grid_from_entry(_field(summary, "grid", (dict,), summary_path), summary_path)
+    cells = grid_cells(grid)
+    entries = _field(summary, "runs", (list,), summary_path)
+    if len(entries) != len(cells):
+        raise ValueError(f"{summary_path}: runs has {len(entries)} entries for the grid's "
+                         f"{len(cells)} cells")
     runs = []
-    for entry in summary["runs"]:
-        path = run_dir / entry["csv"]
+    for i, (cell, entry) in enumerate(zip(cells, entries)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{summary_path}: runs[{i}] must be an object")
+        identity = cell.identity()
+        for key, value in identity.items():
+            # Type-strict: 1 must not pass for 1.0, nor true for 1.
+            found = entry.get(key)
+            if type(found) is not type(value) or found != value:
+                raise ValueError(f"{summary_path}: runs[{i}].{key} must be {json.dumps(value)}, "
+                                 f"as for cell {i} of the grid")
+        iterations = _field(entry, "iterations", (int,), summary_path, f"runs[{i}]")
+        finals = [_field(entry, key, (int, float, type(None)), summary_path, f"runs[{i}]")
+                  for key in ("final_infeas_inf", "final_kkt_inf")]
+        path = run_dir / identity["csv"]
         try:
             columns = _read_run_columns(path)
             rows = columns.shape[1]
-            if rows != entry["iterations"]:
+            if rows != iterations:
                 raise ValueError(f"has {rows} rows where summary.json records "
-                                 f"{entry['iterations']} iterations")
-            trajs = _trajectories(columns, entry["final_infeas_inf"], entry["final_kkt_inf"])
+                                 f"{iterations} iterations")
+            trajs = _trajectories(columns, *finals)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        cell = GridCell(
-            problem=entry["problem"],
-            eps_f=float(entry["eps_f_noise"]),
-            eps_g=float(entry["eps_g_noise"]),
-            replicate=entry["replicate"],
-            stream_id=entry["stream_id"],
-        )
         runs.append((cell, trajs))
-    return summary["grid"], runs
+    return grid, runs
 
 
 def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProfile]:
@@ -672,16 +676,14 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
             clash = ", ".join(str(d) for d in run_dirs if d.name == name)
             raise ValueError(f"run directories {clash} share the name {name!r}")
     loaded = [load_run_trajectories(d) for d in run_dirs]
-    params = loaded[0][0]["params"]
+    params = loaded[0][0].params
     for run_dir, (grid, _) in zip(run_dirs, loaded):
-        other = grid["params"]
-        # JSON values may be unhashable, so items() views cannot be xor-ed.
-        if differ := sorted(key for key in params.keys() | other.keys()
-                            if key not in params or key not in other or params[key] != other[key]):
+        if differ := [f.name for f in fields(SolverParams)
+                      if getattr(grid.params, f.name) != getattr(params, f.name)]:
             raise ValueError(f"run directories {run_dirs[0]} and {run_dir} differ in "
                              f"grid.params (first differing key: {differ[0]})")
     tables = [
-        _run_table(grid["replicates"], runs, f"{d.name}__" if prefix_labels else "")
+        _run_table(grid.replicates, runs, f"{d.name}__" if prefix_labels else "")
         for d, (grid, runs) in zip(run_dirs, loaded)
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))

@@ -27,6 +27,7 @@ are the same bits whatever the block size.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 import sys
 from dataclasses import dataclass
@@ -51,6 +52,14 @@ def is_finite(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
+def require_numbers(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields that is no real number (bools are not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Noise scales plus RNG identity for one run."""
@@ -61,6 +70,7 @@ class OracleConfig:
     stream_id: int = 0
 
     def __post_init__(self):
+        require_numbers(self, "eps_f_noise", "eps_g_noise")
         if not (self.eps_f_noise >= 0.0 and is_finite(self.eps_f_noise)):
             raise ValueError("eps_f_noise must be finite and >= 0")
         if not (self.eps_g_noise >= 0.0 and is_finite(self.eps_g_noise)):

@@ -59,7 +59,7 @@ from .linalg import (
     lu_solve,  # noqa: F401
     max_abs,
 )
-from .oracles import OracleConfig, StochasticOracle, is_finite, is_int
+from .oracles import OracleConfig, StochasticOracle, is_finite, is_int, require_numbers
 from .problems import Problem
 
 # Runs abort once the merit penalty parameter falls to this floor; the
@@ -111,6 +111,8 @@ class SolverParams:
     tol_kkt: float = 1e-4
 
     def __post_init__(self):
+        require_numbers(self, "tau_init", "sigma", "eps_tau", "theta", "gamma", "alpha_max",
+                        "alpha0", "tol_infeas", "tol_kkt")
         if not (self.tau_init > 0.0 and is_finite(self.tau_init)):
             raise ValueError("tau_init must be finite and > 0")
         for name in ("sigma", "eps_tau", "theta", "gamma"):
@@ -121,10 +123,10 @@ class SolverParams:
             raise ValueError("alpha_max must lie in (0, 1]")
         if not 0.0 < self.alpha0 <= self.alpha_max:
             raise ValueError("alpha0 must lie in (0, alpha_max]")
-        if self.eps_f_accept is not None and not (
-            self.eps_f_accept >= 0.0 and is_finite(self.eps_f_accept)
-        ):
-            raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
+        if self.eps_f_accept is not None:
+            require_numbers(self, "eps_f_accept")
+            if not (self.eps_f_accept >= 0.0 and is_finite(self.eps_f_accept)):
+                raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
         if not is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
         if not self.tol_infeas >= 0.0:

@@ -9,11 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import doctor_run_csv
 
 from stepsqp.bench import (
     CSV_COLUMNS,
     DEFAULT_NOISE_PAIRS,
+    MAX_REPLICATES,
     EmptyInputError,
     ExperimentGrid,
     Trajectory,
@@ -191,6 +194,13 @@ class TestGridEnumeration:
         with pytest.raises(ValueError, match="replicates"):
             ExperimentGrid(replicates=True)
 
+    def test_replicates_bounded_above(self):
+        top = ExperimentGrid(replicates=MAX_REPLICATES)
+        assert len(grid_cells(top)) == 144_012  # 12 problems x (12 noisy pairs x 1000 + 1)
+        for replicates in (MAX_REPLICATES + 1, 10**12):
+            with pytest.raises(ValueError, match="replicates must be an integer from 1 to 1000"):
+                ExperimentGrid(replicates=replicates)
+
     def test_run_cell_is_reproducible(self):
         cell = grid_cells(SMALL_GRID)[1]
         first = run_cell(SMALL_GRID, cell)
@@ -264,6 +274,17 @@ class TestConvergenceBudget:
             assert loose in work and tight in work
 
 
+# Budget tables of 1-4 solvers by 1-15 instances: unsolved, zero or positive.
+_BUDGET = st.one_of(st.none(), st.just(0.0), st.floats(min_value=1e-3, max_value=1e6))
+_BUDGET_TABLES = st.tuples(st.integers(1, 4), st.integers(1, 15)).flatmap(
+    lambda shape: st.lists(
+        st.lists(_BUDGET, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
 class TestBuildProfile:
     def test_two_solver_hand_fixture(self):
         profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
@@ -307,17 +328,16 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="finite"):
             build_profile({"A": {"i": math.inf}})
 
-    def test_rho_is_a_monotone_cdf(self):
-        rng = np.random.default_rng(9)
+    @settings(derandomize=True, database=None)
+    @given(table=_BUDGET_TABLES)
+    def test_rho_is_a_monotone_cdf(self, table):
         budgets = {
-            solver: {
-                f"i{j}": None if rng.random() < 0.2 else float(rng.integers(1, 50))
-                for j in range(12)
-            }
-            for solver in ("A", "B", "C")
+            f"s{i}": {f"i{j}": budget for j, budget in enumerate(row)}
+            for i, row in enumerate(table)
         }
         profile = build_profile(budgets)
-        taus = [1.0, 1.5, 2.0, 4.0, 16.0, 1e6]
+        ratios = profile.ratios
+        taus = sorted({1.0, 2.0, math.inf, *ratios.values()})
         for solver in profile.solvers:
             values = [profile.rho(solver, tau) for tau in taus]
             assert all(0.0 <= v <= 1.0 for v in values)
@@ -325,6 +345,16 @@ class TestBuildProfile:
             # The curve's sampled points agree with rho itself.
             for tau, rho in profile.curves[solver]:
                 assert profile.rho(solver, tau) == rho
+        for inst in profile.instances:
+            solved = [budgets[s][inst] for s in profile.solvers if budgets[s][inst] is not None]
+            if solved:
+                assert any(ratios[(s, inst)] == 1.0 for s in profile.solvers)
+            for s in profile.solvers:
+                if not solved or budgets[s][inst] is None:
+                    assert ratios[(s, inst)] == math.inf
+                elif min(solved) == 0.0:
+                    # Zero is the best budget: only other zeros tie it.
+                    assert ratios[(s, inst)] == (1.0 if budgets[s][inst] == 0.0 else math.inf)
 
 
 class TestNamingAndFiles:
@@ -430,7 +460,7 @@ class TestRunGrid:
     def test_round_trip_through_files(self, small_result):
         out, result = small_result
         grid, runs = load_run_trajectories(out)
-        assert grid["replicates"] == 2
+        assert grid == SMALL_GRID
         assert [cell for cell, _ in runs] == result.cells
         for (_, trajs), record in zip(runs, result.records):
             fresh = record_trajectories(record)

@@ -7,8 +7,11 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import types
+import typing
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +46,8 @@ QP_DOC = {
 
 # A JSON integer that no float can hold.
 HUGE = "1" + "0" * 400
+
+REPLICATES_MESSAGE = "grid: replicates must be an integer from 1 to 1000"
 
 
 def _write_json(path, doc):
@@ -175,6 +180,20 @@ class TestParseConfig:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("error: grid.noise_pairs")
 
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, name)
+            for cls in (SolverParams, OracleConfig)
+            for name, hint in typing.get_type_hints(cls).items()
+            if hint in (float, typing.Optional[float])
+        ],
+    )
+    @pytest.mark.parametrize("value", [[0.5], "a", True], ids=["list", "str", "bool"])
+    def test_non_number_setting_names_its_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number$"):
+            cls(**{name: value})
+
     def test_bool_replicates_is_a_validation_error(self):
         with pytest.raises(CliError, match="replicates"):
             parse_config(None, ["grid.replicates=true"])
@@ -287,6 +306,17 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [("solver.gamma=[0.5]", "gamma must be a number"),
+         ('oracle.eps_f_noise="a"', "eps_f_noise must be a number")],
+    )
+    def test_non_number_setting_names_its_field(self, tmp_path, capsys, override, message):
+        code = main(["run", "P2", "--set", override, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
         # json.dumps writes the int digit for digit.
         qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
@@ -368,6 +398,16 @@ class TestBenchAndProfileCommands:
         code = main(["bench", *sets, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert f"{message} more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_rejects_huge_replicates_within_a_second(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("grid ran"))
+        start = time.perf_counter()
+        code = main(["bench", "--set", "grid.replicates=1000000000000", "--out",
+                     str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: replicates must be an integer from 1 to 1000\n"
         assert not (tmp_path / "o").exists()
 
     def test_bench_bad_jobs(self, tmp_path, capsys):
@@ -476,27 +516,40 @@ class TestBenchAndProfileCommands:
         shutil.copytree(bench_dir, copy)
         summary_path = copy / "summary.json"
         summary = json.loads(summary_path.read_text())
+        name = summary["runs"][1]["csv"]
         summary["runs"][1]["csv"] = None
         summary_path.write_text(json.dumps(summary))
         code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            f"error: cannot rebuild profiles: {summary_path}: runs[1].csv must be str, not null\n"
+            f"error: cannot rebuild profiles: {summary_path}: "
+            f'runs[1].csv must be "{name}", as for cell 1 of the grid\n'
         )
 
     @pytest.mark.parametrize(
         "damage, message",
         [
             (lambda s: s.update(grid=None), "grid must be object, not null"),
-            (lambda s: s["grid"].update(replicates=None), "grid.replicates must be int, not null"),
-            (lambda s: s["grid"].update(replicates=True), "grid.replicates must be int, not true"),
-            (lambda s: s["grid"].update(replicates=0), "grid.replicates must be at least 1, not 0"),
+            (lambda s: s["grid"].update(replicates=None), REPLICATES_MESSAGE),
+            (lambda s: s["grid"].update(replicates=True), REPLICATES_MESSAGE),
+            (lambda s: s["grid"].update(replicates=0), REPLICATES_MESSAGE),
             (lambda s: s["grid"].update(params=None), "grid.params must be object, not null"),
             (lambda s: s["grid"].pop("params"), "grid has no 'params'"),
             (lambda s: s.update(runs={}), "runs must be array, not {}"),
+            (lambda s: s["grid"]["problems"].append("ghost"),
+             "grid: unknown problem 'ghost'; available: " + ", ".join(problem_names())),
+            (lambda s: s["grid"].pop("seed"), "grid has no 'seed'"),
+            (lambda s: s["grid"]["params"].update(bogus=1),
+             "grid.params has the unknown key 'bogus'"),
+            (lambda s: s["grid"].update(step=1), "grid has the unknown key 'step'"),
+            (lambda s: s["grid"]["params"].pop("max_iters"), "grid.params has no 'max_iters'"),
+            (lambda s: (s["grid"]["problems"].append("ghost"), s["grid"].pop("seed"),
+                        s["grid"]["params"].update(bogus=1)),
+             "grid has no 'seed'"),
         ],
         ids=["grid", "replicates-null", "replicates-bool", "replicates-zero", "params-null",
-             "params-missing", "runs"],
+             "params-missing", "runs", "problem-unknown", "seed-missing", "params-unknown-key",
+             "grid-unknown-key", "params-key-missing", "problem-seed-and-params-key"],
     )
     def test_profile_rejects_a_damaged_grid_entry(
         self, bench_dir, tmp_path, capsys, damage, message
@@ -515,6 +568,7 @@ class TestBenchAndProfileCommands:
         assert not (tmp_path / "p").exists()
 
     def test_profile_compares_unhashable_params(self, bench_dir, tmp_path, capsys):
+        # SolverParams rejects an unhashable value before any comparison.
         copy = tmp_path / "copy"
         shutil.copytree(bench_dir, copy)
         summary_path = copy / "summary.json"
@@ -523,7 +577,64 @@ class TestBenchAndProfileCommands:
         summary_path.write_text(json.dumps(summary))
         code = main(["profile", str(bench_dir), str(copy), "--out", str(tmp_path / "p")])
         assert code == EXIT_CONFIG_ERROR
-        assert "first differing key: gamma" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: grid: gamma must be a number\n"
+        )
+
+    def test_profile_rejects_huge_replicates_within_a_second(self, bench_dir, tmp_path, capsys):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["grid"]["replicates"] = 10**12
+        summary_path.write_text(json.dumps(summary))
+        start = time.perf_counter()
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: {REPLICATES_MESSAGE}\n"
+        )
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # The other campaign's run of the same name would be mixed in.
+            (lambda runs: runs[0].update(csv="../other/" + runs[0]["csv"]),
+             'runs[0].csv must be "P1__f0__g0__r0.csv", as for cell 0 of the grid'),
+            (lambda runs: runs[2].update(stream_id=runs[2]["stream_id"] ^ 1),
+             "runs[2].stream_id must be {stream}, as for cell 2 of the grid"),
+            (lambda runs: runs[1].update(eps_g_noise=0.01),
+             "runs[1].eps_g_noise must be 0.1, as for cell 1 of the grid"),
+            (lambda runs: runs[1].update(replicate=True),
+             "runs[1].replicate must be 0, as for cell 1 of the grid"),
+            (lambda runs: runs.reverse(), 'runs[0].problem must be "P1", as for cell 0 of the grid'),
+            (lambda runs: runs[3].pop("problem"),
+             'runs[3].problem must be "hs6", as for cell 3 of the grid'),
+            (lambda runs: runs.__delitem__(slice(2, None)),
+             "runs has 2 entries for the grid's 6 cells"),
+        ],
+        ids=["csv-elsewhere", "stream-id", "noise-level", "bool-replicate", "order", "no-problem",
+             "runs-cut"],
+    )
+    def test_profile_rejects_runs_that_are_not_the_grids_cells(
+        self, bench_dir, tmp_path, capsys, damage, message
+    ):
+        copy, other = tmp_path / "copy", tmp_path / "other"
+        shutil.copytree(bench_dir, copy)
+        shutil.copytree(bench_dir, other)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        stream = summary["runs"][2]["stream_id"]
+        damage(summary["runs"])
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: {message.format(stream=stream)}\n"
+        )
+        assert not (tmp_path / "p").exists()
 
     def test_profile_without_common_instances(self, bench_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -578,7 +689,7 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
             f"error: cannot rebuild profiles: {summary_path}: "
-            "runs[0].eps_f_noise is an integer too large for a float\n"
+            "runs[0].eps_f_noise must be 0.0, as for cell 0 of the grid\n"
         )
 
 
@@ -656,17 +767,24 @@ _OVERRIDES = st.one_of(
 )
 
 
-# Fuzzing run, not bench: a huge grid.replicates is valid and would make
-# bench enumerate cells without end. The exit code is what is checked, so
-# overflow warnings from extreme noise levels do not matter here.
+def _no_grid(grid, out_dir, jobs):
+    return types.SimpleNamespace(records=[], wall_time=0.0, failed_cells=[])
+
+
+# bench runs with run_grid stubbed, so only its configuration path is
+# fuzzed. The exit code is what is checked, so overflow warnings from
+# extreme noise levels do not matter here.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(override=_OVERRIDES)
 def test_any_set_override_exits_with_a_code(tmp_path_factory, override):
     out = tmp_path_factory.getbasetemp() / "set_fuzz"
+    codes = (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_BUDGET_EXHAUSTED, EXIT_FAILURE)
     argv = ["run", "P2", "--out", str(out), "--set", override, "--set", "solver.max_iters=5"]
-    assert main(argv) in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_BUDGET_EXHAUSTED, EXIT_FAILURE)
+    assert main(argv) in codes
+    with mock.patch.object(cli, "run_grid", _no_grid):
+        assert main(["bench", "--out", str(out), "--set", override]) in codes
 
 
 def _modules_loaded_after(statements: str, *modules: str) -> list[bool]:
