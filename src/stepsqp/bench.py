@@ -6,20 +6,20 @@ since such runs are deterministic). Every run gets an independent RNG
 stream derived from (seed, problem, noise pair, replicate), so results
 do not depend on execution order or parallelism degree.
 
-Per run, two metric trajectories are tracked against two cost axes:
+Per run, two metric trajectories are tracked:
 
 * infeasibility: ||c(x_k)||_inf
 * kkt: max(||c(x_k)||_inf, least-squares dual residual inf-norm)
 
-against iteration count and against cumulative oracle work (function
-plus gradient calls). Budgets-to-convergence use the standard
-data-profile convergence test
+Budgets-to-convergence use the standard data-profile convergence test
 
-    m(x_0) - m(x_k) >= (1 - eps_pp) * (m(x_0) - m_best)
+    m(x_0) - m(x_k) >= (1 - 1e-3) * (m(x_0) - m_best)
 
 with m_best the best value reached by any solver configuration on that
-instance, and performance profiles plot the fraction of instances each
-configuration solved within a factor tau of the per-instance best
+instance. The first iterate that passes is priced on two cost axes: its
+iteration index, and the cumulative oracle work (function plus gradient
+calls) to reach it. Performance profiles plot the fraction of instances
+each configuration solved within a factor tau of the per-instance best
 budget.
 """
 
@@ -30,10 +30,12 @@ import functools
 import io
 import json
 import math
+import operator
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +44,8 @@ from .oracles import OracleConfig, derive_stream, is_finite, is_int
 from .problems import get_entry, get_problem, problem_names
 from .sqp import RunRecord, RunStatus, SolverParams, solve
 
-EPS_PP_DEFAULT = 1e-3
+# The convergence test asks a run to close this fraction of the reachable gap.
+CONVERGENCE_FRACTION = 1.0 - 1e-3
 
 # Zeroth-order levels {0, 1e-4, 1e-2, 1e-1} crossed with first-order
 # levels {1e-4, 1e-2, 1e-1}, plus the noiseless pair.
@@ -59,9 +62,21 @@ DEFAULT_NOISE_PAIRS: tuple[tuple[float, float], ...] = ((0.0, 0.0),) + tuple(
 # on a 2-vCPU machine).
 MAX_REPLICATES = 1000
 
+# Each noise pair is one solver configuration in the profiles: four more
+# profile CSVs and, at MAX_REPLICATES, 1,000 more cells per problem. 100 is
+# several times the 13 of the default grid. With it the largest grid has
+# 1.2 million cells, which grid_cells lists in about 5 s on a 2-vCPU machine
+# (0.45 s per 100,000), where an unbounded list stalls before any error.
+MAX_NOISE_PAIRS = 100
+
 
 class EmptyInputError(Exception):
     """Profile construction got no solvers or no instances."""
+
+
+def _repeated(values):
+    """The first of values that is listed more than once, or None."""
+    return next((value for value, count in Counter(values).items() if count > 1), None)
 
 
 def _default_problems() -> tuple[str, ...]:
@@ -92,20 +107,24 @@ class ExperimentGrid:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
         ):
             raise ValueError("grid.noise_pairs must be a list of [eps_f, eps_g] pairs")
-        try:
-            # Adding 0.0 folds -0.0 into 0.0, so both name the same cell.
-            pairs = tuple((float(ef) + 0.0, float(eg) + 0.0) for ef, eg in pairs)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"grid.noise_pairs entries must be numbers: {exc}") from exc
         if not pairs:
             raise ValueError("grid needs at least one noise pair")
-        for ef, eg in pairs:
-            # OracleConfig owns the noise-level and seed rules.
-            OracleConfig(eps_f_noise=ef, eps_g_noise=eg, seed=self.seed)
+        if len(pairs) > MAX_NOISE_PAIRS:
+            raise ValueError(f"grid.noise_pairs must hold at most {MAX_NOISE_PAIRS} pairs")
+        # OracleConfig owns the seed and noise-level rules.
+        OracleConfig(seed=self.seed)
+        levels = []
+        for i, (ef, eg) in enumerate(pairs):
+            try:
+                cfg = OracleConfig(eps_f_noise=ef, eps_g_noise=eg)
+            except ValueError as exc:
+                raise ValueError(f"grid.noise_pairs[{i}]: {exc}") from exc
+            # Adding 0.0 folds -0.0 into 0.0, so both name the same cell.
+            levels.append((float(cfg.eps_f_noise) + 0.0, float(cfg.eps_g_noise) + 0.0))
+        pairs = tuple(levels)
         for label, values in (("problem", problems), ("noise pair", pairs)):
-            for value in values:
-                if values.count(value) > 1:
-                    raise ValueError(f"grid lists the {label} {value} more than once")
+            if (value := _repeated(values)) is not None:
+                raise ValueError(f"grid lists the {label} {value} more than once")
         if not is_int(self.replicates) or not 1 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"replicates must be an integer from 1 to {MAX_REPLICATES}")
         object.__setattr__(self, "problems", tuple(problems))
@@ -158,14 +177,7 @@ def run_cell(grid: ExperimentGrid, cell: GridCell) -> RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and convergence budgets.
-
-
-class Trajectory(NamedTuple):
-    """Metric values at iterates x_0..x_K and the oracle work to reach each."""
-
-    values: np.ndarray
-    work: np.ndarray
+# Trajectories and the convergence test.
 
 
 # The run-CSV columns a trajectory is built from, in this order.
@@ -176,13 +188,14 @@ def _trajectories(
     columns: np.ndarray,
     final_infeas: Optional[float],
     final_kkt: Optional[float],
-) -> dict[str, Trajectory]:
-    """Build metric trajectories from per-iteration columns plus final metrics.
+) -> dict[str, np.ndarray]:
+    """A run's metric values and the oracle work to reach each point.
 
     columns is a (4, K) float64 array whose rows are the
     _TRAJECTORY_COLUMNS, with cumulative counters; entry j describes
     iterate x_j, and the final metrics (when available) describe the
-    last iterate.
+    last iterate. The result maps "infeasibility" and "kkt" to the
+    metric values at x_0..x_K, and "work" to the work at each of them.
 
     Raises
     ------
@@ -205,48 +218,28 @@ def _trajectories(
     # Work starts at 0, so non-decreasing work is also non-negative.
     if np.any(np.diff(work) < 0):
         raise ValueError("work counts must be non-negative and non-decreasing")
-    kkt = np.maximum(infeas, residual)
-    return {"infeasibility": Trajectory(infeas, work), "kkt": Trajectory(kkt, work)}
+    return {"infeasibility": infeas, "kkt": np.maximum(infeas, residual), "work": work}
 
 
-def record_trajectories(record: RunRecord) -> dict[str, Trajectory]:
-    """Metric trajectories (values, cumulative work) of one run."""
+def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
+    """Metric values and cumulative work of one run, as _trajectories gives them."""
     logs = record.iterations
-    columns = np.array(
-        [
-            [log.infeas_inf for log in logs],
-            [log.kkt_inf for log in logs],
-            [log.zeroth_calls for log in logs],
-            [log.first_calls for log in logs],
-        ],
-        dtype=np.float64,
-    )
+    columns = np.array([
+        np.fromiter(map(operator.attrgetter(name), logs), np.float64, len(logs))
+        for name in _TRAJECTORY_COLUMNS
+    ])
     return _trajectories(columns, record.final_infeas_inf, record.final_kkt_inf)
 
 
-def convergence_budget(
-    trajectory: Trajectory,
-    m0: float,
-    m_best: float,
-    eps_pp: float = EPS_PP_DEFAULT,
-) -> Optional[float]:
-    """Work needed to close a (1 - eps_pp) fraction of the reachable gap.
+def first_hit(values: np.ndarray, m0: float, m_best: float) -> Optional[int]:
+    """Index of the first value that closes CONVERGENCE_FRACTION of the reachable gap.
 
-    Returns the work count at the first trajectory point with
-    m0 - m(x) >= (1 - eps_pp) * (m0 - m_best), or None when the
-    trajectory never achieves it (the instance counts as unsolved).
-    The comparison is non-strict, so m0 == m_best converges at the
-    first point.
+    The test is m0 - m(x) >= CONVERGENCE_FRACTION * (m0 - m_best). It is
+    non-strict, so m0 == m_best converges at the first point. None when
+    no value passes (the instance counts as unsolved), as for no values.
     """
-    values = np.asarray(trajectory.values, dtype=np.float64)
-    work = np.asarray(trajectory.work, dtype=np.float64)
-    if values.size == 0:
-        return None
-    target = (1.0 - eps_pp) * (m0 - m_best)
-    hits = np.nonzero(m0 - values >= target)[0]
-    if hits.size == 0:
-        return None
-    return float(work[hits[0]])
+    hits = np.flatnonzero(m0 - values >= CONVERGENCE_FRACTION * (m0 - m_best))
+    return int(hits[0]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +252,14 @@ class PerformanceProfile:
 
     ratios maps (solver, instance) to budget / best-budget-on-instance
     (inf for unsolved); curves maps each solver to sampled step points
-    (tau, rho(tau)) at its distinct finite ratios.
+    (tau, rho(tau)) at its distinct finite ratios, where rho(tau) is the
+    fraction of instances the solver solved within factor tau.
     """
 
     solvers: tuple[str, ...]
     instances: tuple[str, ...]
     ratios: dict[tuple[str, str], float]
     curves: dict[str, list[tuple[float, float]]]
-
-    def rho(self, solver: str, tau: float) -> float:
-        """Fraction of instances this solver solved within factor tau."""
-        count = sum(1 for inst in self.instances if self.ratios[(solver, inst)] <= tau)
-        return count / len(self.instances)
 
 
 def build_profile(budgets: dict[str, dict[str, Optional[float]]]) -> PerformanceProfile:
@@ -336,12 +325,12 @@ def run_filename(problem: str, eps_f: float, eps_g: float, replicate: int) -> st
 
 
 # (solver, instance) -> the trajectories of the run that covers it.
-_RunTable = dict[tuple[str, str], dict[str, Trajectory]]
+_RunTable = dict[tuple[str, str], dict[str, np.ndarray]]
 
 
 def _run_table(
     replicates: int,
-    runs: list[tuple[GridCell, dict[str, Trajectory]]],
+    runs: list[tuple[GridCell, dict[str, np.ndarray]]],
     label_prefix: str = "",
 ) -> _RunTable:
     """Key each run by its solver configuration and the instances it covers.
@@ -361,7 +350,11 @@ def _run_table(
 
 
 def _table_profiles(table: _RunTable) -> dict[str, PerformanceProfile]:
-    """Profiles per metric and cost axis; a missing (solver, instance) is unsolved."""
+    """Profiles per metric and cost axis; a missing (solver, instance) is unsolved.
+
+    Each run's first hit on an instance is priced twice: by its
+    iteration index and by the oracle work to reach it.
+    """
     labels = list(dict.fromkeys(label for label, _ in table))
     instances = list(dict.fromkeys(instance for _, instance in table))
     profiles: dict[str, PerformanceProfile] = {}
@@ -371,25 +364,23 @@ def _table_profiles(table: _RunTable) -> dict[str, PerformanceProfile]:
         best: dict[str, float] = {}
         start: dict[str, float] = {}
         for (_, instance), trajs in table.items():
-            values = trajs[metric].values
+            values = trajs[metric]
             if values.size:
                 best[instance] = min(best.get(instance, math.inf), float(values.min()))
                 start.setdefault(instance, float(values[0]))
-        for axis in ("iterations", "work"):
-            budgets: dict[str, dict[str, Optional[float]]] = {}
-            for label in labels:
-                row: dict[str, Optional[float]] = {}
-                for instance in instances:
-                    trajs = table.get((label, instance))
-                    if trajs is None or trajs[metric].values.size == 0:
-                        row[instance] = None
-                        continue
-                    traj = trajs[metric]
-                    if axis == "iterations":
-                        traj = traj._replace(work=np.arange(traj.values.size, dtype=np.float64))
-                    row[instance] = convergence_budget(traj, start[instance], best[instance])
-                budgets[label] = row
-            profiles[f"{metric}__{axis}"] = build_profile(budgets)
+        iterations: dict[str, dict[str, Optional[float]]] = {}
+        work: dict[str, dict[str, Optional[float]]] = {}
+        for label in labels:
+            iterations[label], work[label] = {}, {}
+            for instance in instances:
+                trajs = table.get((label, instance))
+                hit = None
+                if trajs is not None and trajs[metric].size:
+                    hit = first_hit(trajs[metric], start[instance], best[instance])
+                iterations[label][instance] = None if hit is None else float(hit)
+                work[label][instance] = None if hit is None else float(trajs["work"][hit])
+        profiles[f"{metric}__iterations"] = build_profile(iterations)
+        profiles[f"{metric}__work"] = build_profile(work)
     return profiles
 
 
@@ -591,7 +582,7 @@ def _grid_from_entry(entry: dict, path: Path) -> ExperimentGrid:
 
 def load_run_trajectories(
     run_dir: Path,
-) -> tuple[ExperimentGrid, list[tuple[GridCell, dict[str, Trajectory]]]]:
+) -> tuple[ExperimentGrid, list[tuple[GridCell, dict[str, np.ndarray]]]]:
     """Read a grid output directory back into its grid and each cell's trajectories.
 
     summary.json must be what write_grid_outputs writes: a grid entry
@@ -670,11 +661,9 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
         raise EmptyInputError("no run directories given")
     run_dirs = [Path(d) for d in run_dirs]
     prefix_labels = len(run_dirs) > 1
-    names = [d.name for d in run_dirs]
-    for name in names:
-        if names.count(name) > 1:
-            clash = ", ".join(str(d) for d in run_dirs if d.name == name)
-            raise ValueError(f"run directories {clash} share the name {name!r}")
+    if (name := _repeated(d.name for d in run_dirs)) is not None:
+        clash = ", ".join(str(d) for d in run_dirs if d.name == name)
+        raise ValueError(f"run directories {clash} share the name {name!r}")
     loaded = [load_run_trajectories(d) for d in run_dirs]
     params = loaded[0][0].params
     for run_dir, (grid, _) in zip(run_dirs, loaded):

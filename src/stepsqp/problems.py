@@ -534,11 +534,28 @@ def get_problem(name: str) -> Problem:
 _QP_KEYS = {"name", "Q", "q", "A", "b", "x0"}
 
 
+def _holds_text_or_bool(value) -> bool:
+    """Whether a JSON value holds a string or a bool, at any list depth.
+
+    numpy reads "1" as 1.0 and true as 1.0, also inside a list of floats,
+    so a dtype check would miss them.
+    """
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, (str, bool)):
+            return True
+    return False
+
+
 def load_qp_json(path) -> Problem:
     """Load min 0.5 x'Qx + q'x s.t. Ax = b from a JSON file.
 
     The file must contain exactly the fields name, Q, q, A, b, x0 with
-    consistent shapes; Q must be symmetric. Unknown fields are an error.
+    consistent shapes; Q must be symmetric. Unknown fields are an error,
+    and so is a string or a bool in any of the arrays.
     """
     path = Path(path)
     try:
@@ -555,4 +572,7 @@ def load_qp_json(path) -> Problem:
         raise ValueError(f"{path}: missing field(s): {', '.join(missing)}")
     if not isinstance(data["name"], str) or not data["name"]:
         raise ValueError(f"{path}: name must be a non-empty string")
+    for key in ("Q", "q", "A", "b", "x0"):
+        if _holds_text_or_bool(data[key]):
+            raise ValueError(f"{path}: {key} must hold numbers, not strings or booleans")
     return quadratic_program(**data)

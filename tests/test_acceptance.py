@@ -14,13 +14,7 @@ import time
 import numpy as np
 from reference import gauss_jordan_inverse
 
-from stepsqp.bench import (
-    ExperimentGrid,
-    Trajectory,
-    build_profile,
-    convergence_budget,
-    grid_cells,
-)
+from stepsqp.bench import ExperimentGrid, build_profile, first_hit, grid_cells
 from stepsqp.cli import EXIT_OK, main
 from stepsqp.oracles import OracleConfig, StochasticOracle, derive_stream
 from stepsqp.problems import get_problem, problem_names
@@ -246,26 +240,21 @@ def test_ac7_oracle_noise_statistics():
 
 
 def test_ac8_profile_and_budget_conventions():
-    """Profile ratios and convergence budgets match worked examples."""
+    """Profile ratios and steps, and the convergence test's first hits, match worked examples."""
     profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
     profile_ok = (
-        profile.rho("A", 1.0) == 1.0
-        and profile.rho("B", 1.0) == 0.0
-        and profile.rho("B", 2.0) == 1.0
+        profile.ratios == {("A", "i1"): 1.0, ("B", "i1"): 2.0}
+        and profile.curves == {"A": [(1.0, 1.0)], "B": [(2.0, 1.0)]}
     )
     # Reaching the best value converges exactly at that point.
-    first = convergence_budget(
-        Trajectory(np.array([5.0, 3.0, 1.0]), np.array([0.0, 3.0, 6.0])), 5.0, 1.0
-    )
+    first = first_hit(np.array([5.0, 3.0, 1.0]), 5.0, 1.0)
     # A zero reachable gap converges immediately.
-    second = convergence_budget(Trajectory(np.array([2.0, 2.0]), np.array([0.0, 3.0])), 2.0, 2.0)
-    # A fractional target is hit by the third point only.
-    third = convergence_budget(
-        Trajectory(np.array([1.0, 0.5, 1e-4]), np.array([0.0, 5.0, 9.0])), 1.0, 0.0, eps_pp=1e-3
-    )
-    budgets_ok = (first, second, third) == (6.0, 0.0, 9.0)
-    ok = profile_ok and budgets_ok
-    _report("AC8", ok, f"profile steps ok={profile_ok}, budgets {(first, second, third)}")
+    second = first_hit(np.array([2.0, 2.0]), 2.0, 2.0)
+    # A 1 - 1e-3 fraction of the gap is closed by the third point only.
+    third = first_hit(np.array([1.0, 0.5, 1e-4]), 1.0, 0.0)
+    hits_ok = (first, second, third) == (2, 0, 2)
+    ok = profile_ok and hits_ok
+    _report("AC8", ok, f"profile ok={profile_ok}, first hits {(first, second, third)}")
 
 
 def test_ac9_parallel_bench_outputs_are_byte_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness: grids, trajectories, budgets, profiles."""
+"""Tests for the benchmark harness: grids, trajectories, first hits, profiles."""
 
 import dataclasses
 import json
@@ -16,15 +16,16 @@ from reference import doctor_run_csv
 from stepsqp.bench import (
     CSV_COLUMNS,
     DEFAULT_NOISE_PAIRS,
+    MAX_NOISE_PAIRS,
     MAX_REPLICATES,
     EmptyInputError,
     ExperimentGrid,
-    Trajectory,
     _read_run_columns,
+    _table_profiles,
     build_grid_profiles,
     build_profile,
     config_label,
-    convergence_budget,
+    first_hit,
     grid_cells,
     load_run_trajectories,
     profiles_from_directories,
@@ -201,6 +202,24 @@ class TestGridEnumeration:
             with pytest.raises(ValueError, match="replicates must be an integer from 1 to 1000"):
                 ExperimentGrid(replicates=replicates)
 
+    def test_noise_pairs_bounded_above(self):
+        top = [[0.0, (i + 1) * 1e-6] for i in range(MAX_NOISE_PAIRS)]
+        assert len(ExperimentGrid(problems=("P1",), noise_pairs=top).noise_pairs) == 100
+        with pytest.raises(ValueError, match="noise_pairs must hold at most 100 pairs"):
+            ExperimentGrid(noise_pairs=[*top, [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([True, 0.0], r"^grid\.noise_pairs\[1\]: eps_f_noise must be a number$"),
+            ([0.0, "1e-2"], r"^grid\.noise_pairs\[1\]: eps_g_noise must be a number$"),
+        ],
+        ids=["bool", "string"],
+    )
+    def test_noise_levels_follow_the_oracle_number_rule(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(noise_pairs=[[0.0, 0.0], pair])
+
     def test_run_cell_is_reproducible(self):
         cell = grid_cells(SMALL_GRID)[1]
         first = run_cell(SMALL_GRID, cell)
@@ -213,65 +232,109 @@ class TestTrajectories:
     def test_final_metrics_extend_the_trajectory(self):
         record = _make_record([(2.0, 1.0), (1.0, 3.0)], final_infeas=0.5, final_kkt=0.25)
         trajs = record_trajectories(record)
-        assert set(trajs) == {"infeasibility", "kkt"}
-        np.testing.assert_array_equal(trajs["infeasibility"].values, [2.0, 1.0, 0.5])
-        np.testing.assert_array_equal(trajs["infeasibility"].work, [0.0, 3.0, 6.0])
+        assert set(trajs) == {"infeasibility", "kkt", "work"}
+        np.testing.assert_array_equal(trajs["infeasibility"], [2.0, 1.0, 0.5])
         # The stationarity metric folds infeasibility in through a max.
-        np.testing.assert_array_equal(trajs["kkt"].values, [2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(trajs["kkt"].work, [0.0, 3.0, 6.0])
+        np.testing.assert_array_equal(trajs["kkt"], [2.0, 3.0, 0.5])
+        # Both metrics share one work array.
+        np.testing.assert_array_equal(trajs["work"], [0.0, 3.0, 6.0])
 
     def test_missing_final_metrics_drop_the_last_point(self):
         record = _make_record([(2.0, 1.0), (1.0, 3.0)], final_infeas=None, final_kkt=None)
         trajs = record_trajectories(record)
-        np.testing.assert_array_equal(trajs["infeasibility"].values, [2.0, 1.0])
-        np.testing.assert_array_equal(trajs["infeasibility"].work, [0.0, 3.0])
+        np.testing.assert_array_equal(trajs["infeasibility"], [2.0, 1.0])
+        np.testing.assert_array_equal(trajs["kkt"], [2.0, 3.0])
+        np.testing.assert_array_equal(trajs["work"], [0.0, 3.0])
 
     def test_empty_record_with_finals(self):
         record = _make_record([], final_infeas=2.0, final_kkt=0.0)
         trajs = record_trajectories(record)
-        np.testing.assert_array_equal(trajs["kkt"].values, [2.0])
-        np.testing.assert_array_equal(trajs["kkt"].work, [0.0])
+        np.testing.assert_array_equal(trajs["kkt"], [2.0])
+        np.testing.assert_array_equal(trajs["work"], [0.0])
+
+
+def _hand_run(values, work):
+    """A run table entry whose two metrics take the same values."""
+    values = np.array(values)
+    return {"infeasibility": values, "kkt": values, "work": np.array(work)}
 
 
 class TestConvergenceBudget:
+    """first_hit: the index of the first point that passes the convergence test."""
+
     def test_hits_at_the_recorded_work(self):
-        traj = Trajectory(np.array([5.0, 3.0, 1.0]), np.array([0.0, 3.0, 6.0]))
-        assert convergence_budget(traj, m0=5.0, m_best=1.0) == 6.0
+        assert first_hit(np.array([5.0, 3.0, 1.0]), m0=5.0, m_best=1.0) == 2
+        # Both runs hit at index 2; the work axis prices A's hit at the 6
+        # calls recorded for it, against B's 3.
+        table = {
+            ("A", "i"): _hand_run([5.0, 3.0, 1.0], [0.0, 3.0, 6.0]),
+            ("B", "i"): _hand_run([5.0, 4.0, 1.0], [0.0, 1.0, 3.0]),
+        }
+        profiles = _table_profiles(table)
+        assert profiles["kkt__iterations"].ratios == {("A", "i"): 1.0, ("B", "i"): 1.0}
+        assert profiles["kkt__work"].ratios == {("A", "i"): 2.0, ("B", "i"): 1.0}
 
     def test_zero_gap_converges_immediately(self):
-        traj = Trajectory(np.array([2.0, 2.0]), np.array([0.0, 3.0]))
-        assert convergence_budget(traj, m0=2.0, m_best=2.0) == 0.0
+        assert first_hit(np.array([2.0, 2.0]), m0=2.0, m_best=2.0) == 0
 
     def test_fractional_target(self):
-        traj = Trajectory(np.array([1.0, 0.5, 1e-4]), np.array([0.0, 5.0, 9.0]))
-        assert convergence_budget(traj, m0=1.0, m_best=0.0, eps_pp=1e-3) == 9.0
+        # 0.5 closes half the gap; 1e-4 closes more than 1 - 1e-3 of it.
+        assert first_hit(np.array([1.0, 0.5, 1e-4]), m0=1.0, m_best=0.0) == 2
 
     def test_non_strict_comparison(self):
-        traj = Trajectory(np.array([1.0, 1e-3]), np.array([0.0, 4.0]))
-        assert convergence_budget(traj, m0=1.0, m_best=0.0, eps_pp=1e-3) == 4.0
+        # 1 - 1e-3 of the gap exactly.
+        assert first_hit(np.array([1.0, 1e-3]), m0=1.0, m_best=0.0) == 1
 
     def test_unreached_target_is_none(self):
-        traj = Trajectory(np.array([5.0, 4.0]), np.array([0.0, 3.0]))
-        assert convergence_budget(traj, m0=5.0, m_best=0.0) is None
-        empty = Trajectory(np.array([]), np.array([]))
-        assert convergence_budget(empty, m0=1.0, m_best=0.0) is None
+        assert first_hit(np.array([5.0, 4.0]), m0=5.0, m_best=0.0) is None
+        assert first_hit(np.array([]), m0=1.0, m_best=0.0) is None
 
-    def test_budget_grows_with_tighter_tolerance(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            size = int(rng.integers(2, 30))
-            drops = rng.random(size)
-            values = 10.0 - np.cumsum(drops)
-            values = np.concatenate([[10.0], values])
-            work = np.cumsum(rng.integers(1, 5, size=values.size)).astype(float)
-            work -= work[0]
-            traj = Trajectory(values, work)
-            m_best = float(values.min())
-            loose = convergence_budget(traj, 10.0, m_best, eps_pp=1e-1)
-            tight = convergence_budget(traj, 10.0, m_best, eps_pp=1e-3)
-            assert loose is not None and tight is not None
-            assert loose <= tight
-            assert loose in work and tight in work
+
+class TestTwoCostAxes:
+    """One first hit per (run, metric), priced on both axes."""
+
+    # Both start at 8 on both instances, and 0 is the best value reached.
+    # On i1, A reaches 0 at iteration 1 after 10 oracle calls, and B at
+    # iteration 3 after 4 calls. On i2, A reaches 0 at iteration 2 after
+    # 6 calls, and B never does.
+    TABLE = {
+        ("A", "i1"): _hand_run([8.0, 0.0, 0.0], [0.0, 10.0, 20.0]),
+        ("B", "i1"): _hand_run([8.0, 4.0, 2.0, 0.0], [0.0, 1.0, 2.0, 4.0]),
+        ("A", "i2"): _hand_run([8.0, 1.0, 0.0], [0.0, 3.0, 6.0]),
+        ("B", "i2"): _hand_run([8.0, 8.0], [0.0, 3.0]),
+    }
+
+    def test_fewer_iterations_against_less_work(self):
+        profiles = _table_profiles(self.TABLE)
+        assert set(profiles) == {
+            "infeasibility__iterations", "infeasibility__work", "kkt__iterations", "kkt__work",
+        }
+        for metric in ("infeasibility", "kkt"):
+            by_iterations = profiles[f"{metric}__iterations"]
+            assert by_iterations.ratios == {
+                ("A", "i1"): 1.0, ("B", "i1"): 3.0, ("A", "i2"): 1.0, ("B", "i2"): math.inf,
+            }
+            assert by_iterations.curves == {"A": [(1.0, 1.0)], "B": [(3.0, 0.5)]}
+            by_work = profiles[f"{metric}__work"]
+            assert by_work.ratios == {
+                ("A", "i1"): 2.5, ("B", "i1"): 1.0, ("A", "i2"): 1.0, ("B", "i2"): math.inf,
+            }
+            assert by_work.curves == {"A": [(1.0, 0.5), (2.5, 1.0)], "B": [(1.0, 0.5)]}
+
+    def test_metrics_hit_at_different_points(self):
+        # The kkt metric passes one iteration after infeasibility does, and
+        # its work is priced at that later point.
+        run = {
+            "infeasibility": np.array([4.0, 0.0, 0.0]),
+            "kkt": np.array([4.0, 2.0, 0.0]),
+            "work": np.array([0.0, 3.0, 7.0]),
+        }
+        other = _hand_run([4.0, 0.0], [0.0, 14.0])
+        profiles = _table_profiles({("A", "i"): run, ("B", "i"): other})
+        assert profiles["infeasibility__iterations"].ratios[("A", "i")] == 1.0
+        assert profiles["infeasibility__work"].ratios[("B", "i")] == 14.0 / 3.0
+        assert profiles["kkt__iterations"].ratios[("A", "i")] == 2.0
+        assert profiles["kkt__work"].ratios[("B", "i")] == 2.0
 
 
 # Budget tables of 1-4 solvers by 1-15 instances: unsolved, zero or positive.
@@ -290,9 +353,6 @@ class TestBuildProfile:
         profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
         assert profile.ratios[("A", "i1")] == 1.0
         assert profile.ratios[("B", "i1")] == 2.0
-        assert profile.rho("A", 1.0) == 1.0
-        assert profile.rho("B", 1.0) == 0.0
-        assert profile.rho("B", 2.0) == 1.0
         assert profile.curves["A"] == [(1.0, 1.0)]
         assert profile.curves["B"] == [(2.0, 1.0)]
 
@@ -309,8 +369,8 @@ class TestBuildProfile:
         assert profile.ratios[("A", "j")] == math.inf
         assert profile.ratios[("B", "i")] == math.inf
         assert profile.ratios[("B", "j")] == math.inf
-        assert profile.rho("A", 100.0) == 0.5
-        assert profile.rho("B", 100.0) == 0.0
+        # A solved one instance of two; B solved none and has no step.
+        assert profile.curves == {"A": [(1.0, 0.5)], "B": []}
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInputError):
@@ -337,14 +397,21 @@ class TestBuildProfile:
         }
         profile = build_profile(budgets)
         ratios = profile.ratios
-        taus = sorted({1.0, 2.0, math.inf, *ratios.values()})
+        count = len(profile.instances)
         for solver in profile.solvers:
-            values = [profile.rho(solver, tau) for tau in taus]
-            assert all(0.0 <= v <= 1.0 for v in values)
-            assert values == sorted(values)
-            # The curve's sampled points agree with rho itself.
-            for tau, rho in profile.curves[solver]:
-                assert profile.rho(solver, tau) == rho
+            curve = profile.curves[solver]
+            taus = [tau for tau, _ in curve]
+            rhos = [rho for _, rho in curve]
+            # One step per distinct finite ratio, rising strictly in both.
+            assert taus == sorted(set(taus))
+            assert rhos == sorted(set(rhos))
+            assert all(0.0 < rho <= 1.0 for rho in rhos)
+            finite = [ratios[(solver, inst)] for inst in profile.instances
+                      if math.isfinite(ratios[(solver, inst)])]
+            assert taus == sorted(set(finite))
+            # Each step is the fraction of instances solved within its tau.
+            for tau, rho in curve:
+                assert rho == sum(r <= tau for r in finite) / count
         for inst in profile.instances:
             solved = [budgets[s][inst] for s in profile.solvers if budgets[s][inst] is not None]
             if solved:
@@ -464,9 +531,9 @@ class TestRunGrid:
         assert [cell for cell, _ in runs] == result.cells
         for (_, trajs), record in zip(runs, result.records):
             fresh = record_trajectories(record)
-            for metric in ("infeasibility", "kkt"):
-                np.testing.assert_array_equal(trajs[metric].values, fresh[metric].values)
-                np.testing.assert_array_equal(trajs[metric].work, fresh[metric].work)
+            assert set(trajs) == set(fresh)
+            for key in fresh:
+                np.testing.assert_array_equal(trajs[key], fresh[key])
 
     def test_run_csv_columns_are_read_by_name(self, small_result, tmp_path):
         out, result = small_result
@@ -599,8 +666,8 @@ class TestProfileValidation:
             _, [(_, trajs)] = load_run_trajectories(tmp_path)
         fresh = record_trajectories(record)
         for metric in ("infeasibility", "kkt"):
-            np.testing.assert_array_equal(trajs[metric].values, fresh[metric].values)
-            np.testing.assert_array_equal(trajs[metric].work, [0.0])
+            np.testing.assert_array_equal(trajs[metric], fresh[metric])
+        np.testing.assert_array_equal(trajs["work"], [0.0])
 
 
 MIXED_GRID = ExperimentGrid(

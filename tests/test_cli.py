@@ -20,7 +20,7 @@ from reference import doctor_run_csv
 
 import stepsqp
 from stepsqp import cli
-from stepsqp.bench import DEFAULT_NOISE_PAIRS, ExperimentGrid
+from stepsqp.bench import DEFAULT_NOISE_PAIRS, MAX_NOISE_PAIRS, ExperimentGrid
 from stepsqp.cli import (
     EXIT_BUDGET_EXHAUSTED,
     EXIT_CONFIG_ERROR,
@@ -172,7 +172,8 @@ class TestParseConfig:
             parse_config(None, ["grid.noise_pairs=[[1]]"])
 
     def test_non_numeric_noise_level_is_a_validation_error(self, tmp_path, capsys):
-        with pytest.raises(CliError, match="noise_pairs entries must be numbers"):
+        message = r"^grid\.noise_pairs\[0\]: eps_f_noise must be a number$"
+        with pytest.raises(CliError, match=message):
             parse_config(None, ['grid.noise_pairs=[["x", 1]]'])
         code = main(
             ["bench", "--set", 'grid.noise_pairs=[["x",1]]', "--out", str(tmp_path / "o")]
@@ -289,7 +290,7 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            "error: grid.noise_pairs entries must be numbers: int too large to convert to float\n"
+            "error: grid.noise_pairs[0]: eps_f_noise must be finite and >= 0\n"
         )
 
     @pytest.mark.parametrize(
@@ -324,6 +325,30 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
             "error: q must hold finite numbers: int too large to convert to float\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("Q", [[True, 0], [0, 1]]),
+            # numpy would read this mixed list as [[2, 0], [0, 2]].
+            ("Q", [[2.0, False], [False, 2.0]]),
+            ("Q", [[2.0, 0.0], [0.0, "2"]]),
+            ("q", ["1", "0"]),
+            ("A", [[1.0, True]]),
+            ("b", ["2"]),
+            ("x0", [0.0, False]),
+        ],
+        ids=["Q-bools", "Q-mixed-bools", "Q-string", "q-strings", "A-bool", "b-string",
+             "x0-bool"],
+    )
+    def test_qp_json_holds_numbers_only(self, tmp_path, capsys, key, value):
+        qp = _write_json(tmp_path / "qbad.json", dict(QP_DOC, **{key: value}))
+        code = main(["run", qp, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {qp}: {key} must hold numbers, not strings or booleans\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -399,6 +424,32 @@ class TestBenchAndProfileCommands:
         assert code == EXIT_CONFIG_ERROR
         assert f"{message} more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("[true, 0.01]", "grid.noise_pairs[0]: eps_f_noise must be a number"),
+            ('[0, "1e-2"]', "grid.noise_pairs[0]: eps_g_noise must be a number"),
+        ],
+        ids=["bool", "string"],
+    )
+    def test_bench_rejects_a_noise_level_that_is_not_a_number(
+        self, tmp_path, capsys, monkeypatch, pair, message
+    ):
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("grid ran"))
+        code = main(["bench", "--set", f"grid.noise_pairs=[{pair}]", "--set",
+                     'grid.problems=["P1"]', "--set", "grid.replicates=1",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_rejects_too_many_noise_pairs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("grid ran"))
+        pairs = json.dumps([[0.0, (i + 1) * 1e-6] for i in range(MAX_NOISE_PAIRS + 1)])
+        code = main(["bench", "--set", f"grid.noise_pairs={pairs}", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: grid.noise_pairs must hold at most 100 pairs\n"
 
     def test_bench_rejects_huge_replicates_within_a_second(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: pytest.fail("grid ran"))
@@ -675,6 +726,50 @@ class TestBenchAndProfileCommands:
         code = main(["profile", str(bench_dir), "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([True, 0.1], "grid.noise_pairs[1]: eps_f_noise must be a number"),
+            ([0.01, "1e-1"], "grid.noise_pairs[1]: eps_g_noise must be a number"),
+        ],
+        ids=["bool", "string"],
+    )
+    def test_profile_rejects_a_grid_noise_level_that_is_not_a_number(
+        self, bench_dir, tmp_path, capsys, pair, message
+    ):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        assert summary["grid"]["noise_pairs"][1] == [0.01, 0.1]
+        summary["grid"]["noise_pairs"][1] = pair
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: grid: {message}\n"
+        )
+        assert not (tmp_path / "p").exists()
+
+    def test_profile_rejects_a_huge_noise_pair_list_within_a_second(
+        self, bench_dir, tmp_path, capsys
+    ):
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["grid"]["noise_pairs"] = [[0.0, (i + 1) * 1e-9] for i in range(10**5)]
+        summary_path.write_text(json.dumps(summary))
+        start = time.perf_counter()
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: "
+            f"grid: grid.noise_pairs must hold at most {MAX_NOISE_PAIRS} pairs\n"
+        )
+        assert not (tmp_path / "p").exists()
 
     def test_profile_rejects_a_noise_level_too_large_for_a_float(
         self, bench_dir, tmp_path, capsys
