@@ -41,7 +41,7 @@ import numpy as np
 
 from .linalg import load_lapack
 from .oracles import OracleConfig, derive_stream, is_finite, is_int
-from .problems import get_entry, get_problem, problem_names
+from .problems import get_entry, get_problem, problem_names, read_json
 from .sqp import RunRecord, RunStatus, SolverParams, solve
 
 # The convergence test asks a run to close this fraction of the reachable gap.
@@ -603,7 +603,7 @@ def load_run_trajectories(
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():
         raise FileNotFoundError(f"{run_dir} has no summary.json; not a grid output directory")
-    summary = json.loads(summary_path.read_text())
+    summary = read_json(summary_path)
     if not isinstance(summary, dict):
         raise ValueError(f"{summary_path}: top level must be an object")
     grid = _grid_from_entry(_field(summary, "grid", (dict,), summary_path), summary_path)

@@ -40,6 +40,7 @@ from .problems import (
     get_problem,
     load_qp_json,
     problem_names,
+    read_json,
 )
 from .sqp import RunStatus, SolverParams, solve
 
@@ -83,7 +84,7 @@ def _parse_override(text: str) -> tuple[str, str, object]:
         )
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # too deep to parse is not JSON here
         value = raw
     return section, name, value
 
@@ -99,13 +100,12 @@ def parse_config(
     """
     data: dict = {}
     if path is not None:
-        path = Path(path)
         try:
-            data = json.loads(path.read_text())
+            data = read_json(path)
         except OSError as exc:
             raise CliError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         if not isinstance(data, dict):
             raise CliError(f"config file {path} must contain a JSON object")
     unknown_sections = sorted(set(data) - set(_SECTIONS))

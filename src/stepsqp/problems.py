@@ -19,13 +19,14 @@ JSON files by :func:`load_qp_json`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, max_abs, require_symmetric
+from .linalg import as_matrix, as_vector, require_symmetric
 
 
 class UnknownProblemError(ValueError):
@@ -39,11 +40,15 @@ class Problem:
     Evaluators are deterministic pure functions of x; noise is injected
     elsewhere. Use the ``f``/``grad_f``/``c``/``jacobian`` methods rather
     than the raw callables: they coerce and shape-check the outputs.
+
+    The dimensions are not arguments: n is the length of x0, and m is
+    the number of entries of c(x0) (a scalar counts as one), so c is
+    evaluated once at construction.
     """
 
     name: str
-    n: int
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
     eval_f: Callable[[np.ndarray], float]
     eval_grad_f: Callable[[np.ndarray], np.ndarray]
     eval_c: Callable[[np.ndarray], np.ndarray]
@@ -51,9 +56,13 @@ class Problem:
     x0: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.m > self.n:
-            raise ValueError(f"{self.name}: need 1 <= m <= n, got n={self.n}, m={self.m}")
-        object.__setattr__(self, "x0", as_vector(self.x0, self.n, f"{self.name}.x0"))
+        x0 = as_vector(self.x0, name=f"{self.name}.x0")
+        n, m = x0.size, np.size(self.eval_c(x0))
+        if m < 1 or m > n:
+            raise ValueError(f"{self.name}: need 1 <= m <= n, got n={n}, m={m}")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def f(self, x: np.ndarray) -> float:
         return float(self.eval_f(x))
@@ -81,32 +90,15 @@ class Problem:
         return jac
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    """Registry entry: a problem plus an optional reference KKT pair.
+class SuiteEntry(NamedTuple):
+    """Registry entry: a problem plus a reference KKT pair (x_star, y_star).
 
-    When present, the reference pair (x_star, y_star) satisfies
-    ||c(x_star)||_inf <= 1e-10 and ||grad f + J^T y||_inf <= 1e-8; this is
-    verified at construction.
+    The test suite checks that every registered pair satisfies
+    ||c(x_star)||_inf <= 1e-10 and ||grad f + J^T y||_inf <= 1e-8.
     """
 
     problem: Problem
-    reference_kkt_point: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.reference_kkt_point is None:
-            return
-        p = self.problem
-        x_star = as_vector(self.reference_kkt_point[0], p.n, f"{p.name}.x_star")
-        y_star = as_vector(self.reference_kkt_point[1], p.m, f"{p.name}.y_star")
-        object.__setattr__(self, "reference_kkt_point", (x_star, y_star))
-        infeas = max_abs(p.c(x_star))
-        stat = max_abs(p.grad_f(x_star) + p.jacobian(x_star).T @ y_star)
-        if infeas > 1e-10 or stat > 1e-8:
-            raise ValueError(
-                f"{p.name}: reference KKT point fails bounds "
-                f"(infeasibility {infeas:g}, stationarity {stat:g})"
-            )
+    reference_kkt_point: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,21 +113,29 @@ def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
     """Compare analytic derivatives against central differences at x.
 
     Relative error is |analytic - estimate| / max(1, |analytic|), taken
-    entrywise and maximized over the gradient and the Jacobian.
+    entrywise and maximized over the gradient and the Jacobian. Each
+    difference quotient is first granted its rounding bound,
+    eps * (|v(x + h e_j)| + |v(x - h e_j)|) / (2h) for v = f or c_i, so
+    exact derivatives of functions with large values are not flagged.
     """
     x = as_vector(x, problem.n)
     grad = problem.grad_f(x)
     jac = problem.jacobian(x)
-    fd_grad = np.empty(problem.n)
-    fd_jac = np.empty((problem.m, problem.n))
-    for j in range(problem.n):
-        step = np.zeros(problem.n)
-        step[j] = h
-        fd_grad[j] = (problem.f(x + step) - problem.f(x - step)) / (2.0 * h)
-        fd_jac[:, j] = (problem.c(x + step) - problem.c(x - step)) / (2.0 * h)
-    err_grad = np.abs(grad - fd_grad) / np.maximum(1.0, np.abs(grad))
-    err_jac = np.abs(jac - fd_jac) / np.maximum(1.0, np.abs(jac))
+    steps = h * np.eye(problem.n)
+    f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
+    c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
+    eps = np.finfo(np.float64).eps
+    err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / (2.0 * h),
+                       eps * np.abs(f_pm).sum(axis=1) / (2.0 * h))
+    err_jac = _excess(jac, ((c_pm[:, 0] - c_pm[:, 1]) / (2.0 * h)).T,
+                      (eps * np.abs(c_pm).sum(axis=1) / (2.0 * h)).T)
     return GradientCheck(float(err_grad.max()), float(err_jac.max()))
+
+
+def _excess(analytic, estimate, rounding):
+    """Entrywise relative error of estimate beyond its rounding bound."""
+    gap = np.maximum(np.abs(analytic - estimate) - rounding, 0.0)
+    return gap / np.maximum(1.0, np.abs(analytic))
 
 
 def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
@@ -148,8 +148,6 @@ def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
     a_mat = as_matrix(A, (b_vec.size, n), name="A")
     return Problem(
         name=name,
-        n=n,
-        m=b_vec.size,
         eval_f=lambda x: 0.5 * float(x @ (q_mat @ x)) + float(q_vec @ x),
         eval_grad_f=lambda x: q_mat @ x + q_vec,
         eval_c=lambda x: a_mat @ x - b_vec,
@@ -166,8 +164,6 @@ def _p1() -> SuiteEntry:
     """Linear objective on a circle: min x1 + x2 s.t. x1^2 + x2^2 = 2."""
     problem = Problem(
         name="P1",
-        n=2,
-        m=1,
         eval_f=lambda x: x[0] + x[1],
         eval_grad_f=lambda x: np.array([1.0, 1.0]),
         eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
@@ -186,8 +182,6 @@ def _p2() -> SuiteEntry:
     """Minimum-norm point on a line: min 0.5 ||x||^2 s.t. x1 + x2 = 2."""
     problem = Problem(
         name="P2",
-        n=2,
-        m=1,
         eval_f=lambda x: 0.5 * float(x @ x),
         eval_grad_f=lambda x: x.copy(),
         eval_c=lambda x: _P2_A @ x - _P2_B,
@@ -217,8 +211,6 @@ def _p3() -> SuiteEntry:
 
     problem = Problem(
         name="P3",
-        n=2,
-        m=1,
         eval_f=lambda x: (1.0 - x[0]) ** 2 + 4.0 * (x[1] - x[0] ** 2) ** 2,
         eval_grad_f=grad,
         eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
@@ -256,8 +248,6 @@ def _hs6() -> SuiteEntry:
     """min (1 - x1)^2 s.t. 10 (x2 - x1^2) = 0."""
     problem = Problem(
         name="hs6",
-        n=2,
-        m=1,
         eval_f=lambda x: (1.0 - x[0]) ** 2,
         eval_grad_f=lambda x: np.array([-2.0 * (1.0 - x[0]), 0.0]),
         eval_c=lambda x: np.array([10.0 * (x[1] - x[0] ** 2)]),
@@ -271,8 +261,6 @@ def _hs7() -> SuiteEntry:
     """min ln(1 + x1^2) - x2 s.t. (1 + x1^2)^2 + x2^2 = 4."""
     problem = Problem(
         name="hs7",
-        n=2,
-        m=1,
         eval_f=lambda x: np.log1p(x[0] ** 2) - x[1],
         eval_grad_f=lambda x: np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
         eval_c=lambda x: np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0]),
@@ -299,8 +287,6 @@ def _hs27() -> SuiteEntry:
 
     problem = Problem(
         name="hs27",
-        n=3,
-        m=1,
         eval_f=lambda x: 0.01 * (x[0] - 1.0) ** 2 + (x[1] - x[0] ** 2) ** 2,
         eval_grad_f=grad,
         eval_c=lambda x: np.array([x[0] + x[2] ** 2 + 1.0]),
@@ -348,8 +334,6 @@ def _hs40() -> SuiteEntry:
 
     problem = Problem(
         name="hs40",
-        n=4,
-        m=3,
         eval_f=lambda x: -x[0] * x[1] * x[2] * x[3],
         eval_grad_f=grad,
         eval_c=constraints,
@@ -379,8 +363,6 @@ def _hs42() -> SuiteEntry:
 
     problem = Problem(
         name="hs42",
-        n=4,
-        m=2,
         eval_f=lambda x: (x[0] - 1.0) ** 2
         + (x[1] - 2.0) ** 2
         + (x[2] - 3.0) ** 2
@@ -417,8 +399,6 @@ def _hs48() -> SuiteEntry:
     b_vec = np.array([5.0, -3.0])
     problem = Problem(
         name="hs48",
-        n=5,
-        m=2,
         eval_f=lambda x: (x[0] - 1.0) ** 2 + (x[1] - x[2]) ** 2 + (x[3] - x[4]) ** 2,
         eval_grad_f=grad,
         eval_c=lambda x: a_mat @ x - b_vec,
@@ -453,8 +433,6 @@ def _hs51() -> SuiteEntry:
     b_vec = np.array([4.0, 0.0, 0.0])
     problem = Problem(
         name="hs51",
-        n=5,
-        m=3,
         eval_f=lambda x: (x[0] - x[1]) ** 2
         + (x[1] + x[2] - 2.0) ** 2
         + (x[3] - 1.0) ** 2
@@ -477,8 +455,6 @@ def _sphere30() -> SuiteEntry:
     n = _SPHERE_N
     problem = Problem(
         name="sphere30",
-        n=n,
-        m=1,
         eval_f=lambda x: 0.5 * float(_SPHERE_W @ (x * x)),
         eval_grad_f=lambda x: _SPHERE_W * x,
         eval_c=lambda x: np.array([float(x @ x) - 1.0]),
@@ -532,6 +508,20 @@ def get_problem(name: str) -> Problem:
 # Quadratic programs from JSON files.
 
 _QP_KEYS = {"name", "Q", "q", "A", "b", "x0"}
+# run writes <name>__...csv into --out, so a name must be one plain file-name part.
+_QP_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file.
+
+    Raises OSError if the file cannot be read, and a ValueError naming
+    the file if it is not UTF-8, not JSON, or nested too deeply to parse.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _holds_text_or_bool(value) -> bool:
@@ -555,13 +545,11 @@ def load_qp_json(path) -> Problem:
 
     The file must contain exactly the fields name, Q, q, A, b, x0 with
     consistent shapes; Q must be symmetric. Unknown fields are an error,
-    and so is a string or a bool in any of the arrays.
+    and so is a string or a bool in any of the arrays. The name may hold
+    only ASCII letters, digits, '_', '-' and '.', and may not start with
+    '.', because run names its output files after it.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be an object")
     unknown = sorted(set(data) - _QP_KEYS)
@@ -570,8 +558,9 @@ def load_qp_json(path) -> Problem:
     missing = sorted(_QP_KEYS - set(data))
     if missing:
         raise ValueError(f"{path}: missing field(s): {', '.join(missing)}")
-    if not isinstance(data["name"], str) or not data["name"]:
-        raise ValueError(f"{path}: name must be a non-empty string")
+    if not isinstance(data["name"], str) or not _QP_NAME.fullmatch(data["name"]):
+        raise ValueError(f"{path}: name must be letters, digits, '_', '-' and '.', "
+                         "not starting with '.'")
     for key in ("Q", "q", "A", "b", "x0"):
         if _holds_text_or_bool(data[key]):
             raise ValueError(f"{path}: {key} must hold numbers, not strings or booleans")

@@ -318,6 +318,24 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_set_value_nested_too_deep_is_not_json(self, tmp_path, capsys):
+        deep = "[" * 5000 + "]" * 5000
+        code = main(["run", "P2", "--set", f"solver.gamma={deep}", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: gamma must be a number\n"
+
+    @pytest.mark.parametrize("name", ["../evil", "a/b"])
+    def test_qp_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        qp = _write_json(tmp_path / "named.json", dict(QP_DOC, name=name))
+        out = tmp_path / "sub" / "out"
+        code = main(["run", qp, "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {qp}: name must be letters, digits, '_', '-' and '.', "
+            "not starting with '.'\n"
+        )
+        assert not (tmp_path / "sub").exists()
+
     def test_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
         # json.dumps writes the int digit for digit.
         qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
@@ -788,6 +806,36 @@ class TestBenchAndProfileCommands:
         )
 
 
+# Each of these ended in a traceback, or in an error that did not name the file.
+_UNREADABLE_JSON = {
+    "nested": ("[" * 100_000 + "]" * 100_000).encode(),
+    "not-utf8": b'{"name": "\xe9"}',
+    "not-json": b"{'runs': []}",
+}
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [("config", "nested"), ("config", "not-utf8"), ("qp", "nested"), ("qp", "not-utf8"),
+     ("summary", "nested"), ("summary", "not-utf8"), ("summary", "not-json")],
+)
+def test_unreadable_json_file_is_an_error_naming_it(tmp_path, capsys, reader, content):
+    if reader == "summary":
+        path = tmp_path / "bench" / "summary.json"
+        path.parent.mkdir()
+        argv = ["profile", str(path.parent), "--out", str(tmp_path / "o")]
+    else:
+        path = tmp_path / "in.json"
+        argv = ["run", *(["P1", "--config", str(path)] if reader == "config" else [str(path)]),
+                "--out", str(tmp_path / "o")]
+    path.write_bytes(_UNREADABLE_JSON[content])
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path}: not valid JSON (" in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestOtherCommands:
     def test_check_grad_all(self, capsys):
         code = main(["check-grad"])
@@ -803,6 +851,14 @@ class TestOtherCommands:
         code = main(["check-grad", "P1"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["problem"] == "P1"
+
+    def test_check_grad_passes_exact_derivatives_of_a_large_objective(self, tmp_path, capsys):
+        # f(x0) = -1e8, so rounding f alone moves a difference quotient by about 1e-2.
+        doc = {"name": "bigq", "Q": [[1, 0], [0, 1]], "q": [1e4, 1e4], "A": [[1, -1]],
+               "b": [0], "x0": [-1e4, -1e4]}
+        assert main(["check-grad", _write_json(tmp_path / "bigq.json", doc)]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["pass"] is True and result["max_rel_err_grad"] == 0.0
 
     def test_check_grad_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
         qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
@@ -954,3 +1010,17 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    src = Path(stepsqp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", block],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[0] == "converged"

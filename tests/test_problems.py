@@ -1,5 +1,6 @@
 """Problem registry, derivative checks, and the QP JSON loader."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from stepsqp.linalg import max_abs
 from stepsqp.problems import (
     Problem,
-    SuiteEntry,
     UnknownProblemError,
     check_gradients,
     get_entry,
@@ -93,8 +93,6 @@ class TestGradients:
     def test_check_gradients_flags_a_wrong_gradient(self):
         p = Problem(
             name="broken",
-            n=2,
-            m=1,
             eval_f=lambda x: float(x @ x),
             eval_grad_f=lambda x: 3.0 * x,  # should be 2x
             eval_c=lambda x: np.array([x[0] - 1.0]),
@@ -108,9 +106,9 @@ class TestReferencePoints:
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_reference_kkt_pair_bounds(self, name):
         entry = get_entry(name)
-        assert entry.reference_kkt_point is not None
         x_star, y_star = entry.reference_kkt_point
         p = entry.problem
+        assert x_star.shape == (p.n,) and y_star.shape == (p.m,)
         assert max_abs(p.c(x_star)) <= 1e-10
         assert max_abs(p.grad_f(x_star) + p.jacobian(x_star).T @ y_star) <= 1e-8
 
@@ -123,11 +121,6 @@ class TestReferencePoints:
         np.testing.assert_allclose(x_star, [1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(get_entry("P2").reference_kkt_point[0], x_star, atol=1e-14)
 
-    def test_bad_reference_pair_rejected(self):
-        p = get_problem("P1")
-        with pytest.raises(ValueError, match="reference KKT point"):
-            SuiteEntry(p, (np.array([1.0, 1.0]), np.array([0.5])))
-
 
 class TestProblemValidation:
     def _evals(self):
@@ -139,46 +132,55 @@ class TestProblemValidation:
         )
 
     def test_m_greater_than_n_rejected(self):
-        with pytest.raises(ValueError, match="1 <= m <= n"):
-            Problem(name="bad", n=1, m=2, x0=np.array([0.0]), **self._evals())
+        evals = dict(self._evals(), eval_c=lambda x: np.array([x[0], x[0] - 1.0]))
+        with pytest.raises(ValueError, match=r"1 <= m <= n, got n=1, m=2"):
+            Problem(name="bad", x0=np.array([0.0]), **evals)
 
     def test_m_zero_rejected(self):
-        with pytest.raises(ValueError, match="1 <= m <= n"):
-            Problem(name="bad", n=2, m=0, x0=np.zeros(2), **self._evals())
-
-    def test_x0_length_checked(self):
-        with pytest.raises(ValueError, match="x0"):
-            Problem(name="bad", n=2, m=1, x0=np.zeros(3), **self._evals())
+        evals = dict(self._evals(), eval_c=lambda x: np.zeros(0))
+        with pytest.raises(ValueError, match=r"1 <= m <= n, got n=2, m=0"):
+            Problem(name="bad", x0=np.zeros(2), **evals)
 
     def test_x0_finite_checked(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Problem(name="bad", n=2, m=1, x0=np.array([0.0, np.nan]), **self._evals())
+            Problem(name="bad", x0=np.array([0.0, np.nan]), **self._evals())
+
+    def test_replace_recomputes_the_dimensions(self):
+        p = Problem(name="one", x0=np.zeros(2), **self._evals())
+        q = dataclasses.replace(p, x0=np.zeros(3), eval_c=lambda x: x[:2])
+        assert (p.n, p.m) == (2, 1)
+        assert (q.n, q.m) == (3, 2)
+        assert q.x0.shape == (3,)
+
+    @pytest.mark.parametrize("given", [{"n": 2}, {"m": 1}])
+    def test_dimensions_are_not_arguments(self, given):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Problem(name="bad", x0=np.zeros(2), **given, **self._evals())
 
     def test_wrong_constraint_shape_flagged_at_call(self):
         p = Problem(
             name="bad",
-            n=2,
-            m=1,
             eval_f=lambda x: 0.0,
             eval_grad_f=lambda x: np.zeros(2),
-            eval_c=lambda x: np.array([1.0, 2.0]),  # m is 1
+            # One entry at x0, so m is 1; two entries anywhere else.
+            eval_c=lambda x: np.ones(1 if x[0] == 0.0 else 2),
             eval_jacobian=lambda x: np.ones((1, 2)),
             x0=np.zeros(2),
         )
-        with pytest.raises(ValueError, match="constraint shape"):
-            p.c(p.x0)
+        assert p.m == 1
+        with pytest.raises(ValueError, match=r"constraint shape \(2,\) != \(1,\)"):
+            p.c(p.x0 + 1.0)
 
     def test_single_constraint_may_be_scalar_with_a_vector_jacobian(self):
         p = Problem(
             name="flat",
-            n=3,
-            m=1,
             eval_f=lambda x: 0.0,
             eval_grad_f=lambda x: np.zeros(3),
             eval_c=lambda x: float(x.sum()) - 1.0,
             eval_jacobian=lambda x: np.ones(3),
             x0=np.zeros(3),
         )
+        assert (p.n, p.m) == (3, 1)
         c = p.c(p.x0)
         assert c.shape == (1,) and c[0] == -1.0
         np.testing.assert_array_equal(p.jacobian(p.x0), np.ones((1, 3)))
@@ -187,8 +189,6 @@ class TestProblemValidation:
     def test_transposed_jacobian_flagged_at_call(self, m):
         p = Problem(
             name="bad",
-            n=3,
-            m=m,
             eval_f=lambda x: 0.0,
             eval_grad_f=lambda x: np.zeros(3),
             eval_c=lambda x: np.zeros(m),
@@ -201,8 +201,6 @@ class TestProblemValidation:
     def test_wrong_gradient_shape_flagged_at_call(self):
         p = Problem(
             name="bad",
-            n=2,
-            m=1,
             eval_f=lambda x: 0.0,
             eval_grad_f=lambda x: np.zeros(3),
             eval_c=lambda x: np.array([1.0]),

@@ -146,7 +146,7 @@ class TestTrajectoryInvariants:
 
 
 def _counting(problem):
-    """The problem with every evaluator call tallied by name."""
+    """The problem with every evaluator call after its construction tallied by name."""
     counts = Counter()
 
     def tally(name, fn):
@@ -163,6 +163,7 @@ def _counting(problem):
         eval_c=tally("c", problem.eval_c),
         eval_jacobian=tally("jacobian", problem.eval_jacobian),
     )
+    counts.clear()  # construction evaluates c once, at x0, to size the problem
     return wrapped, counts
 
 
@@ -246,10 +247,8 @@ class TestClassification:
         assert not all(flags)
 
 
-def _custom(name, n, m, f, grad, c, jac, x0):
-    return Problem(
-        name=name, n=n, m=m, eval_f=f, eval_grad_f=grad, eval_c=c, eval_jacobian=jac, x0=x0
-    )
+def _custom(name, f, grad, c, jac, x0):
+    return Problem(name=name, eval_f=f, eval_grad_f=grad, eval_c=c, eval_jacobian=jac, x0=x0)
 
 
 class TestFailurePaths:
@@ -257,8 +256,6 @@ class TestFailurePaths:
         # c(x) = x1^2 has a zero Jacobian row at x1 = 0.
         problem = _custom(
             "flatrow",
-            2,
-            1,
             f=lambda x: x[1],
             grad=lambda x: np.array([0.0, 1.0]),
             c=lambda x: np.array([x[0] ** 2]),
@@ -276,8 +273,6 @@ class TestFailurePaths:
         # deficient; two copies of one constraint give J = [[1, 0], [1, 0]].
         problem = _custom(
             "twice",
-            2,
-            2,
             f=lambda x: x[1],
             grad=lambda x: np.array([0.0, 1.0]),
             c=lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
@@ -295,8 +290,6 @@ class TestFailurePaths:
         # parameter 0.9 / (1e12 + 1) falls below the collapse floor.
         problem = _custom(
             "steep",
-            2,
-            1,
             f=lambda x: 1e12 * x[0],
             grad=lambda x: np.array([1e12, 0.0]),
             c=lambda x: np.array([x[0] - 1.0]),
@@ -311,8 +304,6 @@ class TestFailurePaths:
     def test_non_finite_objective_at_start(self):
         problem = _custom(
             "nanstart",
-            2,
-            1,
             f=lambda x: math.nan,
             grad=lambda x: np.array([1.0, 0.0]),
             c=lambda x: np.array([x[1] - 1.0]),
@@ -328,8 +319,6 @@ class TestFailurePaths:
         # one completed iteration is preserved in the record.
         problem = _custom(
             "halfline",
-            2,
-            1,
             f=lambda x: x[0] if x[0] >= 0.0 else math.nan,
             grad=lambda x: np.array([1.0, 0.0]),
             c=lambda x: np.array([x[1] - 1.0]),
