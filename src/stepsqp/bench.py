@@ -16,11 +16,16 @@ Budgets-to-convergence use the standard data-profile convergence test
     m(x_0) - m(x_k) >= (1 - 1e-3) * (m(x_0) - m_best)
 
 with m_best the best value reached by any solver configuration on that
-instance. The first iterate that passes is priced on two cost axes: its
-iteration index, and the cumulative oracle work (function plus gradient
-calls) to reach it. Performance profiles plot the fraction of instances
+instance. The first iterate that passes is priced by its iteration
+index. That is also its oracle price: every iteration makes exactly two
+function samples and one gradient sample, so the oracle work to reach
+iterate j is 3j, and a ratio of work budgets equals the ratio of
+iteration budgets. Performance profiles plot the fraction of instances
 each configuration solved within a factor tau of the per-instance best
 budget.
+
+Every output file is written to a temporary name beside it and then
+renamed over its target, so a reader never sees a partly written file.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import io
 import json
 import math
 import operator
+import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -181,7 +187,7 @@ def run_cell(grid: ExperimentGrid, cell: GridCell) -> RunRecord:
 
 
 # The run-CSV columns a trajectory is built from, in this order.
-_TRAJECTORY_COLUMNS = ("infeas_inf", "kkt_inf", "zeroth_calls", "first_calls")
+_TRAJECTORY_COLUMNS = ("infeas_inf", "kkt_inf")
 
 
 def _trajectories(
@@ -189,40 +195,29 @@ def _trajectories(
     final_infeas: Optional[float],
     final_kkt: Optional[float],
 ) -> dict[str, np.ndarray]:
-    """A run's metric values and the oracle work to reach each point.
+    """A run's metric values at each of its iterates.
 
-    columns is a (4, K) float64 array whose rows are the
-    _TRAJECTORY_COLUMNS, with cumulative counters; entry j describes
-    iterate x_j, and the final metrics (when available) describe the
-    last iterate. The result maps "infeasibility" and "kkt" to the
-    metric values at x_0..x_K, and "work" to the work at each of them.
+    columns is a (2, K) float64 array whose rows are the
+    _TRAJECTORY_COLUMNS; entry j describes iterate x_j, and the final
+    metrics (when available) describe the last iterate. The result maps
+    "infeasibility" and "kkt" to the metric values at x_0..x_K.
 
     Raises
     ------
     ValueError
-        If a metric value is not finite, a call count is not an integer,
-        or the work counts decrease.
+        If a metric value is not finite.
     """
-    infeas, residual, zeroth, first = columns
-    work = np.concatenate(([0.0], zeroth + first))
+    infeas, residual = columns
     if final_infeas is not None and final_kkt is not None:
         infeas = np.append(infeas, final_infeas)
         residual = np.append(residual, final_kkt)
-    else:
-        work = work[:-1]
     if not (np.isfinite(infeas).all() and np.isfinite(residual).all()):
         raise ValueError("metric values must be finite")
-    calls = columns[2:]
-    if not (np.isfinite(calls).all() and (np.floor(calls) == calls).all()):
-        raise ValueError("call counts must be integers")
-    # Work starts at 0, so non-decreasing work is also non-negative.
-    if np.any(np.diff(work) < 0):
-        raise ValueError("work counts must be non-negative and non-decreasing")
-    return {"infeasibility": infeas, "kkt": np.maximum(infeas, residual), "work": work}
+    return {"infeasibility": infeas, "kkt": np.maximum(infeas, residual)}
 
 
 def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
-    """Metric values and cumulative work of one run, as _trajectories gives them."""
+    """Metric values of one run, as _trajectories gives them."""
     logs = record.iterations
     columns = np.array([
         np.fromiter(map(operator.attrgetter(name), logs), np.float64, len(logs))
@@ -268,7 +263,7 @@ def build_profile(budgets: dict[str, dict[str, Optional[float]]]) -> Performance
     Parameters
     ----------
     budgets : dict
-        budgets[solver][instance] is a non-negative work count, or None
+        budgets[solver][instance] is a non-negative iteration count, or None
         for unsolved. Every solver must cover the same instance set.
 
     Raises
@@ -350,11 +345,7 @@ def _run_table(
 
 
 def _table_profiles(table: _RunTable) -> dict[str, PerformanceProfile]:
-    """Profiles per metric and cost axis; a missing (solver, instance) is unsolved.
-
-    Each run's first hit on an instance is priced twice: by its
-    iteration index and by the oracle work to reach it.
-    """
+    """Profiles per metric, priced in iterations; a missing (solver, instance) is unsolved."""
     labels = list(dict.fromkeys(label for label, _ in table))
     instances = list(dict.fromkeys(instance for _, instance in table))
     profiles: dict[str, PerformanceProfile] = {}
@@ -369,18 +360,15 @@ def _table_profiles(table: _RunTable) -> dict[str, PerformanceProfile]:
                 best[instance] = min(best.get(instance, math.inf), float(values.min()))
                 start.setdefault(instance, float(values[0]))
         iterations: dict[str, dict[str, Optional[float]]] = {}
-        work: dict[str, dict[str, Optional[float]]] = {}
         for label in labels:
-            iterations[label], work[label] = {}, {}
+            iterations[label] = {}
             for instance in instances:
                 trajs = table.get((label, instance))
                 hit = None
                 if trajs is not None and trajs[metric].size:
                     hit = first_hit(trajs[metric], start[instance], best[instance])
                 iterations[label][instance] = None if hit is None else float(hit)
-                work[label][instance] = None if hit is None else float(trajs["work"][hit])
         profiles[f"{metric}__iterations"] = build_profile(iterations)
-        profiles[f"{metric}__work"] = build_profile(work)
     return profiles
 
 
@@ -389,7 +377,7 @@ def build_grid_profiles(
     cells: list[GridCell],
     records: list[RunRecord],
 ) -> dict[str, PerformanceProfile]:
-    """Profiles per metric and cost axis for one grid's runs."""
+    """Profiles per metric for one grid's runs."""
     runs = [(cell, record_trajectories(rec)) for cell, rec in zip(cells, records)]
     return _table_profiles(_run_table(grid.replicates, runs))
 
@@ -460,6 +448,22 @@ CSV_COLUMNS = (
 )
 
 
+def write_atomically(path: Path, text: str) -> None:
+    """Write text to path through .<name>.tmp beside it, so path never holds part of text.
+
+    The temporary name matches no *.csv or *.json glob. If the write or
+    the rename fails, the temporary file is removed and path keeps what
+    it held before.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        # Still there only if the write or the rename failed.
+        tmp.unlink(missing_ok=True)
+
+
 def write_run_csv(path: Path, record: RunRecord) -> None:
     """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
     # The row template lists CSV_COLUMNS in order.
@@ -470,14 +474,14 @@ def write_run_csv(path: Path, record: RunRecord) -> None:
         f"{log.true_iter:d}"
         for log in record.iterations
     )
-    path.write_text("\n".join(lines) + "\n")
+    write_atomically(path, "\n".join(lines) + "\n")
 
 
 def write_profile_csv(path: Path, points: list[tuple[float, float]]) -> None:
     lines = ["tau,rho"]
     for tau, rho in points:
         lines.append(f"{repr(float(tau))},{repr(float(rho))}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomically(path, "\n".join(lines) + "\n")
 
 
 def run_summary(cell: GridCell, record: RunRecord) -> dict:
@@ -503,7 +507,7 @@ def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
         write_run_csv(out_dir / entry["csv"], record)
     # load_run_trajectories rebuilds the grid from this entry.
     summary = {"grid": asdict(result.grid), "wall_time_s": result.wall_time, "runs": runs}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomically(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_profile_files(result.profiles, out_dir)
 
 
@@ -520,7 +524,7 @@ def write_profile_files(profiles: dict[str, PerformanceProfile], out_dir: Path) 
 
 
 def _read_run_columns(path: Path) -> np.ndarray:
-    """A run CSV's _TRAJECTORY_COLUMNS, found by header name, as a (4, rows) float64 array."""
+    """A run CSV's _TRAJECTORY_COLUMNS, found by header name, as a (2, rows) float64 array."""
     text = path.read_text()
     header, _, body = text.partition("\n")
     if not header:

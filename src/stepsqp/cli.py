@@ -29,6 +29,7 @@ from .bench import (
     profiles_from_directories,
     run_grid,
     run_summary,
+    write_atomically,
     write_profile_files,
     write_run_csv,
 )
@@ -236,9 +237,8 @@ def _cmd_run(args) -> int:
 
     summary = run_summary(cell, record)
     write_run_csv(out_dir / summary["csv"], record)
-    (out_dir / (Path(summary["csv"]).stem + ".json")).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_atomically(out_dir / (Path(summary["csv"]).stem + ".json"),
+                     json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return _STATUS_EXIT[record.status]
 
@@ -311,12 +311,11 @@ def _cmd_check_grad(args) -> int:
     tol = 1e-6
     all_ok = True
     for problem in problems:
-        worst_grad = 0.0
-        worst_jac = 0.0
-        for point in [problem.x0] + _ball_points(problem.x0, 10):
-            result = check_gradients(problem, point)
-            worst_grad = max(worst_grad, result.max_rel_err_grad)
-            worst_jac = max(worst_jac, result.max_rel_err_jac)
+        points = [problem.x0] + _ball_points(problem.x0, 10)
+        checks = [check_gradients(problem, point) for point in points]
+        # np.max, unlike max, keeps a NaN error (a difference that overflowed).
+        worst_grad = float(np.max([check.max_rel_err_grad for check in checks]))
+        worst_jac = float(np.max([check.max_rel_err_jac for check in checks]))
         ok = worst_grad <= tol and worst_jac <= tol
         all_ok = all_ok and ok
         print(

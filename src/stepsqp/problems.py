@@ -113,22 +113,27 @@ def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
     """Compare analytic derivatives against central differences at x.
 
     Relative error is |analytic - estimate| / max(1, |analytic|), taken
-    entrywise and maximized over the gradient and the Jacobian. Each
-    difference quotient is first granted its rounding bound,
-    eps * (|v(x + h e_j)| + |v(x - h e_j)|) / (2h) for v = f or c_i, so
-    exact derivatives of functions with large values are not flagged.
+    entrywise and maximized over the gradient and the Jacobian. The step
+    along e_j is h, or the float spacing at x_j where that is larger, so
+    x + h e_j and x - h e_j never round to one point. They are still
+    rounded, so each quotient divides by the width w_j = (x + h e_j)_j -
+    (x - h e_j)_j they actually span, not by 2h. Each is first granted
+    its rounding bound, eps * (|v(x + h e_j)| + |v(x - h e_j)|) / w_j for
+    v = f or c_i, so exact derivatives of functions with large values are
+    not flagged.
     """
     x = as_vector(x, problem.n)
     grad = problem.grad_f(x)
     jac = problem.jacobian(x)
-    steps = h * np.eye(problem.n)
+    steps = np.diag(np.maximum(h, np.spacing(np.abs(x))))
+    width = (x + steps).diagonal() - (x - steps).diagonal()
     f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
     c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
     eps = np.finfo(np.float64).eps
-    err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / (2.0 * h),
-                       eps * np.abs(f_pm).sum(axis=1) / (2.0 * h))
-    err_jac = _excess(jac, ((c_pm[:, 0] - c_pm[:, 1]) / (2.0 * h)).T,
-                      (eps * np.abs(c_pm).sum(axis=1) / (2.0 * h)).T)
+    err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / width,
+                       eps * np.abs(f_pm).sum(axis=1) / width)
+    err_jac = _excess(jac, (c_pm[:, 0] - c_pm[:, 1]).T / width,
+                      (eps * np.abs(c_pm).sum(axis=1)).T / width)
     return GradientCheck(float(err_grad.max()), float(err_jac.max()))
 
 

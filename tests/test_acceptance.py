@@ -67,6 +67,7 @@ def test_ac3_invariants_hold_across_the_full_grid():
     params = grid.params
     violations = []
     runs = 0
+    steps = 0
     failures = 0
     for cell in grid_cells(grid):
         problem = get_problem(cell.problem)
@@ -78,6 +79,7 @@ def test_ac3_invariants_hold_across_the_full_grid():
         )
         record = solve(problem, params, cfg)
         runs += 1
+        steps += len(record.iterations)
         if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
             failures += 1
             continue
@@ -85,6 +87,15 @@ def test_ac3_invariants_hold_across_the_full_grid():
         def flag(kind, log):
             violations.append(f"{cell.problem}/{cell.stream_id} k={log.k}: {kind}")
 
+        def check_merit_trial(log, c_next):
+            # (f) an accepted step's trial merit sample is taken at the point
+            # it moved to, whose c the next log (or the final iterate) holds.
+            if log.accepted and log.phi_bar_trial != (
+                log.tau_bar * log.f_bar_trial + float(np.sum(np.abs(c_next)))
+            ):
+                flag("trial merit sample", log)
+
+        eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
         previous_tau = params.tau_init
         for j, log in enumerate(record.iterations):
             c_vec = problem.c(log.x)
@@ -108,6 +119,20 @@ def test_ac3_invariants_hold_across_the_full_grid():
             # (d) exactly two value samples and one gradient sample each.
             if log.zeroth_calls != 2 * (j + 1) or log.first_calls != j + 1:
                 flag("oracle accounting", log)
+            if j:
+                check_merit_trial(record.iterations[j - 1], c_vec)
+            # (f) the step is accepted exactly when the noise-relaxed Armijo
+            # test passes on the logged merit samples.
+            if log.phi_bar_current != log.tau_bar * log.f_bar_current + c_l1:
+                flag("current merit sample", log)
+            armijo = log.phi_bar_trial <= (
+                log.phi_bar_current - log.alpha * params.theta * log.delta_l
+                + 2.0 * log.tau_bar * eps_f
+            )
+            if log.accepted != armijo:
+                flag("noise-relaxed Armijo decision", log)
+        if record.iterations:
+            check_merit_trial(record.iterations[-1], problem.c(record.final_x))
         # (e) rejected steps keep the iterate, accepted steps move it.
         for prev, nxt in zip(record.iterations, record.iterations[1:]):
             moved_to = prev.x + prev.alpha * prev.d if prev.accepted else prev.x
@@ -117,7 +142,7 @@ def test_ac3_invariants_hold_across_the_full_grid():
     _report(
         "AC3",
         ok,
-        f"{runs} runs, {failures} failed, {len(violations)} invariant violations"
+        f"{runs} runs, {steps} steps, {failures} failed, {len(violations)} invariant violations"
         + (f"; first: {violations[0]}" if violations else ""),
     )
 

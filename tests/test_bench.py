@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import operator
+import os
 import shutil
 import warnings
 
@@ -18,6 +19,7 @@ from stepsqp.bench import (
     DEFAULT_NOISE_PAIRS,
     MAX_NOISE_PAIRS,
     MAX_REPLICATES,
+    _TRAJECTORY_COLUMNS,
     EmptyInputError,
     ExperimentGrid,
     _read_run_columns,
@@ -122,10 +124,9 @@ def _edge_record():
 
 def _logged_columns(record):
     return np.array(
-        [(log.infeas_inf, log.kkt_inf, log.zeroth_calls, log.first_calls)
-         for log in record.iterations],
+        [[getattr(log, name) for name in _TRAJECTORY_COLUMNS] for log in record.iterations],
         dtype=np.float64,
-    ).reshape(-1, 4).T
+    ).reshape(-1, len(_TRAJECTORY_COLUMNS)).T
 
 
 class TestGridEnumeration:
@@ -232,47 +233,37 @@ class TestTrajectories:
     def test_final_metrics_extend_the_trajectory(self):
         record = _make_record([(2.0, 1.0), (1.0, 3.0)], final_infeas=0.5, final_kkt=0.25)
         trajs = record_trajectories(record)
-        assert set(trajs) == {"infeasibility", "kkt", "work"}
+        assert set(trajs) == {"infeasibility", "kkt"}
         np.testing.assert_array_equal(trajs["infeasibility"], [2.0, 1.0, 0.5])
         # The stationarity metric folds infeasibility in through a max.
         np.testing.assert_array_equal(trajs["kkt"], [2.0, 3.0, 0.5])
-        # Both metrics share one work array.
-        np.testing.assert_array_equal(trajs["work"], [0.0, 3.0, 6.0])
 
     def test_missing_final_metrics_drop_the_last_point(self):
         record = _make_record([(2.0, 1.0), (1.0, 3.0)], final_infeas=None, final_kkt=None)
         trajs = record_trajectories(record)
+        assert set(trajs) == {"infeasibility", "kkt"}
         np.testing.assert_array_equal(trajs["infeasibility"], [2.0, 1.0])
         np.testing.assert_array_equal(trajs["kkt"], [2.0, 3.0])
-        np.testing.assert_array_equal(trajs["work"], [0.0, 3.0])
 
     def test_empty_record_with_finals(self):
         record = _make_record([], final_infeas=2.0, final_kkt=0.0)
         trajs = record_trajectories(record)
+        assert set(trajs) == {"infeasibility", "kkt"}
+        np.testing.assert_array_equal(trajs["infeasibility"], [2.0])
         np.testing.assert_array_equal(trajs["kkt"], [2.0])
-        np.testing.assert_array_equal(trajs["work"], [0.0])
 
 
-def _hand_run(values, work):
+def _hand_run(values):
     """A run table entry whose two metrics take the same values."""
     values = np.array(values)
-    return {"infeasibility": values, "kkt": values, "work": np.array(work)}
+    return {"infeasibility": values, "kkt": values}
 
 
 class TestConvergenceBudget:
     """first_hit: the index of the first point that passes the convergence test."""
 
-    def test_hits_at_the_recorded_work(self):
+    def test_hits_at_the_first_passing_index(self):
         assert first_hit(np.array([5.0, 3.0, 1.0]), m0=5.0, m_best=1.0) == 2
-        # Both runs hit at index 2; the work axis prices A's hit at the 6
-        # calls recorded for it, against B's 3.
-        table = {
-            ("A", "i"): _hand_run([5.0, 3.0, 1.0], [0.0, 3.0, 6.0]),
-            ("B", "i"): _hand_run([5.0, 4.0, 1.0], [0.0, 1.0, 3.0]),
-        }
-        profiles = _table_profiles(table)
-        assert profiles["kkt__iterations"].ratios == {("A", "i"): 1.0, ("B", "i"): 1.0}
-        assert profiles["kkt__work"].ratios == {("A", "i"): 2.0, ("B", "i"): 1.0}
 
     def test_zero_gap_converges_immediately(self):
         assert first_hit(np.array([2.0, 2.0]), m0=2.0, m_best=2.0) == 0
@@ -290,51 +281,39 @@ class TestConvergenceBudget:
         assert first_hit(np.array([]), m0=1.0, m_best=0.0) is None
 
 
-class TestTwoCostAxes:
-    """One first hit per (run, metric), priced on both axes."""
+class TestIterationBudgets:
+    """One first hit per (run, metric), priced by its iteration index."""
 
     # Both start at 8 on both instances, and 0 is the best value reached.
-    # On i1, A reaches 0 at iteration 1 after 10 oracle calls, and B at
-    # iteration 3 after 4 calls. On i2, A reaches 0 at iteration 2 after
-    # 6 calls, and B never does.
+    # On i1, A reaches 0 at iteration 1 and B at iteration 3. On i2, A
+    # reaches 0 at iteration 2, and B never does.
     TABLE = {
-        ("A", "i1"): _hand_run([8.0, 0.0, 0.0], [0.0, 10.0, 20.0]),
-        ("B", "i1"): _hand_run([8.0, 4.0, 2.0, 0.0], [0.0, 1.0, 2.0, 4.0]),
-        ("A", "i2"): _hand_run([8.0, 1.0, 0.0], [0.0, 3.0, 6.0]),
-        ("B", "i2"): _hand_run([8.0, 8.0], [0.0, 3.0]),
+        ("A", "i1"): _hand_run([8.0, 0.0, 0.0]),
+        ("B", "i1"): _hand_run([8.0, 4.0, 2.0, 0.0]),
+        ("A", "i2"): _hand_run([8.0, 1.0, 0.0]),
+        ("B", "i2"): _hand_run([8.0, 8.0]),
     }
 
-    def test_fewer_iterations_against_less_work(self):
+    def test_ratios_and_curves_per_metric(self):
         profiles = _table_profiles(self.TABLE)
-        assert set(profiles) == {
-            "infeasibility__iterations", "infeasibility__work", "kkt__iterations", "kkt__work",
-        }
+        assert set(profiles) == {"infeasibility__iterations", "kkt__iterations"}
         for metric in ("infeasibility", "kkt"):
             by_iterations = profiles[f"{metric}__iterations"]
             assert by_iterations.ratios == {
                 ("A", "i1"): 1.0, ("B", "i1"): 3.0, ("A", "i2"): 1.0, ("B", "i2"): math.inf,
             }
             assert by_iterations.curves == {"A": [(1.0, 1.0)], "B": [(3.0, 0.5)]}
-            by_work = profiles[f"{metric}__work"]
-            assert by_work.ratios == {
-                ("A", "i1"): 2.5, ("B", "i1"): 1.0, ("A", "i2"): 1.0, ("B", "i2"): math.inf,
-            }
-            assert by_work.curves == {"A": [(1.0, 0.5), (2.5, 1.0)], "B": [(1.0, 0.5)]}
 
     def test_metrics_hit_at_different_points(self):
         # The kkt metric passes one iteration after infeasibility does, and
-        # its work is priced at that later point.
+        # is priced at that later iteration.
         run = {
             "infeasibility": np.array([4.0, 0.0, 0.0]),
             "kkt": np.array([4.0, 2.0, 0.0]),
-            "work": np.array([0.0, 3.0, 7.0]),
         }
-        other = _hand_run([4.0, 0.0], [0.0, 14.0])
-        profiles = _table_profiles({("A", "i"): run, ("B", "i"): other})
-        assert profiles["infeasibility__iterations"].ratios[("A", "i")] == 1.0
-        assert profiles["infeasibility__work"].ratios[("B", "i")] == 14.0 / 3.0
-        assert profiles["kkt__iterations"].ratios[("A", "i")] == 2.0
-        assert profiles["kkt__work"].ratios[("B", "i")] == 2.0
+        profiles = _table_profiles({("A", "i"): run, ("B", "i"): _hand_run([4.0, 0.0])})
+        assert profiles["infeasibility__iterations"].ratios == {("A", "i"): 1.0, ("B", "i"): 1.0}
+        assert profiles["kkt__iterations"].ratios == {("A", "i"): 2.0, ("B", "i"): 1.0}
 
 
 # Budget tables of 1-4 solvers by 1-15 instances: unsolved, zero or positive.
@@ -464,6 +443,23 @@ class TestNamingAndFiles:
         logged = _logged_columns(record)
         np.testing.assert_array_equal(parsed.view(np.uint64), logged.view(np.uint64))
 
+    @pytest.mark.parametrize("write", [
+        lambda path: write_run_csv(path, _edge_record()),
+        lambda path: write_profile_csv(path, [(1.0, 0.5)]),
+    ], ids=["run-csv", "profile-csv"])
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write(path)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_profile_csv(self, tmp_path):
         path = tmp_path / "profile.csv"
         write_profile_csv(path, [(1.0, 0.5), (2.5, 1.0)])
@@ -491,12 +487,7 @@ class TestRunGrid:
             name = run_filename(cell.problem, cell.eps_f, cell.eps_g, cell.replicate)
             assert (out / name).is_file()
         assert (out / "summary.json").is_file()
-        expected_keys = {
-            "infeasibility__iterations",
-            "infeasibility__work",
-            "kkt__iterations",
-            "kkt__work",
-        }
+        expected_keys = {"infeasibility__iterations", "kkt__iterations"}
         assert set(result.profiles) == expected_keys
         for key in expected_keys:
             for solver in result.profiles[key].solvers:
@@ -516,7 +507,7 @@ class TestRunGrid:
 
     def test_deterministic_run_spans_replicate_instances(self, small_result):
         _, result = small_result
-        profile = result.profiles["kkt__work"]
+        profile = result.profiles["kkt__iterations"]
         assert set(profile.solvers) == {"f0__g0", "f0.01__g0.1"}
         assert set(profile.instances) == {"P1__r0", "P1__r1", "hs6__r0", "hs6__r1"}
         # The single deterministic run provides a finite budget on every
@@ -561,7 +552,7 @@ class TestRunGrid:
         other = tmp_path / "again"
         run_grid(SMALL_GRID, out_dir=other)
         profiles = profiles_from_directories([out, other])
-        solvers = set(profiles["kkt__work"].solvers)
+        solvers = set(profiles["kkt__iterations"].solvers)
         assert solvers == {
             f"{out.name}__f0__g0",
             f"{out.name}__f0.01__g0.1",
@@ -611,10 +602,6 @@ class TestProfileValidation:
         [
             ("kkt_inf", 1, "nan", "finite"),
             ("infeas_inf", 1, "inf", "finite"),
-            ("zeroth_calls", 2, "0", "non-decreasing"),
-            ("zeroth_calls", 0, "-5", "non-negative"),
-            ("first_calls", 1, "2.5", "call counts must be integers"),
-            ("zeroth_calls", 1, "inf", "call counts must be integers"),
             ("kkt_inf", 0, "0.5x", "could not convert"),
         ],
     )
@@ -665,9 +652,9 @@ class TestProfileValidation:
             warnings.simplefilter("error")
             _, [(_, trajs)] = load_run_trajectories(tmp_path)
         fresh = record_trajectories(record)
+        assert set(trajs) == set(fresh)
         for metric in ("infeasibility", "kkt"):
             np.testing.assert_array_equal(trajs[metric], fresh[metric])
-        np.testing.assert_array_equal(trajs["work"], [0.0])
 
 
 MIXED_GRID = ExperimentGrid(
@@ -689,7 +676,7 @@ class TestCommonInstances:
             assert profile.instances == ("P1__r0", "P1__r1")
             assert len(profile.solvers) == 4
         # Alone, each directory keeps all of its instances.
-        alone = profiles_from_directories([both])["kkt__work"]
+        alone = profiles_from_directories([both])["kkt__iterations"]
         assert alone.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
 
     def test_deterministic_run_covers_its_own_replicates(self, tmp_path):
@@ -702,7 +689,7 @@ class TestCommonInstances:
             assert profile.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
             assert all(math.isfinite(r) for r in profile.ratios.values())
         # Alone, the three-replicate directory's (0, 0) run covers all three.
-        alone = profiles_from_directories([three])["kkt__work"]
+        alone = profiles_from_directories([three])["kkt__iterations"]
         assert alone.instances[-1] == "P2__r2"
         assert math.isfinite(alone.ratios[("f0__g0", "P2__r2")])
 

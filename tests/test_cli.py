@@ -10,6 +10,7 @@ import sys
 import time
 import types
 import typing
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -529,14 +530,34 @@ class TestBenchAndProfileCommands:
         code = main(["profile", str(bench_dir), "--out", str(out)])
         assert code == EXIT_OK
         printed = json.loads(capsys.readouterr().out)
-        assert printed["profiles"] == [
-            "infeasibility__iterations",
-            "infeasibility__work",
-            "kkt__iterations",
-            "kkt__work",
-        ]
+        assert printed["profiles"] == ["infeasibility__iterations", "kkt__iterations"]
         written = list(out.glob("profile__*.csv"))
-        assert len(written) == 8  # 4 profile keys x 2 noise configurations
+        assert len(written) == 4  # 2 profile keys x 2 noise configurations
+
+    def test_bench_dir_holds_only_its_outputs(self, bench_dir):
+        runs = json.loads((bench_dir / "summary.json").read_text())["runs"]
+        profiles = {
+            f"profile__{metric}__iterations__{label}.csv"
+            for metric in ("infeasibility", "kkt")
+            for label in ("f0__g0", "f0.01__g0.1")
+        }
+        expected = {entry["csv"] for entry in runs} | {"summary.json"} | profiles
+        assert {p.name for p in bench_dir.iterdir()} == expected
+
+    def test_profile_ignores_work_profiles_of_an_older_bench_dir(self, bench_dir, tmp_path):
+        # Bench directories written before profiles had one cost axis also
+        # hold a profile__<metric>__work__<label>.csv per iteration profile,
+        # byte for byte the same.
+        old = tmp_path / "old"
+        shutil.copytree(bench_dir, old)
+        iteration_files = sorted(old.glob("profile__*__iterations__*.csv"))
+        for path in iteration_files:
+            shutil.copyfile(path, path.with_name(path.name.replace("__iterations__", "__work__")))
+        out = tmp_path / "p"
+        assert main(["profile", str(old), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [p.name for p in iteration_files]
+        for path in iteration_files:
+            assert (out / path.name).read_bytes() == path.read_bytes()
 
     def test_profile_rejects_same_named_directories(self, bench_dir, tmp_path, capsys):
         first, second = tmp_path / "a" / "out", tmp_path / "b" / "out"
@@ -553,7 +574,6 @@ class TestBenchAndProfileCommands:
         "column, row, value, message",
         [
             ("kkt_inf", 1, "nan", "metric values must be finite"),
-            ("zeroth_calls", 2, "0", "non-decreasing"),
         ],
     )
     def test_profile_rejects_a_doctored_run_csv(
@@ -859,6 +879,30 @@ class TestOtherCommands:
         assert main(["check-grad", _write_json(tmp_path / "bigq.json", doc)]) == EXIT_OK
         result = json.loads(capsys.readouterr().out)
         assert result["pass"] is True and result["max_rel_err_grad"] == 0.0
+
+    @pytest.mark.parametrize(
+        "x0", [[-1e6, -1e6], [-1e17, -1e17]], ids=["rounded", "below-spacing"]
+    )
+    def test_check_grad_divides_by_the_step_it_took(self, tmp_path, capsys, x0):
+        # At -1e6, x + h e_j and x - h e_j are rounded to points not exactly
+        # 2h apart; at -1e17, h = 1e-6 is below the float spacing (16), so
+        # both would round to x itself.
+        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
+               "b": [0], "x0": x0}
+        assert main(["check-grad", _write_json(tmp_path / "farq.json", doc)]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["pass"] is True and result["max_rel_err_jac"] == 0.0
+
+    def test_check_grad_fails_a_difference_that_overflows(self, tmp_path, capsys):
+        # f(x0 +- h e_j) overflows to inf, so the gradient's quotient is NaN.
+        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
+               "b": [0], "x0": [-1e300, -1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["check-grad", _write_json(tmp_path / "farq.json", doc)])
+        assert code == EXIT_FAILURE
+        result = json.loads(capsys.readouterr().out)
+        assert result["pass"] is False and math.isnan(result["max_rel_err_grad"])
 
     def test_check_grad_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
         qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
