@@ -26,6 +26,9 @@ budget.
 
 Every output file is written to a temporary name beside it and then
 renamed over its target, so a reader never sees a partly written file.
+A run's CSV is written where the run was solved, as soon as it ends, and
+summary.json is written last, so a directory without one is an
+unfinished grid.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from .linalg import load_lapack
 from .oracles import OracleConfig, derive_stream, is_finite, is_int
 from .problems import get_entry, get_problem, problem_names, read_json
-from .sqp import RunRecord, RunStatus, SolverParams, solve
+from .sqp import RunRecord, SolverParams, solve
 
 # The convergence test asks a run to close this fraction of the reachable gap.
 CONVERGENCE_FRACTION = 1.0 - 1e-3
@@ -216,14 +219,18 @@ def _trajectories(
     return {"infeasibility": infeas, "kkt": np.maximum(infeas, residual)}
 
 
-def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
-    """Metric values of one run, as _trajectories gives them."""
+def _record_columns(record: RunRecord) -> np.ndarray:
+    """A run's _TRAJECTORY_COLUMNS as a (2, K) float64 array, the values its run CSV holds."""
     logs = record.iterations
-    columns = np.array([
+    return np.array([
         np.fromiter(map(operator.attrgetter(name), logs), np.float64, len(logs))
         for name in _TRAJECTORY_COLUMNS
     ])
-    return _trajectories(columns, record.final_infeas_inf, record.final_kkt_inf)
+
+
+def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
+    """Metric values of one run, as _trajectories gives them."""
+    return _trajectories(_record_columns(record), record.final_infeas_inf, record.final_kkt_inf)
 
 
 def first_hit(values: np.ndarray, m0: float, m_best: float) -> Optional[int]:
@@ -388,50 +395,57 @@ def build_grid_profiles(
 
 @dataclass
 class GridResult:
+    """A grid whose runs are held in memory, for write_grid_outputs."""
+
     grid: ExperimentGrid
     cells: list[GridCell]
     records: list[RunRecord]
     profiles: dict[str, PerformanceProfile]
     wall_time: float
 
-    @property
-    def failed_cells(self) -> list[GridCell]:
-        return [
-            cell
-            for cell, rec in zip(self.cells, self.records)
-            if rec.status is RunStatus.LINEAR_ALGEBRA_FAILURE
-        ]
+
+def _solve_and_write(grid: ExperimentGrid, out_dir: Path, cell: GridCell) -> tuple[dict, np.ndarray]:
+    """One grid cell's task: solve it, write its run CSV, and return what the grid keeps.
+
+    That is the cell's summary.json entry and its (2, K) trajectory
+    columns. The RunRecord, with its K IterationLogs, ends here, so
+    no log leaves the process that solved the cell.
+    """
+    record = run_cell(grid, cell)
+    return _write_run(out_dir, cell, record), _record_columns(record)
 
 
-def run_grid(
-    grid: ExperimentGrid,
-    out_dir: "Path | str | None" = None,
-    jobs: int = 1,
-) -> GridResult:
-    """Run every cell of the grid, optionally writing output files.
+def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict:
+    """Run every cell of the grid into out_dir and return the summary.json written there.
 
     Outputs per grid: one CSV of iteration rows per run (named
-    <problem>__f<eps_f>__g<eps_g>__r<replicate>.csv), a summary.json
-    with statuses, final metrics and timings, and one CSV per profile
-    curve. Outputs are written in deterministic cell order; jobs only
-    sets the worker-process count and never affects file contents.
+    <problem>__f<eps_f>__g<eps_g>__r<replicate>.csv), written as its
+    cell finishes; one CSV per profile curve; and, last, a summary.json
+    with the grid, statuses, final metrics and timings. A summary.json
+    left from an earlier grid is deleted first, so a directory without
+    one is an unfinished grid. Files are the same whatever jobs, the
+    worker-process count, is.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     t_start = time.perf_counter()
+    out_dir = _start_grid_dir(out_dir)
     cells = grid_cells(grid)
+    task = functools.partial(_solve_and_write, grid, out_dir)
     if jobs == 1:
-        records = [run_cell(grid, cell) for cell in cells]
+        done = list(map(task, cells))
     else:
         # Forked workers inherit LAPACK from here instead of each loading it.
         load_lapack()
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(functools.partial(run_cell, grid), cells))
-    profiles = build_grid_profiles(grid, cells, records)
-    result = GridResult(grid, cells, records, profiles, time.perf_counter() - t_start)
-    if out_dir is not None:
-        write_grid_outputs(result, Path(out_dir))
-    return result
+            done = list(pool.map(task, cells))
+    runs = [entry for entry, _ in done]
+    table = _run_table(grid.replicates, [
+        (cell, _trajectories(columns, entry["final_infeas_inf"], entry["final_kkt_inf"]))
+        for cell, (entry, columns) in zip(cells, done)
+    ])
+    return _write_summary(out_dir, grid, time.perf_counter() - t_start, runs,
+                          _table_profiles(table))
 
 
 CSV_COLUMNS = (
@@ -499,16 +513,36 @@ def run_summary(cell: GridCell, record: RunRecord) -> dict:
     }
 
 
-def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
+def _start_grid_dir(out_dir: "Path | str") -> Path:
+    """Create out_dir and delete its summary.json, which is written after every other file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [run_summary(cell, record) for cell, record in zip(result.cells, result.records)]
-    for entry, record in zip(runs, result.records):
-        write_run_csv(out_dir / entry["csv"], record)
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    return out_dir
+
+
+def _write_run(out_dir: Path, cell: GridCell, record: RunRecord) -> dict:
+    """Write one run's CSV and return its summary.json entry."""
+    entry = run_summary(cell, record)
+    write_run_csv(out_dir / entry["csv"], record)
+    return entry
+
+
+def _write_summary(out_dir: Path, grid: ExperimentGrid, wall_time: float, runs: list[dict],
+                   profiles: dict[str, PerformanceProfile]) -> dict:
+    """Write the profile CSVs, then summary.json, and return the summary."""
+    write_profile_files(profiles, out_dir)
     # load_run_trajectories rebuilds the grid from this entry.
-    summary = {"grid": asdict(result.grid), "wall_time_s": result.wall_time, "runs": runs}
+    summary = {"grid": asdict(grid), "wall_time_s": wall_time, "runs": runs}
     write_atomically(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_profile_files(result.profiles, out_dir)
+    return summary
+
+
+def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
+    """Write a grid solved in memory, file for file as run_grid writes it."""
+    out_dir = _start_grid_dir(out_dir)
+    runs = [_write_run(out_dir, cell, record) for cell, record in zip(result.cells, result.records)]
+    _write_summary(out_dir, result.grid, result.wall_time, runs, result.profiles)
 
 
 def write_profile_files(profiles: dict[str, PerformanceProfile], out_dir: Path) -> None:

@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -261,22 +263,20 @@ def _cmd_bench(args) -> int:
     if jobs < args.jobs:
         print(f"note: --jobs {args.jobs} lowered to {jobs}, the CPUs this process may use",
               file=sys.stderr)
-    result = run_grid(grid, out_dir=_out_dir(args.out), jobs=jobs)
-    by_status: dict[str, int] = {}
-    for record in result.records:
-        by_status[record.status.value] = by_status.get(record.status.value, 0) + 1
+    summary = run_grid(grid, out_dir=_out_dir(args.out), jobs=jobs)
+    by_status = Counter(entry["status"] for entry in summary["runs"])
     print(
         json.dumps(
             {
-                "runs": len(result.records),
+                "runs": len(summary["runs"]),
                 "by_status": by_status,
                 "out": str(args.out),
-                "wall_time_s": result.wall_time,
+                "wall_time_s": summary["wall_time_s"],
             },
             sort_keys=True,
         )
     )
-    return EXIT_FAILURE if result.failed_cells else EXIT_OK
+    return EXIT_FAILURE if by_status[RunStatus.LINEAR_ALGEBRA_FAILURE.value] else EXIT_OK
 
 
 def _cmd_profile(args) -> int:
@@ -314,21 +314,14 @@ def _cmd_check_grad(args) -> int:
         points = [problem.x0] + _ball_points(problem.x0, 10)
         checks = [check_gradients(problem, point) for point in points]
         # np.max, unlike max, keeps a NaN error (a difference that overflowed).
-        worst_grad = float(np.max([check.max_rel_err_grad for check in checks]))
-        worst_jac = float(np.max([check.max_rel_err_jac for check in checks]))
-        ok = worst_grad <= tol and worst_jac <= tol
+        worst = {key: float(np.max([getattr(check, key) for check in checks]))
+                 for key in ("max_rel_err_grad", "max_rel_err_jac")}
+        ok = all(value <= tol for value in worst.values())
         all_ok = all_ok and ok
-        print(
-            json.dumps(
-                {
-                    "problem": problem.name,
-                    "max_rel_err_grad": worst_grad,
-                    "max_rel_err_jac": worst_jac,
-                    "pass": ok,
-                },
-                sort_keys=True,
-            )
-        )
+        # Strict JSON has no NaN or Infinity: a non-finite error prints as null.
+        finite = {key: value if math.isfinite(value) else None for key, value in worst.items()}
+        print(json.dumps({"problem": problem.name, **finite, "pass": ok},
+                         sort_keys=True, allow_nan=False))
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 

@@ -127,13 +127,16 @@ def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
     jac = problem.jacobian(x)
     steps = np.diag(np.maximum(h, np.spacing(np.abs(x))))
     width = (x + steps).diagonal() - (x - steps).diagonal()
-    f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
-    c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
     eps = np.finfo(np.float64).eps
-    err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / width,
-                       eps * np.abs(f_pm).sum(axis=1) / width)
-    err_jac = _excess(jac, (c_pm[:, 0] - c_pm[:, 1]).T / width,
-                      (eps * np.abs(c_pm).sum(axis=1)).T / width)
+    # Far from the origin a value may overflow; its error is then NaN or
+    # inf, which is the result, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
+        c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
+        err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / width,
+                           eps * np.abs(f_pm).sum(axis=1) / width)
+        err_jac = _excess(jac, (c_pm[:, 0] - c_pm[:, 1]).T / width,
+                          (eps * np.abs(c_pm).sum(axis=1)).T / width)
     return GradientCheck(float(err_grad.max()), float(err_jac.max()))
 
 

@@ -283,7 +283,7 @@ def test_ac8_profile_and_budget_conventions():
 
 
 def test_ac9_parallel_bench_outputs_are_byte_identical(tmp_path):
-    """Worker count never changes any per-run or profile CSV."""
+    """Worker count never changes any per-run or profile CSV, nor summary.json but its times."""
     cfg = {
         "grid": {
             "problems": ["P1", "hs6", "qp10"],
@@ -308,9 +308,19 @@ def test_ac9_parallel_bench_outputs_are_byte_identical(tmp_path):
         for name in serial_names
         if (serial / name).read_bytes() != (threaded / name).read_bytes()
     ]
+
+    def summary_without_times(out_dir):
+        summary = json.loads((out_dir / "summary.json").read_text())
+        del summary["wall_time_s"]
+        for entry in summary["runs"]:
+            del entry["wall_time_s"]
+        return summary
+
+    if summary_without_times(serial) != summary_without_times(threaded):
+        mismatched.append("summary.json")
     _report(
         "AC9",
         not mismatched,
-        f"{len(serial_names)} CSV files byte-compared across --jobs 1 vs 4"
-        + (f"; mismatched: {mismatched}" if mismatched else ""),
+        f"{len(serial_names)} CSV files and summary.json (less wall_time_s) compared "
+        "across --jobs 1 vs 4" + (f"; mismatched: {mismatched}" if mismatched else ""),
     )

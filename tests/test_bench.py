@@ -1,12 +1,18 @@
 """Tests for the benchmark harness: grids, trajectories, first hits, profiles."""
 
+import concurrent.futures
+import contextlib
 import dataclasses
+import gc
+import io
 import json
 import math
 import operator
 import os
+import pickle
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import doctor_run_csv
 
+from stepsqp import bench, cli
 from stepsqp.bench import (
     CSV_COLUMNS,
     DEFAULT_NOISE_PAIRS,
@@ -22,6 +29,7 @@ from stepsqp.bench import (
     _TRAJECTORY_COLUMNS,
     EmptyInputError,
     ExperimentGrid,
+    GridResult,
     _read_run_columns,
     _table_profiles,
     build_grid_profiles,
@@ -468,18 +476,23 @@ class TestNamingAndFiles:
 
 @pytest.fixture(scope="module")
 def small_result(tmp_path_factory):
+    """SMALL_GRID written by run_grid, and the same grid solved in memory to check it by."""
     out = tmp_path_factory.mktemp("grid")
-    result = run_grid(SMALL_GRID, out_dir=out)
-    return out, result
+    summary = run_grid(SMALL_GRID, out_dir=out)
+    cells = grid_cells(SMALL_GRID)
+    records = [run_cell(SMALL_GRID, cell) for cell in cells]
+    profiles = build_grid_profiles(SMALL_GRID, cells, records)
+    return out, GridResult(SMALL_GRID, cells, records, profiles, summary["wall_time_s"])
 
 
 class TestRunGrid:
     def test_all_cells_ran(self, small_result):
-        _, result = small_result
-        assert len(result.records) == 6
-        assert result.failed_cells == []
-        statuses = {rec.status for rec in result.records}
-        assert statuses <= {RunStatus.CONVERGED, RunStatus.BUDGET_EXHAUSTED}
+        out, result = small_result
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert len(runs) == 6
+        statuses = [entry["status"] for entry in runs]
+        assert statuses == [rec.status.value for rec in result.records]
+        assert set(statuses) <= {RunStatus.CONVERGED.value, RunStatus.BUDGET_EXHAUSTED.value}
 
     def test_output_files(self, small_result):
         out, result = small_result
@@ -504,6 +517,11 @@ class TestRunGrid:
         for entry, cell in zip(summary["runs"], result.cells):
             assert entry["problem"] == cell.problem
             assert entry["stream_id"] == cell.stream_id
+
+    def test_returns_the_summary_it_wrote(self, tmp_path):
+        summary = run_grid(SMALL_GRID, out_dir=tmp_path)
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "summary.json").read_text() == text
 
     def test_deterministic_run_spans_replicate_instances(self, small_result):
         _, result = small_result
@@ -570,16 +588,81 @@ class TestRunGrid:
         assert len(names) > 6  # run CSVs plus profile curves
         for name in names:
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+        assert _summary_without_wall_times(serial) == _summary_without_wall_times(threaded)
 
-    def test_bad_jobs_rejected(self):
+    def test_bad_jobs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
-            run_grid(SMALL_GRID, jobs=0)
+            run_grid(SMALL_GRID, out_dir=tmp_path, jobs=0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_grid_that_stops_leaves_no_summary(self, tmp_path, monkeypatch):
+        # The directory holds another grid's whole output; the new grid
+        # overwrites two of its CSVs and then fails on its third cell.
+        other = dataclasses.replace(SMALL_GRID, seed=8, params=SolverParams(max_iters=20))
+        run_grid(other, out_dir=tmp_path)
+        solved = []
+
+        def third_cell_raises(grid, cell):
+            if len(solved) == 2:
+                raise RuntimeError("cell failed")
+            solved.append(cell)
+            return run_cell(grid, cell)
+
+        monkeypatch.setattr(bench, "run_cell", third_cell_raises)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_grid(SMALL_GRID, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["profile", str(tmp_path), "--out", str(tmp_path / "p")]) == 1
+        assert "has no summary.json" in err.getvalue()
+
+    def test_serial_grid_holds_one_record_at_a_time(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+
+        def tracked(grid, cell):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            record = run_cell(grid, cell)
+            refs.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(bench, "run_cell", tracked)
+        run_grid(SMALL_GRID, out_dir=tmp_path, jobs=1)
+        assert alive == [[False] * i for i in range(6)]
+
+    def test_workers_return_summary_entries_and_columns(self, tmp_path, monkeypatch):
+        returned = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                for result in super().map(fn, *iterables, **kwargs):
+                    returned.append(result)
+                    yield result
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        summary = run_grid(SMALL_GRID, out_dir=tmp_path, jobs=2)
+        assert [entry for entry, _ in returned] == summary["runs"]
+        for entry, columns in returned:
+            rows = entry["iterations"]
+            assert columns.shape == (2, rows) and columns.dtype == np.float64
+            data = pickle.dumps((entry, columns))
+            # 16 bytes per iteration (two float64 columns) plus the entry.
+            assert len(data) <= 16 * rows + 1024
+            assert b"IterationLog" not in data and b"stepsqp.sqp" not in data
 
     def test_missing_summary_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="summary.json"):
             load_run_trajectories(tmp_path)
         with pytest.raises(EmptyInputError):
             profiles_from_directories([])
+
+
+def _summary_without_wall_times(out_dir):
+    summary = json.loads((out_dir / "summary.json").read_text())
+    del summary["wall_time_s"]
+    for entry in summary["runs"]:
+        del entry["wall_time_s"]
+    return summary
 
 
 class TestBuildGridProfiles:
@@ -645,8 +728,9 @@ class TestProfileValidation:
             problems=("P2",), noise_pairs=((0.0, 0.0),), replicates=1,
             params=SolverParams(max_iters=0),
         )
-        result = run_grid(grid, out_dir=tmp_path)
-        (record,) = result.records
+        run_grid(grid, out_dir=tmp_path)
+        (cell,) = grid_cells(grid)
+        record = run_cell(grid, cell)
         assert record.iterations == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")

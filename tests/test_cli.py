@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import time
-import types
 import typing
 import warnings
 from pathlib import Path
@@ -503,7 +502,7 @@ class TestBenchAndProfileCommands:
 
         def fake_run_grid(grid, out_dir, jobs):
             seen.append(jobs)
-            return types.SimpleNamespace(records=[], wall_time=0.0, failed_cells=[])
+            return {"runs": [], "wall_time_s": 0.0}
 
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(cli, "run_grid", fake_run_grid)
@@ -902,7 +901,25 @@ class TestOtherCommands:
             code = main(["check-grad", _write_json(tmp_path / "farq.json", doc)])
         assert code == EXIT_FAILURE
         result = json.loads(capsys.readouterr().out)
-        assert result["pass"] is False and math.isnan(result["max_rel_err_grad"])
+        assert result["pass"] is False and result["max_rel_err_grad"] is None
+
+    def test_check_grad_prints_strict_json_and_no_warnings(self, tmp_path, capsys):
+        # The overflowing differences of the test above, with warnings as errors.
+        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
+               "b": [0], "x0": [-1e300, -1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-grad", _write_json(tmp_path / "farq.json", doc)])
+        assert code == EXIT_FAILURE
+        out, err = capsys.readouterr()
+        assert err == ""
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        result = json.loads(out, parse_constant=reject)
+        assert result == {"problem": "farq", "max_rel_err_grad": None,
+                          "max_rel_err_jac": 0.0, "pass": False}
 
     def test_check_grad_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
         qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
@@ -963,7 +980,7 @@ _OVERRIDES = st.one_of(
 
 
 def _no_grid(grid, out_dir, jobs):
-    return types.SimpleNamespace(records=[], wall_time=0.0, failed_cells=[])
+    return {"runs": [], "wall_time_s": 0.0}
 
 
 # bench runs with run_grid stubbed, so only its configuration path is
@@ -1036,7 +1053,7 @@ def test_bench_loads_lapack_before_its_worker_pool(tmp_path):
         "        super().__init__(max_workers)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
         "run_grid(ExperimentGrid(problems=('P2',), noise_pairs=((0.0, 0.0),), replicates=2), "
-        "jobs=2)\n"
+        f"out_dir={str(tmp_path)!r}, jobs=2)\n"
         "assert at_pool == [True]"
     )
     assert _modules_loaded_after(statements, "scipy.linalg") == [True]
