@@ -24,16 +24,21 @@ Each exact quantity is evaluated once per point. f and c are evaluated
 once at each trial point; on acceptance those values become the new
 iterate's, so only grad f and J are evaluated there. The oracle samples
 add fresh noise to the exact f and grad f the loop holds, and the same
-exact values classify the iteration. The dot products and norms of an
-iteration (g'd, d'd, |g|'|d|, ||d||_1, ||y||_1, ||c||_1) are each
-computed once and handed to the helpers below as scalars.
+exact values classify the iteration. A step's products are d'd, c'y
+and ||c||_1, each computed once and handed to the helpers below as
+scalars. For a direction from the system above, gbar'd + d'd = c'y
+(multiply its first block row by d and use J d = -c). So the trial
+penalty parameter is (1 - sigma) * ||c||_1 / c'y when c'y > 0 and
+infinite otherwise, with c'y exactly 0 wherever c = 0, and gbar'd is
+taken as c'y - d'd: tau and delta_l come from the same two scalars, and
+the model-reduction bound then holds up to their rounding.
 
 Each run owns one KktSystem: the matrix [[I, J^T], [J, 0]] and the
 right-hand sides (-grad f, 0) and (-gbar, -c), allocated once, into
 which each new iterate writes J, J^T and -c. Its one LU factorization
 per iterate gives the least-squares multipliers and the KKT residual
 (the augmented-system method for linear least squares) and the step,
-whose solve residual holds J d + c. The exact values c, J, grad f and
+whose constraint rows give J d + c. The exact values c, J, grad f and
 f, the factors and the KKT residual all depend on x alone, so after a
 rejected step they are carried over rather than recomputed; no oracle
 sample is ever reused, and no logged array is a workspace view.
@@ -66,13 +71,11 @@ from .problems import Problem
 # update rule cannot recover from it and the merit function has
 # degenerated to (nearly) pure infeasibility.
 TAU_COLLAPSE_FLOOR = 1e-12
-DENOM_SIGN_RTOL = 1e-12
-# Safety factor on the solve-residual part of the denominator noise
-# floor; covers the residual's own rounding plus the bound arithmetic.
-DENOM_SOLVE_NOISE_FACTOR = 4.0
 
-# Absolute slack for the model-reduction inequality, which holds exactly
-# in real arithmetic by construction of the tau update.
+# Slack for the model-reduction inequality, which holds exactly in real
+# arithmetic by construction of the tau update; relative to the larger
+# of its two sides (and at least 1), so it covers their rounding at any
+# objective scale.
 MODEL_REDUCTION_SLACK = 1e-9
 
 # Accepted relative inaccuracy of the linearized-feasibility residual
@@ -115,6 +118,10 @@ class SolverParams:
                         "alpha0", "tol_infeas", "tol_kkt")
         if not (self.tau_init > 0.0 and is_finite(self.tau_init)):
             raise ValueError("tau_init must be finite and > 0")
+        if not self.tau_init > TAU_COLLAPSE_FLOOR:
+            raise ValueError(
+                f"tau_init must exceed the merit-parameter collapse floor {TAU_COLLAPSE_FLOOR:g}"
+            )
         for name in ("sigma", "eps_tau", "theta", "gamma"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -143,11 +150,10 @@ def effective_eps_f(params: SolverParams, oracle_cfg: OracleConfig) -> float:
 
 
 class KktSolution(NamedTuple):
-    """Direction d, multipliers y, and inf-norms of the solve's residual and its J d + c block."""
+    """Direction d, multipliers y, and the linearized infeasibility ||J d + c||_inf."""
 
     d: np.ndarray
     y: np.ndarray
-    residual_inf: float
     lin_feas: float
 
 
@@ -199,8 +205,8 @@ class KktSystem:
         rhs = self._step_rhs
         np.negative(g, out=rhs[:n])
         z = self._factors.solve(rhs)
-        r = self._a.dot(z) - rhs
-        return KktSolution(z[:n], z[n:], max_abs(r), max_abs(r[n:]))
+        d = z[:n]
+        return KktSolution(d, z[n:], max_abs(self._a[n:, :n].dot(d) - rhs[n:]))
 
 
 def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
@@ -220,43 +226,18 @@ def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
     return -tau_bar * gd + c_l1
 
 
-def tau_trial(
-    gd: float,
-    dd: float,
-    abs_gd: float,
-    c_l1: float,
-    sigma: float,
-    extra_noise_floor: float = 0.0,
-) -> float:
+def tau_trial(cy: float, c_l1: float, sigma: float) -> float:
     """Largest penalty parameter keeping the model reduction adequate.
 
-    Takes the step's products gd = g'd, dd = d'd (the curvature term,
-    model Hessian H = I) and abs_gd = |g|'|d|. Returns math.inf when
-    g'd + d'd <= 0, in which case any positive parameter is adequate.
-    The sign is decided against a noise floor rather than bare zero: for
-    directions from the KKT system the quantity equals c'y, which
-    vanishes exactly at feasible points, so the computed value there is
-    pure cancellation noise. The floor covers the dot products' own
-    rounding; callers solving the KKT system in floating point must add
-    the identity's solve-error bound residual_inf * (||d||_1 + ||y||_1),
-    scaled by a safety factor, through extra_noise_floor.
+    For a KKT direction the rule's denominator g'd + d'd (model Hessian
+    H = I) equals cy = c'y. Returns math.inf when c'y <= 0, in which
+    case any positive parameter is adequate, else (1 - sigma) ||c||_1 / c'y.
+    Since c'y <= ||c||_1 ||y||_inf, a finite value is at least
+    (1 - sigma) / ||y||_inf.
     """
-    denom = gd + dd
-    noise_floor = extra_noise_floor + DENOM_SIGN_RTOL * (abs_gd + dd)
-    if denom <= noise_floor:
+    if cy <= 0.0:
         return math.inf
-    return (1.0 - sigma) * c_l1 / denom
-
-
-def kkt_denom_noise_floor(residual_inf: float, d_l1: float, y_l1: float) -> float:
-    """Noise certificate for the tau-trial denominator of a KKT direction.
-
-    Bounds |d'r_1 - r_2'y| for the solve residual r = (r_1, r_2), the
-    amount by which the computed g'd + d'd can drift from its exact
-    value c'y, with a safety factor for the bound's own rounding. Takes
-    ||r||_inf, ||d||_1 and ||y||_1.
-    """
-    return DENOM_SOLVE_NOISE_FACTOR * residual_inf * (d_l1 + y_l1)
+    return (1.0 - sigma) * c_l1 / cy
 
 
 def update_tau(tau_bar: float, trial: float, eps_tau: float) -> float:
@@ -330,7 +311,11 @@ class IterationLog:
 
 @dataclass
 class RunRecord:
-    """Outcome of one solve: status, per-iteration logs, final state."""
+    """Outcome of one solve: status, per-iteration logs, final state.
+
+    The call counts are the oracle's totals, so they include the samples
+    of an iteration that ended the run before it was logged.
+    """
 
     status: RunStatus
     iterations: list[IterationLog]
@@ -339,14 +324,8 @@ class RunRecord:
     final_infeas_inf: Optional[float] = None
     final_kkt_inf: Optional[float] = None
     failure_reason: Optional[str] = None
-
-    @property
-    def zeroth_calls(self) -> int:
-        return self.iterations[-1].zeroth_calls if self.iterations else 0
-
-    @property
-    def first_calls(self) -> int:
-        return self.iterations[-1].first_calls if self.iterations else 0
+    zeroth_calls: int = 0
+    first_calls: int = 0
 
 
 def classify_iteration(
@@ -471,34 +450,27 @@ def solve(
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
-        d, y, residual_inf, lin_feas = kkt.step(g_bar)
+        d, y, lin_feas = kkt.step(g_bar)
         # Negated, so that a NaN fails the test.
         if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf)):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
             break
 
-        # The step's reductions, each computed once.
-        gd = float(g_bar.dot(d))
+        # Merit parameter update and predicted reduction, from the step's
+        # two products (g'd = c'y - d'd; see the module docstring).
         dd = float(d.dot(d))
-        abs_d = np.abs(d)
-        abs_gd = float(np.abs(g_bar).dot(abs_d))
-        denom_floor = kkt_denom_noise_floor(
-            residual_inf, float(np.add.reduce(abs_d)), float(np.add.reduce(np.abs(y)))
-        )
-
-        # Merit parameter update and predicted reduction.
-        trial = tau_trial(gd, dd, abs_gd, c_l1, params.sigma, extra_noise_floor=denom_floor)
-        tau_bar = update_tau(tau_bar, trial, params.eps_tau)
+        cy = float(c_vec.dot(y))
+        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, params.sigma), params.eps_tau)
         if tau_bar <= TAU_COLLAPSE_FLOOR:
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
-        delta_l = model_reduction(tau_bar, gd, c_l1)
-        if not (delta_l >= tau_bar * dd + params.sigma * c_l1 - MODEL_REDUCTION_SLACK):
+        delta_l = model_reduction(tau_bar, cy - dd, c_l1)
+        bound = tau_bar * dd + params.sigma * c_l1
+        if not (delta_l >= bound - MODEL_REDUCTION_SLACK * max(1.0, abs(delta_l), bound)):
             raise InvariantViolationError(
-                f"model reduction {delta_l:g} below guaranteed bound "
-                f"{tau_bar * dd + params.sigma * c_l1:g} at iteration {k}"
+                f"model reduction {delta_l:g} below guaranteed bound {bound:g} at iteration {k}"
             )
 
         # Trial point, its exact f and c, and the two fresh merit samples.
@@ -568,5 +540,7 @@ def solve(
         final_infeas_inf=infeas_inf,
         final_kkt_inf=kkt_inf,
         failure_reason=reason,
+        zeroth_calls=oracle.counters.zeroth_calls,
+        first_calls=oracle.counters.first_calls,
     )
 

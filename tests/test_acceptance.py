@@ -223,9 +223,10 @@ def test_ac6_kkt_solver_matches_explicit_inversion():
         sol = solve_kkt(jac, g, c)
         z = np.concatenate([sol.d, sol.y])
         np.testing.assert_allclose(z, expected, rtol=1e-8, atol=1e-8)
-        assert sol.residual_inf <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
+        residual = float(np.max(np.abs(kkt @ z - rhs)))
+        assert residual <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
         worst_diff = max(worst_diff, float(np.max(np.abs(z - expected))))
-        worst_residual = max(worst_residual, sol.residual_inf)
+        worst_residual = max(worst_residual, residual)
         checked += 1
     _report(
         "AC6",

@@ -307,6 +307,16 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e-12"])
+    def test_tau_init_at_the_collapse_floor_is_rejected(self, tmp_path, capsys, value):
+        # Such a run could only end at iteration 0 with a collapsed merit parameter.
+        code = main(["run", "P2", "--set", f"solver.tau_init={value}", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: tau_init must exceed the merit-parameter collapse floor 1e-12\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "override, message",
         [("solver.gamma=[0.5]", "gamma must be a number"),

@@ -285,9 +285,10 @@ class TestFailurePaths:
         assert record.iterations == []
 
     def test_merit_parameter_collapse(self):
-        # f = 1e12 * x1, c = x1 - 1 from the origin: d = (1, 0), so
-        # g'd + d'd = 1e12 + 1 against ||c||_1 = 1 and the trial penalty
-        # parameter 0.9 / (1e12 + 1) falls below the collapse floor.
+        # f = 1e12 * x1, c = x1 - 1 from the origin: d = (1, 0) and
+        # y = -(1e12 + 1), so c'y = g'd + d'd = 1e12 + 1 against
+        # ||c||_1 = 1 and the trial penalty parameter 0.9 / (1e12 + 1)
+        # falls below the collapse floor.
         problem = _custom(
             "steep",
             f=lambda x: 1e12 * x[0],
@@ -300,6 +301,8 @@ class TestFailurePaths:
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "merit parameter collapsed to 9e-13"
         assert record.iterations == []
+        # The call counts include the gradient sample of the broken iteration.
+        assert (record.zeroth_calls, record.first_calls) == (0, 1)
 
     def test_non_finite_objective_at_start(self):
         problem = _custom(
@@ -330,6 +333,8 @@ class TestFailurePaths:
         assert record.failure_reason == "non-finite evaluation at the trial point"
         assert len(record.iterations) == 1
         assert record.iterations[0].accepted
+        # One logged iteration, and the broken one's three samples.
+        assert (record.zeroth_calls, record.first_calls) == (4, 2)
 
     def test_nan_linearized_feasibility_fails_the_run(self, monkeypatch):
         step = sqp.KktSystem.step
@@ -342,6 +347,20 @@ class TestFailurePaths:
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason.startswith("inaccurate KKT solve")
         assert record.iterations == []
+        assert (record.zeroth_calls, record.first_calls) == (0, 1)
+
+    def test_badly_scaled_objective_keeps_the_model_reduction_bound(self):
+        # With f scaled by 1e6 both sides of the bound pass 1e9, where
+        # their rounding exceeds an absolute slack of 1e-9.
+        p1 = get_problem("P1")
+        problem = dataclasses.replace(
+            p1,
+            eval_f=lambda x: 1e6 * p1.eval_f(x),
+            eval_grad_f=lambda x: 1e6 * p1.eval_grad_f(x),
+        )
+        record = solve(problem, SolverParams(max_iters=300), quiet())
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+        assert len(record.iterations) == 300
 
     def test_nan_model_reduction_violates_the_invariant(self, monkeypatch):
         monkeypatch.setattr(sqp, "model_reduction", lambda tau_bar, gd, c_l1: math.nan)

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from stepsqp.linalg import SingularMatrixError
 from stepsqp.oracles import OracleConfig
 from stepsqp.sqp import (
-    DENOM_SIGN_RTOL,
     SolverParams,
     _finite,
     acceptance_test,
     classify_iteration,
     effective_eps_f,
-    kkt_denom_noise_floor,
     least_squares_multipliers,
     model_reduction,
     solve_kkt,
@@ -37,7 +35,9 @@ class TestSolveKkt:
         sol = solve_kkt([[1.0, 1.0]], [0.0, 0.0], [-2.0])
         np.testing.assert_allclose(sol.d, [1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(sol.y, [-1.0], atol=1e-14)
-        assert sol.residual_inf <= 1e-12
+        z = np.concatenate([sol.d, sol.y])
+        kkt = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        assert np.max(np.abs(kkt @ z - [0.0, 0.0, 2.0])) <= 1e-12
 
     def test_direction_satisfies_linearized_constraints(self):
         rng = np.random.default_rng(11)
@@ -50,77 +50,36 @@ class TestSolveKkt:
             sol = solve_kkt(jac, g, c)
             np.testing.assert_allclose(jac @ sol.d, -c, atol=1e-9)
             np.testing.assert_allclose(sol.d + jac.T @ sol.y, -g, atol=1e-9)
+            # The identity the merit rule relies on: g'd + d'd = c'y.
+            assert c @ sol.y == pytest.approx(g @ sol.d + sol.d @ sol.d, rel=1e-9, abs=1e-9)
 
     def test_zero_jacobian_row_is_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_kkt([[0.0, 0.0]], [1.0, 1.0], [1.0])
 
 
-def _trial(g, d, c_l1, sigma, extra_noise_floor=0.0):
-    """tau_trial on the products the solve loop forms from g and d."""
-    return tau_trial(
-        float(g @ d),
-        float(d @ d),
-        float(np.abs(g) @ np.abs(d)),
-        c_l1,
-        sigma,
-        extra_noise_floor=extra_noise_floor,
-    )
-
-
 class TestMeritParameter:
     def test_tau_trial_hand_value(self):
-        # g'd = 1, d'd = 1: (1 - 0.1) * 2 / 2 = 0.9.
-        value = _trial(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.1)
-        assert value == pytest.approx(0.9, abs=1e-15)
+        # c'y = 2, ||c||_1 = 2: (1 - 0.1) * 2 / 2 = 0.9.
+        assert tau_trial(2.0, 2.0, 0.1) == pytest.approx(0.9, abs=1e-15)
 
     def test_tau_trial_nonpositive_denominator_is_unbounded(self):
-        # g'd + d'd = -2 + 1 < 0.
-        value = _trial(np.array([-2.0, 0.0]), np.array([1.0, 0.0]), 2.0, 0.1)
-        assert value == math.inf
-
-    def test_tau_trial_zero_c_with_positive_denominator(self):
-        # The genuinely degenerate pairing: zero infeasibility but a
-        # clearly positive denominator collapses the trial to 0.
-        value = _trial(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, 0.1)
-        assert value == 0.0
+        assert tau_trial(-1.0, 2.0, 0.1) == math.inf
 
     def test_tau_trial_cancellation_noise_reads_as_nonpositive(self):
-        # g'd + d'd is +1.1e-16 from pure cancellation while the products
-        # have magnitude ~1; the sign decision must not act on that
-        # noise, so the trial is unbounded rather than 0.
-        g = np.array([np.nextafter(-1.0, 0.0), 0.0])
-        d = np.array([1.0, 0.0])
-        assert float(g @ d) + float(d @ d) > 0.0
-        value = _trial(g, d, 0.0, 0.1)
-        assert value == math.inf
+        # A feasible point: J = [1 1], g = (0.1, 1.1), c = 0 give
+        # d = (0.5, -0.5), y = -0.6. The computed g'd + d'd is +1.1e-16
+        # of pure cancellation, while c'y is exactly zero, so the trial
+        # is unbounded rather than 0.
+        g = np.array([0.1, 1.1])
+        c = np.zeros(1)
+        sol = solve_kkt([[1.0, 1.0]], g, c)
+        assert float(g @ sol.d) + float(sol.d @ sol.d) > 0.0
+        assert float(c @ sol.y) == 0.0
+        assert tau_trial(float(c @ sol.y), 0.0, 0.1) == math.inf
 
     def test_tau_trial_exact_zero_denominator(self):
-        # g = -d: g'd + d'd = 0 exactly.
-        value = _trial(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 0.1)
-        assert value == math.inf
-
-    def test_tau_trial_extra_floor_absorbs_solve_residue(self):
-        # A small positive denominator (1e-11, above the rounding floor
-        # 1e-12 * 2) that sits below the caller-supplied solve-error
-        # floor is treated as noise, not as a collapse.
-        g = np.array([-1.0 + 1e-11])
-        d = np.array([1.0])
-        assert _trial(g, d, 0.0, 0.1) == 0.0
-        assert _trial(g, d, 0.0, 0.1, extra_noise_floor=1e-10) == math.inf
-
-    def test_tau_trial_extra_floor_leaves_real_denominators_alone(self):
-        value = _trial(
-            np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0, 0.1, extra_noise_floor=1e-10
-        )
-        assert value == pytest.approx(0.9, abs=1e-15)
-
-    def test_kkt_denom_noise_floor_hand_value(self):
-        # d = (1, -2), y = (3): 4.0 * 1e-14 * (||d||_1 + ||y||_1) = 4.0 * 1e-14 * 6 = 2.4e-13.
-        assert kkt_denom_noise_floor(1e-14, 3.0, 3.0) == pytest.approx(2.4e-13, rel=1e-12)
-
-    def test_kkt_denom_noise_floor_zero_for_exact_solve(self):
-        assert kkt_denom_noise_floor(0.0, 3.0, 3.0) == 0.0
+        assert tau_trial(0.0, 1.0, 0.1) == math.inf
 
     def test_update_tau_keeps_small_parameter(self):
         assert update_tau(0.1, math.inf, 1e-2) == 0.1
@@ -158,28 +117,22 @@ class TestMeritParameterProperties:
             assert updated <= (1.0 - eps_tau) * tau_bar
 
     @given(
-        gd=_signed,
-        dd=st.one_of(_magnitudes, st.just(0.0)),
-        excess=st.one_of(_magnitudes, st.just(0.0)),
-        c_l1=_magnitudes,
-        growth=st.floats(min_value=1.0, max_value=1e6),
+        c=st.lists(_signed, min_size=1, max_size=4),
+        y=st.lists(_signed, min_size=1, max_size=4),
         sigma=st.floats(min_value=1e-3, max_value=0.999),
-        extra=st.one_of(st.just(0.0), _magnitudes),
     )
-    def test_tau_trial_is_unbounded_exactly_below_the_floor(
-        self, gd, dd, excess, c_l1, growth, sigma, extra
-    ):
-        # |g|'|d| is at least |g'd|; excess is the gap.
-        abs_gd = abs(gd) + excess
-        denom = gd + dd
-        floor = extra + DENOM_SIGN_RTOL * (abs_gd + dd)
-        value = tau_trial(gd, dd, abs_gd, c_l1, sigma, extra_noise_floor=extra)
-        if denom <= floor:
+    def test_tau_trial_is_bounded_below_by_the_multipliers(self, c, y, sigma):
+        # c'y <= ||c||_1 ||y||_inf, so a finite trial is at least
+        # (1 - sigma) / ||y||_inf: tau can only collapse through
+        # unbounded multipliers.
+        size = min(len(c), len(y))
+        c, y = np.array(c[:size]), np.array(y[:size])
+        cy = float(c @ y)
+        value = tau_trial(cy, float(np.sum(np.abs(c))), sigma)
+        if cy <= 0.0:
             assert value == math.inf
             return
-        assert 0.0 < value < math.inf
-        larger = tau_trial(gd, dd, abs_gd, c_l1 * growth, sigma, extra_noise_floor=extra)
-        assert larger >= value
+        assert value >= (1.0 - sigma) / float(np.max(np.abs(y))) * (1.0 - 1e-12)
 
 
 class TestAcceptance:
