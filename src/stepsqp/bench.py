@@ -79,10 +79,6 @@ MAX_REPLICATES = 1000
 MAX_NOISE_PAIRS = 100
 
 
-class EmptyInputError(Exception):
-    """Profile construction got no solvers or no instances."""
-
-
 def _repeated(values):
     """The first of values that is listed more than once, or None."""
     return next((value for value, count in Counter(values).items() if count > 1), None)
@@ -271,29 +267,16 @@ def build_profile(budgets: dict[str, dict[str, Optional[float]]]) -> Performance
     ----------
     budgets : dict
         budgets[solver][instance] is a non-negative iteration count, or None
-        for unsolved. Every solver must cover the same instance set.
-
-    Raises
-    ------
-    EmptyInputError
-        If there are no solvers or no instances.
+        for unsolved. There must be at least one solver and one instance,
+        and every solver must cover the same instance set; _table_profiles
+        builds its tables so.
     """
     solvers = tuple(budgets)
-    if not solvers:
-        raise EmptyInputError("no solver configurations given")
     instances = tuple(budgets[solvers[0]])
-    if not instances:
-        raise EmptyInputError("no instances given")
-    for solver in solvers:
-        if tuple(budgets[solver]) != instances:
-            raise ValueError(f"solver {solver!r} covers a different instance set")
 
     ratios: dict[tuple[str, str], float] = {}
     for inst in instances:
         vals = {s: budgets[s][inst] for s in solvers}
-        for s, v in vals.items():
-            if v is not None and (v < 0 or not math.isfinite(v)):
-                raise ValueError(f"budget for ({s!r}, {inst!r}) must be finite >= 0 or None")
         solved = [v for v in vals.values() if v is not None]
         best = min(solved) if solved else None
         for s, v in vals.items():
@@ -690,13 +673,12 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     Raises
     ------
     ValueError
-        If two directories have the same name, so their labels would clash,
-        or ran with different solver parameters (summary grid.params).
-    EmptyInputError
-        If no directory is given or the directories share no instance.
+        If no directory is given, two directories have the same name, so
+        their labels would clash, the directories ran with different
+        solver parameters (summary grid.params), or they share no instance.
     """
     if not run_dirs:
-        raise EmptyInputError("no run directories given")
+        raise ValueError("no run directories given")
     run_dirs = [Path(d) for d in run_dirs]
     prefix_labels = len(run_dirs) > 1
     if (name := _repeated(d.name for d in run_dirs)) is not None:
@@ -715,7 +697,7 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))
     if not common:
-        raise EmptyInputError("the run directories share no instances")
+        raise ValueError("the run directories share no instances")
     return _table_profiles(
         {key: trajs for table in tables for key, trajs in table.items() if key[1] in common}
     )

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
-    EmptyInputError,
     ExperimentGrid,
     GridCell,
     profiles_from_directories,
@@ -282,7 +281,7 @@ def _cmd_bench(args) -> int:
 def _cmd_profile(args) -> int:
     try:
         profiles = profiles_from_directories([Path(d) for d in args.run_dirs])
-    except (OSError, ValueError, KeyError, EmptyInputError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot rebuild profiles: {exc}") from exc
     # Only once the inputs load, so that rejected inputs leave no directory.
     out_dir = _out_dir(args.out)

@@ -16,9 +16,13 @@ trial point x + alpha*d with a noise-relaxed sufficient-decrease
 condition on the sampled merit tau * fbar + ||c||_1. Acceptance moves
 the iterate and grows alpha (capped at alpha_max); rejection keeps the
 iterate, shrinks alpha, and the next iteration recomputes a direction
-from fresh samples. Constraint values and the termination diagnostics
-(exact-gradient least-squares KKT residual, infinity-norm
-infeasibility) are exact and never consume oracle budget.
+from fresh samples. A trial point where f or c is NaN or +inf is a
+rejected step like any other, so a run backs off from a boundary past
+which f is undefined; a run fails only at the current iterate, its
+gradient sample, its KKT solve or its merit parameter. Constraint
+values and the termination diagnostics (exact-gradient least-squares
+KKT residual, infinity-norm infeasibility) are exact and never consume
+oracle budget.
 
 Each exact quantity is evaluated once per point. f and c are evaluated
 once at each trial point; on acceptance those values become the new
@@ -261,7 +265,10 @@ def acceptance_test(
     tau_bar: float,
     eps_f: float,
 ) -> bool:
-    """Noise-relaxed sufficient decrease on the sampled merit (non-strict)."""
+    """Noise-relaxed sufficient decrease on the sampled merit (non-strict).
+
+    A NaN or +inf phi_trial fails it, so such a trial point is rejected.
+    """
     return phi_trial <= phi_current - alpha * theta * delta_l + 2.0 * tau_bar * eps_f
 
 
@@ -314,7 +321,9 @@ class RunRecord:
     """Outcome of one solve: status, per-iteration logs, final state.
 
     The call counts are the oracle's totals, so they include the samples
-    of an iteration that ended the run before it was logged.
+    of an iteration that ended the run before it was logged: its gradient
+    sample alone, since every exit inside an iteration precedes its two
+    value samples.
     """
 
     status: RunStatus
@@ -348,15 +357,6 @@ def classify_iteration(
     return grad_ok and value_err <= 2.0 * eps_f
 
 
-def _finite(a: np.ndarray, total: float) -> bool:
-    """Whether every entry of a is finite, given the sum of its entries or of their magnitudes.
-
-    A finite total settles it; a non-finite one may be an overflow of
-    finite entries, so it falls back to the per-entry test.
-    """
-    return math.isfinite(total) or bool(np.isfinite(a).all())
-
-
 def solve(
     problem: Problem,
     params: SolverParams = SolverParams(),
@@ -380,10 +380,13 @@ def solve(
         evaluated: CONVERGED exactly when that iterate passes both
         termination thresholds, even if the budget is spent (a budget of
         0 evaluates x0 alone), else BUDGET_EXHAUSTED after max_iters
-        iterations. Linear-algebra breakdowns (rank-deficient Jacobians,
-        inaccurate KKT solves, non-finite evaluations, merit-parameter
-        collapse) end the run with status LINEAR_ALGEBRA_FAILURE and a
-        failure_reason instead of raising.
+        iterations. Breakdowns end the run with status
+        LINEAR_ALGEBRA_FAILURE and a failure_reason instead of raising:
+        a non-finite f, c, J or grad f at the current iterate, a
+        rank-deficient J there, a non-finite gradient sample, an
+        inaccurate KKT solve, or merit-parameter collapse. A non-finite
+        trial point is a rejected step, not a failure. Exceptions raised
+        by the problem's own evaluators propagate.
     """
     t_start = time.perf_counter()
     # The run's KKT workspace (see the module docstring).
@@ -418,16 +421,17 @@ def solve(
             infeas_inf = kkt_inf = None
             jac = problem.jacobian(x)
             g_exact = problem.grad_f(x)
+            c_max = max_abs(c_vec)
             if not (
-                _finite(c_vec, c_l1)
-                and _finite(jac, np.add.reduce(jac, axis=None))
-                and _finite(g_exact, np.add.reduce(g_exact))
+                math.isfinite(c_max)
+                and math.isfinite(max_abs(jac))
+                and math.isfinite(max_abs(g_exact))
                 and math.isfinite(f_exact)
             ):
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "non-finite problem evaluation at the current iterate"
                 break
-            infeas_inf = max_abs(c_vec)
+            infeas_inf = c_max
             try:
                 kkt.update(jac, c_vec)
             except SingularMatrixError:
@@ -446,13 +450,15 @@ def solve(
 
         # Noisy gradient, KKT direction.
         g_bar = oracle.noisy_grad(g_exact)
-        if not _finite(g_bar, np.add.reduce(g_bar)):
+        g_max = max_abs(g_bar)
+        if not math.isfinite(g_max):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
         d, y, lin_feas = kkt.step(g_bar)
+        # The solve's rounding scales with its right-hand side (g_bar, c).
         # Negated, so that a NaN fails the test.
-        if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + infeas_inf)):
+        if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + max(infeas_inf, g_max))):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
             break
@@ -474,20 +480,15 @@ def solve(
             )
 
         # Trial point, its exact f and c, and the two fresh merit samples.
+        # A NaN or +inf trial merit fails the acceptance test, so such a
+        # step is rejected; a -inf one is accepted and ends the run at
+        # the new iterate's finiteness check.
         x_plus = x + alpha * d
         f_plus = problem.f(x_plus)
         c_plus = problem.c(x_plus)
         f_bar_current = oracle.noisy_f(f_exact)
         f_bar_trial = oracle.noisy_f(f_plus)
         c_plus_l1 = float(np.add.reduce(np.abs(c_plus)))
-        if not (
-            _finite(c_plus, c_plus_l1)
-            and math.isfinite(f_bar_current)
-            and math.isfinite(f_bar_trial)
-        ):
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
-            reason = "non-finite evaluation at the trial point"
-            break
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
         accepted = acceptance_test(

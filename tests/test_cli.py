@@ -279,6 +279,27 @@ class TestRunCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["failure_reason"] == "constraint Jacobian is rank deficient"
 
+    def test_badly_scaled_qp_passes_the_solve_accuracy_check(self, tmp_path, capsys):
+        # hs48 with f scaled by 1e6, restated as a QP: an accurate first
+        # solve leaves ||J d + c||_inf = 3.7e-9, which the solve check
+        # accepts because its bound scales with ||gbar||_inf too.
+        hessian = [[1, 0, 0, 0, 0], [0, 1, -1, 0, 0], [0, -1, 1, 0, 0],
+                   [0, 0, 0, 1, -1], [0, 0, 0, -1, 1]]
+        doc = {
+            "name": "hs48e6",
+            "Q": [[2e6 * v for v in row] for row in hessian],
+            "q": [-2e6, 0.0, 0.0, 0.0, 0.0],
+            "A": [[1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, -2.0, -2.0]],
+            "b": [5.0, -3.0],
+            "x0": [3.0, 5.0, -3.0, 2.0, -1.0],
+        }
+        qp = _write_json(tmp_path / "hs48e6.json", doc)
+        code = main(["run", qp, "--out", str(tmp_path / "o")])
+        assert code == EXIT_BUDGET_EXHAUSTED
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "budget_exhausted"
+        assert summary["failure_reason"] is None
+
     def test_invalid_qp_json(self, tmp_path, capsys):
         qp = _write_json(tmp_path / "broken.json", dict(QP_DOC, extra=1))
         code = main(["run", qp, "--out", str(tmp_path / "o")])

@@ -45,4 +45,9 @@ def test_solve_calls_the_traced_step_functions_through_sqp(monkeypatch):
     record = sqp.solve(get_problem("P1"), sqp.SolverParams(max_iters=50), cfg)
     assert record.status is sqp.RunStatus.BUDGET_EXHAUSTED
     assert calls["tau_trial"] == calls["classify_iteration"] == len(record.iterations) == 50
-    assert calls["max_abs"] >= 1
+    # Each iterate the run evaluates (x0 and one per accepted step) takes
+    # max_abs of c, J, grad f and the KKT residual; each iteration takes
+    # it of its gradient sample and of its step's linearized residual.
+    # So inlining any one of them fails here.
+    iterates = 1 + sum(log.accepted for log in record.iterations)
+    assert calls["max_abs"] >= 4 * iterates + 2 * len(record.iterations)

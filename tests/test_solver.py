@@ -9,7 +9,7 @@ import pytest
 
 from stepsqp import sqp
 from stepsqp.oracles import OracleConfig
-from stepsqp.problems import Problem, get_problem
+from stepsqp.problems import Problem, get_problem, problem_names
 from stepsqp.sqp import (
     InvariantViolationError,
     RunStatus,
@@ -251,6 +251,15 @@ def _custom(name, f, grad, c, jac, x0):
     return Problem(name=name, eval_f=f, eval_grad_f=grad, eval_c=c, eval_jacobian=jac, x0=x0)
 
 
+def _scaled(problem, scale):
+    """problem with f and grad f multiplied by scale."""
+    return dataclasses.replace(
+        problem,
+        eval_f=lambda x: scale * problem.eval_f(x),
+        eval_grad_f=lambda x: scale * problem.eval_grad_f(x),
+    )
+
+
 class TestFailurePaths:
     def test_rank_deficient_jacobian(self):
         # c(x) = x1^2 has a zero Jacobian row at x1 = 0.
@@ -267,6 +276,7 @@ class TestFailurePaths:
         assert record.failure_reason == "constraint Jacobian is rank deficient"
         assert record.iterations == []
         assert record.final_kkt_inf is None
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_duplicated_constraints_are_rank_deficient(self):
         # With H = I the KKT matrix is singular exactly when J is rank
@@ -283,6 +293,7 @@ class TestFailurePaths:
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "constraint Jacobian is rank deficient"
         assert record.iterations == []
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_merit_parameter_collapse(self):
         # f = 1e12 * x1, c = x1 - 1 from the origin: d = (1, 0) and
@@ -303,6 +314,7 @@ class TestFailurePaths:
         assert record.iterations == []
         # The call counts include the gradient sample of the broken iteration.
         assert (record.zeroth_calls, record.first_calls) == (0, 1)
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_non_finite_objective_at_start(self):
         problem = _custom(
@@ -316,10 +328,13 @@ class TestFailurePaths:
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "non-finite problem evaluation at the current iterate"
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_non_finite_objective_at_trial_point(self):
-        # f is only defined for x1 >= 0; the second step crosses zero so
-        # one completed iteration is preserved in the record.
+        # f is only defined for x1 >= 0. The first step lands on x1 = 0,
+        # and every later trial point has x1 < 0: a NaN merit sample fails
+        # the acceptance test, so those steps are rejected and alpha
+        # shrinks until the budget is spent.
         problem = _custom(
             "halfline",
             f=lambda x: x[0] if x[0] >= 0.0 else math.nan,
@@ -328,13 +343,72 @@ class TestFailurePaths:
             jac=lambda x: np.array([[0.0, 1.0]]),
             x0=np.array([1.0, 0.0]),
         )
+        record = solve(problem, SolverParams(max_iters=50), quiet())
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+        assert len(record.iterations) == 50
+        assert all(log.x[0] >= 0.0 for log in record.iterations)
+        assert record.final_x[0] >= 0.0
+        for log in record.iterations:
+            if log.x[0] + log.alpha * log.d[0] < 0.0:
+                assert not log.accepted
+                assert not log.true_iter
+        assert record.iterations[0].accepted
+        assert (record.zeroth_calls, record.first_calls) == (100, 50)
+
+    def test_log_barrier_backs_off_the_boundary(self):
+        # f = -log x1 + 5 x1 + x2^2 on x1 + x2 = 2. The first trial point
+        # (0, 2) has f = +inf and is rejected; half that step lands on the
+        # solution (0.5, 1.5), with multiplier -3.
+        problem = _custom(
+            "barrier",
+            f=lambda x: -math.log(x[0]) + 5.0 * x[0] + x[1] ** 2 if x[0] > 0.0 else math.inf,
+            grad=lambda x: np.array([-1.0 / x[0] + 5.0, 2.0 * x[1]]),
+            c=lambda x: np.array([x[0] + x[1] - 2.0]),
+            jac=lambda x: np.array([[1.0, 1.0]]),
+            x0=np.array([1.0, 1.0]),
+        )
+        record = solve(problem, oracle_cfg=quiet())
+        assert record.status == RunStatus.CONVERGED
+        assert [log.accepted for log in record.iterations] == [False, True]
+        assert record.iterations[0].phi_bar_trial == math.inf
+        np.testing.assert_allclose(record.final_x, [0.5, 1.5], atol=1e-12)
+        assert record.zeroth_calls == 2 * len(record.iterations)
+
+    def test_minus_infinite_objective_is_accepted_then_fails_the_run(self):
+        # Past x1 = 0, f drops to -inf: the sampled merit passes the
+        # acceptance test, and the new iterate fails the finiteness check.
+        problem = _custom(
+            "cliff",
+            f=lambda x: x[0] if x[0] >= 0.0 else -math.inf,
+            grad=lambda x: np.array([1.0, 0.0]),
+            c=lambda x: np.array([x[1] - 1.0]),
+            jac=lambda x: np.array([[0.0, 1.0]]),
+            x0=np.array([1.0, 0.0]),
+        )
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
-        assert record.failure_reason == "non-finite evaluation at the trial point"
-        assert len(record.iterations) == 1
-        assert record.iterations[0].accepted
-        # One logged iteration, and the broken one's three samples.
-        assert (record.zeroth_calls, record.first_calls) == (4, 2)
+        assert record.failure_reason == "non-finite problem evaluation at the current iterate"
+        assert [log.accepted for log in record.iterations] == [True, True]
+        assert record.final_x[0] < 0.0
+        assert record.final_infeas_inf is None
+        assert record.final_kkt_inf is None
+        assert record.zeroth_calls == 2 * len(record.iterations)
+
+    def test_non_finite_constraint_at_trial_point_rejects_the_step(self):
+        problem = _custom(
+            "nanwall",
+            f=lambda x: x[0],
+            grad=lambda x: np.array([1.0, 0.0]),
+            c=lambda x: np.array([x[1] - 1.0 if x[0] >= 0.0 else math.nan]),
+            jac=lambda x: np.array([[0.0, 1.0]]),
+            x0=np.array([1.0, 0.0]),
+        )
+        record = solve(problem, SolverParams(max_iters=5), quiet())
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+        assert [log.accepted for log in record.iterations] == [True, False, False, False, False]
+        assert all(math.isnan(log.phi_bar_trial) for log in record.iterations[1:])
+        assert record.final_x[0] == 0.0
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_nan_linearized_feasibility_fails_the_run(self, monkeypatch):
         step = sqp.KktSystem.step
@@ -348,19 +422,29 @@ class TestFailurePaths:
         assert record.failure_reason.startswith("inaccurate KKT solve")
         assert record.iterations == []
         assert (record.zeroth_calls, record.first_calls) == (0, 1)
+        assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_badly_scaled_objective_keeps_the_model_reduction_bound(self):
         # With f scaled by 1e6 both sides of the bound pass 1e9, where
         # their rounding exceeds an absolute slack of 1e-9.
-        p1 = get_problem("P1")
-        problem = dataclasses.replace(
-            p1,
-            eval_f=lambda x: 1e6 * p1.eval_f(x),
-            eval_grad_f=lambda x: 1e6 * p1.eval_grad_f(x),
-        )
-        record = solve(problem, SolverParams(max_iters=300), quiet())
+        record = solve(_scaled(get_problem("P1"), 1e6), SolverParams(max_iters=300), quiet())
         assert record.status == RunStatus.BUDGET_EXHAUSTED
         assert len(record.iterations) == 300
+        assert record.zeroth_calls == 2 * len(record.iterations)
+
+    def test_badly_scaled_objective_passes_the_solve_accuracy_check(self):
+        # hs48 with f scaled by 1e6: an accurate solve leaves ||J d + c||_inf
+        # = 3.7e-9 at the first step, which a bound of 1e-9 (1 + ||c||_inf)
+        # alone rejects; the bound also scales with ||gbar||_inf.
+        record = solve(_scaled(get_problem("hs48"), 1e6), SolverParams(max_iters=300), quiet())
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+        assert len(record.iterations) == 300
+        assert record.zeroth_calls == 2 * len(record.iterations)
+
+    def test_no_registry_problem_scaled_by_1e9_fails_the_solve_accuracy_check(self):
+        for name in problem_names():
+            record = solve(_scaled(get_problem(name), 1e9), SolverParams(max_iters=300), quiet())
+            assert not (record.failure_reason or "").startswith("inaccurate KKT solve"), name
 
     def test_nan_model_reduction_violates_the_invariant(self, monkeypatch):
         monkeypatch.setattr(sqp, "model_reduction", lambda tau_bar, gd, c_l1: math.nan)

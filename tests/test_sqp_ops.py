@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stepsqp.linalg import SingularMatrixError
+from stepsqp.linalg import SingularMatrixError, max_abs
 from stepsqp.oracles import OracleConfig
 from stepsqp.sqp import (
     SolverParams,
-    _finite,
     acceptance_test,
     classify_iteration,
     effective_eps_f,
@@ -195,18 +194,20 @@ class TestMultipliers:
 
 
 class TestFiniteCheck:
+    """solve's finiteness rule: an array is finite exactly when its max_abs is."""
+
     def test_overflowing_sum_of_finite_entries_is_finite(self):
-        big = np.array([1e308, 1e308, -1e308])
-        with np.errstate(over="ignore"):
-            assert not math.isfinite(np.abs(big).sum())
-            assert _finite(big, np.abs(big).sum())
-            assert _finite(big, big[:2].sum())
+        # A sum of these magnitudes overflows; their maximum cannot.
+        assert max_abs(np.array([1e308, 1e308, -1e308])) == 1e308
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_any_non_finite_entry_is_caught(self, bad):
-        a = np.array([[1.0, bad], [2.0, 3.0]])
-        assert not _finite(a, a.sum())
-        assert not _finite(a, np.abs(a).sum())
+        for a in (np.array([[1.0, bad], [2.0, 3.0]]), np.array([math.inf, 1.0, bad])):
+            got = max_abs(a)
+            if math.isnan(bad):
+                assert math.isnan(got)
+            else:
+                assert got == math.inf
 
 
 class TestSolverParams:
