@@ -38,7 +38,6 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import time
 from collections import Counter
@@ -217,11 +216,7 @@ def _trajectories(
 
 def _record_columns(record: RunRecord) -> np.ndarray:
     """A run's _TRAJECTORY_COLUMNS as a (2, K) float64 array, the values its run CSV holds."""
-    logs = record.iterations
-    return np.array([
-        np.fromiter(map(operator.attrgetter(name), logs), np.float64, len(logs))
-        for name in _TRAJECTORY_COLUMNS
-    ])
+    return np.array([record.iterations.column(name) for name in _TRAJECTORY_COLUMNS])
 
 
 def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
@@ -391,8 +386,8 @@ def _solve_and_write(grid: ExperimentGrid, out_dir: Path, cell: GridCell) -> tup
     """One grid cell's task: solve it, write its run CSV, and return what the grid keeps.
 
     That is the cell's summary.json entry and its (2, K) trajectory
-    columns. The RunRecord, with its K IterationLogs, ends here, so
-    no log leaves the process that solved the cell.
+    columns. The RunRecord, with its run log, ends here, so no log
+    leaves the process that solved the cell.
     """
     record = run_cell(grid, cell)
     return _write_run(out_dir, cell, record), _record_columns(record)
@@ -463,14 +458,10 @@ def write_atomically(path: Path, text: str) -> None:
 
 def write_run_csv(path: Path, record: RunRecord) -> None:
     """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
-    # The row template lists CSV_COLUMNS in order.
+    # Columns hold bools as 0 and 1, and tolist gives Python ints and floats.
+    columns = [map(repr, record.iterations.column(name).tolist()) for name in CSV_COLUMNS]
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(
-        f"{log.k:d},{log.alpha!r},{log.tau_bar!r},{log.delta_l!r},{log.accepted:d},"
-        f"{log.infeas_inf!r},{log.kkt_inf!r},{log.zeroth_calls:d},{log.first_calls:d},"
-        f"{log.true_iter:d}"
-        for log in record.iterations
-    )
+    lines.extend(map(",".join, zip(*columns)))
     write_atomically(path, "\n".join(lines) + "\n")
 
 

@@ -45,14 +45,18 @@ per iterate gives the least-squares multipliers and the KKT residual
 whose constraint rows give J d + c. The exact values c, J, grad f and
 f, the factors and the KKT residual all depend on x alone, so after a
 rejected step they are carried over rather than recomputed; no oracle
-sample is ever reused, and no logged array is a workspace view.
+sample is ever reused. The run's RunLog copies each iteration's fields
+into its columns, so the arrays a record's rows show are read-only views
+of the record itself.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -316,6 +320,119 @@ class IterationLog:
     true_iter: bool = False
 
 
+# A run log's first blocks hold this many iterations, or the run's budget
+# if that is smaller, so a run on the default budget fills them exactly.
+RUN_LOG_CAPACITY = 1024
+
+_FLOAT_FIELDS = ("alpha", "tau_bar", "delta_l", "phi_bar_current", "phi_bar_trial",
+                 "f_bar_current", "f_bar_trial", "infeas_inf", "kkt_inf")
+_INT_FIELDS = ("accepted", "zeroth_calls", "first_calls", "true_iter")
+_VECTOR_FIELDS = ("x", "d", "g_bar")
+# Field name -> (block attribute, index in the block's row).
+_COLUMNS = {
+    **{name: ("_floats", i) for i, name in enumerate(_FLOAT_FIELDS)},
+    **{name: ("_ints", i) for i, name in enumerate(_INT_FIELDS)},
+    **{name: ("_vectors", i) for i, name in enumerate(_VECTOR_FIELDS)},
+}
+
+
+class RunLog(Sequence):
+    """One run's iterations as columns: a read-only sequence of IterationLog rows.
+
+    Row j is iteration k = j. Its nine float fields are a row of a (K, 9)
+    float64 block, accepted, the two call counters and true_iter a row of
+    a (K, 4) int64 block, and x, d and g_bar a row of a (K, 3, n) float64
+    block, so an iteration costs 8 * (13 + 3n) bytes. append copies the
+    values in, and the blocks double when full. Indexing and iteration
+    build IterationLog rows on access, with Python floats, ints and bools
+    and read-only views of the blocks; column(name) gives a whole field.
+    """
+
+    __slots__ = ("_k", "_floats", "_ints", "_vectors")
+
+    def __init__(self, n: int, capacity: int = RUN_LOG_CAPACITY):
+        self._k = 0
+        self._floats = np.empty((capacity, len(_FLOAT_FIELDS)))
+        self._ints = np.empty((capacity, len(_INT_FIELDS)), dtype=np.int64)
+        self._vectors = np.empty((capacity, len(_VECTOR_FIELDS), n))
+
+    def append(self, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
+               f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf, zeroth_calls,
+               first_calls, true_iter) -> None:
+        """Copy in one iteration's fields, in IterationLog's order without k."""
+        k = self._k
+        if k == len(self._floats):
+            self._grow()
+        self._floats[k] = (alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
+                           f_bar_current, f_bar_trial, infeas_inf, kkt_inf)
+        self._ints[k] = (accepted, zeroth_calls, first_calls, true_iter)
+        self._vectors[k] = (x, d, g_bar)
+        self._k = k + 1
+
+    def _grow(self) -> None:
+        if not self._floats.flags.writeable:
+            raise ValueError("this run log is finished")
+        for name in ("_floats", "_ints", "_vectors"):
+            block = getattr(self, name)
+            grown = np.empty((max(2 * len(block), 16),) + block.shape[1:], block.dtype)
+            grown[: len(block)] = block
+            setattr(self, name, grown)
+
+    def finish(self) -> None:
+        """Trim the blocks to the rows appended and make them read-only, which ends appending."""
+        for name in ("_floats", "_ints", "_vectors"):
+            block = getattr(self, name)
+            if len(block) > self._k:
+                # A copy, so the spare rows are freed.
+                block = block[: self._k].copy()
+            block.flags.writeable = False
+            setattr(self, name, block)
+
+    def _rows(self, block: np.ndarray) -> np.ndarray:
+        """block's appended rows, as a read-only view."""
+        view = block[: self._k]
+        view.flags.writeable = False
+        return view
+
+    def column(self, name: str) -> np.ndarray:
+        """Field name for every iteration, as a read-only view of the blocks.
+
+        Floats and ints give (K,) arrays, accepted and true_iter as 0 and 1
+        in int64, and x, d and g_bar (K, n) arrays; k gives a new array of
+        the iteration indices.
+        """
+        if name == "k":
+            return np.arange(self._k)
+        attr, index = _COLUMNS[name]
+        return self._rows(getattr(self, attr))[:, index]
+
+    def __len__(self) -> int:
+        return self._k
+
+    def _log(self, k: int, floats: list, ints: list, vectors: np.ndarray) -> IterationLog:
+        alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t, infeas, kkt = floats
+        accepted, zeroth, first, true_iter = ints
+        x, d, g_bar = vectors
+        return IterationLog(k, x, d, g_bar, alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t,
+                            bool(accepted), infeas, kkt, zeroth, first, bool(true_iter))
+
+    def __getitem__(self, index):
+        """Row index (negative counts from the end), or a list of the rows a slice picks."""
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._k))]
+        k = operator.index(index)
+        if k < 0:
+            k += self._k
+        if not 0 <= k < self._k:
+            raise IndexError("run log index out of range")
+        return self._log(k, self._floats[k].tolist(), self._ints[k].tolist(),
+                         self._rows(self._vectors)[k])
+
+    def __iter__(self):
+        floats, ints = self._rows(self._floats).tolist(), self._rows(self._ints).tolist()
+        return map(self._log, range(self._k), floats, ints, self._rows(self._vectors))
+
+
 @dataclass
 class RunRecord:
     """Outcome of one solve: status, per-iteration logs, final state.
@@ -327,7 +444,7 @@ class RunRecord:
     """
 
     status: RunStatus
-    iterations: list[IterationLog]
+    iterations: RunLog
     final_x: np.ndarray
     wall_time: float
     final_infeas_inf: Optional[float] = None
@@ -396,11 +513,10 @@ def solve(
     eps_f = effective_eps_f(params, oracle_cfg)
     eps_g = oracle_cfg.eps_g_noise
 
-    # x is rebound, never written in place, so logs share it uncopied.
     x = problem.x0.copy()
     alpha = params.alpha0
     tau_bar = params.tau_init
-    logs: list[IterationLog] = []
+    logs = RunLog(problem.n, min(params.max_iters, RUN_LOG_CAPACITY))
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
     # f and c at the current iterate: evaluated here for x0, then carried
@@ -505,25 +621,22 @@ def solve(
             eps_f,
         )
         logs.append(
-            IterationLog(
-                k=k,
-                x=x,
-                d=d,
-                g_bar=g_bar,
-                alpha=alpha,
-                tau_bar=tau_bar,
-                delta_l=delta_l,
-                phi_bar_current=phi_bar_current,
-                phi_bar_trial=phi_bar_trial,
-                f_bar_current=f_bar_current,
-                f_bar_trial=f_bar_trial,
-                accepted=accepted,
-                infeas_inf=infeas_inf,
-                kkt_inf=kkt_inf,
-                zeroth_calls=oracle.counters.zeroth_calls,
-                first_calls=oracle.counters.first_calls,
-                true_iter=true_iter,
-            )
+            x=x,
+            d=d,
+            g_bar=g_bar,
+            alpha=alpha,
+            tau_bar=tau_bar,
+            delta_l=delta_l,
+            phi_bar_current=phi_bar_current,
+            phi_bar_trial=phi_bar_trial,
+            f_bar_current=f_bar_current,
+            f_bar_trial=f_bar_trial,
+            accepted=accepted,
+            infeas_inf=infeas_inf,
+            kkt_inf=kkt_inf,
+            zeroth_calls=oracle.counters.zeroth_calls,
+            first_calls=oracle.counters.first_calls,
+            true_iter=true_iter,
         )
 
         if accepted:
@@ -532,6 +645,7 @@ def solve(
         alpha = step_size_update(alpha, accepted, params.gamma, params.alpha_max)
         k += 1
 
+    logs.finish()
     wall = time.perf_counter() - t_start
     return RunRecord(
         status=status,

@@ -7,15 +7,20 @@ deliberately recompute expectations from scratch (projections, explicit
 matrix inverses, raw sample statistics) instead of reusing library code.
 """
 
+import concurrent.futures
+import functools
 import json
 import math
+import multiprocessing
 import time
 
 import numpy as np
 from reference import gauss_jordan_inverse
 
+from stepsqp import linalg
 from stepsqp.bench import ExperimentGrid, build_profile, first_hit, grid_cells
-from stepsqp.cli import EXIT_OK, main
+from stepsqp.cli import EXIT_OK, _usable_cpus, main
+from stepsqp.linalg import load_lapack
 from stepsqp.oracles import OracleConfig, StochasticOracle, derive_stream
 from stepsqp.problems import get_problem, problem_names
 from stepsqp.sqp import RunStatus, SolverParams, solve, solve_kkt
@@ -61,88 +66,115 @@ def test_ac2_projection_reached_in_one_step():
     _report("AC2", ok, f"1-step solve, |x - projection|_inf = {err:.2e}")
 
 
-def test_ac3_invariants_hold_across_the_full_grid():
-    """Per-iteration guarantees hold for every run of the default grid."""
-    grid = ExperimentGrid()
+def check_ac3_cell(grid, cell):
+    """Solve one grid cell and check its per-iteration guarantees from scratch.
+
+    Returns the run's step count, whether it failed, and its violations.
+    Runs in the forked workers of the AC3 pool, so it first checks that
+    the kernel's residual self-checks came along.
+    """
+    assert linalg._CHECK_RESIDUALS, "residual self-checks are off in this process"
     params = grid.params
+    problem = get_problem(cell.problem)
+    cfg = OracleConfig(
+        eps_f_noise=cell.eps_f,
+        eps_g_noise=cell.eps_g,
+        seed=grid.seed,
+        stream_id=cell.stream_id,
+    )
+    record = solve(problem, params, cfg)
+    # One pass over the run log builds every row once.
+    logs = list(record.iterations)
+    if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
+        return len(logs), True, []
     violations = []
-    runs = 0
-    steps = 0
-    failures = 0
-    for cell in grid_cells(grid):
-        problem = get_problem(cell.problem)
-        cfg = OracleConfig(
-            eps_f_noise=cell.eps_f,
-            eps_g_noise=cell.eps_g,
-            seed=grid.seed,
-            stream_id=cell.stream_id,
+
+    def flag(kind, log):
+        violations.append(f"{cell.problem}/{cell.stream_id} k={log.k}: {kind}")
+
+    def check_merit_trial(log, c_next):
+        # (f) an accepted step's trial merit sample is taken at the point
+        # it moved to, whose c the next log (or the final iterate) holds.
+        if log.accepted and log.phi_bar_trial != (
+            log.tau_bar * log.f_bar_trial + float(np.abs(c_next).sum())
+        ):
+            flag("trial merit sample", log)
+
+    eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
+    previous_tau = params.tau_init
+    for j, log in enumerate(logs):
+        c_vec = problem.c(log.x)
+        abs_c = np.abs(c_vec)
+        c_l1 = float(abs_c.sum())
+        # (a) predicted reduction dominates its guaranteed bound (H = I).
+        bound = log.tau_bar * float(log.d @ log.d) + params.sigma * c_l1
+        if log.delta_l < bound - 1e-9:
+            flag("model reduction", log)
+        # (b) the merit parameter never increases, and cuts are by
+        # at least the protected factor.
+        if log.tau_bar > previous_tau or (
+            log.tau_bar != previous_tau
+            and log.tau_bar > (1.0 - params.eps_tau) * previous_tau
+        ):
+            flag("merit parameter", log)
+        previous_tau = log.tau_bar
+        # (c) the step satisfies the linearized constraints.
+        residual = float(np.abs(problem.jacobian(log.x) @ log.d + c_vec).max())
+        if residual > 1e-9 * (1.0 + float(abs_c.max())):
+            flag("linearized feasibility", log)
+        # (d) exactly two value samples and one gradient sample each.
+        if log.zeroth_calls != 2 * (j + 1) or log.first_calls != j + 1:
+            flag("oracle accounting", log)
+        if j:
+            check_merit_trial(logs[j - 1], c_vec)
+        # (f) the step is accepted exactly when the noise-relaxed Armijo
+        # test passes on the logged merit samples.
+        if log.phi_bar_current != log.tau_bar * log.f_bar_current + c_l1:
+            flag("current merit sample", log)
+        armijo = log.phi_bar_trial <= (
+            log.phi_bar_current - log.alpha * params.theta * log.delta_l
+            + 2.0 * log.tau_bar * eps_f
         )
-        record = solve(problem, params, cfg)
-        runs += 1
-        steps += len(record.iterations)
-        if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
-            failures += 1
-            continue
+        if log.accepted != armijo:
+            flag("noise-relaxed Armijo decision", log)
+    if logs:
+        check_merit_trial(logs[-1], problem.c(record.final_x))
+    # (e) rejected steps keep the iterate, accepted steps move it.
+    for prev, nxt in zip(logs, logs[1:]):
+        moved_to = prev.x + prev.alpha * prev.d if prev.accepted else prev.x
+        if not np.array_equal(nxt.x, moved_to):
+            flag("iterate update", prev)
+    return len(logs), False, violations
 
-        def flag(kind, log):
-            violations.append(f"{cell.problem}/{cell.stream_id} k={log.k}: {kind}")
 
-        def check_merit_trial(log, c_next):
-            # (f) an accepted step's trial merit sample is taken at the point
-            # it moved to, whose c the next log (or the final iterate) holds.
-            if log.accepted and log.phi_bar_trial != (
-                log.tau_bar * log.f_bar_trial + float(np.sum(np.abs(c_next)))
-            ):
-                flag("trial merit sample", log)
+def test_ac3_invariants_hold_across_the_full_grid():
+    """Per-iteration guarantees hold for every run of the default grid.
 
-        eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
-        previous_tau = params.tau_init
-        for j, log in enumerate(record.iterations):
-            c_vec = problem.c(log.x)
-            c_l1 = float(np.sum(np.abs(c_vec)))
-            # (a) predicted reduction dominates its guaranteed bound (H = I).
-            bound = log.tau_bar * float(log.d @ log.d) + params.sigma * c_l1
-            if log.delta_l < bound - 1e-9:
-                flag("model reduction", log)
-            # (b) the merit parameter never increases, and cuts are by
-            # at least the protected factor.
-            if log.tau_bar > previous_tau or (
-                log.tau_bar != previous_tau
-                and log.tau_bar > (1.0 - params.eps_tau) * previous_tau
-            ):
-                flag("merit parameter", log)
-            previous_tau = log.tau_bar
-            # (c) the step satisfies the linearized constraints.
-            residual = float(np.max(np.abs(problem.jacobian(log.x) @ log.d + c_vec)))
-            if residual > 1e-9 * (1.0 + float(np.max(np.abs(c_vec)))):
-                flag("linearized feasibility", log)
-            # (d) exactly two value samples and one gradient sample each.
-            if log.zeroth_calls != 2 * (j + 1) or log.first_calls != j + 1:
-                flag("oracle accounting", log)
-            if j:
-                check_merit_trial(record.iterations[j - 1], c_vec)
-            # (f) the step is accepted exactly when the noise-relaxed Armijo
-            # test passes on the logged merit samples.
-            if log.phi_bar_current != log.tau_bar * log.f_bar_current + c_l1:
-                flag("current merit sample", log)
-            armijo = log.phi_bar_trial <= (
-                log.phi_bar_current - log.alpha * params.theta * log.delta_l
-                + 2.0 * log.tau_bar * eps_f
-            )
-            if log.accepted != armijo:
-                flag("noise-relaxed Armijo decision", log)
-        if record.iterations:
-            check_merit_trial(record.iterations[-1], problem.c(record.final_x))
-        # (e) rejected steps keep the iterate, accepted steps move it.
-        for prev, nxt in zip(record.iterations, record.iterations[1:]):
-            moved_to = prev.x + prev.alpha * prev.d if prev.accepted else prev.x
-            if not np.array_equal(nxt.x, moved_to):
-                flag("iterate update", prev)
+    The cells are spread over one forked worker per usable CPU, which
+    inherit this process's modules and settings; serially where fork is
+    not available or one CPU is.
+    """
+    grid = ExperimentGrid()
+    task = functools.partial(check_ac3_cell, grid)
+    cells = grid_cells(grid)
+    workers = _usable_cpus()
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Forked workers inherit LAPACK from here instead of each loading it.
+        load_lapack()
+        context = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = list(pool.map(task, cells, chunksize=4))
+    else:
+        results = list(map(task, cells))
+    steps = sum(count for count, _, _ in results)
+    failures = sum(failed for _, failed, _ in results)
+    violations = [found for _, _, cell_violations in results for found in cell_violations]
     ok = not violations and failures == 0
     _report(
         "AC3",
         ok,
-        f"{runs} runs, {steps} steps, {failures} failed, {len(violations)} invariant violations"
+        f"{len(results)} runs, {steps} steps, {failures} failed, "
+        f"{len(violations)} invariant violations"
         + (f"; first: {violations[0]}" if violations else ""),
     )
 

@@ -46,7 +46,7 @@ from stepsqp.bench import (
     write_run_csv,
 )
 from stepsqp.oracles import derive_stream
-from stepsqp.sqp import IterationLog, RunRecord, RunStatus, SolverParams
+from stepsqp.sqp import RunLog, RunRecord, RunStatus, SolverParams
 
 SMALL_GRID = ExperimentGrid(
     problems=("P1", "hs6"),
@@ -56,9 +56,9 @@ SMALL_GRID = ExperimentGrid(
 )
 
 
-def _make_log(k, infeas, kkt, zeroth, first):
-    return IterationLog(
-        k=k,
+def _log_fields(infeas, kkt, zeroth, first):
+    """RunLog.append keywords for one accepted iteration with these metrics and call counts."""
+    return dict(
         x=np.zeros(2),
         d=np.zeros(2),
         g_bar=np.zeros(2),
@@ -74,14 +74,15 @@ def _make_log(k, infeas, kkt, zeroth, first):
         kkt_inf=kkt,
         zeroth_calls=zeroth,
         first_calls=first,
+        true_iter=False,
     )
 
 
 def _make_record(rows, final_infeas, final_kkt):
-    logs = [
-        _make_log(k, infeas, kkt, 2 * (k + 1), k + 1)
-        for k, (infeas, kkt) in enumerate(rows)
-    ]
+    logs = RunLog(2)
+    for k, (infeas, kkt) in enumerate(rows):
+        logs.append(**_log_fields(infeas, kkt, 2 * (k + 1), k + 1))
+    logs.finish()
     return RunRecord(
         status=RunStatus.CONVERGED,
         iterations=logs,
@@ -93,7 +94,7 @@ def _make_record(rows, final_infeas, final_kkt):
 
 
 def _reference_row(log):
-    """The per-value run-CSV row formatter that write_run_csv's template replaced."""
+    """One run-log row formatted value by value, as write_run_csv must print it."""
     values = operator.attrgetter(*CSV_COLUMNS)(log)
     return ",".join(str(int(v)) if isinstance(v, int) else repr(v) for v in values)
 
@@ -118,14 +119,15 @@ EDGE_FLOATS = (
 def _edge_record():
     """Every edge float in every float column, with ints past 2**32 and both bools."""
     n = len(EDGE_FLOATS)
-    logs = []
+    logs = RunLog(2)
     for k in range(n):
         alpha, tau_bar, delta_l, infeas, kkt = (EDGE_FLOATS[(k + j) % n] for j in range(5))
-        log = _make_log(k, infeas, kkt, 2**40 + 3 * k, 7 * k)
-        logs.append(dataclasses.replace(
-            log, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,
-            accepted=k % 2 == 0, true_iter=k % 3 == 0,
-        ))
+        logs.append(**{
+            **_log_fields(infeas, kkt, 2**40 + 3 * k, 7 * k),
+            "alpha": alpha, "tau_bar": tau_bar, "delta_l": delta_l,
+            "accepted": k % 2 == 0, "true_iter": k % 3 == 0,
+        })
+    logs.finish()
     return RunRecord(RunStatus.BUDGET_EXHAUSTED, logs, np.zeros(2), 0.0)
 
 
@@ -434,6 +436,20 @@ class TestNamingAndFiles:
         logged = _logged_columns(record)
         np.testing.assert_array_equal(parsed.view(np.uint64), logged.view(np.uint64))
 
+    def test_run_csv_and_trajectory_columns_build_no_rows(self, tmp_path, monkeypatch):
+        record = _edge_record()
+        lines = [",".join(CSV_COLUMNS)] + [_reference_row(log) for log in record.iterations]
+        logged = _logged_columns(record)
+        # From here on, building a row of the run log raises.
+        monkeypatch.setattr(RunLog, "_log", None)
+        path = tmp_path / "run.csv"
+        write_run_csv(path, record)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        columns = bench._record_columns(record)
+        np.testing.assert_array_equal(columns.view(np.uint64), logged.view(np.uint64))
+        with pytest.raises(TypeError):
+            record.iterations[0]
+
     @pytest.mark.parametrize("write", [
         lambda path: write_run_csv(path, _edge_record()),
         lambda path: write_profile_csv(path, [(1.0, 0.5)]),
@@ -714,7 +730,7 @@ class TestProfileValidation:
         run_grid(grid, out_dir=tmp_path)
         (cell,) = grid_cells(grid)
         record = run_cell(grid, cell)
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, [(_, trajs)] = load_run_trajectories(tmp_path)

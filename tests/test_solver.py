@@ -1,7 +1,9 @@
 """End-to-end tests for the solve loop on registry and custom problems."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -52,7 +54,7 @@ class TestBudgets:
         problem = get_problem("P2")
         record = solve(problem, params=SolverParams(max_iters=0), oracle_cfg=quiet())
         assert record.status == RunStatus.BUDGET_EXHAUSTED
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         np.testing.assert_array_equal(record.final_x, problem.x0)
         assert record.final_infeas_inf == 2.0
         assert record.final_kkt_inf == 0.0
@@ -274,7 +276,7 @@ class TestFailurePaths:
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "constraint Jacobian is rank deficient"
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         assert record.final_kkt_inf is None
         assert record.zeroth_calls == 2 * len(record.iterations)
 
@@ -292,7 +294,7 @@ class TestFailurePaths:
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "constraint Jacobian is rank deficient"
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_merit_parameter_collapse(self):
@@ -311,7 +313,7 @@ class TestFailurePaths:
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "merit parameter collapsed to 9e-13"
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         # The call counts include the gradient sample of the broken iteration.
         assert (record.zeroth_calls, record.first_calls) == (0, 1)
         assert record.zeroth_calls == 2 * len(record.iterations)
@@ -420,7 +422,7 @@ class TestFailurePaths:
         record = solve(get_problem("hs6"), oracle_cfg=NOISY)
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason.startswith("inaccurate KKT solve")
-        assert record.iterations == []
+        assert len(record.iterations) == 0
         assert (record.zeroth_calls, record.first_calls) == (0, 1)
         assert record.zeroth_calls == 2 * len(record.iterations)
 
@@ -459,3 +461,74 @@ class TestSuiteSmoke:
         assert record.status == RunStatus.CONVERGED
         assert record.final_infeas_inf <= 1e-6
         assert record.final_kkt_inf <= 1e-4
+
+
+def _noisy_hs40_run(max_iters):
+    cfg = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=0, stream_id=4)
+    return solve(get_problem("hs40"), SolverParams(max_iters=max_iters), cfg)
+
+
+class TestRunLog:
+    """A record keeps its iterations as columns and shows them as read-only rows."""
+
+    def test_a_finished_record_holds_at_most_twice_its_column_payload(self):
+        _noisy_hs40_run(10)  # first-call caches are not the record's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = _noisy_hs40_run(1000)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n, k = get_problem("hs40").n, len(record.iterations)
+        assert k == 1000
+        # 13 float64 and int64 fields and 3 vectors of n floats per iteration.
+        assert held <= 2 * 8 * (13 + 3 * n) * k
+
+    def test_growing_past_the_first_capacity_keeps_every_row(self):
+        short, long = _noisy_hs40_run(1000), _noisy_hs40_run(3000)
+        assert len(short.iterations) == 1000
+        assert len(long.iterations) > sqp.RUN_LOG_CAPACITY
+        for name in ("k", "x", "d", "g_bar", "alpha", "tau_bar", "delta_l", "phi_bar_current",
+                     "phi_bar_trial", "f_bar_current", "f_bar_trial", "accepted", "infeas_inf",
+                     "kkt_inf", "zeroth_calls", "first_calls", "true_iter"):
+            # Bit for bit: a view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
+            first = long.iterations.column(name)[:1000]
+            expected = short.iterations.column(name)
+            assert first.dtype == expected.dtype, name
+            np.testing.assert_array_equal(first.view(np.uint64), expected.view(np.uint64), name)
+
+    def test_rows_index_like_a_read_only_list(self):
+        logs = solve(get_problem("hs6"), SolverParams(max_iters=20), NOISY).iterations
+        assert len(logs) == 20
+        assert [log.k for log in logs] == list(range(20))
+        assert logs[-1].k == 19 and logs[-20].k == 0
+        assert [log.k for log in logs[3:9:2]] == [3, 5, 7]
+        assert [log.k for log in logs[::-1]] == list(range(19, -1, -1))
+        assert logs[25:] == []
+        for index in (20, -21):
+            with pytest.raises(IndexError):
+                logs[index]
+        log = logs[4]
+        assert type(log.alpha) is float and type(log.zeroth_calls) is int
+        assert type(log.accepted) is bool and type(log.true_iter) is bool
+        for array in (log.x, log.d, log.g_bar, logs.column("x"), logs.column("alpha")):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        np.testing.assert_array_equal(logs.column("d")[4], log.d)
+        assert logs.column("accepted").tolist() == [int(row.accepted) for row in logs]
+
+    def test_a_finished_log_takes_no_more_rows(self):
+        record = solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY)
+        fields = dataclasses.asdict(record.iterations[0])
+        del fields["k"]
+        with pytest.raises(ValueError):
+            record.iterations.append(**fields)
+        assert len(record.iterations) == 5
+
+    def test_solve_builds_no_iteration_log(self, monkeypatch):
+        monkeypatch.setattr(sqp, "IterationLog", None)
+        record = solve(get_problem("hs6"), SolverParams(max_iters=50), NOISY)
+        assert len(record.iterations) == 50
