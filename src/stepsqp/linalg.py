@@ -131,15 +131,18 @@ class LuFactors(NamedTuple):
         return x
 
 
-def lu_factor(a: np.ndarray) -> LuFactors:
+def lu_factor(a: np.ndarray, scale: float) -> LuFactors:
     """Factor a square float64 matrix by LU with partial pivoting.
+
+    scale is ||A||_max, the largest entry magnitude of a, which sets the
+    pivot floor. The caller passes it: max_abs(a) in general, or a value
+    it knows exactly from the matrix's structure without scanning it.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below 1e-14 * ||A||_max.
+        If any pivot magnitude falls below 1e-14 * scale.
     """
-    scale = max_abs(a)
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
     # getrf reports an exactly zero pivot through its info code; the
@@ -167,7 +170,7 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
-    return lu_factor(a).solve(b)
+    return lu_factor(a, max_abs(a)).solve(b)
 
 
 def cholesky_solve(a, b) -> np.ndarray:

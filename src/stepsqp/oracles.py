@@ -21,7 +21,11 @@ distinct stream ids are independent by construction. Use
 :func:`derive_stream` to map benchmark coordinates to a stream id. The
 standard normals are drawn from the stream in blocks and handed out in
 stream order, which is the order of one draw per call: a run's samples
-are the same bits whatever the block size.
+are the same bits whatever the block size. Each block is scaled once,
+when it is drawn, by eps_g_noise / sqrt(n) for gradient samples and by
+eps_f_noise for value samples, so a sample is the exact value plus a
+slice (or one entry) of a scaled block: an elementwise product has the
+same bits whether it is taken per block or per slice.
 """
 
 from __future__ import annotations
@@ -114,19 +118,28 @@ class StochasticOracle:
         self.counters = EvalCounters()
         key = np.array([config.seed, config.stream_id], dtype=np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key))
+        self._n = problem.n
         self._grad_scale = config.eps_g_noise / np.sqrt(problem.n)
-        self._block = np.empty(0)
+        # float(), as Python's float * int converts the int.
+        self._f_scale = float(config.eps_f_noise)
+        # The current block of standard normals, and its two scaled copies.
+        self._block = self._grad_noise = self._f_noise = np.empty(0)
         self._pos = 0
 
     def _take(self, count: int) -> int:
-        """Reserve the stream's next count normals; return their offset in _block."""
+        """Reserve the stream's next count normals; return their offset in the current block."""
         pos = self._pos
         end = pos + count
         if end > self._block.size:
             # Unused normals stay ahead of the new ones, so the order of
             # the stream is kept across refills.
             fresh = self._rng.standard_normal(max(NOISE_BLOCK, count))
-            self._block = np.concatenate((self._block[pos:], fresh))
+            block = self._block = np.concatenate((self._block[pos:], fresh))
+            # Most entries of a block never meet one of the two scales; a
+            # product that overflows is inf, as it would be per sample.
+            with np.errstate(over="ignore"):
+                self._grad_noise = self._grad_scale * block
+                self._f_noise = self._f_scale * block
             pos, end = 0, count
         self._pos = end
         return pos
@@ -134,12 +147,12 @@ class StochasticOracle:
     def noisy_f(self, f_value: float) -> float:
         """Exact value f(x) plus one fresh zeroth-order noise draw; increments zeroth_calls."""
         self.counters.zeroth_calls += 1
-        pos = self._take(1)
-        return f_value + self.config.eps_f_noise * self._block.item(pos)
+        pos = self._take(1)  # before _f_noise is read, since a refill replaces it
+        return f_value + self._f_noise.item(pos)
 
     def noisy_grad(self, g_value: np.ndarray) -> np.ndarray:
         """Exact gradient grad f(x) plus one fresh noise draw; increments first_calls."""
         self.counters.first_calls += 1
-        n = self.problem.n
+        n = self._n
         pos = self._take(n)
-        return g_value + self._grad_scale * self._block[pos : pos + n]
+        return g_value + self._grad_noise[pos : pos + n]

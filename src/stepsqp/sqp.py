@@ -38,15 +38,19 @@ taken as c'y - d'd: tau and delta_l come from the same two scalars, and
 the model-reduction bound then holds up to their rounding.
 
 Each run owns one KktSystem: the matrix [[I, J^T], [J, 0]] and the
-right-hand sides (-grad f, 0) and (-gbar, -c), allocated once, into
-which each new iterate writes J, J^T and -c. Its one LU factorization
+right-hand sides (-grad f, 0) and (-gbar, -c), allocated once with fixed
+views of their J, J^T, -g and -c blocks, through which each new iterate
+writes J, J^T and -c and each solve writes -g. The matrix's max-norm,
+the scale of the pivot floor, is max(1, ||J||_max), from the ||J||_max
+the loop takes anyway to test J for finiteness. Its one LU factorization
 per iterate gives the least-squares multipliers and the KKT residual
 (the augmented-system method for linear least squares) and the step,
 whose constraint rows give J d + c. The exact values c, J, grad f and
 f, the factors and the KKT residual all depend on x alone, so after a
 rejected step they are carried over rather than recomputed; no oracle
-sample is ever reused. The run's RunLog copies each iteration's fields
-into its columns, so the arrays a record's rows show are read-only views
+sample is ever reused. The run's RunLog is one structured array with a
+row per iteration, into which each iteration's fields are copied with
+one assignment, so the arrays a record's rows show are read-only views
 of the record itself.
 """
 
@@ -168,25 +172,37 @@ class KktSolution(NamedTuple):
 class KktSystem:
     """[[I, J^T], [J, 0]] for n variables and m constraints, its LU factors and right-hand sides.
 
-    update() writes a new J and c in place and factors once; multipliers()
-    and step() then solve against those factors for any number of gradients.
+    The matrix and the two right-hand sides (-grad f, 0) and (-gbar, -c)
+    are allocated once, with views of their blocks: J and J^T in the
+    matrix, and the top (-g) and bottom (-c) parts of the right-hand
+    sides. update() writes a new J and c through those views and factors
+    once; multipliers() and step() then write -g through them and solve
+    against those factors for any number of gradients.
     """
 
     def __init__(self, n: int, m: int):
         self._n = n
-        self._a = np.zeros((n + m, n + m))
-        self._a[:n, :n] = np.eye(n)
+        a = self._a = np.zeros((n + m, n + m))
+        a[:n, :n] = np.eye(n)
+        self._jac = a[n:, :n]
+        self._jac_t = a[:n, n:]
         self._mult_rhs = np.zeros(n + m)
+        self._mult_top = self._mult_rhs[:n]
         self._step_rhs = np.zeros(n + m)
+        self._step_top = self._step_rhs[:n]
+        self._neg_c = self._step_rhs[n:]
         self._factors: Optional[LuFactors] = None
 
-    def update(self, jac: np.ndarray, c: np.ndarray) -> None:
-        """Write J and c, then factor; raises SingularMatrixError if J is (near-)rank deficient."""
-        n = self._n
-        self._a[:n, n:] = jac.T
-        self._a[n:, :n] = jac
-        np.negative(c, out=self._step_rhs[n:])
-        self._factors = lu_factor(self._a)
+    def update(self, jac: np.ndarray, c: np.ndarray, jac_max: float) -> None:
+        """Write J and c, then factor; raises SingularMatrixError if J is (near-)rank deficient.
+
+        jac_max is ||J||_max. The matrix's other entries are 1 and 0, so
+        its ||.||_max, the scale of the pivot floor, is max(1, ||J||_max).
+        """
+        self._jac_t[...] = jac.T
+        self._jac[...] = jac
+        np.negative(c, out=self._neg_c)
+        self._factors = lu_factor(self._a, max(1.0, jac_max))
 
     def multipliers(self, g: np.ndarray) -> tuple[np.ndarray, float]:
         """Multipliers y minimizing ||g + J^T y||_2, and ||g + J^T y||_inf.
@@ -201,20 +217,18 @@ class KktSystem:
         of I and alpha near sigma_min(J), would avoid that at the price of
         a factorization separate from the step's.
         """
+        np.negative(g, out=self._mult_top)
+        z = self._factors.solve(self._mult_rhs)
         n = self._n
-        rhs = self._mult_rhs
-        np.negative(g, out=rhs[:n])
-        z = self._factors.solve(rhs)
         return z[n:], max_abs(z[:n])
 
     def step(self, g: np.ndarray) -> KktSolution:
         """Direction d and multipliers y from [[I, J^T], [J, 0]] (d, y) = -(g, c)."""
+        np.negative(g, out=self._step_top)
+        z = self._factors.solve(self._step_rhs)
         n = self._n
-        rhs = self._step_rhs
-        np.negative(g, out=rhs[:n])
-        z = self._factors.solve(rhs)
         d = z[:n]
-        return KktSolution(d, z[n:], max_abs(self._a[n:, :n].dot(d) - rhs[n:]))
+        return KktSolution(d, z[n:], max_abs(self._jac.dot(d) - self._neg_c))
 
 
 def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
@@ -224,8 +238,9 @@ def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
     """
     g = np.asarray(g, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    jac = as_matrix(jac, (c.size, g.size), "J")
     kkt = KktSystem(g.size, c.size)
-    kkt.update(as_matrix(jac, (c.size, g.size), "J"), c)
+    kkt.update(jac, c, max_abs(jac))
     return kkt.step(g)
 
 
@@ -287,7 +302,7 @@ def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarra
     """KktSystem.multipliers for one J: (y, ||g + J^T y||_inf); J must have full row rank."""
     jac = np.asarray(jac, dtype=np.float64)
     kkt = KktSystem(jac.shape[1], jac.shape[0])
-    kkt.update(jac, np.zeros(jac.shape[0]))
+    kkt.update(jac, np.zeros(jac.shape[0]), max_abs(jac))
     return kkt.multipliers(np.asarray(g, dtype=np.float64))
 
 
@@ -320,82 +335,72 @@ class IterationLog:
     true_iter: bool = False
 
 
-# A run log's first blocks hold this many iterations, or the run's budget
+# A run log's first rows hold this many iterations, or the run's budget
 # if that is smaller, so a run on the default budget fills them exactly.
 RUN_LOG_CAPACITY = 1024
 
-_FLOAT_FIELDS = ("alpha", "tau_bar", "delta_l", "phi_bar_current", "phi_bar_trial",
-                 "f_bar_current", "f_bar_trial", "infeas_inf", "kkt_inf")
-_INT_FIELDS = ("accepted", "zeroth_calls", "first_calls", "true_iter")
-_VECTOR_FIELDS = ("x", "d", "g_bar")
-# Field name -> (block attribute, index in the block's row).
-_COLUMNS = {
-    **{name: ("_floats", i) for i, name in enumerate(_FLOAT_FIELDS)},
-    **{name: ("_ints", i) for i, name in enumerate(_INT_FIELDS)},
-    **{name: ("_vectors", i) for i, name in enumerate(_VECTOR_FIELDS)},
-}
+# IterationLog's fields less k, in its order, with each field's type in
+# a run log's rows: n float64 for a vector, else float64 or int64.
+_ROW_FIELDS = (
+    ("x", "vector"), ("d", "vector"), ("g_bar", "vector"),
+    ("alpha", "f8"), ("tau_bar", "f8"), ("delta_l", "f8"), ("phi_bar_current", "f8"),
+    ("phi_bar_trial", "f8"), ("f_bar_current", "f8"), ("f_bar_trial", "f8"), ("accepted", "i8"),
+    ("infeas_inf", "f8"), ("kkt_inf", "f8"), ("zeroth_calls", "i8"), ("first_calls", "i8"),
+    ("true_iter", "i8"),
+)
+_SCALAR_FIELDS = [name for name, kind in _ROW_FIELDS if kind != "vector"]
 
 
 class RunLog(Sequence):
     """One run's iterations as columns: a read-only sequence of IterationLog rows.
 
-    Row j is iteration k = j. Its nine float fields are a row of a (K, 9)
-    float64 block, accepted, the two call counters and true_iter a row of
-    a (K, 4) int64 block, and x, d and g_bar a row of a (K, 3, n) float64
-    block, so an iteration costs 8 * (13 + 3n) bytes. append copies the
-    values in, and the blocks double when full. Indexing and iteration
-    build IterationLog rows on access, with Python floats, ints and bools
-    and read-only views of the blocks; column(name) gives a whole field.
+    Row j is iteration k = j, one row of a structured array with
+    IterationLog's fields less k: x, d and g_bar as (n,) float64
+    subarrays, the nine float fields as float64, and accepted, the two
+    call counters and true_iter as int64, so an iteration costs
+    8 * (13 + 3n) bytes. append copies one row in, and the array doubles
+    when full. Indexing and iteration build IterationLog rows on access,
+    with Python floats, ints and bools and read-only views of the array;
+    column(name) gives a whole field.
     """
 
-    __slots__ = ("_k", "_floats", "_ints", "_vectors")
+    __slots__ = ("_k", "_rows")
 
     def __init__(self, n: int, capacity: int = RUN_LOG_CAPACITY):
         self._k = 0
-        self._floats = np.empty((capacity, len(_FLOAT_FIELDS)))
-        self._ints = np.empty((capacity, len(_INT_FIELDS)), dtype=np.int64)
-        self._vectors = np.empty((capacity, len(_VECTOR_FIELDS), n))
+        dtype = [(name, "f8", (n,)) if kind == "vector" else (name, kind)
+                 for name, kind in _ROW_FIELDS]
+        self._rows = np.empty(capacity, dtype)
 
     def append(self, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
                f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf, zeroth_calls,
                first_calls, true_iter) -> None:
         """Copy in one iteration's fields, in IterationLog's order without k."""
         k = self._k
-        if k == len(self._floats):
+        if k == len(self._rows):
             self._grow()
-        self._floats[k] = (alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
-                           f_bar_current, f_bar_trial, infeas_inf, kkt_inf)
-        self._ints[k] = (accepted, zeroth_calls, first_calls, true_iter)
-        self._vectors[k] = (x, d, g_bar)
+        self._rows[k] = (x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
+                         f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
+                         zeroth_calls, first_calls, true_iter)
         self._k = k + 1
 
     def _grow(self) -> None:
-        if not self._floats.flags.writeable:
+        rows = self._rows
+        if not rows.flags.writeable:
             raise ValueError("this run log is finished")
-        for name in ("_floats", "_ints", "_vectors"):
-            block = getattr(self, name)
-            grown = np.empty((max(2 * len(block), 16),) + block.shape[1:], block.dtype)
-            grown[: len(block)] = block
-            setattr(self, name, grown)
+        self._rows = np.empty(max(2 * len(rows), 16), rows.dtype)
+        self._rows[: len(rows)] = rows
 
     def finish(self) -> None:
-        """Trim the blocks to the rows appended and make them read-only, which ends appending."""
-        for name in ("_floats", "_ints", "_vectors"):
-            block = getattr(self, name)
-            if len(block) > self._k:
-                # A copy, so the spare rows are freed.
-                block = block[: self._k].copy()
-            block.flags.writeable = False
-            setattr(self, name, block)
-
-    def _rows(self, block: np.ndarray) -> np.ndarray:
-        """block's appended rows, as a read-only view."""
-        view = block[: self._k]
-        view.flags.writeable = False
-        return view
+        """Trim the rows to those appended and make them read-only, which ends appending."""
+        rows = self._rows
+        if len(rows) > self._k:
+            # A copy, so the spare rows are freed.
+            rows = self._rows = rows[: self._k].copy()
+        rows.flags.writeable = False
 
     def column(self, name: str) -> np.ndarray:
-        """Field name for every iteration, as a read-only view of the blocks.
+        """Field name for every iteration, as a read-only view of the rows.
 
         Floats and ints give (K,) arrays, accepted and true_iter as 0 and 1
         in int64, and x, d and g_bar (K, n) arrays; k gives a new array of
@@ -403,16 +408,17 @@ class RunLog(Sequence):
         """
         if name == "k":
             return np.arange(self._k)
-        attr, index = _COLUMNS[name]
-        return self._rows(getattr(self, attr))[:, index]
+        view = self._rows[: self._k][name]
+        view.flags.writeable = False
+        return view
 
     def __len__(self) -> int:
         return self._k
 
-    def _log(self, k: int, floats: list, ints: list, vectors: np.ndarray) -> IterationLog:
-        alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t, infeas, kkt = floats
-        accepted, zeroth, first, true_iter = ints
-        x, d, g_bar = vectors
+    def _log(self, k: int, scalars: tuple, x: np.ndarray, d: np.ndarray,
+             g_bar: np.ndarray) -> IterationLog:
+        (alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t, accepted, infeas, kkt, zeroth, first,
+         true_iter) = scalars
         return IterationLog(k, x, d, g_bar, alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t,
                             bool(accepted), infeas, kkt, zeroth, first, bool(true_iter))
 
@@ -425,12 +431,13 @@ class RunLog(Sequence):
             k += self._k
         if not 0 <= k < self._k:
             raise IndexError("run log index out of range")
-        return self._log(k, self._floats[k].tolist(), self._ints[k].tolist(),
-                         self._rows(self._vectors)[k])
+        return self._log(k, self._rows[_SCALAR_FIELDS][k].item(), self.column("x")[k],
+                         self.column("d")[k], self.column("g_bar")[k])
 
     def __iter__(self):
-        floats, ints = self._rows(self._floats).tolist(), self._rows(self._ints).tolist()
-        return map(self._log, range(self._k), floats, ints, self._rows(self._vectors))
+        scalars = self._rows[: self._k][_SCALAR_FIELDS].tolist()
+        return map(self._log, range(self._k), scalars, self.column("x"), self.column("d"),
+                   self.column("g_bar"))
 
 
 @dataclass
@@ -501,22 +508,27 @@ def solve(
         LINEAR_ALGEBRA_FAILURE and a failure_reason instead of raising:
         a non-finite f, c, J or grad f at the current iterate, a
         rank-deficient J there, a non-finite gradient sample, an
-        inaccurate KKT solve, or merit-parameter collapse. A non-finite
-        trial point is a rejected step, not a failure. Exceptions raised
-        by the problem's own evaluators propagate.
+        inaccurate KKT solve, a step whose d'd or c'y is not finite, or
+        merit-parameter collapse. A non-finite trial point is a rejected
+        step, not a failure. Exceptions raised by the problem's own
+        evaluators propagate.
     """
     t_start = time.perf_counter()
     # The run's KKT workspace (see the module docstring).
     kkt = KktSystem(problem.n, problem.m)
 
     oracle = StochasticOracle(problem, oracle_cfg)
+    counters = oracle.counters
     eps_f = effective_eps_f(params, oracle_cfg)
     eps_g = oracle_cfg.eps_g_noise
+    sigma, eps_tau, theta = params.sigma, params.eps_tau, params.theta
+    gamma, alpha_max, max_iters = params.gamma, params.alpha_max, params.max_iters
+    tol_infeas, tol_kkt = params.tol_infeas, params.tol_kkt
 
     x = problem.x0.copy()
     alpha = params.alpha0
     tau_bar = params.tau_init
-    logs = RunLog(problem.n, min(params.max_iters, RUN_LOG_CAPACITY))
+    logs = RunLog(problem.n, min(max_iters, RUN_LOG_CAPACITY))
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
     # f and c at the current iterate: evaluated here for x0, then carried
@@ -538,9 +550,10 @@ def solve(
             jac = problem.jacobian(x)
             g_exact = problem.grad_f(x)
             c_max = max_abs(c_vec)
+            jac_max = max_abs(jac)
             if not (
                 math.isfinite(c_max)
-                and math.isfinite(max_abs(jac))
+                and math.isfinite(jac_max)
                 and math.isfinite(max_abs(g_exact))
                 and math.isfinite(f_exact)
             ):
@@ -549,18 +562,18 @@ def solve(
                 break
             infeas_inf = c_max
             try:
-                kkt.update(jac, c_vec)
+                kkt.update(jac, c_vec, jac_max)
             except SingularMatrixError:
                 status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
                 break
             _, kkt_inf = kkt.multipliers(g_exact)
             moved = False
-            if infeas_inf <= params.tol_infeas and kkt_inf <= params.tol_kkt:
+            if infeas_inf <= tol_infeas and kkt_inf <= tol_kkt:
                 status = RunStatus.CONVERGED
                 break
 
-        if k >= params.max_iters:
+        if k >= max_iters:
             status = RunStatus.BUDGET_EXHAUSTED
             break
 
@@ -580,16 +593,22 @@ def solve(
             break
 
         # Merit parameter update and predicted reduction, from the step's
-        # two products (g'd = c'y - d'd; see the module docstring).
+        # two products (g'd = c'y - d'd; see the module docstring). A
+        # finite d or y can still square to inf, and tau and delta_l
+        # would then compare inf with inf.
         dd = float(d.dot(d))
         cy = float(c_vec.dot(y))
-        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, params.sigma), params.eps_tau)
+        if not (math.isfinite(dd) and math.isfinite(cy)):
+            status = RunStatus.LINEAR_ALGEBRA_FAILURE
+            reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
+            break
+        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, sigma), eps_tau)
         if tau_bar <= TAU_COLLAPSE_FLOOR:
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
         delta_l = model_reduction(tau_bar, cy - dd, c_l1)
-        bound = tau_bar * dd + params.sigma * c_l1
+        bound = tau_bar * dd + sigma * c_l1
         if not (delta_l >= bound - MODEL_REDUCTION_SLACK * max(1.0, abs(delta_l), bound)):
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound {bound:g} at iteration {k}"
@@ -608,7 +627,7 @@ def solve(
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
         accepted = acceptance_test(
-            phi_bar_trial, phi_bar_current, alpha, params.theta, delta_l, tau_bar, eps_f
+            phi_bar_trial, phi_bar_current, alpha, theta, delta_l, tau_bar, eps_f
         )
 
         g_err = g_bar - g_exact
@@ -620,29 +639,14 @@ def solve(
             eps_g,
             eps_f,
         )
-        logs.append(
-            x=x,
-            d=d,
-            g_bar=g_bar,
-            alpha=alpha,
-            tau_bar=tau_bar,
-            delta_l=delta_l,
-            phi_bar_current=phi_bar_current,
-            phi_bar_trial=phi_bar_trial,
-            f_bar_current=f_bar_current,
-            f_bar_trial=f_bar_trial,
-            accepted=accepted,
-            infeas_inf=infeas_inf,
-            kkt_inf=kkt_inf,
-            zeroth_calls=oracle.counters.zeroth_calls,
-            first_calls=oracle.counters.first_calls,
-            true_iter=true_iter,
-        )
+        logs.append(x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
+                    f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
+                    counters.zeroth_calls, counters.first_calls, true_iter)
 
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
-        alpha = step_size_update(alpha, accepted, params.gamma, params.alpha_max)
+        alpha = step_size_update(alpha, accepted, gamma, alpha_max)
         k += 1
 
     logs.finish()
@@ -655,7 +659,7 @@ def solve(
         final_infeas_inf=infeas_inf,
         final_kkt_inf=kkt_inf,
         failure_reason=reason,
-        zeroth_calls=oracle.counters.zeroth_calls,
-        first_calls=oracle.counters.first_calls,
+        zeroth_calls=counters.zeroth_calls,
+        first_calls=counters.first_calls,
     )
 

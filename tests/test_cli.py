@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -279,6 +280,17 @@ class TestRunCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["failure_reason"] == "constraint Jacobian is rank deficient"
 
+    def test_a_step_that_squares_to_inf_fails_with_its_reason(self, tmp_path, capsys):
+        # A finite gradient sample of about 1e308 gives a finite step whose
+        # d'd overflows; the run ends with a status, not a traceback.
+        argv = ["run", "P1", "--set", "oracle.eps_g_noise=1e308", "--out", str(tmp_path / "o")]
+        with np.errstate(over="ignore"):
+            code = main(argv)
+        assert code == EXIT_FAILURE
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "linear_algebra_failure"
+        assert summary["failure_reason"].startswith("step too large: d'd = inf")
+
     def test_badly_scaled_qp_passes_the_solve_accuracy_check(self, tmp_path, capsys):
         # hs48 with f scaled by 1e6, restated as a QP: an accurate first
         # solve leaves ||J d + c||_inf = 3.7e-9, which the solve check
@@ -448,6 +460,22 @@ class TestBenchAndProfileCommands:
         assert (bench_dir / "summary.json").is_file()
         summary = json.loads((bench_dir / "summary.json").read_text())
         assert len(summary["runs"]) == 6
+
+    def test_bench_grid_with_overflowing_steps_completes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["bench", "--set", "grid.noise_pairs=[[0, 1e308]]",
+                "--set", 'grid.problems=["P1", "hs6"]', "--set", "grid.replicates=1",
+                "--out", str(out)]
+        # hs6's step overflows inside the solve, which the run reports as an
+        # inaccurate KKT solve; the test session's residual self-check then
+        # meets inf - inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        assert code == EXIT_FAILURE
+        assert json.loads(capsys.readouterr().out)["by_status"] == {"linear_algebra_failure": 2}
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert runs[0]["failure_reason"].startswith("step too large: d'd = inf")
+        assert runs[1]["failure_reason"].startswith("inaccurate KKT solve")
 
     def test_bench_unknown_problem(self, tmp_path, capsys):
         code = main(

@@ -144,27 +144,28 @@ class TestLuFactor:
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-        factors = lu_factor(a)
+        factors = lu_factor(a, max_abs(a))
         for _ in range(3):
             b = rng.standard_normal(6)
             np.testing.assert_array_equal(factors.solve(b), lu_solve(a, b))
 
     def test_singular_raises_with_pivot_message(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]), 4.0)
         with pytest.raises(SingularMatrixError, match="identically zero"):
-            lu_factor(np.zeros((2, 2)))
+            lu_factor(np.zeros((2, 2)), 0.0)
 
     def test_nan_matrix_fails_the_pivot_floor(self):
         # A NaN pivot or scale must not pass the floor test silently.
         with pytest.raises(SingularMatrixError, match="pivot nan"):
-            lu_factor(np.array([[np.nan, 1.0], [1.0, 2.0]]))
+            nan_matrix = np.array([[np.nan, 1.0], [1.0, 2.0]])
+            lu_factor(nan_matrix, max_abs(nan_matrix))
 
     def test_solve_checks_its_residual(self, monkeypatch):
         # Factors paired with a different matrix cannot solve it: the
         # residual self-check must notice.
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        mismatched = lu_factor(a)._replace(a=2.0 * a)
+        mismatched = lu_factor(a, max_abs(a))._replace(a=2.0 * a)
         monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
         with pytest.raises(AssertionError, match="residual"):
             mismatched.solve(np.array([5.0, 10.0]))

@@ -8,9 +8,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from reference import reference_solve
 
 from stepsqp import sqp
-from stepsqp.oracles import OracleConfig
+from stepsqp.oracles import OracleConfig, derive_stream
 from stepsqp.problems import Problem, get_problem, problem_names
 from stepsqp.sqp import (
     InvariantViolationError,
@@ -23,6 +24,11 @@ from stepsqp.sqp import (
 )
 
 NOISY = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=5, stream_id=2)
+# `stepsqp run P1 --set oracle.eps_g_noise=1e308`: a finite gradient sample
+# and step whose d'd overflows.
+HUGE_GRADIENT_NOISE = OracleConfig(
+    eps_g_noise=1e308, stream_id=derive_stream(0, "P1", (0.0, 1e308), 0)
+)
 
 
 def quiet(**kwargs):
@@ -532,3 +538,61 @@ class TestRunLog:
         monkeypatch.setattr(sqp, "IterationLog", None)
         record = solve(get_problem("hs6"), SolverParams(max_iters=50), NOISY)
         assert len(record.iterations) == 50
+
+
+def _assert_matches_reference(problem, params, cfg):
+    """solve and reference_solve agree bit for bit on every column and outcome."""
+    record = solve(problem, params, cfg)
+    ref = reference_solve(problem, params, cfg)
+    for name, expected in ref.columns.items():
+        got = record.iterations.column(name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        # A view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), name)
+    np.testing.assert_array_equal(record.final_x.view(np.uint64), ref.final_x.view(np.uint64))
+    # repr is exact for floats, and tells -0.0 from 0.0.
+    outcome = ("status", "failure_reason", "final_infeas_inf", "final_kkt_inf", "zeroth_calls",
+               "first_calls")
+    assert repr([getattr(record, name) for name in outcome]) == repr(
+        [getattr(ref, name) for name in outcome]
+    )
+    return record
+
+
+class TestReferenceLoop:
+    """solve gives the bits of a plain restatement of its loop.
+
+    The relations AC3 checks hold for many trajectories; this pins the
+    trajectory itself, d, gbar and tau included.
+    """
+
+    def test_noiseless_converging_run(self):
+        record = _assert_matches_reference(get_problem("hs48"), SolverParams(), quiet())
+        assert record.status == RunStatus.CONVERGED and len(record.iterations) > 1
+
+    @pytest.mark.parametrize("name", ["hs40", "sphere30"])
+    def test_noisy_budget_exhausted_run(self, name):
+        record = _assert_matches_reference(get_problem(name), SolverParams(max_iters=300), NOISY)
+        assert record.status == RunStatus.BUDGET_EXHAUSTED
+
+    def test_run_past_the_first_log_capacity(self):
+        params = SolverParams(max_iters=sqp.RUN_LOG_CAPACITY + 100)
+        record = _assert_matches_reference(get_problem("hs40"), params, NOISY)
+        assert len(record.iterations) > sqp.RUN_LOG_CAPACITY
+
+    def test_step_too_large_to_square(self):
+        # d is finite, but d'd overflows; tau and delta_l would compare inf
+        # with inf, so the run ends before tau is touched.
+        with np.errstate(over="ignore"):
+            record = _assert_matches_reference(get_problem("P1"), SolverParams(),
+                                               HUGE_GRADIENT_NOISE)
+        assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
+        assert record.failure_reason == "step too large: d'd = inf, c'y = -2.27914e+307"
+        assert len(record.iterations) == 0 and record.first_calls == 1
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_registry_runs_at_the_noise_floor(self, name):
+        # The step-size guard fires only on products that are not finite.
+        cfg = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=1, stream_id=7)
+        record = _assert_matches_reference(get_problem(name), SolverParams(max_iters=150), cfg)
+        assert record.status != RunStatus.LINEAR_ALGEBRA_FAILURE
