@@ -216,7 +216,7 @@ def _trajectories(
 
 def _record_columns(record: RunRecord) -> np.ndarray:
     """A run's _TRAJECTORY_COLUMNS as a (2, K) float64 array, the values its run CSV holds."""
-    return np.array([record.iterations.column(name) for name in _TRAJECTORY_COLUMNS])
+    return np.array([record.iterations[name] for name in _TRAJECTORY_COLUMNS])
 
 
 def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
@@ -459,7 +459,7 @@ def write_atomically(path: Path, text: str) -> None:
 def write_run_csv(path: Path, record: RunRecord) -> None:
     """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
     # Columns hold bools as 0 and 1, and tolist gives Python ints and floats.
-    columns = [map(repr, record.iterations.column(name).tolist()) for name in CSV_COLUMNS]
+    columns = [map(repr, record.iterations[name].tolist()) for name in CSV_COLUMNS]
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(map(",".join, zip(*columns)))
     write_atomically(path, "\n".join(lines) + "\n")

@@ -17,6 +17,7 @@ never load SciPy.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,8 @@ PIVOT_RTOL = 1e-14
 # Allowed relative asymmetry before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
 
-# Flipped on by the test suite: every solve then verifies its own residual.
+# Flipped on by the test suite: every solve with a finite solution then
+# verifies its own residual.
 _CHECK_RESIDUALS = False
 
 
@@ -108,26 +110,33 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not symmetric to tolerance {tol:g}")
 
 
-def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
-    # Backward-stable direct solves keep ||Ax - b|| small relative to ||A|| ||x||.
+def _check_residual(a: np.ndarray, scale: float, x: np.ndarray, b: np.ndarray) -> None:
+    # Backward-stable direct solves keep ||Ax - b|| small relative to
+    # ||A|| ||x||, with scale = ||A||_max. A solution that overflowed is
+    # left to the caller's own checks (solve's ||J d + c||_inf guard ends
+    # such a run); a NaN residual of a finite one fails.
+    x_max = max_abs(x)
+    if not math.isfinite(x_max):
+        return
     res = max_abs(a @ x - b)
-    bound = 1e-10 * (1.0 + max_abs(a) * max_abs(x))
-    if res > bound:
+    bound = 1e-10 * (1.0 + scale * x_max)
+    if not res <= bound:
         raise AssertionError(f"solve residual {res:g} exceeds bound {bound:g}")
 
 
 class LuFactors(NamedTuple):
-    """LU factors of the square matrix a, which is kept for residual checks."""
+    """LU factors of the square matrix a, kept with a and its ||A||_max for residual checks."""
 
     a: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
+    scale: float
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve a x = b for one right-hand side of length a.shape[0]."""
         x, _ = dgetrs(self.lu, self.piv, b)
         if _CHECK_RESIDUALS:
-            _check_residual(self.a, x, b)
+            _check_residual(self.a, self.scale, x, b)
         return x
 
 
@@ -154,7 +163,7 @@ def lu_factor(a: np.ndarray, scale: float) -> LuFactors:
         raise SingularMatrixError(
             f"pivot {smallest:g} below {PIVOT_RTOL:g} * ||A||_max = {PIVOT_RTOL * scale:g}"
         )
-    return LuFactors(a, lu, piv)
+    return LuFactors(a, lu, piv, scale)
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -196,5 +205,5 @@ def cholesky_solve(a, b) -> np.ndarray:
         raise NotPositiveDefiniteError("diagonal factor entry at or below the pivot floor")
     x = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
     if _CHECK_RESIDUALS:
-        _check_residual(a, x, b)
+        _check_residual(a, scale, x, b)
     return x

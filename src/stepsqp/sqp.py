@@ -48,19 +48,17 @@ per iterate gives the least-squares multipliers and the KKT residual
 whose constraint rows give J d + c. The exact values c, J, grad f and
 f, the factors and the KKT residual all depend on x alone, so after a
 rejected step they are carried over rather than recomputed; no oracle
-sample is ever reused. The run's RunLog is one structured array with a
-row per iteration, into which each iteration's fields are copied with
-one assignment, so the arrays a record's rows show are read-only views
-of the record itself.
+sample is ever reused. The run's log is one structured array with a row
+per iteration, into which each iteration's fields are copied with one
+assignment; the finished array, read-only, is the record's iterations.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import operator
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -306,143 +304,40 @@ def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarra
     return kkt.multipliers(np.asarray(g, dtype=np.float64))
 
 
-@dataclass(slots=True)
-class IterationLog:
-    """Diagnostics for one iteration, recorded at its start point x.
-
-    Call counters are cumulative totals after the iteration finished.
-    true_iter marks iterations whose sampled gradient and function
-    values were within their nominal noise allowances (see
-    classify_iteration).
-    """
-
-    k: int
-    x: np.ndarray
-    d: np.ndarray
-    g_bar: np.ndarray
-    alpha: float
-    tau_bar: float
-    delta_l: float
-    phi_bar_current: float
-    phi_bar_trial: float
-    f_bar_current: float
-    f_bar_trial: float
-    accepted: bool
-    infeas_inf: float
-    kkt_inf: float
-    zeroth_calls: int
-    first_calls: int
-    true_iter: bool = False
-
-
 # A run log's first rows hold this many iterations, or the run's budget
 # if that is smaller, so a run on the default budget fills them exactly.
 RUN_LOG_CAPACITY = 1024
 
-# IterationLog's fields less k, in its order, with each field's type in
-# a run log's rows: n float64 for a vector, else float64 or int64.
+# A run log row's fields, in order, each with its type: n float64 for a
+# vector, else float64 or int64.
 _ROW_FIELDS = (
-    ("x", "vector"), ("d", "vector"), ("g_bar", "vector"),
+    ("k", "i8"), ("x", "vector"), ("d", "vector"), ("g_bar", "vector"),
     ("alpha", "f8"), ("tau_bar", "f8"), ("delta_l", "f8"), ("phi_bar_current", "f8"),
     ("phi_bar_trial", "f8"), ("f_bar_current", "f8"), ("f_bar_trial", "f8"), ("accepted", "i8"),
     ("infeas_inf", "f8"), ("kkt_inf", "f8"), ("zeroth_calls", "i8"), ("first_calls", "i8"),
     ("true_iter", "i8"),
 )
-_SCALAR_FIELDS = [name for name, kind in _ROW_FIELDS if kind != "vector"]
 
 
-class RunLog(Sequence):
-    """One run's iterations as columns: a read-only sequence of IterationLog rows.
-
-    Row j is iteration k = j, one row of a structured array with
-    IterationLog's fields less k: x, d and g_bar as (n,) float64
-    subarrays, the nine float fields as float64, and accepted, the two
-    call counters and true_iter as int64, so an iteration costs
-    8 * (13 + 3n) bytes. append copies one row in, and the array doubles
-    when full. Indexing and iteration build IterationLog rows on access,
-    with Python floats, ints and bools and read-only views of the array;
-    column(name) gives a whole field.
-    """
-
-    __slots__ = ("_k", "_rows")
-
-    def __init__(self, n: int, capacity: int = RUN_LOG_CAPACITY):
-        self._k = 0
-        dtype = [(name, "f8", (n,)) if kind == "vector" else (name, kind)
-                 for name, kind in _ROW_FIELDS]
-        self._rows = np.empty(capacity, dtype)
-
-    def append(self, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
-               f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf, zeroth_calls,
-               first_calls, true_iter) -> None:
-        """Copy in one iteration's fields, in IterationLog's order without k."""
-        k = self._k
-        if k == len(self._rows):
-            self._grow()
-        self._rows[k] = (x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
-                         f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
-                         zeroth_calls, first_calls, true_iter)
-        self._k = k + 1
-
-    def _grow(self) -> None:
-        rows = self._rows
-        if not rows.flags.writeable:
-            raise ValueError("this run log is finished")
-        self._rows = np.empty(max(2 * len(rows), 16), rows.dtype)
-        self._rows[: len(rows)] = rows
-
-    def finish(self) -> None:
-        """Trim the rows to those appended and make them read-only, which ends appending."""
-        rows = self._rows
-        if len(rows) > self._k:
-            # A copy, so the spare rows are freed.
-            rows = self._rows = rows[: self._k].copy()
-        rows.flags.writeable = False
-
-    def column(self, name: str) -> np.ndarray:
-        """Field name for every iteration, as a read-only view of the rows.
-
-        Floats and ints give (K,) arrays, accepted and true_iter as 0 and 1
-        in int64, and x, d and g_bar (K, n) arrays; k gives a new array of
-        the iteration indices.
-        """
-        if name == "k":
-            return np.arange(self._k)
-        view = self._rows[: self._k][name]
-        view.flags.writeable = False
-        return view
-
-    def __len__(self) -> int:
-        return self._k
-
-    def _log(self, k: int, scalars: tuple, x: np.ndarray, d: np.ndarray,
-             g_bar: np.ndarray) -> IterationLog:
-        (alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t, accepted, infeas, kkt, zeroth, first,
-         true_iter) = scalars
-        return IterationLog(k, x, d, g_bar, alpha, tau_bar, delta_l, phi_c, phi_t, f_c, f_t,
-                            bool(accepted), infeas, kkt, zeroth, first, bool(true_iter))
-
-    def __getitem__(self, index):
-        """Row index (negative counts from the end), or a list of the rows a slice picks."""
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(self._k))]
-        k = operator.index(index)
-        if k < 0:
-            k += self._k
-        if not 0 <= k < self._k:
-            raise IndexError("run log index out of range")
-        return self._log(k, self._rows[_SCALAR_FIELDS][k].item(), self.column("x")[k],
-                         self.column("d")[k], self.column("g_bar")[k])
-
-    def __iter__(self):
-        scalars = self._rows[: self._k][_SCALAR_FIELDS].tolist()
-        return map(self._log, range(self._k), scalars, self.column("x"), self.column("d"),
-                   self.column("g_bar"))
+@functools.cache
+def run_log_dtype(n: int) -> np.dtype:
+    """The np.record dtype of a run log's rows for n variables, built once per n."""
+    return np.dtype((np.record, [(name, "f8", (n,)) if kind == "vector" else (name, kind)
+                                 for name, kind in _ROW_FIELDS]))
 
 
 @dataclass
 class RunRecord:
-    """Outcome of one solve: status, per-iteration logs, final state.
+    """Outcome of one solve: status, per-iteration log, final state.
+
+    iterations is the run's log: a read-only array of dtype
+    run_log_dtype(n) with row k for iteration k, recorded at its start
+    point x. Its fields are k; x, d and g_bar as (n,) float64; alpha,
+    tau_bar, delta_l, the four merit and objective samples, infeas_inf
+    and kkt_inf as float64; and accepted, the cumulative oracle call
+    counts after the iteration and true_iter (see classify_iteration)
+    as int64, so an iteration costs 8 * (14 + 3n) bytes.
+    iterations["kkt_inf"] is a column, and a row answers attribute reads.
 
     The call counts are the oracle's totals, so they include the samples
     of an iteration that ended the run before it was logged: its gradient
@@ -451,7 +346,7 @@ class RunRecord:
     """
 
     status: RunStatus
-    iterations: RunLog
+    iterations: np.ndarray
     final_x: np.ndarray
     wall_time: float
     final_infeas_inf: Optional[float] = None
@@ -528,7 +423,7 @@ def solve(
     x = problem.x0.copy()
     alpha = params.alpha0
     tau_bar = params.tau_init
-    logs = RunLog(problem.n, min(max_iters, RUN_LOG_CAPACITY))
+    logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(problem.n))
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
     # f and c at the current iterate: evaluated here for x0, then carried
@@ -639,9 +534,11 @@ def solve(
             eps_g,
             eps_f,
         )
-        logs.append(x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
-                    f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
-                    counters.zeroth_calls, counters.first_calls, true_iter)
+        if k == len(logs):
+            logs = np.concatenate((logs, np.empty_like(logs)))
+        logs[k] = (k, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
+                   f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
+                   counters.zeroth_calls, counters.first_calls, true_iter)
 
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
@@ -649,7 +546,10 @@ def solve(
         alpha = step_size_update(alpha, accepted, gamma, alpha_max)
         k += 1
 
-    logs.finish()
+    if len(logs) > k:
+        # A copy, so the spare rows are freed.
+        logs = logs[:k].copy()
+    logs.flags.writeable = False
     wall = time.perf_counter() - t_start
     return RunRecord(
         status=status,

@@ -1,8 +1,8 @@
 """Shared test configuration.
 
 Residual self-checking in the linear-algebra kernel is switched on for
-the whole test session, so every solve anywhere in the suite verifies
-its own backward error.
+the whole test session, so every solve anywhere in the suite with a
+finite solution verifies its own backward error.
 """
 
 import pytest

@@ -52,7 +52,7 @@ def doctor_run_csv(run_dir, column, row, value):
 
 _FLOAT_COLUMNS = ("alpha", "tau_bar", "delta_l", "phi_bar_current", "phi_bar_trial",
                   "f_bar_current", "f_bar_trial", "infeas_inf", "kkt_inf")
-_INT_COLUMNS = ("accepted", "zeroth_calls", "first_calls", "true_iter")
+_INT_COLUMNS = ("k", "accepted", "zeroth_calls", "first_calls", "true_iter")
 
 
 def reference_solve(problem, params, oracle_cfg):
@@ -64,7 +64,7 @@ def reference_solve(problem, params, oracle_cfg):
     in stream order, n normals for the gradient sample and then one for
     each value sample: f + eps_f * z and grad f + (eps_g / sqrt(n)) * z.
     The step logic is the same sqp helpers. Returns the run's columns
-    (what RunLog.column gives for each field but k) with its status,
+    (every field of the record's iterations, k included) with its status,
     failure reason, final x, final metrics and oracle call counts.
     """
     key = np.array([oracle_cfg.seed, oracle_cfg.stream_id], dtype=np.uint64)
@@ -144,7 +144,7 @@ def reference_solve(problem, params, oracle_cfg):
             alpha, delta_l, oracle_cfg.eps_g_noise, eps_f,
         )
         rows.append(dict(
-            x=x, d=d, g_bar=g_bar, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,
+            k=k, x=x, d=d, g_bar=g_bar, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,
             phi_bar_current=phi_bar_current, phi_bar_trial=phi_bar_trial,
             f_bar_current=f_bar_current, f_bar_trial=f_bar_trial, accepted=accepted,
             infeas_inf=infeas, kkt_inf=kkt, zeroth_calls=zeroth, first_calls=first,

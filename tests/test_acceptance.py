@@ -70,8 +70,9 @@ def check_ac3_cell(grid, cell):
     """Solve one grid cell and check its per-iteration guarantees from scratch.
 
     Returns the run's step count, whether it failed, and its violations.
-    Runs in the forked workers of the AC3 pool, so it first checks that
-    the kernel's residual self-checks came along.
+    The checks read the run log's columns; c and J are evaluated afresh
+    at every logged x. Runs in the forked workers of the AC3 pool, so it
+    first checks that the kernel's residual self-checks came along.
     """
     assert linalg._CHECK_RESIDUALS, "residual self-checks are off in this process"
     params = grid.params
@@ -83,68 +84,60 @@ def check_ac3_cell(grid, cell):
         stream_id=cell.stream_id,
     )
     record = solve(problem, params, cfg)
-    # One pass over the run log builds every row once.
-    logs = list(record.iterations)
+    logs = record.iterations
+    steps = len(logs)
     if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
-        return len(logs), True, []
-    violations = []
-
-    def flag(kind, log):
-        violations.append(f"{cell.problem}/{cell.stream_id} k={log.k}: {kind}")
-
-    def check_merit_trial(log, c_next):
-        # (f) an accepted step's trial merit sample is taken at the point
-        # it moved to, whose c the next log (or the final iterate) holds.
-        if log.accepted and log.phi_bar_trial != (
-            log.tau_bar * log.f_bar_trial + float(np.abs(c_next).sum())
-        ):
-            flag("trial merit sample", log)
-
-    eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
-    previous_tau = params.tau_init
-    for j, log in enumerate(logs):
-        c_vec = problem.c(log.x)
+        return steps, True, []
+    x, d, alpha, tau = logs["x"], logs["d"], logs["alpha"], logs["tau_bar"]
+    delta_l, accepted = logs["delta_l"], logs["accepted"] == 1
+    phi_current, phi_trial = logs["phi_bar_current"], logs["phi_bar_trial"]
+    # ||c||_1 at each logged x and at the final iterate, and (c) whether
+    # each step satisfies the linearized constraints.
+    c_l1 = np.empty(steps + 1)
+    linearized = np.empty(steps, dtype=bool)
+    for j in range(steps):
+        c_vec = problem.c(x[j])
         abs_c = np.abs(c_vec)
-        c_l1 = float(abs_c.sum())
+        c_l1[j] = float(abs_c.sum())
+        residual = float(np.abs(problem.jacobian(x[j]) @ d[j] + c_vec).max())
+        linearized[j] = residual <= 1e-9 * (1.0 + float(abs_c.max()))
+    c_l1[steps] = float(np.abs(problem.c(record.final_x)).sum())
+    bound = tau * np.einsum("ij,ij->i", d, d) + params.sigma * c_l1[:-1]
+    previous_tau = np.concatenate(([params.tau_init], tau[:-1]))
+    calls = np.arange(1, steps + 1)
+    moved_to = np.where(accepted[:, None], x + alpha[:, None] * d, x)
+    eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
+    # Each entry is a boolean column, true at the iterations that break it.
+    broken = {
         # (a) predicted reduction dominates its guaranteed bound (H = I).
-        bound = log.tau_bar * float(log.d @ log.d) + params.sigma * c_l1
-        if log.delta_l < bound - 1e-9:
-            flag("model reduction", log)
-        # (b) the merit parameter never increases, and cuts are by
-        # at least the protected factor.
-        if log.tau_bar > previous_tau or (
-            log.tau_bar != previous_tau
-            and log.tau_bar > (1.0 - params.eps_tau) * previous_tau
-        ):
-            flag("merit parameter", log)
-        previous_tau = log.tau_bar
-        # (c) the step satisfies the linearized constraints.
-        residual = float(np.abs(problem.jacobian(log.x) @ log.d + c_vec).max())
-        if residual > 1e-9 * (1.0 + float(abs_c.max())):
-            flag("linearized feasibility", log)
+        "model reduction": delta_l < bound - 1e-9,
+        # (b) the merit parameter never increases, and cuts are by at
+        # least the protected factor.
+        "merit parameter": (tau > previous_tau)
+        | ((tau != previous_tau) & (tau > (1.0 - params.eps_tau) * previous_tau)),
+        # (c), from the loop above.
+        "linearized feasibility": ~linearized,
         # (d) exactly two value samples and one gradient sample each.
-        if log.zeroth_calls != 2 * (j + 1) or log.first_calls != j + 1:
-            flag("oracle accounting", log)
-        if j:
-            check_merit_trial(logs[j - 1], c_vec)
-        # (f) the step is accepted exactly when the noise-relaxed Armijo
-        # test passes on the logged merit samples.
-        if log.phi_bar_current != log.tau_bar * log.f_bar_current + c_l1:
-            flag("current merit sample", log)
-        armijo = log.phi_bar_trial <= (
-            log.phi_bar_current - log.alpha * params.theta * log.delta_l
-            + 2.0 * log.tau_bar * eps_f
-        )
-        if log.accepted != armijo:
-            flag("noise-relaxed Armijo decision", log)
-    if logs:
-        check_merit_trial(logs[-1], problem.c(record.final_x))
-    # (e) rejected steps keep the iterate, accepted steps move it.
-    for prev, nxt in zip(logs, logs[1:]):
-        moved_to = prev.x + prev.alpha * prev.d if prev.accepted else prev.x
-        if not np.array_equal(nxt.x, moved_to):
-            flag("iterate update", prev)
-    return len(logs), False, violations
+        "oracle accounting": (logs["zeroth_calls"] != 2 * calls) | (logs["first_calls"] != calls),
+        # (f) the merit samples are taken at the logged points: the
+        # current one at x, an accepted step's trial one at the point it
+        # moved to, whose c the next row (or the final iterate) holds;
+        "current merit sample": phi_current != tau * logs["f_bar_current"] + c_l1[:-1],
+        "trial merit sample": accepted & (phi_trial != tau * logs["f_bar_trial"] + c_l1[1:]),
+        # and the step is accepted exactly when the noise-relaxed Armijo
+        # test passes on them.
+        "noise-relaxed Armijo decision": accepted != (
+            phi_trial <= phi_current - alpha * params.theta * delta_l + 2.0 * tau * eps_f
+        ),
+        # (e) rejected steps keep the iterate, accepted steps move it.
+        "iterate update": np.append((x[1:] != moved_to[:-1]).any(axis=1), False),
+    }
+    violations = [
+        f"{cell.problem}/{cell.stream_id} k={k}: {kind}"
+        for kind, mask in broken.items()
+        for k in np.flatnonzero(mask).tolist()
+    ]
+    return steps, False, violations
 
 
 def test_ac3_invariants_hold_across_the_full_grid():
@@ -194,7 +187,7 @@ def test_ac4_noisy_runs_reach_noise_level_stationarity():
         record = solve(get_problem("P2"), oracle_cfg=cfg)
         # The start has a zero objective gradient by construction, so its
         # dual residual is trivially zero; exclude it.
-        candidates = [log.kkt_inf for log in record.iterations if log.k > 0]
+        candidates = record.iterations["kkt_inf"][1:].tolist()
         if record.final_kkt_inf is not None:
             candidates.append(record.final_kkt_inf)
         best = min(candidates)
@@ -213,7 +206,9 @@ def test_ac5_stationarity_decades_cost_bounded_iterations():
     """Successive accuracy decades cost at most 100x the iterations."""
     record = solve(get_problem("P3"), oracle_cfg=QUIET)
     assert record.status == RunStatus.CONVERGED
-    series = [max(log.kkt_inf, math.sqrt(log.infeas_inf)) for log in record.iterations]
+    logs = record.iterations
+    series = [max(kkt, math.sqrt(infeas))
+              for kkt, infeas in zip(logs["kkt_inf"].tolist(), logs["infeas_inf"].tolist())]
     series.append(max(record.final_kkt_inf, math.sqrt(record.final_infeas_inf)))
     thresholds = (1e-1, 1e-2, 1e-3)
     hit_times = []

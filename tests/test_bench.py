@@ -46,7 +46,7 @@ from stepsqp.bench import (
     write_run_csv,
 )
 from stepsqp.oracles import derive_stream
-from stepsqp.sqp import RunLog, RunRecord, RunStatus, SolverParams
+from stepsqp.sqp import RunRecord, RunStatus, SolverParams, run_log_dtype
 
 SMALL_GRID = ExperimentGrid(
     problems=("P1", "hs6"),
@@ -57,7 +57,7 @@ SMALL_GRID = ExperimentGrid(
 
 
 def _log_fields(infeas, kkt, zeroth, first):
-    """RunLog.append keywords for one accepted iteration with these metrics and call counts."""
+    """A run-log row's fields but k for one accepted iteration with these metrics and call counts."""
     return dict(
         x=np.zeros(2),
         d=np.zeros(2),
@@ -78,11 +78,20 @@ def _log_fields(infeas, kkt, zeroth, first):
     )
 
 
+def _finished_log(rows):
+    """A read-only run log for n = 2 whose row k holds k and the fields rows[k] gives."""
+    logs = np.zeros(len(rows), run_log_dtype(2))
+    logs["k"] = np.arange(len(rows))
+    for k, fields in enumerate(rows):
+        for name, value in fields.items():
+            logs[name][k] = value
+    logs.flags.writeable = False
+    return logs
+
+
 def _make_record(rows, final_infeas, final_kkt):
-    logs = RunLog(2)
-    for k, (infeas, kkt) in enumerate(rows):
-        logs.append(**_log_fields(infeas, kkt, 2 * (k + 1), k + 1))
-    logs.finish()
+    logs = _finished_log([_log_fields(infeas, kkt, 2 * (k + 1), k + 1)
+                          for k, (infeas, kkt) in enumerate(rows)])
     return RunRecord(
         status=RunStatus.CONVERGED,
         iterations=logs,
@@ -96,7 +105,7 @@ def _make_record(rows, final_infeas, final_kkt):
 def _reference_row(log):
     """One run-log row formatted value by value, as write_run_csv must print it."""
     values = operator.attrgetter(*CSV_COLUMNS)(log)
-    return ",".join(str(int(v)) if isinstance(v, int) else repr(v) for v in values)
+    return ",".join(str(int(v)) if isinstance(v, np.integer) else repr(float(v)) for v in values)
 
 
 # 17-digit floats, the smallest subnormal and normal, signed zeros and
@@ -119,16 +128,28 @@ EDGE_FLOATS = (
 def _edge_record():
     """Every edge float in every float column, with ints past 2**32 and both bools."""
     n = len(EDGE_FLOATS)
-    logs = RunLog(2)
+    rows = []
     for k in range(n):
         alpha, tau_bar, delta_l, infeas, kkt = (EDGE_FLOATS[(k + j) % n] for j in range(5))
-        logs.append(**{
+        rows.append({
             **_log_fields(infeas, kkt, 2**40 + 3 * k, 7 * k),
             "alpha": alpha, "tau_bar": tau_bar, "delta_l": delta_l,
             "accepted": k % 2 == 0, "true_iter": k % 3 == 0,
         })
-    logs.finish()
+    logs = _finished_log(rows)
     return RunRecord(RunStatus.BUDGET_EXHAUSTED, logs, np.zeros(2), 0.0)
+
+
+class _ColumnsOnly(np.ndarray):
+    """An array that gives fields by name and raises on any read of its rows."""
+
+    def __getitem__(self, index):
+        if not isinstance(index, str):
+            raise TypeError("a row was read")
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        raise TypeError("a row was read")
 
 
 def _logged_columns(record):
@@ -436,12 +457,12 @@ class TestNamingAndFiles:
         logged = _logged_columns(record)
         np.testing.assert_array_equal(parsed.view(np.uint64), logged.view(np.uint64))
 
-    def test_run_csv_and_trajectory_columns_build_no_rows(self, tmp_path, monkeypatch):
+    def test_run_csv_and_trajectory_columns_build_no_rows(self, tmp_path):
         record = _edge_record()
         lines = [",".join(CSV_COLUMNS)] + [_reference_row(log) for log in record.iterations]
         logged = _logged_columns(record)
-        # From here on, building a row of the run log raises.
-        monkeypatch.setattr(RunLog, "_log", None)
+        # From here on, reading a row of the run log raises.
+        record.iterations = record.iterations.view(_ColumnsOnly)
         path = tmp_path / "run.csv"
         write_run_csv(path, record)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -449,6 +470,8 @@ class TestNamingAndFiles:
         np.testing.assert_array_equal(columns.view(np.uint64), logged.view(np.uint64))
         with pytest.raises(TypeError):
             record.iterations[0]
+        with pytest.raises(TypeError):
+            iter(record.iterations)
 
     @pytest.mark.parametrize("write", [
         lambda path: write_run_csv(path, _edge_record()),

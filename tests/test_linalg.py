@@ -5,6 +5,8 @@ Gauss-Jordan explicit-inverse path on randomized well-conditioned
 systems, besides fixed hand-checked cases.
 """
 
+import math
+
 import numpy as np
 import pytest
 from reference import gauss_jordan_inverse
@@ -169,6 +171,28 @@ class TestLuFactor:
         monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
         with pytest.raises(AssertionError, match="residual"):
             mismatched.solve(np.array([5.0, 10.0]))
+
+    def test_residual_check_fails_a_nan_residual(self, monkeypatch):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        nan_paired = lu_factor(a, max_abs(a))._replace(a=np.full((2, 2), np.nan))
+        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+        with pytest.raises(AssertionError, match="residual nan"):
+            nan_paired.solve(np.array([5.0, 10.0]))
+
+    def test_residual_check_leaves_an_overflowed_solution_to_the_caller(self, monkeypatch):
+        # The pivot 1e-13 passes the floor 1e-14, and 1e300 / 1e-13 overflows.
+        a = np.diag([1.0, 1e-13])
+        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+        x = lu_factor(a, max_abs(a)).solve(np.array([1.0, 1e300]))
+        assert x[1] == math.inf
+
+    def test_residual_check_uses_the_pivot_scale_it_was_factored_with(self, monkeypatch):
+        # A scale far above ||A||_max widens the bound enough to pass the
+        # mismatched factors of test_solve_checks_its_residual.
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        mismatched = lu_factor(a, max_abs(a))._replace(a=2.0 * a, scale=1e12)
+        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+        np.testing.assert_allclose(mismatched.solve(np.array([5.0, 10.0])), [1.0, 3.0])
 
 
 class TestCholeskySolve:

@@ -49,5 +49,5 @@ def test_solve_calls_the_traced_step_functions_through_sqp(monkeypatch):
     # max_abs of c, J, grad f and the KKT residual; each iteration takes
     # it of its gradient sample and of its step's linearized residual.
     # So inlining any one of them fails here.
-    iterates = 1 + sum(log.accepted for log in record.iterations)
+    iterates = 1 + record.iterations["accepted"].sum()
     assert calls["max_abs"] >= 4 * iterates + 2 * len(record.iterations)

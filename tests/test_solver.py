@@ -11,6 +11,7 @@ import pytest
 from reference import reference_solve
 
 from stepsqp import sqp
+from stepsqp.bench import CSV_COLUMNS
 from stepsqp.oracles import OracleConfig, derive_stream
 from stepsqp.problems import Problem, get_problem, problem_names
 from stepsqp.sqp import (
@@ -80,8 +81,8 @@ class TestBudgets:
         record = solve(get_problem("P1"), params=SolverParams(max_iters=3), oracle_cfg=quiet())
         assert record.status == RunStatus.BUDGET_EXHAUSTED
         assert len(record.iterations) == 3
-        assert [log.zeroth_calls for log in record.iterations] == [2, 4, 6]
-        assert [log.first_calls for log in record.iterations] == [1, 2, 3]
+        assert record.iterations["zeroth_calls"].tolist() == [2, 4, 6]
+        assert record.iterations["first_calls"].tolist() == [1, 2, 3]
         assert record.final_infeas_inf is not None
         assert record.final_kkt_inf is not None
 
@@ -92,8 +93,7 @@ def noisy_run():
     record = solve(get_problem("P1"), params=params, oracle_cfg=NOISY)
     assert len(record.iterations) >= 20
     # Rejections must occur for the kept-iterate branch to be exercised.
-    assert any(not log.accepted for log in record.iterations)
-    assert any(log.accepted for log in record.iterations)
+    assert 0 < record.iterations["accepted"].sum() < len(record.iterations)
     return params, record
 
 
@@ -183,7 +183,7 @@ class TestExactEvaluationReuse:
         problem, counts = _counting(get_problem(name))
         record = solve(problem, params=SolverParams(max_iters=150), oracle_cfg=NOISY)
         k = len(record.iterations)
-        accepted = sum(log.accepted for log in record.iterations)
+        accepted = record.iterations["accepted"].sum()
         assert record.status == RunStatus.BUDGET_EXHAUSTED
         assert 0 < accepted < k
         iterates = 1 + accepted
@@ -243,16 +243,16 @@ class TestClassification:
     def test_noise_free_iterations_are_all_true(self):
         record = solve(get_problem("P1"), oracle_cfg=quiet())
         assert record.status == RunStatus.CONVERGED
-        assert all(log.true_iter is True for log in record.iterations)
+        assert (record.iterations["true_iter"] == 1).all()
 
     def test_noisy_runs_contain_false_iterations(self):
         # At gradient noise comparable to the gradient scale some samples
         # must exceed their allowance.
         cfg = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=11)
         record = solve(get_problem("P1"), params=SolverParams(max_iters=300), oracle_cfg=cfg)
-        flags = [log.true_iter for log in record.iterations]
-        assert all(isinstance(flag, bool) for flag in flags)
-        assert not all(flags)
+        flags = record.iterations["true_iter"]
+        assert flags.dtype == np.int64 and set(flags.tolist()) <= {0, 1}
+        assert not flags.all()
 
 
 def _custom(name, f, grad, c, jac, x0):
@@ -377,7 +377,7 @@ class TestFailurePaths:
         )
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.CONVERGED
-        assert [log.accepted for log in record.iterations] == [False, True]
+        assert record.iterations["accepted"].tolist() == [0, 1]
         assert record.iterations[0].phi_bar_trial == math.inf
         np.testing.assert_allclose(record.final_x, [0.5, 1.5], atol=1e-12)
         assert record.zeroth_calls == 2 * len(record.iterations)
@@ -396,7 +396,7 @@ class TestFailurePaths:
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "non-finite problem evaluation at the current iterate"
-        assert [log.accepted for log in record.iterations] == [True, True]
+        assert record.iterations["accepted"].tolist() == [1, 1]
         assert record.final_x[0] < 0.0
         assert record.final_infeas_inf is None
         assert record.final_kkt_inf is None
@@ -413,7 +413,7 @@ class TestFailurePaths:
         )
         record = solve(problem, SolverParams(max_iters=5), quiet())
         assert record.status == RunStatus.BUDGET_EXHAUSTED
-        assert [log.accepted for log in record.iterations] == [True, False, False, False, False]
+        assert record.iterations["accepted"].tolist() == [1, 0, 0, 0, 0]
         assert all(math.isnan(log.phi_bar_trial) for log in record.iterations[1:])
         assert record.final_x[0] == 0.0
         assert record.zeroth_calls == 2 * len(record.iterations)
@@ -475,7 +475,7 @@ def _noisy_hs40_run(max_iters):
 
 
 class TestRunLog:
-    """A record keeps its iterations as columns and shows them as read-only rows."""
+    """A record's iterations are one read-only structured array, a row per iteration."""
 
     def test_a_finished_record_holds_at_most_twice_its_column_payload(self):
         _noisy_hs40_run(10)  # first-call caches are not the record's
@@ -490,8 +490,9 @@ class TestRunLog:
             tracemalloc.stop()
         n, k = get_problem("hs40").n, len(record.iterations)
         assert k == 1000
-        # 13 float64 and int64 fields and 3 vectors of n floats per iteration.
-        assert held <= 2 * 8 * (13 + 3 * n) * k
+        # 14 float64 and int64 fields (k among them) and 3 vectors of n floats per iteration.
+        assert record.iterations.itemsize == 8 * (14 + 3 * n)
+        assert held <= 2 * 8 * (14 + 3 * n) * k
 
     def test_growing_past_the_first_capacity_keeps_every_row(self):
         short, long = _noisy_hs40_run(1000), _noisy_hs40_run(3000)
@@ -501,8 +502,8 @@ class TestRunLog:
                      "phi_bar_trial", "f_bar_current", "f_bar_trial", "accepted", "infeas_inf",
                      "kkt_inf", "zeroth_calls", "first_calls", "true_iter"):
             # Bit for bit: a view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
-            first = long.iterations.column(name)[:1000]
-            expected = short.iterations.column(name)
+            first = long.iterations[name][:1000]
+            expected = short.iterations[name]
             assert first.dtype == expected.dtype, name
             np.testing.assert_array_equal(first.view(np.uint64), expected.view(np.uint64), name)
 
@@ -511,41 +512,60 @@ class TestRunLog:
         assert len(logs) == 20
         assert [log.k for log in logs] == list(range(20))
         assert logs[-1].k == 19 and logs[-20].k == 0
-        assert [log.k for log in logs[3:9:2]] == [3, 5, 7]
-        assert [log.k for log in logs[::-1]] == list(range(19, -1, -1))
-        assert logs[25:] == []
+        assert logs[3:9:2]["k"].tolist() == [3, 5, 7]
+        assert logs[::-1]["k"].tolist() == list(range(19, -1, -1))
+        assert len(logs[25:]) == 0
         for index in (20, -21):
             with pytest.raises(IndexError):
                 logs[index]
         log = logs[4]
-        assert type(log.alpha) is float and type(log.zeroth_calls) is int
-        assert type(log.accepted) is bool and type(log.true_iter) is bool
-        for array in (log.x, log.d, log.g_bar, logs.column("x"), logs.column("alpha")):
+        assert log.dtype.names == logs.dtype.names
+        assert type(log.alpha) is np.float64 and type(log.zeroth_calls) is np.int64
+        assert type(log.accepted) is np.int64 and type(log.true_iter) is np.int64
+        for array in (log.x, log.d, log.g_bar, logs["x"], logs["alpha"]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        np.testing.assert_array_equal(logs.column("d")[4], log.d)
-        assert logs.column("accepted").tolist() == [int(row.accepted) for row in logs]
+        np.testing.assert_array_equal(logs["d"][4], log.d)
+        assert logs["accepted"].tolist() == [int(row.accepted) for row in logs]
 
     def test_a_finished_log_takes_no_more_rows(self):
         record = solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY)
-        fields = dataclasses.asdict(record.iterations[0])
-        del fields["k"]
-        with pytest.raises(ValueError):
-            record.iterations.append(**fields)
-        assert len(record.iterations) == 5
+        logs = record.iterations
+        before = logs.copy()
+        for write in (lambda: logs.__setitem__(0, logs[1]),
+                      lambda: logs.__setitem__("alpha", 1.0),
+                      lambda: setattr(logs[0], "alpha", 1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert len(logs) == 5
+        np.testing.assert_array_equal(logs.view(np.uint8), before.view(np.uint8))
 
-    def test_solve_builds_no_iteration_log(self, monkeypatch):
-        monkeypatch.setattr(sqp, "IterationLog", None)
-        record = solve(get_problem("hs6"), SolverParams(max_iters=50), NOISY)
-        assert len(record.iterations) == 50
+    def test_rows_give_what_the_run_csv_digest_reads(self):
+        # The benchmark hashes a record by getattr(row, name) for every
+        # run CSV column, k first, row by row.
+        record = solve(get_problem("hs40"), SolverParams(max_iters=30), NOISY)
+        logs = record.iterations
+        assert not logs.flags.writeable
+        assert set(CSV_COLUMNS) <= set(logs.dtype.names)
+        np.testing.assert_array_equal(logs["k"], np.arange(30))
+        for row in logs:
+            for name in CSV_COLUMNS:
+                assert getattr(row, name) == logs[name][row.k], name
+
+    def test_the_row_dtype_is_built_once_per_n(self):
+        n = get_problem("hs40").n
+        assert sqp.run_log_dtype(n) is sqp.run_log_dtype(n)
+        record = solve(get_problem("hs40"), SolverParams(max_iters=3), NOISY)
+        assert record.iterations.dtype == sqp.run_log_dtype(n)
 
 
 def _assert_matches_reference(problem, params, cfg):
     """solve and reference_solve agree bit for bit on every column and outcome."""
     record = solve(problem, params, cfg)
     ref = reference_solve(problem, params, cfg)
+    assert sorted(ref.columns) == sorted(record.iterations.dtype.names)
     for name, expected in ref.columns.items():
-        got = record.iterations.column(name)
+        got = record.iterations[name]
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         # A view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), name)
