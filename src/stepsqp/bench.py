@@ -33,7 +33,6 @@ unfinished grid.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import io
 import json
@@ -123,12 +122,18 @@ class ExperimentGrid:
                 cfg = OracleConfig(eps_f_noise=ef, eps_g_noise=eg)
             except ValueError as exc:
                 raise ValueError(f"grid.noise_pairs[{i}]: {exc}") from exc
-            # Adding 0.0 folds -0.0 into 0.0, so both name the same cell.
-            levels.append((float(cfg.eps_f_noise) + 0.0, float(cfg.eps_g_noise) + 0.0))
+            levels.append((cfg.eps_f_noise, cfg.eps_g_noise))
         pairs = tuple(levels)
-        for label, values in (("problem", problems), ("noise pair", pairs)):
-            if (value := _repeated(values)) is not None:
-                raise ValueError(f"grid lists the {label} {value} more than once")
+        if (name := _repeated(problems)) is not None:
+            raise ValueError(f"grid lists the problem {name} more than once")
+        # A pair's label names its run CSVs and profiles, so labels must differ.
+        labels = [config_label(*pair) for pair in pairs]
+        if (label := _repeated(labels)) is not None:
+            first, second, *_ = (pair for pair, other in zip(pairs, labels) if other == label)
+            if first == second:
+                raise ValueError(f"grid lists the noise pair {first} more than once")
+            raise ValueError(f"grid noise pairs {first} and {second} share the label {label}, "
+                             "which names their run and profile files")
         if not is_int(self.replicates) or not 1 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"replicates must be an integer from 1 to {MAX_REPLICATES}")
         object.__setattr__(self, "problems", tuple(problems))
@@ -413,7 +418,10 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
     if jobs == 1:
         done = list(map(task, cells))
     else:
-        # Forked workers inherit LAPACK from here instead of each loading it.
+        # Imported here, so that a serial grid never loads it. Forked
+        # workers inherit LAPACK from here instead of each loading it.
+        import concurrent.futures
+
         load_lapack()
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(task, cells))

@@ -22,10 +22,11 @@ distinct stream ids are independent by construction. Use
 standard normals are drawn from the stream in blocks and handed out in
 stream order, which is the order of one draw per call: a run's samples
 are the same bits whatever the block size. Each block is scaled once,
-when it is drawn, by eps_g_noise / sqrt(n) for gradient samples and by
-eps_f_noise for value samples, so a sample is the exact value plus a
-slice (or one entry) of a scaled block: an elementwise product has the
-same bits whether it is taken per block or per slice.
+when it is drawn, by eps_g_noise / sqrt(n), so a gradient sample is the
+exact gradient plus a slice of the scaled block: an elementwise product
+has the same bits whether it is taken per block or per slice. A value
+sample scales its one normal by eps_f_noise as a Python float, the same
+IEEE product.
 """
 
 from __future__ import annotations
@@ -66,7 +67,11 @@ def require_numbers(obj, *names: str) -> None:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Noise scales plus RNG identity for one run."""
+    """Noise scales plus RNG identity for one run.
+
+    Each noise level is stored as a float, with -0.0 folded into 0.0, so
+    equal levels name and seed the same run whichever number gave them.
+    """
 
     eps_f_noise: float = 0.0
     eps_g_noise: float = 0.0
@@ -79,18 +84,13 @@ class OracleConfig:
             raise ValueError("eps_f_noise must be finite and >= 0")
         if not (self.eps_g_noise >= 0.0 and is_finite(self.eps_g_noise)):
             raise ValueError("eps_g_noise must be finite and >= 0")
+        for name in ("eps_f_noise", "eps_g_noise"):
+            # Adding 0.0 folds -0.0 into 0.0.
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
             if not is_int(value) or not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an integer in [0, 2^64)")
-
-
-@dataclass
-class EvalCounters:
-    """Cumulative oracle call counts for one run."""
-
-    zeroth_calls: int = 0
-    first_calls: int = 0
 
 
 def derive_stream(seed: int, problem_name: str, noise_pair: tuple[float, float], replicate: int) -> int:
@@ -110,20 +110,23 @@ def derive_stream(seed: int, problem_name: str, noise_pair: tuple[float, float],
 
 
 class StochasticOracle:
-    """Noisy view of one problem, with its own RNG stream and counters."""
+    """Noisy view of one problem, with its own RNG stream.
+
+    zeroth_calls and first_calls count the value and gradient samples
+    drawn so far.
+    """
 
     def __init__(self, problem: Problem, config: OracleConfig):
         self.problem = problem
         self.config = config
-        self.counters = EvalCounters()
+        self.zeroth_calls = 0
+        self.first_calls = 0
         key = np.array([config.seed, config.stream_id], dtype=np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key))
         self._n = problem.n
         self._grad_scale = config.eps_g_noise / np.sqrt(problem.n)
-        # float(), as Python's float * int converts the int.
-        self._f_scale = float(config.eps_f_noise)
-        # The current block of standard normals, and its two scaled copies.
-        self._block = self._grad_noise = self._f_noise = np.empty(0)
+        # The current block of standard normals, and its gradient-scaled copy.
+        self._block = self._grad_noise = np.empty(0)
         self._pos = 0
 
     def _take(self, count: int) -> int:
@@ -135,24 +138,24 @@ class StochasticOracle:
             # the stream is kept across refills.
             fresh = self._rng.standard_normal(max(NOISE_BLOCK, count))
             block = self._block = np.concatenate((self._block[pos:], fresh))
-            # Most entries of a block never meet one of the two scales; a
+            # Most entries of a block never meet the gradient scale; a
             # product that overflows is inf, as it would be per sample.
             with np.errstate(over="ignore"):
                 self._grad_noise = self._grad_scale * block
-                self._f_noise = self._f_scale * block
             pos, end = 0, count
         self._pos = end
         return pos
 
     def noisy_f(self, f_value: float) -> float:
         """Exact value f(x) plus one fresh zeroth-order noise draw; increments zeroth_calls."""
-        self.counters.zeroth_calls += 1
-        pos = self._take(1)  # before _f_noise is read, since a refill replaces it
-        return f_value + self._f_noise.item(pos)
+        self.zeroth_calls += 1
+        pos = self._take(1)  # before _block is read, since a refill replaces it
+        # A Python float product overflows to inf, as the block product would.
+        return f_value + self.config.eps_f_noise * self._block.item(pos)
 
     def noisy_grad(self, g_value: np.ndarray) -> np.ndarray:
         """Exact gradient grad f(x) plus one fresh noise draw; increments first_calls."""
-        self.counters.first_calls += 1
+        self.first_calls += 1
         n = self._n
         pos = self._take(n)
         return g_value + self._grad_noise[pos : pos + n]

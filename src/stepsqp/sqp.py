@@ -413,7 +413,6 @@ def solve(
     kkt = KktSystem(problem.n, problem.m)
 
     oracle = StochasticOracle(problem, oracle_cfg)
-    counters = oracle.counters
     eps_f = effective_eps_f(params, oracle_cfg)
     eps_g = oracle_cfg.eps_g_noise
     sigma, eps_tau, theta = params.sigma, params.eps_tau, params.theta
@@ -424,6 +423,7 @@ def solve(
     alpha = params.alpha0
     tau_bar = params.tau_init
     logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(problem.n))
+    # A breakdown sets only reason, which makes the run a LINEAR_ALGEBRA_FAILURE.
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
     # f and c at the current iterate: evaluated here for x0, then carried
@@ -452,14 +452,12 @@ def solve(
                 and math.isfinite(max_abs(g_exact))
                 and math.isfinite(f_exact)
             ):
-                status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "non-finite problem evaluation at the current iterate"
                 break
             infeas_inf = c_max
             try:
                 kkt.update(jac, c_vec, jac_max)
             except SingularMatrixError:
-                status = RunStatus.LINEAR_ALGEBRA_FAILURE
                 reason = "constraint Jacobian is rank deficient"
                 break
             _, kkt_inf = kkt.multipliers(g_exact)
@@ -476,14 +474,12 @@ def solve(
         g_bar = oracle.noisy_grad(g_exact)
         g_max = max_abs(g_bar)
         if not math.isfinite(g_max):
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = "non-finite noisy gradient"
             break
         d, y, lin_feas = kkt.step(g_bar)
         # The solve's rounding scales with its right-hand side (g_bar, c).
         # Negated, so that a NaN fails the test.
         if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + max(infeas_inf, g_max))):
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
             break
 
@@ -494,12 +490,10 @@ def solve(
         dd = float(d.dot(d))
         cy = float(c_vec.dot(y))
         if not (math.isfinite(dd) and math.isfinite(cy)):
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
         tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, sigma), eps_tau)
         if tau_bar <= TAU_COLLAPSE_FLOOR:
-            status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
         delta_l = model_reduction(tau_bar, cy - dd, c_l1)
@@ -538,7 +532,7 @@ def solve(
             logs = np.concatenate((logs, np.empty_like(logs)))
         logs[k] = (k, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
                    f_bar_current, f_bar_trial, accepted, infeas_inf, kkt_inf,
-                   counters.zeroth_calls, counters.first_calls, true_iter)
+                   oracle.zeroth_calls, oracle.first_calls, true_iter)
 
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
@@ -552,14 +546,14 @@ def solve(
     logs.flags.writeable = False
     wall = time.perf_counter() - t_start
     return RunRecord(
-        status=status,
+        status=status if reason is None else RunStatus.LINEAR_ALGEBRA_FAILURE,
         iterations=logs,
         final_x=x.copy(),
         wall_time=wall,
         final_infeas_inf=infeas_inf,
         final_kkt_inf=kkt_inf,
         failure_reason=reason,
-        zeroth_calls=counters.zeroth_calls,
-        first_calls=counters.first_calls,
+        zeroth_calls=oracle.zeroth_calls,
+        first_calls=oracle.first_calls,
     )
 

@@ -205,6 +205,13 @@ class TestGridEnumeration:
         # Pairs compare after float conversion.
         with pytest.raises(ValueError, match=r"noise pair \(0.0, 0.1\) more than once"):
             ExperimentGrid(noise_pairs=[[0, 0.1], [0.0, 0.1]])
+        # Both pairs print as f0__g0.1, so their runs would write the same
+        # CSVs and their profiles would merge under one label.
+        message = (r"^grid noise pairs \(0\.0, 0\.1\) and \(0\.0, 0\.1000001\) share the "
+                   r"label f0__g0\.1, which names their run and profile files$")
+        with pytest.raises(ValueError, match=message):
+            ExperimentGrid(problems=("P1", "hs6"), noise_pairs=[[0, 0.1], [0, 0.1000001]],
+                           replicates=3)
 
     def test_negative_zero_noise_is_zero(self):
         signed = ExperimentGrid(problems=("P1",), noise_pairs=[[-0.0, 0.1]], replicates=1)

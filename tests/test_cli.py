@@ -237,6 +237,27 @@ class TestRunCommand:
         assert summary["problem"] == "P1"
         assert (summary["eps_g_noise"], summary["replicate"]) == (0.1, 0)
 
+    @pytest.mark.parametrize("level", ["-0.0", "0"])
+    def test_a_zero_noise_level_names_and_seeds_the_run_as_0_0_does(self, tmp_path, capsys, level):
+        outputs = []
+        for value in ("0.0", level):
+            out = tmp_path / value
+            argv = ["run", "P1", "--set", "oracle.eps_f_noise=0.01",
+                    "--set", f"oracle.eps_g_noise={value}", "--out", str(out)]
+            code = main(argv)
+            printed = json.loads(capsys.readouterr().out)
+            assert sorted(path.name for path in out.iterdir()) == [
+                "P1__f0.01__g0__r0.csv", "P1__f0.01__g0__r0.json"
+            ]
+            summary = json.loads((out / "P1__f0.01__g0__r0.json").read_text())
+            assert summary == printed
+            assert summary["stream_id"] == 1533612786248187790
+            assert type(summary["eps_g_noise"]) is float
+            del summary["wall_time_s"]
+            outputs.append((code, json.dumps(summary, sort_keys=True),
+                            (out / "P1__f0.01__g0__r0.csv").read_bytes()))
+        assert outputs[1] == outputs[0]
+
     def test_zero_budget_exit_code(self, tmp_path):
         code = main(
             ["run", "P2", "--set", "solver.max_iters=0", "--out", str(tmp_path / "o")]
@@ -487,19 +508,27 @@ class TestBenchAndProfileCommands:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            (['grid.problems=["P2","P2"]', "grid.noise_pairs=[[0,0]]"], "problem P2"),
+            (['grid.problems=["P2","P2"]', "grid.noise_pairs=[[0,0]]"],
+             "problem P2 more than once"),
             (
                 ['grid.problems=["P2"]', "grid.noise_pairs=[[0,0.1],[0.0,0.1]]",
                  "grid.replicates=1"],
-                "noise pair (0.0, 0.1)",
+                "noise pair (0.0, 0.1) more than once",
+            ),
+            (
+                ['grid.problems=["P1","hs6"]', "grid.noise_pairs=[[0,0.1],[0,0.1000001]]",
+                 "grid.replicates=3"],
+                "grid noise pairs (0.0, 0.1) and (0.0, 0.1000001) share the label f0__g0.1, "
+                "which names their run and profile files",
             ),
         ],
     )
     def test_bench_rejects_repeated_grid_entries(self, tmp_path, capsys, overrides, message):
         sets = [arg for override in overrides for arg in ("--set", override)]
-        code = main(["bench", *sets, "--out", str(tmp_path / "o")])
+        code = main(["bench", *sets, "--jobs", "2", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert f"{message} more than once" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        # bench creates --out before its first run, so no directory means no run started.
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -848,6 +877,26 @@ class TestBenchAndProfileCommands:
         )
         assert not (tmp_path / "p").exists()
 
+    def test_profile_rejects_a_grid_whose_noise_pairs_share_a_label(
+        self, bench_dir, tmp_path, capsys
+    ):
+        # As an older bench could write it: a third pair whose runs would
+        # have overwritten the second's CSVs.
+        copy = tmp_path / "copy"
+        shutil.copytree(bench_dir, copy)
+        summary_path = copy / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["grid"]["noise_pairs"].append([0.01, 0.1000001])
+        summary_path.write_text(json.dumps(summary))
+        code = main(["profile", str(copy), "--out", str(tmp_path / "p")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot rebuild profiles: {summary_path}: grid: grid noise pairs "
+            "(0.01, 0.1) and (0.01, 0.1000001) share the label f0.01__g0.1, "
+            "which names their run and profile files\n"
+        )
+        assert not (tmp_path / "p").exists()
+
     def test_profile_rejects_a_huge_noise_pair_list_within_a_second(
         self, bench_dir, tmp_path, capsys
     ):
@@ -1116,6 +1165,14 @@ def test_bench_loads_lapack_before_its_worker_pool(tmp_path):
         "assert at_pool == [True]"
     )
     assert _modules_loaded_after(statements, "scipy.linalg") == [True]
+
+
+def test_importing_bench_leaves_its_worker_pool_unloaded():
+    # Only a grid run at --jobs 2 or more needs concurrent.futures, which
+    # loads logging too.
+    assert _modules_loaded_after("import stepsqp.bench", "concurrent.futures", "logging") == [
+        False, False
+    ]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

@@ -1,11 +1,12 @@
 """Stochastic oracle tests: noise model, streams, counters."""
 
+import math
+
 import numpy as np
 import pytest
 
 from stepsqp.oracles import (
     NOISE_BLOCK,
-    EvalCounters,
     OracleConfig,
     StochasticOracle,
     derive_stream,
@@ -32,6 +33,14 @@ class TestConfig:
     def test_non_finite_noise_rejected(self):
         with pytest.raises(ValueError):
             OracleConfig(eps_f_noise=np.inf)
+
+    def test_noise_levels_are_floats_with_negative_zero_folded(self):
+        for level in (0, -0.0, 0.0, np.float64(-0.0)):
+            cfg = OracleConfig(eps_f_noise=level, eps_g_noise=level)
+            for value in (cfg.eps_f_noise, cfg.eps_g_noise):
+                assert type(value) is float
+                assert math.copysign(1.0, value) == 1.0
+        assert OracleConfig(eps_f_noise=1, eps_g_noise=-0.0) == OracleConfig(1.0, 0.0)
 
     def test_seed_bounds(self):
         OracleConfig(seed=2**64 - 1, stream_id=2**64 - 1)
@@ -89,11 +98,12 @@ class TestOracle:
     def test_counters_track_calls_independently(self):
         p = get_problem("P1")
         oracle = StochasticOracle(p, OracleConfig())
-        assert oracle.counters == EvalCounters(0, 0)
+        assert (oracle.zeroth_calls, oracle.first_calls) == (0, 0)
         oracle.noisy_f(p.f(p.x0))
         oracle.noisy_f(p.f(p.x0))
         oracle.noisy_grad(p.grad_f(p.x0))
-        assert oracle.counters == EvalCounters(zeroth_calls=2, first_calls=1)
+        assert (oracle.zeroth_calls, oracle.first_calls) == (2, 1)
+        assert type(oracle.zeroth_calls) is int and type(oracle.first_calls) is int
 
     def test_same_stream_reproduces_bit_identical_sequences(self):
         p = get_problem("hs7")
@@ -143,6 +153,19 @@ class TestOracle:
         for _ in range(2 * NOISE_BLOCK // p.n + 1):
             expected_g = g + scale * rng.standard_normal(p.n)
             np.testing.assert_array_equal(oracle.noisy_grad(g), expected_g)
+
+    @pytest.mark.parametrize("eps_f, f", [(0.3, 1.0 / 3.0), (0.0, -0.0), (1e308, 1e308)])
+    def test_value_samples_are_the_exact_value_plus_scaled_normals_bit_for_bit(self, eps_f, f):
+        # f + eps_f * z on Python floats, as a uint64 view: -0.0 and inf
+        # (where the product or the sum overflows) count too. The samples
+        # run past the oracle's first block.
+        cfg = OracleConfig(eps_f_noise=eps_f, seed=5, stream_id=9)
+        oracle = StochasticOracle(get_problem("P1"), cfg)
+        rng = np.random.Generator(np.random.Philox(key=np.array([5, 9], dtype=np.uint64)))
+        count = NOISE_BLOCK + 3
+        expected = np.array([f + eps_f * rng.standard_normal() for _ in range(count)])
+        found = np.array([oracle.noisy_f(f) for _ in range(count)])
+        np.testing.assert_array_equal(found.view(np.uint64), expected.view(np.uint64))
 
     def test_value_noise_statistics(self):
         # 1e5 samples: sample mean of fbar - f within 3 sigma / sqrt(N),
