@@ -48,7 +48,7 @@ import numpy as np
 
 from .linalg import load_lapack
 from .oracles import OracleConfig, derive_stream, is_finite, is_int
-from .problems import get_entry, get_problem, problem_names, read_json
+from .problems import get_problem, problem_names, read_json
 from .sqp import RunRecord, SolverParams, solve
 
 # The convergence test asks a run to close this fraction of the reachable gap.
@@ -105,7 +105,7 @@ class ExperimentGrid:
         if not problems:
             raise ValueError("grid needs at least one problem")
         for name in problems:
-            get_entry(name)  # raises UnknownProblemError, a ValueError
+            get_problem(name)  # raises UnknownProblemError, a ValueError
         if not isinstance(pairs, (list, tuple)) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
         ):
@@ -150,6 +150,17 @@ class GridCell:
     replicate: int
     stream_id: int
 
+    @classmethod
+    def at(cls, seed: int, problem: str, eps_f: float, eps_g: float, replicate: int) -> GridCell:
+        """The cell at these coordinates in a grid with this seed, on its derived stream."""
+        return cls(problem, eps_f, eps_g, replicate,
+                   derive_stream(seed, problem, (eps_f, eps_g), replicate))
+
+    def oracle_config(self, seed: int) -> OracleConfig:
+        """The oracle configuration of this cell's run in a grid with this seed."""
+        return OracleConfig(eps_f_noise=self.eps_f, eps_g_noise=self.eps_g, seed=seed,
+                            stream_id=self.stream_id)
+
     def identity(self) -> dict:
         """The fields of this cell's summary.json run entry that name its run and its CSV."""
         return {
@@ -168,21 +179,13 @@ def grid_cells(grid: ExperimentGrid) -> list[GridCell]:
     for name in grid.problems:
         for ef, eg in grid.noise_pairs:
             reps = 1 if ef == 0.0 and eg == 0.0 else grid.replicates
-            for rep in range(reps):
-                stream = derive_stream(grid.seed, name, (ef, eg), rep)
-                cells.append(GridCell(name, ef, eg, rep, stream))
+            cells.extend(GridCell.at(grid.seed, name, ef, eg, rep) for rep in range(reps))
     return cells
 
 
 def run_cell(grid: ExperimentGrid, cell: GridCell) -> RunRecord:
     """Execute one grid cell."""
-    cfg = OracleConfig(
-        eps_f_noise=cell.eps_f,
-        eps_g_noise=cell.eps_g,
-        seed=grid.seed,
-        stream_id=cell.stream_id,
-    )
-    return solve(get_problem(cell.problem), grid.params, cfg)
+    return solve(get_problem(cell.problem), grid.params, cell.oracle_config(grid.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +467,11 @@ def write_atomically(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_json(path: Path, value) -> None:
+    """Write value as indented JSON with sorted keys, atomically."""
+    write_atomically(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
 def write_run_csv(path: Path, record: RunRecord) -> None:
     """One row per iteration: ints and bools as integers, floats by shortest round-trip repr."""
     # Columns hold bools as 0 and 1, and tolist gives Python ints and floats.
@@ -516,7 +524,7 @@ def _write_summary(out_dir: Path, grid: ExperimentGrid, wall_time: float, runs: 
     write_profile_files(profiles, out_dir)
     # load_run_trajectories rebuilds the grid from this entry.
     summary = {"grid": asdict(grid), "wall_time_s": wall_time, "runs": runs}
-    write_atomically(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 

@@ -30,11 +30,11 @@ from .bench import (
     profiles_from_directories,
     run_grid,
     run_summary,
-    write_atomically,
+    write_json,
     write_profile_files,
     write_run_csv,
 )
-from .oracles import OracleConfig, derive_stream
+from .oracles import OracleConfig
 from .problems import (
     Problem,
     UnknownProblemError,
@@ -231,15 +231,14 @@ def _cmd_run(args) -> int:
     params, oracle_cfg, _ = _config(args)
     problem = _resolve_problem(args.problem)
     out_dir = _out_dir(args.out)
-    noise = (oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise)
-    stream = derive_stream(oracle_cfg.seed, problem.name, noise, 0)
-    cell = GridCell(problem.name, *noise, replicate=0, stream_id=stream)
-    record = solve(problem, params, dataclasses.replace(oracle_cfg, stream_id=cell.stream_id))
+    # Replicate 0 of the grid cell with this seed and noise pair.
+    seed = oracle_cfg.seed
+    cell = GridCell.at(seed, problem.name, oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise, 0)
+    record = solve(problem, params, cell.oracle_config(seed))
 
     summary = run_summary(cell, record)
     write_run_csv(out_dir / summary["csv"], record)
-    write_atomically(out_dir / (Path(summary["csv"]).stem + ".json"),
-                     json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / (Path(summary["csv"]).stem + ".json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return _STATUS_EXIT[record.status]
 

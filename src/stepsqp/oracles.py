@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem
-
 _UINT64_MAX = 2**64 - 1
 # Standard normals drawn from the stream at a time; a block serves many
 # iterations of n + 2 draws each.
@@ -110,21 +108,20 @@ def derive_stream(seed: int, problem_name: str, noise_pair: tuple[float, float],
 
 
 class StochasticOracle:
-    """Noisy view of one problem, with its own RNG stream.
+    """Noisy samples for a problem in n variables, with their own RNG stream.
 
     zeroth_calls and first_calls count the value and gradient samples
     drawn so far.
     """
 
-    def __init__(self, problem: Problem, config: OracleConfig):
-        self.problem = problem
+    def __init__(self, n: int, config: OracleConfig):
         self.config = config
         self.zeroth_calls = 0
         self.first_calls = 0
         key = np.array([config.seed, config.stream_id], dtype=np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key))
-        self._n = problem.n
-        self._grad_scale = config.eps_g_noise / np.sqrt(problem.n)
+        self._n = n
+        self._grad_scale = config.eps_g_noise / np.sqrt(n)
         # The current block of standard normals, and its gradient-scaled copy.
         self._block = self._grad_noise = np.empty(0)
         self._pos = 0

@@ -4,13 +4,14 @@ A small registry of smooth problems of the form
 
     min f(x)  subject to  c(x) = 0,  f: R^n -> R,  c: R^n -> R^m,  m <= n.
 
-Each entry carries callable evaluators for f, its gradient, c and its
-Jacobian, an infeasible starting point, and where available a known
-solution plus a reference KKT pair used by the test suite. The hs*
-entries restate classic small test problems from the nonlinear
-programming literature; the remaining entries are simple constructions
-(linear objective on a circle, minimum-norm projection, a convex QP, a
-weighted quadratic on a sphere).
+Each entry is a :class:`Problem`: callable evaluators for f, its
+gradient, c and its Jacobian, and an infeasible starting point. Building
+the registry evaluates each c once, at x0, and solves nothing; the test
+suite keeps a reference KKT pair for every entry. The hs* entries
+restate classic small test problems from the nonlinear programming
+literature; the remaining entries are simple constructions (linear
+objective on a circle, minimum-norm projection, a convex QP, a weighted
+quadratic on a sphere).
 
 Quadratic programs are built by :func:`quadratic_program`, also from
 JSON files by :func:`load_qp_json`.
@@ -22,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -88,17 +89,6 @@ class Problem:
         if jac.shape != (self.m, self.n):
             raise ValueError(f"{self.name}: jacobian shape {jac.shape} != ({self.m}, {self.n})")
         return jac
-
-
-class SuiteEntry(NamedTuple):
-    """Registry entry: a problem plus a reference KKT pair (x_star, y_star).
-
-    The test suite checks that every registered pair satisfies
-    ||c(x_star)||_inf <= 1e-10 and ||grad f + J^T y||_inf <= 1e-8.
-    """
-
-    problem: Problem
-    reference_kkt_point: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -168,9 +158,9 @@ def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
 # Registry construction. Starting points are deliberately infeasible.
 
 
-def _p1() -> SuiteEntry:
+def _p1() -> Problem:
     """Linear objective on a circle: min x1 + x2 s.t. x1^2 + x2^2 = 2."""
-    problem = Problem(
+    return Problem(
         name="P1",
         eval_f=lambda x: x[0] + x[1],
         eval_grad_f=lambda x: np.array([1.0, 1.0]),
@@ -178,17 +168,15 @@ def _p1() -> SuiteEntry:
         eval_jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
         x0=np.array([2.0, 1.0]),
     )
-    # Stationarity at (-1, -1): 1 + 2*(-1)*y = 0 gives y = 1/2.
-    return SuiteEntry(problem, (np.array([-1.0, -1.0]), np.array([0.5])))
 
 
 _P2_A = np.array([[1.0, 1.0]])
 _P2_B = np.array([2.0])
 
 
-def _p2() -> SuiteEntry:
+def _p2() -> Problem:
     """Minimum-norm point on a line: min 0.5 ||x||^2 s.t. x1 + x2 = 2."""
-    problem = Problem(
+    return Problem(
         name="P2",
         eval_f=lambda x: 0.5 * float(x @ x),
         eval_grad_f=lambda x: x.copy(),
@@ -196,10 +184,9 @@ def _p2() -> SuiteEntry:
         eval_jacobian=lambda x: _P2_A.copy(),
         x0=np.array([0.0, 0.0]),
     )
-    return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([-1.0])))
 
 
-def _p3() -> SuiteEntry:
+def _p3() -> Problem:
     """Rosenbrock-valley objective restricted to the circle x1^2 + x2^2 = 2.
 
     The valley coefficient is 4: the identity-Hessian tangential step then
@@ -217,7 +204,7 @@ def _p3() -> SuiteEntry:
             ]
         )
 
-    problem = Problem(
+    return Problem(
         name="P3",
         eval_f=lambda x: (1.0 - x[0]) ** 2 + 4.0 * (x[1] - x[0] ** 2) ** 2,
         eval_grad_f=grad,
@@ -225,13 +212,11 @@ def _p3() -> SuiteEntry:
         eval_jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
         x0=np.array([0.5, 0.5]),
     )
-    # (1, 1) is an unconstrained minimizer lying on the circle, so y = 0.
-    return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([0.0])))
 
 
-def _qp10() -> SuiteEntry:
-    """Convex 10-d QP with 3 linear constraints; solution via its KKT system."""
-    n, m = 10, 3
+def _qp10() -> Problem:
+    """Convex 10-d QP with 3 linear constraints."""
+    n = 10
     q_mat = 4.0 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     q_vec = np.array([(-1.0) ** i for i in range(n)])
     a_mat = np.vstack(
@@ -242,19 +227,12 @@ def _qp10() -> SuiteEntry:
         ]
     )
     b_vec = np.array([5.0, 0.0, 10.0])
-
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = q_mat
-    kkt[:n, n:] = a_mat.T
-    kkt[n:, :n] = a_mat
-    sol = np.linalg.solve(kkt, np.concatenate([-q_vec, b_vec]))
-    problem = quadratic_program("qp10", q_mat, q_vec, a_mat, b_vec, np.zeros(n))
-    return SuiteEntry(problem, (sol[:n], sol[n:]))
+    return quadratic_program("qp10", q_mat, q_vec, a_mat, b_vec, np.zeros(n))
 
 
-def _hs6() -> SuiteEntry:
+def _hs6() -> Problem:
     """min (1 - x1)^2 s.t. 10 (x2 - x1^2) = 0."""
-    problem = Problem(
+    return Problem(
         name="hs6",
         eval_f=lambda x: (1.0 - x[0]) ** 2,
         eval_grad_f=lambda x: np.array([-2.0 * (1.0 - x[0]), 0.0]),
@@ -262,12 +240,11 @@ def _hs6() -> SuiteEntry:
         eval_jacobian=lambda x: np.array([[-20.0 * x[0], 10.0]]),
         x0=np.array([-1.2, 1.0]),
     )
-    return SuiteEntry(problem, (np.array([1.0, 1.0]), np.array([0.0])))
 
 
-def _hs7() -> SuiteEntry:
+def _hs7() -> Problem:
     """min ln(1 + x1^2) - x2 s.t. (1 + x1^2)^2 + x2^2 = 4."""
-    problem = Problem(
+    return Problem(
         name="hs7",
         eval_f=lambda x: np.log1p(x[0] ** 2) - x[1],
         eval_grad_f=lambda x: np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
@@ -277,11 +254,9 @@ def _hs7() -> SuiteEntry:
         ),
         x0=np.array([2.0, 2.0]),
     )
-    y_star = 1.0 / (2.0 * np.sqrt(3.0))
-    return SuiteEntry(problem, (np.array([0.0, np.sqrt(3.0)]), np.array([y_star])))
 
 
-def _hs27() -> SuiteEntry:
+def _hs27() -> Problem:
     """min 0.01 (x1 - 1)^2 + (x2 - x1^2)^2 s.t. x1 + x3^2 + 1 = 0."""
 
     def grad(x):
@@ -293,7 +268,7 @@ def _hs27() -> SuiteEntry:
             ]
         )
 
-    problem = Problem(
+    return Problem(
         name="hs27",
         eval_f=lambda x: 0.01 * (x[0] - 1.0) ** 2 + (x[1] - x[0] ** 2) ** 2,
         eval_grad_f=grad,
@@ -301,10 +276,9 @@ def _hs27() -> SuiteEntry:
         eval_jacobian=lambda x: np.array([[1.0, 0.0, 2.0 * x[2]]]),
         x0=np.array([2.0, 2.0, 2.0]),
     )
-    return SuiteEntry(problem, (np.array([-1.0, 1.0, 0.0]), np.array([0.04])))
 
 
-def _hs40() -> SuiteEntry:
+def _hs40() -> Problem:
     """min -x1 x2 x3 x4 with three coupled nonlinear equality constraints."""
 
     def constraints(x):
@@ -335,12 +309,7 @@ def _hs40() -> SuiteEntry:
             ]
         )
 
-    x_star = np.array([2.0 ** (-1 / 3), 2.0 ** (-1 / 2), 2.0 ** (-11 / 12), 2.0 ** (-1 / 4)])
-    j_star = jac(x_star)
-    g_star = grad(x_star)
-    y_star = np.linalg.lstsq(j_star.T, -g_star, rcond=None)[0]
-
-    problem = Problem(
+    return Problem(
         name="hs40",
         eval_f=lambda x: -x[0] * x[1] * x[2] * x[3],
         eval_grad_f=grad,
@@ -348,10 +317,9 @@ def _hs40() -> SuiteEntry:
         eval_jacobian=jac,
         x0=np.array([0.8, 0.8, 0.8, 0.8]),
     )
-    return SuiteEntry(problem, (x_star, y_star))
 
 
-def _hs42() -> SuiteEntry:
+def _hs42() -> Problem:
     """Sum-of-squares distance objective, one linear and one circle constraint."""
 
     def constraints(x):
@@ -365,11 +333,7 @@ def _hs42() -> SuiteEntry:
             ]
         )
 
-    # Solution projects (3, 4) onto the radius-sqrt(2) circle in (x3, x4).
-    x_star = np.array([2.0, 2.0, 3.0 * np.sqrt(2.0) / 5.0, 4.0 * np.sqrt(2.0) / 5.0])
-    y_star = np.array([-2.0, 5.0 / np.sqrt(2.0) - 1.0])
-
-    problem = Problem(
+    return Problem(
         name="hs42",
         eval_f=lambda x: (x[0] - 1.0) ** 2
         + (x[1] - 2.0) ** 2
@@ -381,10 +345,9 @@ def _hs42() -> SuiteEntry:
         eval_jacobian=jac,
         x0=np.array([1.0, 1.0, 1.0, 1.0]),
     )
-    return SuiteEntry(problem, (x_star, y_star))
 
 
-def _hs48() -> SuiteEntry:
+def _hs48() -> Problem:
     """Separable quadratic, two linear constraints, solution at all-ones."""
 
     def grad(x):
@@ -405,7 +368,7 @@ def _hs48() -> SuiteEntry:
         ]
     )
     b_vec = np.array([5.0, -3.0])
-    problem = Problem(
+    return Problem(
         name="hs48",
         eval_f=lambda x: (x[0] - 1.0) ** 2 + (x[1] - x[2]) ** 2 + (x[3] - x[4]) ** 2,
         eval_grad_f=grad,
@@ -414,10 +377,9 @@ def _hs48() -> SuiteEntry:
         # The textbook start is feasible; shifted to an infeasible one.
         x0=np.array([3.0, 5.0, -3.0, 2.0, -1.0]),
     )
-    return SuiteEntry(problem, (np.ones(5), np.zeros(2)))
 
 
-def _hs51() -> SuiteEntry:
+def _hs51() -> Problem:
     """Separable quadratic, three linear constraints, solution at all-ones."""
 
     def grad(x):
@@ -439,7 +401,7 @@ def _hs51() -> SuiteEntry:
         ]
     )
     b_vec = np.array([4.0, 0.0, 0.0])
-    problem = Problem(
+    return Problem(
         name="hs51",
         eval_f=lambda x: (x[0] - x[1]) ** 2
         + (x[1] + x[2] - 2.0) ** 2
@@ -451,17 +413,16 @@ def _hs51() -> SuiteEntry:
         # The textbook start is feasible; shifted to an infeasible one.
         x0=np.array([2.5, 1.0, 2.0, -1.0, 1.0]),
     )
-    return SuiteEntry(problem, (np.ones(5), np.zeros(3)))
 
 
 _SPHERE_N = 30
 _SPHERE_W = 1.0 + 4.0 * np.arange(_SPHERE_N) / (_SPHERE_N - 1)
 
 
-def _sphere30() -> SuiteEntry:
+def _sphere30() -> Problem:
     """Weighted quadratic on the unit sphere; minimizer is the lightest axis."""
     n = _SPHERE_N
-    problem = Problem(
+    return Problem(
         name="sphere30",
         eval_f=lambda x: 0.5 * float(_SPHERE_W @ (x * x)),
         eval_grad_f=lambda x: _SPHERE_W * x,
@@ -469,8 +430,6 @@ def _sphere30() -> SuiteEntry:
         eval_jacobian=lambda x: (2.0 * x)[np.newaxis, :],
         x0=(1.0 + 0.05 * np.arange(n)) / np.sqrt(n),
     )
-    # grad f + J^T y = w1*e1 + 2*e1*y = 0 at e1 gives y = -w1/2 = -1/2.
-    return SuiteEntry(problem, (np.eye(n)[0], np.array([-0.5])))
 
 
 _BUILDERS = (
@@ -488,10 +447,7 @@ _BUILDERS = (
     _sphere30,
 )
 
-_REGISTRY: dict[str, SuiteEntry] = {}
-for _build in _BUILDERS:
-    _entry = _build()
-    _REGISTRY[_entry.problem.name] = _entry
+_REGISTRY: dict[str, Problem] = {p.name: p for p in (build() for build in _BUILDERS)}
 
 
 def problem_names() -> list[str]:
@@ -499,17 +455,13 @@ def problem_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def get_entry(name: str) -> SuiteEntry:
+def get_problem(name: str) -> Problem:
     try:
         return _REGISTRY[name]
     except KeyError:
         raise UnknownProblemError(
             f"unknown problem {name!r}; available: {', '.join(_REGISTRY)}"
         ) from None
-
-
-def get_problem(name: str) -> Problem:
-    return get_entry(name).problem
 
 
 # ---------------------------------------------------------------------------

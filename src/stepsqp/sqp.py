@@ -412,7 +412,7 @@ def solve(
     # The run's KKT workspace (see the module docstring).
     kkt = KktSystem(problem.n, problem.m)
 
-    oracle = StochasticOracle(problem, oracle_cfg)
+    oracle = StochasticOracle(problem.n, oracle_cfg)
     eps_f = effective_eps_f(params, oracle_cfg)
     eps_g = oracle_cfg.eps_g_noise
     sigma, eps_tau, theta = params.sigma, params.eps_tau, params.theta
@@ -477,11 +477,17 @@ def solve(
             reason = "non-finite noisy gradient"
             break
         d, y, lin_feas = kkt.step(g_bar)
-        # The solve's rounding scales with its right-hand side (g_bar, c).
-        # Negated, so that a NaN fails the test.
+        # The solve's rounding scales with its right-hand side (g_bar, c),
+        # and J d's own with ||J||_max ||d||_1, a bound on each |(J d)_i|.
+        # That term is taken only where the first bound fails, and only
+        # when finite, so an overflowed solve keeps its reason. Negated,
+        # so that a NaN fails the test.
         if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + max(infeas_inf, g_max))):
-            reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
-            break
+            jd_bound = jac_max * float(np.add.reduce(np.abs(d)))
+            if not (math.isfinite(jd_bound)
+                    and lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + jd_bound)):
+                reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
+                break
 
         # Merit parameter update and predicted reduction, from the step's
         # two products (g'd = c'y - d'd; see the module docstring). A

@@ -270,7 +270,7 @@ def test_ac7_oracle_noise_statistics():
     problem = get_problem("P2")
     x = np.array([0.3, -0.7])
     cfg = OracleConfig(eps_f_noise=eps_f, eps_g_noise=eps_g, seed=99, stream_id=1)
-    oracle = StochasticOracle(problem, cfg)
+    oracle = StochasticOracle(problem.n, cfg)
     f_exact = problem.f(x)
     g_exact = problem.grad_f(x)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -227,15 +228,25 @@ class TestRunCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
 
-    def test_summary_is_a_bench_run_entry(self, tmp_path, bench_dir):
-        out = tmp_path / "out"
-        main(["run", "P1", "--set", "oracle.eps_g_noise=0.1", "--out", str(out)])
-        summary = json.loads((out / "P1__f0__g0.1__r0.json").read_text())
-        entry = json.loads((bench_dir / "summary.json").read_text())["runs"][0]
-        assert set(summary) == set(entry)
-        assert summary["csv"] == "P1__f0__g0.1__r0.csv"
-        assert summary["problem"] == "P1"
-        assert (summary["eps_g_noise"], summary["replicate"]) == (0.1, 0)
+    def test_summary_is_a_bench_run_entry(self, tmp_path, capsys):
+        # run writes the CSV bytes and the summary entry, less its wall
+        # time, that bench writes for replicate 0 of the cell.
+        noise = ["--set", "oracle.eps_f_noise=0.01", "--set", "oracle.eps_g_noise=0.1",
+                 "--seed", "7"]
+        main(["run", "P1", *noise, "--out", str(tmp_path / "run")])
+        main(["bench", *noise, "--set", 'grid.problems=["P1"]',
+              "--set", "grid.noise_pairs=[[0.01, 0.1]]", "--set", "grid.replicates=1",
+              "--out", str(tmp_path / "bench")])
+        capsys.readouterr()
+        entry = json.loads((tmp_path / "bench" / "summary.json").read_text())["runs"][0]
+        summary = json.loads((tmp_path / "run" / "P1__f0.01__g0.1__r0.json").read_text())
+        assert entry["csv"] == summary["csv"] == "P1__f0.01__g0.1__r0.csv"
+        assert (summary["problem"], summary["eps_f_noise"], summary["eps_g_noise"],
+                summary["replicate"]) == ("P1", 0.01, 0.1, 0)
+        del entry["wall_time_s"], summary["wall_time_s"]
+        assert json.dumps(summary, sort_keys=True) == json.dumps(entry, sort_keys=True)
+        assert ((tmp_path / "run" / summary["csv"]).read_bytes()
+                == (tmp_path / "bench" / entry["csv"]).read_bytes())
 
     @pytest.mark.parametrize("level", ["-0.0", "0"])
     def test_a_zero_noise_level_names_and_seeds_the_run_as_0_0_does(self, tmp_path, capsys, level):
@@ -1201,3 +1212,24 @@ def test_readme_quick_start_runs():
         check=True,
     ).stdout
     assert out.splitlines()[0] == "converged"
+
+
+def test_importing_oracles_loads_no_other_stepsqp_module():
+    # The oracles are a noise source for a problem in n variables.
+    others = [f"stepsqp.{module.name}" for module in pkgutil.iter_modules(stepsqp.__path__)
+              if module.name != "oracles"]
+    assert others
+    assert _modules_loaded_after("import stepsqp.oracles", *others) == [False] * len(others)
+
+
+def test_importing_the_registry_solves_nothing():
+    # The reference KKT pairs are test data (tests/test_problems.py).
+    statements = (
+        "import numpy.linalg\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a linear solve at import')\n"
+        "numpy.linalg.solve = numpy.linalg.lstsq = refuse\n"
+        "import stepsqp.problems\n"
+        "assert len(stepsqp.problems.problem_names()) == 12"
+    )
+    assert _modules_loaded_after(statements, "stepsqp.problems") == [True]

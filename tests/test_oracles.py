@@ -82,14 +82,14 @@ class TestDeriveStream:
 class TestOracle:
     def test_zero_noise_is_exact_passthrough(self):
         p = get_problem("P1")
-        oracle = StochasticOracle(p, OracleConfig())
+        oracle = StochasticOracle(p.n, OracleConfig())
         x = p.x0
         assert oracle.noisy_f(p.f(x)) == p.f(x)
         np.testing.assert_array_equal(oracle.noisy_grad(p.grad_f(x)), p.grad_f(x))
 
     def test_samples_are_python_floats_and_fresh_arrays(self):
         p = get_problem("P1")
-        oracle = StochasticOracle(p, OracleConfig(eps_f_noise=0.1, eps_g_noise=0.1))
+        oracle = StochasticOracle(p.n, OracleConfig(eps_f_noise=0.1, eps_g_noise=0.1))
         assert type(oracle.noisy_f(p.f(p.x0))) is float
         g = p.grad_f(p.x0)
         sample = oracle.noisy_grad(g)
@@ -97,7 +97,7 @@ class TestOracle:
 
     def test_counters_track_calls_independently(self):
         p = get_problem("P1")
-        oracle = StochasticOracle(p, OracleConfig())
+        oracle = StochasticOracle(p.n, OracleConfig())
         assert (oracle.zeroth_calls, oracle.first_calls) == (0, 0)
         oracle.noisy_f(p.f(p.x0))
         oracle.noisy_f(p.f(p.x0))
@@ -108,8 +108,8 @@ class TestOracle:
     def test_same_stream_reproduces_bit_identical_sequences(self):
         p = get_problem("hs7")
         cfg = OracleConfig(eps_f_noise=0.1, eps_g_noise=0.1, seed=11, stream_id=22)
-        a = StochasticOracle(p, cfg)
-        b = StochasticOracle(p, cfg)
+        a = StochasticOracle(p.n, cfg)
+        b = StochasticOracle(p.n, cfg)
         f, g = p.f(p.x0), p.grad_f(p.x0)
         for _ in range(5):
             assert a.noisy_f(f) == b.noisy_f(f)
@@ -119,14 +119,14 @@ class TestOracle:
         p = get_problem("hs7")
         base = OracleConfig(eps_f_noise=0.1, eps_g_noise=0.1, seed=11, stream_id=22)
         other = OracleConfig(eps_f_noise=0.1, eps_g_noise=0.1, seed=11, stream_id=23)
-        a = StochasticOracle(p, base)
-        b = StochasticOracle(p, other)
+        a = StochasticOracle(p.n, base)
+        b = StochasticOracle(p.n, other)
         f = p.f(p.x0)
         assert a.noisy_f(f) != b.noisy_f(f)
 
     def test_fresh_noise_each_call(self):
         p = get_problem("P1")
-        oracle = StochasticOracle(p, OracleConfig(eps_f_noise=1.0, seed=3, stream_id=0))
+        oracle = StochasticOracle(p.n, OracleConfig(eps_f_noise=1.0, seed=3, stream_id=0))
         f = p.f(p.x0)
         values = {oracle.noisy_f(f) for _ in range(8)}
         assert len(values) == 8
@@ -138,7 +138,7 @@ class TestOracle:
         # rounds to refill the oracle's block at least twice.
         p = get_problem(name)
         cfg = OracleConfig(eps_f_noise=0.3, eps_g_noise=0.7, seed=17, stream_id=4)
-        oracle = StochasticOracle(p, cfg)
+        oracle = StochasticOracle(p.n, cfg)
         key = np.array([cfg.seed, cfg.stream_id], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         scale = cfg.eps_g_noise / np.sqrt(p.n)
@@ -160,7 +160,7 @@ class TestOracle:
         # (where the product or the sum overflows) count too. The samples
         # run past the oracle's first block.
         cfg = OracleConfig(eps_f_noise=eps_f, seed=5, stream_id=9)
-        oracle = StochasticOracle(get_problem("P1"), cfg)
+        oracle = StochasticOracle(get_problem("P1").n, cfg)
         rng = np.random.Generator(np.random.Philox(key=np.array([5, 9], dtype=np.uint64)))
         count = NOISE_BLOCK + 3
         expected = np.array([f + eps_f * rng.standard_normal() for _ in range(count)])
@@ -173,7 +173,7 @@ class TestOracle:
         p = get_problem("P2")
         eps_f = 0.25
         cfg = OracleConfig(eps_f_noise=eps_f, seed=123, stream_id=7)
-        oracle = StochasticOracle(p, cfg)
+        oracle = StochasticOracle(p.n, cfg)
         exact = p.f(p.x0)
         count = 100_000
         errors = np.array([oracle.noisy_f(exact) - exact for _ in range(count)])
@@ -186,7 +186,7 @@ class TestOracle:
         for name in ("P2", "sphere30"):
             p = get_problem(name)
             cfg = OracleConfig(eps_g_noise=eps_g, seed=321, stream_id=9)
-            oracle = StochasticOracle(p, cfg)
+            oracle = StochasticOracle(p.n, cfg)
             exact = p.grad_f(p.x0)
             count = 100_000
             total = 0.0

@@ -11,7 +11,6 @@ from stepsqp.problems import (
     Problem,
     UnknownProblemError,
     check_gradients,
-    get_entry,
     get_problem,
     load_qp_json,
     problem_names,
@@ -102,12 +101,56 @@ class TestGradients:
         assert not _within(check_gradients(p, p.x0))
 
 
+def _qp_kkt_pair(problem):
+    """A QP's KKT pair from its KKT system, with Q, q, A and b read off its evaluators."""
+    n, m, zero = problem.n, problem.m, np.zeros(problem.n)
+    q_vec = problem.grad_f(zero)
+    q_mat = np.column_stack([problem.grad_f(e) - q_vec for e in np.eye(n)])
+    a_mat = problem.jacobian(zero)
+    kkt = np.block([[q_mat, a_mat.T], [a_mat, np.zeros((m, m))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-q_vec, -problem.c(zero)]))
+    return sol[:n], sol[n:]
+
+
+def _least_squares_pair(problem, x_star):
+    """x_star with the multipliers that best fit grad f + J^T y = 0 there."""
+    jac, grad = problem.jacobian(x_star), problem.grad_f(x_star)
+    return x_star, np.linalg.lstsq(jac.T, -grad, rcond=None)[0]
+
+
+# A known solution (x_star, y_star) of every registry problem.
+REFERENCE_KKT_PAIRS = {
+    # Stationarity at (-1, -1): 1 + 2*(-1)*y = 0 gives y = 1/2.
+    "P1": ([-1.0, -1.0], [0.5]),
+    "P2": ([1.0, 1.0], [-1.0]),
+    # (1, 1) is an unconstrained minimizer lying on the circle, so y = 0.
+    "P3": ([1.0, 1.0], [0.0]),
+    "qp10": _qp_kkt_pair(get_problem("qp10")),
+    "hs6": ([1.0, 1.0], [0.0]),
+    "hs7": ([0.0, np.sqrt(3.0)], [1.0 / (2.0 * np.sqrt(3.0))]),
+    "hs27": ([-1.0, 1.0, 0.0], [0.04]),
+    "hs40": _least_squares_pair(
+        get_problem("hs40"),
+        np.array([2.0 ** (-1 / 3), 2.0 ** (-1 / 2), 2.0 ** (-11 / 12), 2.0 ** (-1 / 4)]),
+    ),
+    # The solution projects (3, 4) onto the radius-sqrt(2) circle in (x3, x4).
+    "hs42": ([2.0, 2.0, 3.0 * np.sqrt(2.0) / 5.0, 4.0 * np.sqrt(2.0) / 5.0],
+             [-2.0, 5.0 / np.sqrt(2.0) - 1.0]),
+    "hs48": (np.ones(5), np.zeros(2)),
+    "hs51": (np.ones(5), np.zeros(3)),
+    # grad f + J^T y = w1*e1 + 2*e1*y = 0 at e1 gives y = -w1/2 = -1/2.
+    "sphere30": (np.eye(30)[0], [-0.5]),
+}
+
+
 class TestReferencePoints:
+    def test_every_registry_problem_has_a_pair(self):
+        assert list(REFERENCE_KKT_PAIRS) == problem_names()
+
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_reference_kkt_pair_bounds(self, name):
-        entry = get_entry(name)
-        x_star, y_star = entry.reference_kkt_point
-        p = entry.problem
+        x_star, y_star = map(np.asarray, REFERENCE_KKT_PAIRS[name])
+        p = get_problem(name)
         assert x_star.shape == (p.n,) and y_star.shape == (p.m,)
         assert max_abs(p.c(x_star)) <= 1e-10
         assert max_abs(p.grad_f(x_star) + p.jacobian(x_star).T @ y_star) <= 1e-8
@@ -119,7 +162,7 @@ class TestReferencePoints:
         b = a @ np.zeros(2) - p.c(np.zeros(2))
         x_star = a.T @ np.linalg.solve(a @ a.T, b)
         np.testing.assert_allclose(x_star, [1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(get_entry("P2").reference_kkt_point[0], x_star, atol=1e-14)
+        np.testing.assert_allclose(REFERENCE_KKT_PAIRS["P2"][0], x_star, atol=1e-14)
 
 
 class TestProblemValidation:

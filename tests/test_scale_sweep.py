@@ -9,17 +9,18 @@ barrier, whose f is +inf past a boundary, at every scale pair.
 
 What is asserted holds today: no run raises; a run ends
 linear_algebra_failure exactly when it has a failure reason, and that
-reason is one README.md lists; at s_f = s_c = 1 no run fails. The status
-and reason counts per (s_f, s_c) are printed (pytest -s), so a change
-that moves them shows the move.
+reason is one README.md lists; at s_f = s_c = 1 no run fails; for s_f = 1
+and any s_c in S_C_SCALES, no run ends with an inaccurate KKT solve,
+since the ||J d + c||_inf guard also scales with ||J||_max ||d||_1. The
+status and reason counts per (s_f, s_c) are printed (pytest -s), so a
+change that moves them shows the move.
 
 Not asserted yet, because it does not hold: for s_f = 1 and any s_c in
-S_C_SCALES, no run ends with a rank-deficient Jacobian or an inaccurate
-KKT solve. Scaling c and J by s_c leaves the step unchanged in exact
-arithmetic and keeps J's rank, but the LU kernel's pivot floor and the
-||J d + c||_inf guard do not scale with J, so runs at s_c = 1e-8 and
-1e20 end rank deficient and runs at s_c = 1e8 end with inaccurate
-solves. That assertion belongs with the kernel change that makes it true.
+S_C_SCALES, no run ends with a rank-deficient Jacobian. Scaling c and J
+by s_c leaves the step unchanged in exact arithmetic and keeps J's rank,
+but the LU kernel's pivot floor does not scale with J, so runs at
+s_c = 1e-8 and 1e20 end rank deficient. That assertion belongs with the
+kernel change that makes it true.
 """
 
 import dataclasses
@@ -144,3 +145,10 @@ def test_no_run_fails_at_unit_scale(sweep):
     failed = [outcome for outcome in sweep
               if outcome[0] == (1.0, 1.0) and outcome[2] is RunStatus.LINEAR_ALGEBRA_FAILURE]
     assert failed == []
+
+
+def test_no_unit_objective_run_ends_with_an_inaccurate_solve(sweep):
+    unit_objective = {(1.0, s_c) for s_c in S_C_SCALES}
+    inaccurate = [outcome for outcome in sweep if outcome[0] in unit_objective
+                  and (outcome[3] or "").startswith("inaccurate KKT solve")]
+    assert inaccurate == []

@@ -454,6 +454,24 @@ class TestFailurePaths:
             record = solve(_scaled(get_problem(name), 1e9), SolverParams(max_iters=300), quiet())
             assert not (record.failure_reason or "").startswith("inaccurate KKT solve"), name
 
+    def test_constraints_scaled_by_1e8_pass_the_solve_accuracy_check(self):
+        # The log barrier with c and J scaled by 1e8: its first step leaves
+        # ||J d + c||_inf = 7.3e-9, the rounding of J d with ||J||_max = 1e8,
+        # above 1e-9 (1 + max(||c||_inf, ||gbar||_inf)) = 5e-9 but far below
+        # 1e-9 (1 + ||J||_max ||d||_1).
+        problem = _custom(
+            "barrier",
+            f=lambda x: -math.log(x[0]) + 5.0 * x[0] + x[1] ** 2 if x[0] > 0.0 else math.inf,
+            grad=lambda x: np.array([-1.0 / x[0] + 5.0, 2.0 * x[1]]),
+            c=lambda x: 1e8 * np.array([x[0] + x[1] - 2.0]),
+            jac=lambda x: np.array([[1e8, 1e8]]),
+            x0=np.array([1.0, 1.0]),
+        )
+        record = solve(problem, oracle_cfg=quiet())
+        assert record.status == RunStatus.CONVERGED
+        assert record.iterations["accepted"].tolist() == [0, 1]
+        np.testing.assert_allclose(record.final_x, [0.5, 1.5], atol=1e-12)
+
     def test_nan_model_reduction_violates_the_invariant(self, monkeypatch):
         monkeypatch.setattr(sqp, "model_reduction", lambda tau_bar, gd, c_l1: math.nan)
         with pytest.raises(InvariantViolationError, match="model reduction nan"):
