@@ -249,17 +249,18 @@ def first_hit(values: np.ndarray, m0: float, m_best: float) -> Optional[int]:
 
 @dataclass(frozen=True)
 class PerformanceProfile:
-    """Performance ratios and step-curve samples per solver configuration.
+    """Step-curve samples per solver configuration over a set of instances.
 
-    ratios maps (solver, instance) to budget / best-budget-on-instance
-    (inf for unsolved); curves maps each solver to sampled step points
-    (tau, rho(tau)) at its distinct finite ratios, where rho(tau) is the
-    fraction of instances the solver solved within factor tau.
+    A configuration's performance ratio on an instance is its budget over
+    the best budget any configuration reached there. curves maps each
+    configuration to sampled step points (tau, rho(tau)) at its distinct
+    finite ratios, where rho(tau) is the fraction of instances the
+    configuration solved within factor tau. instances is rho's
+    denominator, which curves cannot carry for a configuration that
+    solved nothing: its curve is empty.
     """
 
-    solvers: tuple[str, ...]
     instances: tuple[str, ...]
-    ratios: dict[tuple[str, str], float]
     curves: dict[str, list[tuple[float, float]]]
 
 
@@ -273,35 +274,28 @@ def build_profile(budgets: dict[str, dict[str, Optional[float]]]) -> Performance
         for unsolved. There must be at least one solver and one instance,
         and every solver must cover the same instance set; _table_profiles
         builds its tables so.
-    """
-    solvers = tuple(budgets)
-    instances = tuple(budgets[solvers[0]])
 
-    ratios: dict[tuple[str, str], float] = {}
+    A budget of 0 over a best of 0 is ratio 1. A positive budget over a
+    best of 0 adds no step, and neither does an unsolved instance. Where
+    several instances share a ratio, its step takes the last rho.
+    """
+    instances = tuple(next(iter(budgets.values())))
+    finite: dict[str, list[float]] = {solver: [] for solver in budgets}
     for inst in instances:
-        vals = {s: budgets[s][inst] for s in solvers}
-        solved = [v for v in vals.values() if v is not None]
-        best = min(solved) if solved else None
-        for s, v in vals.items():
-            if v is None or best is None:
-                ratios[(s, inst)] = math.inf
-            elif best == 0.0:
-                ratios[(s, inst)] = 1.0 if v == 0.0 else math.inf
-            else:
-                ratios[(s, inst)] = v / best
+        solved = {s: row[inst] for s, row in budgets.items() if row[inst] is not None}
+        best = min(solved.values(), default=None)
+        for s, v in solved.items():
+            if best > 0.0:
+                finite[s].append(v / best)
+            elif v == 0.0:
+                finite[s].append(1.0)
 
     curves: dict[str, list[tuple[float, float]]] = {}
-    for s in solvers:
-        finite = sorted(ratios[(s, inst)] for inst in instances if math.isfinite(ratios[(s, inst)]))
-        points: list[tuple[float, float]] = []
-        for i, r in enumerate(finite, start=1):
-            rho = i / len(instances)
-            if points and points[-1][0] == r:
-                points[-1] = (r, rho)
-            else:
-                points.append((r, rho))
-        curves[s] = points
-    return PerformanceProfile(solvers, instances, ratios, curves)
+    for s, ratios in finite.items():
+        # A repeated ratio keeps its first place and takes the later rho.
+        steps = {r: i / len(instances) for i, r in enumerate(sorted(ratios), start=1)}
+        curves[s] = list(steps.items())
+    return PerformanceProfile(instances, curves)
 
 
 def config_label(eps_f: float, eps_g: float) -> str:

@@ -16,9 +16,10 @@ import time
 
 import numpy as np
 from reference import gauss_jordan_inverse
+from test_readme import readme_default_grid
 
 from stepsqp import linalg
-from stepsqp.bench import ExperimentGrid, build_profile, first_hit, grid_cells
+from stepsqp.bench import ExperimentGrid, build_profile, first_hit, grid_cells, run_cell
 from stepsqp.cli import EXIT_OK, _usable_cpus, main
 from stepsqp.linalg import load_lapack
 from stepsqp.oracles import OracleConfig, StochasticOracle, derive_stream
@@ -67,7 +68,7 @@ def test_ac2_projection_reached_in_one_step():
 
 
 def check_ac3_cell(grid, cell):
-    """Solve one grid cell and check its per-iteration guarantees from scratch.
+    """Solve one grid cell as bench does and check its per-iteration guarantees from scratch.
 
     Returns the run's step count, whether it failed, and its violations.
     The checks read the run log's columns; c and J are evaluated afresh
@@ -77,13 +78,7 @@ def check_ac3_cell(grid, cell):
     assert linalg._CHECK_RESIDUALS, "residual self-checks are off in this process"
     params = grid.params
     problem = get_problem(cell.problem)
-    cfg = OracleConfig(
-        eps_f_noise=cell.eps_f,
-        eps_g_noise=cell.eps_g,
-        seed=grid.seed,
-        stream_id=cell.stream_id,
-    )
-    record = solve(problem, params, cfg)
+    record = run_cell(grid, cell)
     logs = record.iterations
     steps = len(logs)
     if record.status == RunStatus.LINEAR_ALGEBRA_FAILURE:
@@ -106,7 +101,7 @@ def check_ac3_cell(grid, cell):
     previous_tau = np.concatenate(([params.tau_init], tau[:-1]))
     calls = np.arange(1, steps + 1)
     moved_to = np.where(accepted[:, None], x + alpha[:, None] * d, x)
-    eps_f = cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
+    eps_f = cell.eps_f if params.eps_f_accept is None else params.eps_f_accept
     # Each entry is a boolean column, true at the iterations that break it.
     broken = {
         # (a) predicted reduction dominates its guaranteed bound (H = I).
@@ -162,13 +157,16 @@ def test_ac3_invariants_hold_across_the_full_grid():
     steps = sum(count for count, _, _ in results)
     failures = sum(failed for _, failed, _ in results)
     violations = [found for _, _, cell_violations in results for found in cell_violations]
-    ok = not violations and failures == 0
+    # README states the default grid's size and iteration total.
+    stated = readme_default_grid()
+    ok = not violations and failures == 0 and (len(results), steps) == stated
     _report(
         "AC3",
         ok,
         f"{len(results)} runs, {steps} steps, {failures} failed, "
         f"{len(violations)} invariant violations"
-        + (f"; first: {violations[0]}" if violations else ""),
+        + (f"; first: {violations[0]}" if violations else "")
+        + f"; README states {stated[0]} runs and {stated[1]} iterations",
     )
 
 
@@ -293,11 +291,19 @@ def test_ac7_oracle_noise_statistics():
 
 
 def test_ac8_profile_and_budget_conventions():
-    """Profile ratios and steps, and the convergence test's first hits, match worked examples."""
+    """Profile steps, and the convergence test's first hits, match worked examples."""
+    # Ratios 1 and 2 on one instance: each curve is one step to rho = 1.
     profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
+    # On i both budgets are 0, so both ratios are 1 (0/0 is 1). On j A
+    # spends 0 and B 5: B's positive budget over a best of 0 adds no step,
+    # and neither does the instance k that nobody solved.
+    zeros = build_profile({"A": {"i": 0.0, "j": 0.0, "k": None},
+                           "B": {"i": 0.0, "j": 5.0, "k": None}})
     profile_ok = (
-        profile.ratios == {("A", "i1"): 1.0, ("B", "i1"): 2.0}
+        profile.instances == ("i1",)
         and profile.curves == {"A": [(1.0, 1.0)], "B": [(2.0, 1.0)]}
+        and zeros.instances == ("i", "j", "k")
+        and zeros.curves == {"A": [(1.0, 2 / 3)], "B": [(1.0, 1 / 3)]}
     )
     # Reaching the best value converges exactly at that point.
     first = first_hit(np.array([5.0, 3.0, 1.0]), 5.0, 1.0)

@@ -29,6 +29,7 @@ from stepsqp.bench import (
     _TRAJECTORY_COLUMNS,
     ExperimentGrid,
     GridResult,
+    PerformanceProfile,
     _read_run_columns,
     _table_profiles,
     build_grid_profiles,
@@ -335,11 +336,9 @@ class TestIterationBudgets:
         profiles = _table_profiles(self.TABLE)
         assert set(profiles) == {"infeasibility__iterations", "kkt__iterations"}
         for metric in ("infeasibility", "kkt"):
-            by_iterations = profiles[f"{metric}__iterations"]
-            assert by_iterations.ratios == {
-                ("A", "i1"): 1.0, ("B", "i1"): 3.0, ("A", "i2"): 1.0, ("B", "i2"): math.inf,
-            }
-            assert by_iterations.curves == {"A": [(1.0, 1.0)], "B": [(3.0, 0.5)]}
+            # A's ratios are 1 and 1; B's are 3 on i1, and i2 is unsolved.
+            assert profiles[f"{metric}__iterations"] == PerformanceProfile(
+                ("i1", "i2"), {"A": [(1.0, 1.0)], "B": [(3.0, 0.5)]})
 
     def test_metrics_hit_at_different_points(self):
         # The kkt metric passes one iteration after infeasibility does, and
@@ -349,8 +348,9 @@ class TestIterationBudgets:
             "kkt": np.array([4.0, 2.0, 0.0]),
         }
         profiles = _table_profiles({("A", "i"): run, ("B", "i"): _hand_run([4.0, 0.0])})
-        assert profiles["infeasibility__iterations"].ratios == {("A", "i"): 1.0, ("B", "i"): 1.0}
-        assert profiles["kkt__iterations"].ratios == {("A", "i"): 2.0, ("B", "i"): 1.0}
+        assert profiles["infeasibility__iterations"].curves == {
+            "A": [(1.0, 1.0)], "B": [(1.0, 1.0)]}
+        assert profiles["kkt__iterations"].curves == {"A": [(2.0, 1.0)], "B": [(1.0, 1.0)]}
 
 
 # Budget tables of 1-4 solvers by 1-15 instances: unsolved, zero or positive.
@@ -364,29 +364,43 @@ _BUDGET_TABLES = st.tuples(st.integers(1, 4), st.integers(1, 15)).flatmap(
 )
 
 
+def _reference_ratios(budgets, solver):
+    """solver's finite performance ratios, computed here from the budgets.
+
+    The ratio is the budget over the instance's best budget, 0/0 counts
+    as 1, and an unsolved instance or a positive budget over a best of 0
+    has no finite ratio.
+    """
+    ratios = []
+    for inst, budget in budgets[solver].items():
+        if budget is None:
+            continue
+        best = min(row[inst] for row in budgets.values() if row[inst] is not None)
+        if best > 0.0:
+            ratios.append(budget / best)
+        elif budget == 0.0:
+            ratios.append(1.0)
+    return ratios
+
+
 class TestBuildProfile:
     def test_two_solver_hand_fixture(self):
         profile = build_profile({"A": {"i1": 10.0}, "B": {"i1": 20.0}})
-        assert profile.ratios[("A", "i1")] == 1.0
-        assert profile.ratios[("B", "i1")] == 2.0
-        assert profile.curves["A"] == [(1.0, 1.0)]
-        assert profile.curves["B"] == [(2.0, 1.0)]
+        assert profile.instances == ("i1",)
+        assert profile.curves == {"A": [(1.0, 1.0)], "B": [(2.0, 1.0)]}
 
     def test_zero_budget_conventions(self):
+        # 0/0 is ratio 1, a step at 1.0.
         both_zero = build_profile({"A": {"i": 0.0}, "B": {"i": 0.0}})
-        assert both_zero.ratios[("A", "i")] == 1.0
-        assert both_zero.ratios[("B", "i")] == 1.0
+        assert both_zero.curves == {"A": [(1.0, 1.0)], "B": [(1.0, 1.0)]}
+        # A positive budget over a best of 0 adds no step.
         one_zero = build_profile({"A": {"i": 0.0}, "B": {"i": 5.0}})
-        assert one_zero.ratios[("A", "i")] == 1.0
-        assert one_zero.ratios[("B", "i")] == math.inf
+        assert one_zero.curves == {"A": [(1.0, 1.0)], "B": []}
 
     def test_unsolved_instances(self):
         profile = build_profile({"A": {"i": 3.0, "j": None}, "B": {"i": None, "j": None}})
-        assert profile.ratios[("A", "j")] == math.inf
-        assert profile.ratios[("B", "i")] == math.inf
-        assert profile.ratios[("B", "j")] == math.inf
         # A solved one instance of two; B solved none and has no step.
-        assert profile.curves == {"A": [(1.0, 0.5)], "B": []}
+        assert profile == PerformanceProfile(("i", "j"), {"A": [(1.0, 0.5)], "B": []})
 
     @settings(derandomize=True, database=None)
     @given(table=_BUDGET_TABLES)
@@ -396,32 +410,20 @@ class TestBuildProfile:
             for i, row in enumerate(table)
         }
         profile = build_profile(budgets)
-        ratios = profile.ratios
-        count = len(profile.instances)
-        for solver in profile.solvers:
-            curve = profile.curves[solver]
+        instances = [f"i{j}" for j in range(len(table[0]))]
+        assert profile.instances == tuple(instances)
+        assert list(profile.curves) == list(budgets)
+        for solver, curve in profile.curves.items():
+            finite = _reference_ratios(budgets, solver)
             taus = [tau for tau, _ in curve]
             rhos = [rho for _, rho in curve]
             # One step per distinct finite ratio, rising strictly in both.
-            assert taus == sorted(set(taus))
+            assert taus == sorted(set(finite))
             assert rhos == sorted(set(rhos))
             assert all(0.0 < rho <= 1.0 for rho in rhos)
-            finite = [ratios[(solver, inst)] for inst in profile.instances
-                      if math.isfinite(ratios[(solver, inst)])]
-            assert taus == sorted(set(finite))
             # Each step is the fraction of instances solved within its tau.
             for tau, rho in curve:
-                assert rho == sum(r <= tau for r in finite) / count
-        for inst in profile.instances:
-            solved = [budgets[s][inst] for s in profile.solvers if budgets[s][inst] is not None]
-            if solved:
-                assert any(ratios[(s, inst)] == 1.0 for s in profile.solvers)
-            for s in profile.solvers:
-                if not solved or budgets[s][inst] is None:
-                    assert ratios[(s, inst)] == math.inf
-                elif min(solved) == 0.0:
-                    # Zero is the best budget: only other zeros tie it.
-                    assert ratios[(s, inst)] == (1.0 if budgets[s][inst] == 0.0 else math.inf)
+                assert rho == sum(r <= tau for r in finite) / len(instances)
 
 
 class TestNamingAndFiles:
@@ -532,7 +534,7 @@ class TestRunGrid:
         expected_keys = {"infeasibility__iterations", "kkt__iterations"}
         assert set(result.profiles) == expected_keys
         for key in expected_keys:
-            for solver in result.profiles[key].solvers:
+            for solver in result.profiles[key].curves:
                 assert (out / f"profile__{key}__{solver}.csv").is_file()
 
     def test_summary_contents(self, small_result):
@@ -555,12 +557,11 @@ class TestRunGrid:
     def test_deterministic_run_spans_replicate_instances(self, small_result):
         _, result = small_result
         profile = result.profiles["kkt__iterations"]
-        assert set(profile.solvers) == {"f0__g0", "f0.01__g0.1"}
+        assert set(profile.curves) == {"f0__g0", "f0.01__g0.1"}
         assert set(profile.instances) == {"P1__r0", "P1__r1", "hs6__r0", "hs6__r1"}
         # The single deterministic run provides a finite budget on every
-        # replicate instance of its problem.
-        for inst in profile.instances:
-            assert math.isfinite(profile.ratios[("f0__g0", inst)])
+        # replicate instance of its problem, so its curve reaches 1.
+        assert profile.curves["f0__g0"][-1][1] == 1.0
 
     def test_round_trip_through_files(self, small_result):
         out, result = small_result
@@ -581,25 +582,18 @@ class TestRunGrid:
             path = copy / entry["csv"]
             rows = [line.split(",") for line in path.read_text().splitlines()]
             path.write_text("".join(",".join(reversed(row)) + "\n" for row in rows))
-        rebuilt = profiles_from_directories([copy])
-        for key, profile in result.profiles.items():
-            assert rebuilt[key].ratios == profile.ratios
-            assert rebuilt[key].curves == profile.curves
+        assert profiles_from_directories([copy]) == result.profiles
 
     def test_profiles_rebuilt_from_files_match(self, small_result):
         out, result = small_result
-        rebuilt = profiles_from_directories([out])
-        assert set(rebuilt) == set(result.profiles)
-        for key, profile in result.profiles.items():
-            assert rebuilt[key].ratios == profile.ratios
-            assert rebuilt[key].curves == profile.curves
+        assert profiles_from_directories([out]) == result.profiles
 
     def test_multiple_directories_prefix_labels(self, small_result, tmp_path):
         out, _ = small_result
         other = tmp_path / "again"
         run_grid(SMALL_GRID, out_dir=other)
         profiles = profiles_from_directories([out, other])
-        solvers = set(profiles["kkt__iterations"].solvers)
+        solvers = set(profiles["kkt__iterations"].curves)
         assert solvers == {
             f"{out.name}__f0__g0",
             f"{out.name}__f0.01__g0.1",
@@ -701,9 +695,7 @@ class TestBuildGridProfiles:
         records = [run_cell(grid, cell) for cell in cells]
         profiles = build_grid_profiles(grid, cells, records)
         for profile in profiles.values():
-            assert profile.solvers == ("f0__g0",)
-            assert profile.instances == ("P2__r0",)
-            assert profile.ratios[("f0__g0", "P2__r0")] == 1.0
+            assert profile == PerformanceProfile(("P2__r0",), {"f0__g0": [(1.0, 1.0)]})
 
 
 class TestProfileValidation:
@@ -787,7 +779,7 @@ class TestCommonInstances:
         run_grid(dataclasses.replace(MIXED_GRID, problems=("P1",)), out_dir=only_p1)
         for profile in profiles_from_directories([both, only_p1]).values():
             assert profile.instances == ("P1__r0", "P1__r1")
-            assert len(profile.solvers) == 4
+            assert len(profile.curves) == 4
         # Alone, each directory keeps all of its instances.
         alone = profiles_from_directories([both])["kkt__iterations"]
         assert alone.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
@@ -800,11 +792,12 @@ class TestCommonInstances:
             # The third replicate is not common: the two-replicate
             # directory's (0, 0) run does not stand in for it.
             assert profile.instances == ("P1__r0", "P1__r1", "P2__r0", "P2__r1")
-            assert all(math.isfinite(r) for r in profile.ratios.values())
+            # Every configuration solves every instance.
+            assert all(curve and curve[-1][1] == 1.0 for curve in profile.curves.values())
         # Alone, the three-replicate directory's (0, 0) run covers all three.
         alone = profiles_from_directories([three])["kkt__iterations"]
         assert alone.instances[-1] == "P2__r2"
-        assert math.isfinite(alone.ratios[("f0__g0", "P2__r2")])
+        assert alone.curves["f0__g0"][-1][1] == 1.0
 
     def test_disjoint_directories_rejected(self, tmp_path):
         p1, p2 = tmp_path / "p1", tmp_path / "p2"

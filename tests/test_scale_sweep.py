@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepsqp.oracles import OracleConfig, derive_stream
+from stepsqp.bench import GridCell
+from stepsqp.oracles import OracleConfig
 from stepsqp.problems import Problem, get_problem, problem_names
 from stepsqp.sqp import RunStatus, SolverParams, solve
 
@@ -68,8 +69,7 @@ def _scaled(problem, s_f, s_c):
 
 def _noisy(name, pair, replicates):
     """Configs for replicates of pair, on the streams a grid would give them."""
-    return [OracleConfig(*pair, stream_id=derive_stream(0, name, pair, rep))
-            for rep in range(replicates)]
+    return [GridCell.at(0, name, *pair, rep).oracle_config(0) for rep in range(replicates)]
 
 
 def _cases():
