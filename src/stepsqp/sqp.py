@@ -77,10 +77,12 @@ from .linalg import (
 from .oracles import OracleConfig, StochasticOracle, is_finite, is_int, require_numbers
 from .problems import Problem
 
-# Runs abort once the merit penalty parameter falls to this floor; the
-# update rule cannot recover from it and the merit function has
-# degenerated to (nearly) pure infeasibility.
-TAU_COLLAPSE_FLOOR = 1e-12
+# Runs abort once the merit penalty parameter falls to this fraction of
+# tau_init (1e-12 at the default 0.1); the update rule cannot recover
+# from it and the merit function has degenerated to (nearly) pure
+# infeasibility. Relative, so scaling c, J and tau_init together moves
+# the floor with them.
+TAU_COLLAPSE_RTOL = 1e-11
 
 # Slack for the model-reduction inequality, which holds exactly in real
 # arithmetic by construction of the tau update; relative to the larger
@@ -107,8 +109,8 @@ class RunStatus(enum.Enum):
 class SolverParams:
     """Algorithm constants and termination settings.
 
-    eps_f_accept is the noise allowance added (scaled by 2*tau) to the
-    acceptance test; None couples it to the oracle's eps_f_noise.
+    The acceptance test's noise allowance is not among them: it is the
+    oracle's own eps_f_noise (scaled by 2*tau), as in the paper.
     """
 
     tau_init: float = 0.1
@@ -118,7 +120,6 @@ class SolverParams:
     gamma: float = 0.5
     alpha_max: float = 1.0
     alpha0: float = 1.0
-    eps_f_accept: Optional[float] = None
     max_iters: int = 1000
     tol_infeas: float = 1e-6
     tol_kkt: float = 1e-4
@@ -128,10 +129,6 @@ class SolverParams:
                         "alpha0", "tol_infeas", "tol_kkt")
         if not (self.tau_init > 0.0 and is_finite(self.tau_init)):
             raise ValueError("tau_init must be finite and > 0")
-        if not self.tau_init > TAU_COLLAPSE_FLOOR:
-            raise ValueError(
-                f"tau_init must exceed the merit-parameter collapse floor {TAU_COLLAPSE_FLOOR:g}"
-            )
         for name in ("sigma", "eps_tau", "theta", "gamma"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -140,23 +137,12 @@ class SolverParams:
             raise ValueError("alpha_max must lie in (0, 1]")
         if not 0.0 < self.alpha0 <= self.alpha_max:
             raise ValueError("alpha0 must lie in (0, alpha_max]")
-        if self.eps_f_accept is not None:
-            require_numbers(self, "eps_f_accept")
-            if not (self.eps_f_accept >= 0.0 and is_finite(self.eps_f_accept)):
-                raise ValueError("eps_f_accept must be finite and >= 0 (or None)")
         if not is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
         if not self.tol_infeas >= 0.0:
             raise ValueError("tol_infeas must be >= 0")
         if not self.tol_kkt >= 0.0:
             raise ValueError("tol_kkt must be >= 0")
-
-
-def effective_eps_f(params: SolverParams, oracle_cfg: OracleConfig) -> float:
-    """Noise allowance used by the acceptance test for this run."""
-    if params.eps_f_accept is not None:
-        return params.eps_f_accept
-    return oracle_cfg.eps_f_noise
 
 
 class KktSolution(NamedTuple):
@@ -370,7 +356,8 @@ def classify_iteration(
     within max(eps_g, alpha * sqrt(delta_l)), with eps_g the oracle's
     eps_g_noise, and the two sampled function values' errors, summed to
     value_err = |fbar(x) - f(x)| + |fbar(x+) - f(x+)|, are within
-    2 * eps_f, with eps_f the acceptance allowance.
+    2 * eps_f, with eps_f the oracle's eps_f_noise, which the acceptance
+    test also allows.
     """
     grad_ok = grad_err <= max(eps_g, alpha * math.sqrt(max(delta_l, 0.0)))
     return grad_ok and value_err <= 2.0 * eps_f
@@ -404,17 +391,17 @@ def solve(
         a non-finite f, c, J or grad f at the current iterate, a
         rank-deficient J there, a non-finite gradient sample, an
         inaccurate KKT solve, a step whose d'd or c'y is not finite, or
-        merit-parameter collapse. A non-finite trial point is a rejected
-        step, not a failure. Exceptions raised by the problem's own
-        evaluators propagate.
+        merit-parameter collapse (tau_bar at or below TAU_COLLAPSE_RTOL *
+        tau_init). A non-finite trial point is a rejected step, not a
+        failure. Exceptions raised by the problem's own evaluators
+        propagate.
     """
     t_start = time.perf_counter()
     # The run's KKT workspace (see the module docstring).
     kkt = KktSystem(problem.n, problem.m)
 
     oracle = StochasticOracle(problem.n, oracle_cfg)
-    eps_f = effective_eps_f(params, oracle_cfg)
-    eps_g = oracle_cfg.eps_g_noise
+    eps_f, eps_g = oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise
     sigma, eps_tau, theta = params.sigma, params.eps_tau, params.theta
     gamma, alpha_max, max_iters = params.gamma, params.alpha_max, params.max_iters
     tol_infeas, tol_kkt = params.tol_infeas, params.tol_kkt
@@ -422,6 +409,7 @@ def solve(
     x = problem.x0.copy()
     alpha = params.alpha0
     tau_bar = params.tau_init
+    tau_floor = TAU_COLLAPSE_RTOL * tau_bar
     logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(problem.n))
     # A breakdown sets only reason, which makes the run a LINEAR_ALGEBRA_FAILURE.
     status: Optional[RunStatus] = None
@@ -499,7 +487,7 @@ def solve(
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
         tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, sigma), eps_tau)
-        if tau_bar <= TAU_COLLAPSE_FLOOR:
+        if tau_bar <= tau_floor:
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
         delta_l = model_reduction(tau_bar, cy - dd, c_l1)

@@ -70,11 +70,11 @@ def reference_solve(problem, params, oracle_cfg):
     key = np.array([oracle_cfg.seed, oracle_cfg.stream_id], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     grad_scale = oracle_cfg.eps_g_noise / np.sqrt(problem.n)
-    eps_f = oracle_cfg.eps_f_noise if params.eps_f_accept is None else params.eps_f_accept
     rows = []
     zeroth = first = 0
     x = problem.x0.copy()
     alpha, tau_bar = params.alpha0, params.tau_init
+    tau_floor = sqp.TAU_COLLAPSE_RTOL * params.tau_init
     status = reason = None
     evaluate = True
     k = 0
@@ -122,7 +122,7 @@ def reference_solve(problem, params, oracle_cfg):
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
         tau_bar = sqp.update_tau(tau_bar, sqp.tau_trial(cy, c_l1, params.sigma), params.eps_tau)
-        if tau_bar <= sqp.TAU_COLLAPSE_FLOOR:
+        if tau_bar <= tau_floor:
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"merit parameter collapsed to {tau_bar:g}"
             break
@@ -136,12 +136,12 @@ def reference_solve(problem, params, oracle_cfg):
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + float(np.abs(c_plus).sum())
         accepted = sqp.acceptance_test(phi_bar_trial, phi_bar_current, alpha, params.theta,
-                                       delta_l, tau_bar, eps_f)
+                                       delta_l, tau_bar, oracle_cfg.eps_f_noise)
         g_err = g_bar - g
         true_iter = sqp.classify_iteration(
             math.sqrt(np.dot(g_err, g_err)),
             abs(f_bar_current - f_x) + abs(f_bar_trial - f_plus),
-            alpha, delta_l, oracle_cfg.eps_g_noise, eps_f,
+            alpha, delta_l, oracle_cfg.eps_g_noise, oracle_cfg.eps_f_noise,
         )
         rows.append(dict(
             k=k, x=x, d=d, g_bar=g_bar, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,

@@ -101,7 +101,6 @@ def check_ac3_cell(grid, cell):
     previous_tau = np.concatenate(([params.tau_init], tau[:-1]))
     calls = np.arange(1, steps + 1)
     moved_to = np.where(accepted[:, None], x + alpha[:, None] * d, x)
-    eps_f = cell.eps_f if params.eps_f_accept is None else params.eps_f_accept
     # Each entry is a boolean column, true at the iterations that break it.
     broken = {
         # (a) predicted reduction dominates its guaranteed bound (H = I).
@@ -122,7 +121,7 @@ def check_ac3_cell(grid, cell):
         # and the step is accepted exactly when the noise-relaxed Armijo
         # test passes on them.
         "noise-relaxed Armijo decision": accepted != (
-            phi_trial <= phi_current - alpha * params.theta * delta_l + 2.0 * tau * eps_f
+            phi_trial <= phi_current - alpha * params.theta * delta_l + 2.0 * tau * cell.eps_f
         ),
         # (e) rejected steps keep the iterate, accepted steps move it.
         "iterate update": np.append((x[1:] != moved_to[:-1]).any(axis=1), False),

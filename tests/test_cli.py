@@ -362,7 +362,6 @@ class TestRunCommand:
         "key, message",
         [
             ("solver.tau_init", "tau_init must be finite and > 0"),
-            ("solver.eps_f_accept", "eps_f_accept must be finite and >= 0 (or None)"),
             ("oracle.eps_f_noise", "eps_f_noise must be finite and >= 0"),
             ("oracle.eps_g_noise", "eps_g_noise must be finite and >= 0"),
         ],
@@ -372,15 +371,23 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", ["1e-300", "1e-12"])
-    def test_tau_init_at_the_collapse_floor_is_rejected(self, tmp_path, capsys, value):
-        # Such a run could only end at iteration 0 with a collapsed merit parameter.
-        code = main(["run", "P2", "--set", f"solver.tau_init={value}", "--out", str(tmp_path / "o")])
+    def test_eps_f_accept_is_an_unknown_key(self, tmp_path, capsys):
+        # The acceptance test's noise allowance is the oracle's eps_f_noise.
+        code = main(["run", "P2", "--set", "solver.eps_f_accept=0", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == (
-            "error: tau_init must exceed the merit-parameter collapse floor 1e-12\n"
-        )
+        assert capsys.readouterr().err == "error: unknown key(s) in section 'solver': eps_f_accept\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e-12"])
+    def test_tau_init_at_or_below_the_old_absolute_floor_runs(self, tmp_path, capsys, value):
+        # The collapse floor is 1e-11 * tau_init (1e-23 at tau_init =
+        # 1e-12), so the run does not end at iteration 0 with a collapsed
+        # merit parameter.
+        code = main(["run", "P2", "--set", f"solver.tau_init={value}",
+                     "--set", "solver.max_iters=5", "--out", str(tmp_path / "o")])
+        summary = json.loads(capsys.readouterr().out)
+        # P2's one-step projection, as at the default tau_init.
+        assert (code, summary["status"], summary["iterations"]) == (EXIT_OK, "converged", 1)
 
     @pytest.mark.parametrize(
         "override, message",

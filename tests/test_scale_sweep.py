@@ -13,7 +13,8 @@ reason is one README.md lists; at s_f = s_c = 1 no run fails; for s_f = 1
 and any s_c in S_C_SCALES, no run ends with an inaccurate KKT solve,
 since the ||J d + c||_inf guard also scales with ||J||_max ||d||_1. The
 status and reason counts per (s_f, s_c) are printed (pytest -s), so a
-change that moves them shows the move.
+change that moves them shows the move, and so is each merit-parameter
+collapse with its tau and s_c / s_f.
 
 Not asserted yet, because it does not hold: for s_f = 1 and any s_c in
 S_C_SCALES, no run ends with a rank-deficient Jacobian. Scaling c and J
@@ -117,6 +118,12 @@ def sweep():
         table.setdefault(key, Counter())[(getattr(status, "value", status), kind)] += 1
     for key, counts in table.items():
         print(key, dict(sorted(counts.items(), key=str)))
+    # tau at each merit-parameter collapse, with s_c / s_f (1 at the
+    # overflow pairs, which run unscaled); reported, not asserted.
+    for key, name, _, reason in outcomes:
+        if (reason or "").startswith("merit parameter collapsed to "):
+            s_f, s_c = (1.0, 1.0) if key in HUGE_NOISE_PAIRS else key
+            print("collapse", key, name, "tau", reason.rsplit(" ", 1)[1], f"s_c/s_f {s_c / s_f:g}")
     return outcomes
 
 

@@ -11,7 +11,7 @@ import pytest
 from reference import reference_solve
 
 from stepsqp import sqp
-from stepsqp.bench import CSV_COLUMNS
+from stepsqp.bench import CSV_COLUMNS, ExperimentGrid, GridCell
 from stepsqp.oracles import OracleConfig, derive_stream
 from stepsqp.problems import Problem, get_problem, problem_names
 from stepsqp.sqp import (
@@ -307,7 +307,7 @@ class TestFailurePaths:
         # f = 1e12 * x1, c = x1 - 1 from the origin: d = (1, 0) and
         # y = -(1e12 + 1), so c'y = g'd + d'd = 1e12 + 1 against
         # ||c||_1 = 1 and the trial penalty parameter 0.9 / (1e12 + 1)
-        # falls below the collapse floor.
+        # falls below the collapse floor 1e-11 * tau_init = 1e-12.
         problem = _custom(
             "steep",
             f=lambda x: 1e12 * x[0],
@@ -634,3 +634,61 @@ class TestReferenceLoop:
         cfg = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=1, stream_id=7)
         record = _assert_matches_reference(get_problem(name), SolverParams(max_iters=150), cfg)
         assert record.status != RunStatus.LINEAR_ALGEBRA_FAILURE
+
+    @pytest.mark.parametrize("slope, tau_init, reason", [
+        # tau falls to 0.9 / (1.8e11 + 1) = 5e-12: above the default
+        # tau_init's floor 1e-12, at or below this one's 1e-11.
+        (1.8e11, 1.0, "merit parameter collapsed to 5e-12"),
+        # tau falls to 9e-13, as in test_merit_parameter_collapse: below
+        # 1e-12, above this tau_init's 1e-14, so the run converges.
+        (1e12, 1e-3, None),
+    ])
+    def test_collapse_floor_is_relative_to_tau_init(self, slope, tau_init, reason):
+        problem = _custom(
+            "steep",
+            f=lambda x: slope * x[0],
+            grad=lambda x: np.array([slope, 0.0]),
+            c=lambda x: np.array([x[0] - 1.0]),
+            jac=lambda x: np.array([[1.0, 0.0]]),
+            x0=np.array([0.0, 0.0]),
+        )
+        record = _assert_matches_reference(problem, SolverParams(tau_init=tau_init), quiet())
+        assert record.failure_reason == reason
+
+
+def _sign_flipped(problem):
+    """problem with c and J negated: the same feasible set and KKT points."""
+    return dataclasses.replace(
+        problem,
+        eval_c=lambda x: -problem.c(x),
+        eval_jacobian=lambda x: -problem.jacobian(x),
+    )
+
+
+class TestConstraintSignFlip:
+    """Negating c and J leaves every bit of a run unchanged.
+
+    The step d and c'y, ||c||_1 and ||J d + c||_inf are unchanged and y
+    only changes sign, so tau, delta_l and every merit sample are the
+    same; the LU factors of the KKT matrix pivot on the same magnitudes.
+    """
+
+    PAIRS = ((0.0, 0.0), (0.0, 1e-1), (1e-2, 1e-4), (1e-1, 1e-1))
+    OUTCOME = ("status", "failure_reason", "final_infeas_inf", "final_kkt_inf", "zeroth_calls",
+               "first_calls")
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_runs_are_bit_identical(self, name):
+        seed = ExperimentGrid().seed
+        problem = get_problem(name)
+        flipped = _sign_flipped(problem)
+        params = SolverParams(max_iters=300)
+        for pair in self.PAIRS:
+            cfg = GridCell.at(seed, name, *pair, 0).oracle_config(seed)
+            record, other = solve(problem, params, cfg), solve(flipped, params, cfg)
+            assert record.iterations.tobytes() == other.iterations.tobytes(), pair
+            assert record.final_x.tobytes() == other.final_x.tobytes(), pair
+            # repr is exact for floats, and tells -0.0 from 0.0.
+            assert repr([getattr(record, o) for o in self.OUTCOME]) == repr(
+                [getattr(other, o) for o in self.OUTCOME]
+            ), pair

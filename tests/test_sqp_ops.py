@@ -8,16 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepsqp.linalg import SingularMatrixError, max_abs
-from stepsqp.oracles import OracleConfig
 from stepsqp.sqp import (
     SolverParams,
     acceptance_test,
     classify_iteration,
-    effective_eps_f,
     least_squares_multipliers,
     model_reduction,
     solve_kkt,
@@ -104,6 +102,7 @@ _signed = st.one_of(_magnitudes, _magnitudes.map(lambda v: -v), st.just(0.0))
 
 
 class TestMeritParameterProperties:
+    @settings(max_examples=300, derandomize=True, database=None)
     @given(
         tau_bar=_magnitudes,
         trial=st.one_of(st.just(0.0), _magnitudes, st.just(math.inf)),
@@ -115,6 +114,7 @@ class TestMeritParameterProperties:
         if updated < tau_bar:
             assert updated <= (1.0 - eps_tau) * tau_bar
 
+    @settings(max_examples=300, derandomize=True, database=None)
     @given(
         c=st.lists(_signed, min_size=1, max_size=4),
         y=st.lists(_signed, min_size=1, max_size=4),
@@ -214,18 +214,6 @@ class TestSolverParams:
     def test_max_iters_rejects_bool(self):
         with pytest.raises(ValueError, match="max_iters"):
             SolverParams(max_iters=True)
-
-
-class TestEffectiveEpsF:
-    def test_none_couples_to_oracle(self):
-        params = SolverParams(eps_f_accept=None)
-        cfg = OracleConfig(eps_f_noise=0.3)
-        assert effective_eps_f(params, cfg) == 0.3
-
-    def test_explicit_value_decouples(self):
-        params = SolverParams(eps_f_accept=0.0)
-        cfg = OracleConfig(eps_f_noise=0.3)
-        assert effective_eps_f(params, cfg) == 0.0
 
 
 def _classify(f_bar, f_exact, g_bar, eps_f=0.2, eps_g=0.5, alpha=0.5, delta_l=4.0):
