@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         dest="overrides",
-        help="override a config value, e.g. --set solver.gamma=0.25 (repeatable)",
+        help="override a config value, e.g. --set solver.max_iters=200 (repeatable)",
     )
     config_flags.add_argument(
         "--seed", type=int, default=None, help="RNG seed (overrides oracle.seed)"

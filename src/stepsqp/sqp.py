@@ -13,16 +13,16 @@ parameter tau so that the predicted merit reduction
 
 dominates tau * d'd + sigma * ||c||_1, then tests a single
 trial point x + alpha*d with a noise-relaxed sufficient-decrease
-condition on the sampled merit tau * fbar + ||c||_1. Acceptance moves
-the iterate and grows alpha (capped at alpha_max); rejection keeps the
-iterate, shrinks alpha, and the next iteration recomputes a direction
-from fresh samples. A trial point where f or c is NaN or +inf is a
-rejected step like any other, so a run backs off from a boundary past
-which f is undefined; a run fails only at the current iterate, its
-gradient sample, its KKT solve or its merit parameter. Constraint
-values and the termination diagnostics (exact-gradient least-squares
-KKT residual, infinity-norm infeasibility) are exact and never consume
-oracle budget.
+condition on the sampled merit tau * fbar + ||c||_1. A run starts at
+alpha = ALPHA_MAX. Acceptance moves the iterate and grows alpha (capped
+at ALPHA_MAX); rejection keeps the iterate, shrinks alpha, and the next
+iteration recomputes a direction from fresh samples. A trial point
+where f or c is NaN or +inf is a rejected step like any other, so a run
+backs off from a boundary past which f is undefined; a run fails only
+at the current iterate, its gradient sample, its KKT solve or its merit
+parameter. Constraint values and the termination diagnostics
+(exact-gradient least-squares KKT residual, infinity-norm infeasibility)
+are exact and never consume oracle budget.
 
 Each exact quantity is evaluated once per point. f and c are evaluated
 once at each trial point; on acceptance those values become the new
@@ -77,6 +77,16 @@ from .linalg import (
 from .oracles import OracleConfig, StochasticOracle, is_finite, is_int, require_numbers
 from .problems import Problem
 
+# The step rule's constants, fixed inputs of the method: the model
+# reduction factor sigma, the merit parameter's cut factor eps_tau, the
+# Armijo factor theta and the step-size factor gamma, each in (0, 1), and
+# the step-size cap alpha_max in (0, 1].
+SIGMA = 0.1
+EPS_TAU = 1e-2
+THETA = 1e-4
+GAMMA = 0.5
+ALPHA_MAX = 1.0
+
 # Runs abort once the merit penalty parameter falls to this fraction of
 # tau_init (1e-12 at the default 0.1); the update rule cannot recover
 # from it and the merit function has degenerated to (nearly) pure
@@ -107,36 +117,22 @@ class RunStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Algorithm constants and termination settings.
+    """What a run varies: the initial merit parameter, budget and termination thresholds.
 
-    The acceptance test's noise allowance is not among them: it is the
-    oracle's own eps_f_noise (scaled by 2*tau), as in the paper.
+    The step rule's constants are module constants (SIGMA, EPS_TAU,
+    THETA, GAMMA, ALPHA_MAX), and the acceptance test's noise allowance
+    is the oracle's own eps_f_noise (scaled by 2*tau), as in the paper.
     """
 
     tau_init: float = 0.1
-    sigma: float = 0.1
-    eps_tau: float = 1e-2
-    theta: float = 1e-4
-    gamma: float = 0.5
-    alpha_max: float = 1.0
-    alpha0: float = 1.0
     max_iters: int = 1000
     tol_infeas: float = 1e-6
     tol_kkt: float = 1e-4
 
     def __post_init__(self):
-        require_numbers(self, "tau_init", "sigma", "eps_tau", "theta", "gamma", "alpha_max",
-                        "alpha0", "tol_infeas", "tol_kkt")
+        require_numbers(self, "tau_init", "tol_infeas", "tol_kkt")
         if not (self.tau_init > 0.0 and is_finite(self.tau_init)):
             raise ValueError("tau_init must be finite and > 0")
-        for name in ("sigma", "eps_tau", "theta", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0.0 < self.alpha_max <= 1.0:
-            raise ValueError("alpha_max must lie in (0, 1]")
-        if not 0.0 < self.alpha0 <= self.alpha_max:
-            raise ValueError("alpha0 must lie in (0, alpha_max]")
         if not is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
         if not self.tol_infeas >= 0.0:
@@ -375,7 +371,7 @@ def solve(
     problem : Problem
         Problem to solve; evaluators must be smooth and deterministic.
     params : SolverParams
-        Algorithm constants, iteration budget, termination thresholds.
+        Initial merit parameter, iteration budget, termination thresholds.
     oracle_cfg : OracleConfig
         Noise scales and RNG identity for the objective oracles.
 
@@ -402,12 +398,10 @@ def solve(
 
     oracle = StochasticOracle(problem.n, oracle_cfg)
     eps_f, eps_g = oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise
-    sigma, eps_tau, theta = params.sigma, params.eps_tau, params.theta
-    gamma, alpha_max, max_iters = params.gamma, params.alpha_max, params.max_iters
-    tol_infeas, tol_kkt = params.tol_infeas, params.tol_kkt
+    max_iters, tol_infeas, tol_kkt = params.max_iters, params.tol_infeas, params.tol_kkt
 
     x = problem.x0.copy()
-    alpha = params.alpha0
+    alpha = ALPHA_MAX
     tau_bar = params.tau_init
     tau_floor = TAU_COLLAPSE_RTOL * tau_bar
     logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(problem.n))
@@ -486,12 +480,12 @@ def solve(
         if not (math.isfinite(dd) and math.isfinite(cy)):
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
-        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, sigma), eps_tau)
+        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, SIGMA), EPS_TAU)
         if tau_bar <= tau_floor:
-            reason = f"merit parameter collapsed to {tau_bar:g}"
+            reason = f"merit parameter collapsed to {tau_bar!r}"
             break
         delta_l = model_reduction(tau_bar, cy - dd, c_l1)
-        bound = tau_bar * dd + sigma * c_l1
+        bound = tau_bar * dd + SIGMA * c_l1
         if not (delta_l >= bound - MODEL_REDUCTION_SLACK * max(1.0, abs(delta_l), bound)):
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound {bound:g} at iteration {k}"
@@ -510,7 +504,7 @@ def solve(
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
         accepted = acceptance_test(
-            phi_bar_trial, phi_bar_current, alpha, theta, delta_l, tau_bar, eps_f
+            phi_bar_trial, phi_bar_current, alpha, THETA, delta_l, tau_bar, eps_f
         )
 
         g_err = g_bar - g_exact
@@ -531,7 +525,7 @@ def solve(
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
-        alpha = step_size_update(alpha, accepted, gamma, alpha_max)
+        alpha = step_size_update(alpha, accepted, GAMMA, ALPHA_MAX)
         k += 1
 
     if len(logs) > k:

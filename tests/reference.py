@@ -1,9 +1,13 @@
 """Hand-rolled reference implementations and helpers shared by the test modules.
 
 Everything here is deliberately naive. The inverse and the CSV doctor
-are independent of the library's LAPACK-backed code paths; the reference
-solve loop shares the library's single-step helpers and one-shot KKT
-solves but none of its run-level machinery.
+are independent of the library's LAPACK-backed code paths. The reference
+solve loop writes out each step rule itself (the merit parameter's trial
+value and update, the model reduction, the acceptance test, the step
+size and the true-iteration test) and shares only the library's one-shot
+KKT solves (sqp.solve_kkt, sqp.least_squares_multipliers) and its
+constants, so a fault in one of sqp's rule helpers shows up as a
+mismatch against it.
 """
 
 import json
@@ -63,7 +67,8 @@ def reference_solve(problem, params, oracle_cfg):
     from sqp.solve_kkt. The noise comes from the run's own Philox stream
     in stream order, n normals for the gradient sample and then one for
     each value sample: f + eps_f * z and grad f + (eps_g / sqrt(n)) * z.
-    The step logic is the same sqp helpers. Returns the run's columns
+    The step rules are written out here, in sqp's operation order, so
+    that every column matches to the bit. Returns the run's columns
     (every field of the record's iterations, k included) with its status,
     failure reason, final x, final metrics and oracle call counts.
     """
@@ -73,7 +78,7 @@ def reference_solve(problem, params, oracle_cfg):
     rows = []
     zeroth = first = 0
     x = problem.x0.copy()
-    alpha, tau_bar = params.alpha0, params.tau_init
+    alpha, tau_bar = sqp.ALPHA_MAX, params.tau_init
     tau_floor = sqp.TAU_COLLAPSE_RTOL * params.tau_init
     status = reason = None
     evaluate = True
@@ -121,12 +126,17 @@ def reference_solve(problem, params, oracle_cfg):
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
-        tau_bar = sqp.update_tau(tau_bar, sqp.tau_trial(cy, c_l1, params.sigma), params.eps_tau)
+        # The largest tau whose model reduction dominates
+        # tau * d'd + sigma * ||c||_1, with g'd + d'd = c'y for a KKT step;
+        # a cut lands at min((1 - eps_tau) * tau, trial).
+        trial = (1.0 - sqp.SIGMA) * c_l1 / cy if cy > 0.0 else math.inf
+        if tau_bar > trial:
+            tau_bar = min((1.0 - sqp.EPS_TAU) * tau_bar, trial)
         if tau_bar <= tau_floor:
             status = RunStatus.LINEAR_ALGEBRA_FAILURE
-            reason = f"merit parameter collapsed to {tau_bar:g}"
+            reason = f"merit parameter collapsed to {tau_bar!r}"
             break
-        delta_l = sqp.model_reduction(tau_bar, cy - dd, c_l1)
+        delta_l = -tau_bar * (cy - dd) + c_l1
 
         x_plus = x + alpha * d
         f_plus, c_plus = problem.f(x_plus), problem.c(x_plus)
@@ -135,14 +145,17 @@ def reference_solve(problem, params, oracle_cfg):
         f_bar_trial = f_plus + oracle_cfg.eps_f_noise * rng.standard_normal()
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + float(np.abs(c_plus).sum())
-        accepted = sqp.acceptance_test(phi_bar_trial, phi_bar_current, alpha, params.theta,
-                                       delta_l, tau_bar, oracle_cfg.eps_f_noise)
+        # The noise-relaxed Armijo test, non-strict.
+        accepted = phi_bar_trial <= (phi_bar_current - alpha * sqp.THETA * delta_l
+                                     + 2.0 * tau_bar * oracle_cfg.eps_f_noise)
+        # True: the gradient sample within max(eps_g, alpha * sqrt(delta_l))
+        # and the two value samples' errors within 2 * eps_f together.
         g_err = g_bar - g
-        true_iter = sqp.classify_iteration(
-            math.sqrt(np.dot(g_err, g_err)),
-            abs(f_bar_current - f_x) + abs(f_bar_trial - f_plus),
-            alpha, delta_l, oracle_cfg.eps_g_noise, oracle_cfg.eps_f_noise,
-        )
+        grad_err = math.sqrt(np.dot(g_err, g_err))
+        value_err = abs(f_bar_current - f_x) + abs(f_bar_trial - f_plus)
+        true_iter = (grad_err <= max(oracle_cfg.eps_g_noise,
+                                     alpha * math.sqrt(max(delta_l, 0.0)))
+                     and value_err <= 2.0 * oracle_cfg.eps_f_noise)
         rows.append(dict(
             k=k, x=x, d=d, g_bar=g_bar, alpha=alpha, tau_bar=tau_bar, delta_l=delta_l,
             phi_bar_current=phi_bar_current, phi_bar_trial=phi_bar_trial,
@@ -153,7 +166,8 @@ def reference_solve(problem, params, oracle_cfg):
         if accepted:
             x = x_plus
             evaluate = True
-        alpha = sqp.step_size_update(alpha, accepted, params.gamma, params.alpha_max)
+        # Grow alpha by 1/gamma up to alpha_max on acceptance, else shrink it by gamma.
+        alpha = min(sqp.ALPHA_MAX, alpha / sqp.GAMMA) if accepted else sqp.GAMMA * alpha
         k += 1
 
     columns = {
@@ -168,3 +182,24 @@ def reference_solve(problem, params, oracle_cfg):
         columns=columns, status=status, failure_reason=reason, final_x=x,
         final_infeas_inf=infeas, final_kkt_inf=kkt, zeroth_calls=zeroth, first_calls=first,
     )
+
+
+def assert_matches_reference(problem, params, cfg):
+    """solve and reference_solve agree bit for bit on every column and outcome."""
+    record = sqp.solve(problem, params, cfg)
+    ref = reference_solve(problem, params, cfg)
+    assert sorted(ref.columns) == sorted(record.iterations.dtype.names)
+    for name, expected in ref.columns.items():
+        got = record.iterations[name]
+        assert got.dtype == expected.dtype and got.shape == expected.shape, (
+            f"{name}: {got.dtype} {got.shape}, reference {expected.dtype} {expected.shape}")
+        # A view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), name)
+    np.testing.assert_array_equal(record.final_x.view(np.uint64), ref.final_x.view(np.uint64))
+    # repr is exact for floats, and tells -0.0 from 0.0.
+    outcome = ("status", "failure_reason", "final_infeas_inf", "final_kkt_inf", "zeroth_calls",
+               "first_calls")
+    assert repr([getattr(record, name) for name in outcome]) == repr(
+        [getattr(ref, name) for name in outcome]
+    )
+    return record

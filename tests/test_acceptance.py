@@ -24,7 +24,7 @@ from stepsqp.cli import EXIT_OK, _usable_cpus, main
 from stepsqp.linalg import load_lapack
 from stepsqp.oracles import OracleConfig, StochasticOracle, derive_stream
 from stepsqp.problems import get_problem, problem_names
-from stepsqp.sqp import RunStatus, SolverParams, solve, solve_kkt
+from stepsqp.sqp import EPS_TAU, SIGMA, THETA, RunStatus, solve, solve_kkt
 
 QUIET = OracleConfig(eps_f_noise=0.0, eps_g_noise=0.0)
 
@@ -76,7 +76,6 @@ def check_ac3_cell(grid, cell):
     first checks that the kernel's residual self-checks came along.
     """
     assert linalg._CHECK_RESIDUALS, "residual self-checks are off in this process"
-    params = grid.params
     problem = get_problem(cell.problem)
     record = run_cell(grid, cell)
     logs = record.iterations
@@ -97,8 +96,8 @@ def check_ac3_cell(grid, cell):
         residual = float(np.abs(problem.jacobian(x[j]) @ d[j] + c_vec).max())
         linearized[j] = residual <= 1e-9 * (1.0 + float(abs_c.max()))
     c_l1[steps] = float(np.abs(problem.c(record.final_x)).sum())
-    bound = tau * np.einsum("ij,ij->i", d, d) + params.sigma * c_l1[:-1]
-    previous_tau = np.concatenate(([params.tau_init], tau[:-1]))
+    bound = tau * np.einsum("ij,ij->i", d, d) + SIGMA * c_l1[:-1]
+    previous_tau = np.concatenate(([grid.params.tau_init], tau[:-1]))
     calls = np.arange(1, steps + 1)
     moved_to = np.where(accepted[:, None], x + alpha[:, None] * d, x)
     # Each entry is a boolean column, true at the iterations that break it.
@@ -108,7 +107,7 @@ def check_ac3_cell(grid, cell):
         # (b) the merit parameter never increases, and cuts are by at
         # least the protected factor.
         "merit parameter": (tau > previous_tau)
-        | ((tau != previous_tau) & (tau > (1.0 - params.eps_tau) * previous_tau)),
+        | ((tau != previous_tau) & (tau > (1.0 - EPS_TAU) * previous_tau)),
         # (c), from the loop above.
         "linearized feasibility": ~linearized,
         # (d) exactly two value samples and one gradient sample each.
@@ -121,7 +120,7 @@ def check_ac3_cell(grid, cell):
         # and the step is accepted exactly when the noise-relaxed Armijo
         # test passes on them.
         "noise-relaxed Armijo decision": accepted != (
-            phi_trial <= phi_current - alpha * params.theta * delta_l + 2.0 * tau * cell.eps_f
+            phi_trial <= phi_current - alpha * THETA * delta_l + 2.0 * tau * cell.eps_f
         ),
         # (e) rejected steps keep the iterate, accepted steps move it.
         "iterate update": np.append((x[1:] != moved_to[:-1]).any(axis=1), False),

@@ -60,7 +60,7 @@ def _write_json(path, doc):
 class TestParseConfig:
     def test_defaults(self):
         params, oracle_cfg, grid = parse_config()
-        assert params.gamma == 0.5
+        assert params == SolverParams()
         assert params.max_iters == 1000
         assert oracle_cfg.eps_f_noise == 0.0
         assert oracle_cfg.seed == 0
@@ -73,13 +73,13 @@ class TestParseConfig:
 
     def test_file_sections(self, tmp_path):
         doc = {
-            "solver": {"gamma": 0.25, "max_iters": 50},
+            "solver": {"tol_kkt": 0.25, "max_iters": 50},
             "oracle": {"eps_f_noise": 1e-2, "seed": 3},
             "grid": {"problems": ["P1", "P2"], "noise_pairs": [[0, 0.1]], "replicates": 2},
         }
         path = _write_json(tmp_path / "cfg.json", doc)
         params, oracle_cfg, grid = parse_config(path)
-        assert params.gamma == 0.25
+        assert params.tol_kkt == 0.25
         assert params.max_iters == 50
         assert oracle_cfg.eps_f_noise == 1e-2
         assert oracle_cfg.seed == 3
@@ -89,19 +89,19 @@ class TestParseConfig:
         assert grid.replicates == 2
 
     def test_overrides_beat_the_file(self, tmp_path):
-        path = _write_json(tmp_path / "cfg.json", {"solver": {"gamma": 0.25}})
+        path = _write_json(tmp_path / "cfg.json", {"solver": {"tol_kkt": 0.25}})
         params, _, grid = parse_config(
             path,
-            ["solver.gamma=0.125", 'grid.problems=["P1"]', "grid.replicates=3"],
+            ["solver.tol_kkt=0.125", 'grid.problems=["P1"]', "grid.replicates=3"],
         )
-        assert params.gamma == 0.125
+        assert params.tol_kkt == 0.125
         assert grid.problems == ("P1",)
         assert grid.replicates == 3
 
     def test_override_without_file(self):
         params, oracle_cfg, _ = parse_config(None, ["oracle.eps_g_noise=0.1"])
         assert oracle_cfg.eps_g_noise == 0.1
-        assert params.gamma == 0.5
+        assert params == SolverParams()
 
     def test_unknown_section(self, tmp_path):
         path = _write_json(tmp_path / "cfg.json", {"sovler": {}})
@@ -157,15 +157,15 @@ class TestParseConfig:
 
     def test_malformed_overrides(self):
         with pytest.raises(CliError, match="section.key=value"):
-            parse_config(None, ["solver.gamma"])
+            parse_config(None, ["solver.tol_kkt"])
         with pytest.raises(CliError, match="must be one of"):
-            parse_config(None, ["gamma=0.5"])
+            parse_config(None, ["tol_kkt=0.5"])
         with pytest.raises(CliError, match="must be one of"):
-            parse_config(None, ["engine.gamma=0.5"])
+            parse_config(None, ["engine.tol_kkt=0.5"])
 
     def test_bad_values_are_validation_errors(self):
-        with pytest.raises(CliError, match="gamma"):
-            parse_config(None, ["solver.gamma=2"])
+        with pytest.raises(CliError, match="tau_init"):
+            parse_config(None, ["solver.tau_init=-1"])
         with pytest.raises(CliError, match="replicates"):
             parse_config(None, ["grid.replicates=0"])
         with pytest.raises(CliError, match="problem names"):
@@ -378,6 +378,14 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: unknown key(s) in section 'solver': eps_f_accept\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["sigma", "eps_tau", "theta", "gamma", "alpha_max", "alpha0"])
+    def test_step_rule_constants_are_unknown_keys(self, tmp_path, capsys, key):
+        # They are sqp's module constants, which no run varies.
+        code = main(["run", "P2", "--set", f"solver.{key}=0.5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: unknown key(s) in section 'solver': {key}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["1e-300", "1e-12"])
     def test_tau_init_at_or_below_the_old_absolute_floor_runs(self, tmp_path, capsys, value):
         # The collapse floor is 1e-11 * tau_init (1e-23 at tau_init =
@@ -391,7 +399,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "override, message",
-        [("solver.gamma=[0.5]", "gamma must be a number"),
+        [("solver.tau_init=[0.5]", "tau_init must be a number"),
          ('oracle.eps_f_noise="a"', "eps_f_noise must be a number")],
     )
     def test_non_number_setting_names_its_field(self, tmp_path, capsys, override, message):
@@ -402,9 +410,9 @@ class TestRunCommand:
 
     def test_set_value_nested_too_deep_is_not_json(self, tmp_path, capsys):
         deep = "[" * 5000 + "]" * 5000
-        code = main(["run", "P2", "--set", f"solver.gamma={deep}", "--out", str(tmp_path / "o")])
+        code = main(["run", "P2", "--set", f"solver.tol_kkt={deep}", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == "error: gamma must be a number\n"
+        assert capsys.readouterr().err == "error: tol_kkt must be a number\n"
 
     @pytest.mark.parametrize("name", ["../evil", "a/b"])
     def test_qp_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
@@ -767,12 +775,12 @@ class TestBenchAndProfileCommands:
         shutil.copytree(bench_dir, copy)
         summary_path = copy / "summary.json"
         summary = json.loads(summary_path.read_text())
-        summary["grid"]["params"]["gamma"] = [0.5]
+        summary["grid"]["params"]["tol_kkt"] = [0.5]
         summary_path.write_text(json.dumps(summary))
         code = main(["profile", str(bench_dir), str(copy), "--out", str(tmp_path / "p")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            f"error: cannot rebuild profiles: {summary_path}: grid: gamma must be a number\n"
+            f"error: cannot rebuild profiles: {summary_path}: grid: tol_kkt must be a number\n"
         )
 
     def test_profile_rejects_huge_replicates_within_a_second(self, bench_dir, tmp_path, capsys):
@@ -1095,12 +1103,12 @@ _JSON_VALUES = st.one_of(
 )
 _SET_KEYS = sorted(
     f"{section}.{key}" for section, keys in cli._SECTIONS.items() for key in keys
-) + ["solver.nope", "oracle.stream_id", "grid.seed", "grid.params", "engine.gamma", "solver."]
+) + ["solver.nope", "oracle.stream_id", "grid.seed", "grid.params", "engine.tol_kkt", "solver."]
 _OVERRIDES = st.one_of(
     st.builds(lambda key, value: f"{key}={json.dumps(value)}",
               st.sampled_from(_SET_KEYS), _JSON_VALUES),
     st.builds(lambda key, raw: f"{key}={raw}", st.sampled_from(_SET_KEYS), st.text(max_size=6)),
-    st.sampled_from(["solver.gamma", "gamma=0.5", "=1", ".gamma=1", "solver=0.5"]),
+    st.sampled_from(["solver.tol_kkt", "tol_kkt=0.5", "=1", ".tol_kkt=1", "solver=0.5"]),
     st.text(max_size=12),
 )
 

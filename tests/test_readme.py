@@ -16,6 +16,7 @@ number added to those sections needs a check here.
 """
 
 import ast
+import dataclasses
 import inspect
 import json
 import re
@@ -27,7 +28,7 @@ import pytest
 import test_problems
 import test_scale_sweep
 
-from stepsqp import cli
+from stepsqp import cli, sqp
 from stepsqp.bench import (
     DEFAULT_NOISE_PAIRS,
     MAX_NOISE_PAIRS,
@@ -36,6 +37,7 @@ from stepsqp.bench import (
     grid_cells,
 )
 from stepsqp.problems import get_problem, problem_names
+from stepsqp.sqp import SolverParams
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -263,3 +265,17 @@ def test_test_count(collected_suite):
         int(n) for n in readme_match("testing", TEST_COUNT).groups())
     assert (total, under_tests, under_perfbench) == (
         collected_suite["total"], collected_suite["tests"], collected_suite["perfbench"])
+
+
+# A README key or constant name in backticks and the number it is given.
+NAMED_NUMBER = re.compile(r"`(\w+)`\s+(\d[\d.e+-]*\d|\d)")
+
+
+def test_configuration_states_the_solver_keys_and_the_fixed_constants():
+    text = section("### Configuration")
+    keys = text[text.index("Solver keys and defaults:"):text.index("The step rule's constants")]
+    assert [(name, value(number)) for name, number in NAMED_NUMBER.findall(keys)] == [
+        (f.name, getattr(SolverParams(), f.name)) for f in dataclasses.fields(SolverParams)]
+    fixed = text[text.index("The step rule's constants"):text.index("in `stepsqp.sqp`")]
+    assert [(name, value(number)) for name, number in NAMED_NUMBER.findall(fixed)] == [
+        (name, getattr(sqp, name)) for name in ("SIGMA", "EPS_TAU", "THETA", "GAMMA", "ALPHA_MAX")]

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import reference_solve
+from reference import assert_matches_reference
 
 from stepsqp import sqp
 from stepsqp.bench import CSV_COLUMNS, ExperimentGrid, GridCell
@@ -110,13 +110,13 @@ class TestTrajectoryInvariants:
                 np.testing.assert_array_equal(nxt.x, prev.x)
 
     def test_step_size_recurrence(self, noisy_run):
-        params, record = noisy_run
+        _, record = noisy_run
         logs = record.iterations
-        assert logs[0].alpha == params.alpha0
+        assert logs[0].alpha == sqp.ALPHA_MAX
         for prev, nxt in zip(logs, logs[1:]):
-            expected = step_size_update(prev.alpha, prev.accepted, params.gamma, params.alpha_max)
+            expected = step_size_update(prev.alpha, prev.accepted, sqp.GAMMA, sqp.ALPHA_MAX)
             assert nxt.alpha == expected
-            assert 0.0 < nxt.alpha <= params.alpha_max
+            assert 0.0 < nxt.alpha <= sqp.ALPHA_MAX
 
     def test_merit_parameter_rule(self, noisy_run):
         params, record = noisy_run
@@ -125,16 +125,16 @@ class TestTrajectoryInvariants:
         for log in logs:
             assert log.tau_bar <= previous
             if log.tau_bar != previous:
-                assert log.tau_bar <= (1.0 - params.eps_tau) * previous
+                assert log.tau_bar <= (1.0 - sqp.EPS_TAU) * previous
             previous = log.tau_bar
 
     def test_model_reduction_dominates_bound(self, noisy_run):
-        params, record = noisy_run
+        _, record = noisy_run
         problem = get_problem("P1")
         for log in record.iterations:
             c_l1 = float(np.sum(np.abs(problem.c(log.x))))
             curvature = float(log.d @ log.d)  # H is the identity here
-            bound = log.tau_bar * curvature + params.sigma * c_l1
+            bound = log.tau_bar * curvature + sqp.SIGMA * c_l1
             assert log.delta_l >= bound - 1e-9
 
     def test_linearized_feasibility(self, noisy_run):
@@ -318,7 +318,7 @@ class TestFailurePaths:
         )
         record = solve(problem, oracle_cfg=quiet())
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
-        assert record.failure_reason == "merit parameter collapsed to 9e-13"
+        assert record.failure_reason == "merit parameter collapsed to 8.999999999991e-13"
         assert len(record.iterations) == 0
         # The call counts include the gradient sample of the broken iteration.
         assert (record.zeroth_calls, record.first_calls) == (0, 1)
@@ -577,26 +577,6 @@ class TestRunLog:
         assert record.iterations.dtype == sqp.run_log_dtype(n)
 
 
-def _assert_matches_reference(problem, params, cfg):
-    """solve and reference_solve agree bit for bit on every column and outcome."""
-    record = solve(problem, params, cfg)
-    ref = reference_solve(problem, params, cfg)
-    assert sorted(ref.columns) == sorted(record.iterations.dtype.names)
-    for name, expected in ref.columns.items():
-        got = record.iterations[name]
-        assert got.dtype == expected.dtype and got.shape == expected.shape, name
-        # A view as uint64 tells -0.0 from 0.0 and keeps NaNs equal.
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), name)
-    np.testing.assert_array_equal(record.final_x.view(np.uint64), ref.final_x.view(np.uint64))
-    # repr is exact for floats, and tells -0.0 from 0.0.
-    outcome = ("status", "failure_reason", "final_infeas_inf", "final_kkt_inf", "zeroth_calls",
-               "first_calls")
-    assert repr([getattr(record, name) for name in outcome]) == repr(
-        [getattr(ref, name) for name in outcome]
-    )
-    return record
-
-
 class TestReferenceLoop:
     """solve gives the bits of a plain restatement of its loop.
 
@@ -605,25 +585,25 @@ class TestReferenceLoop:
     """
 
     def test_noiseless_converging_run(self):
-        record = _assert_matches_reference(get_problem("hs48"), SolverParams(), quiet())
+        record = assert_matches_reference(get_problem("hs48"), SolverParams(), quiet())
         assert record.status == RunStatus.CONVERGED and len(record.iterations) > 1
 
     @pytest.mark.parametrize("name", ["hs40", "sphere30"])
     def test_noisy_budget_exhausted_run(self, name):
-        record = _assert_matches_reference(get_problem(name), SolverParams(max_iters=300), NOISY)
+        record = assert_matches_reference(get_problem(name), SolverParams(max_iters=300), NOISY)
         assert record.status == RunStatus.BUDGET_EXHAUSTED
 
     def test_run_past_the_first_log_capacity(self):
         params = SolverParams(max_iters=sqp.RUN_LOG_CAPACITY + 100)
-        record = _assert_matches_reference(get_problem("hs40"), params, NOISY)
+        record = assert_matches_reference(get_problem("hs40"), params, NOISY)
         assert len(record.iterations) > sqp.RUN_LOG_CAPACITY
 
     def test_step_too_large_to_square(self):
         # d is finite, but d'd overflows; tau and delta_l would compare inf
         # with inf, so the run ends before tau is touched.
         with np.errstate(over="ignore"):
-            record = _assert_matches_reference(get_problem("P1"), SolverParams(),
-                                               HUGE_GRADIENT_NOISE)
+            record = assert_matches_reference(get_problem("P1"), SolverParams(),
+                                              HUGE_GRADIENT_NOISE)
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason == "step too large: d'd = inf, c'y = -2.27914e+307"
         assert len(record.iterations) == 0 and record.first_calls == 1
@@ -632,13 +612,13 @@ class TestReferenceLoop:
     def test_registry_runs_at_the_noise_floor(self, name):
         # The step-size guard fires only on products that are not finite.
         cfg = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=1, stream_id=7)
-        record = _assert_matches_reference(get_problem(name), SolverParams(max_iters=150), cfg)
+        record = assert_matches_reference(get_problem(name), SolverParams(max_iters=150), cfg)
         assert record.status != RunStatus.LINEAR_ALGEBRA_FAILURE
 
     @pytest.mark.parametrize("slope, tau_init, reason", [
         # tau falls to 0.9 / (1.8e11 + 1) = 5e-12: above the default
         # tau_init's floor 1e-12, at or below this one's 1e-11.
-        (1.8e11, 1.0, "merit parameter collapsed to 5e-12"),
+        (1.8e11, 1.0, "merit parameter collapsed to 4.999999999972222e-12"),
         # tau falls to 9e-13, as in test_merit_parameter_collapse: below
         # 1e-12, above this tau_init's 1e-14, so the run converges.
         (1e12, 1e-3, None),
@@ -652,7 +632,7 @@ class TestReferenceLoop:
             jac=lambda x: np.array([[1.0, 0.0]]),
             x0=np.array([0.0, 0.0]),
         )
-        record = _assert_matches_reference(problem, SolverParams(tau_init=tau_init), quiet())
+        record = assert_matches_reference(problem, SolverParams(tau_init=tau_init), quiet())
         assert record.failure_reason == reason
 
 
