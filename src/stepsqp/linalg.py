@@ -3,11 +3,11 @@
 Everything here operates on float64 numpy arrays sized for desk-scale
 problems (a few hundred unknowns at most). LU factorizations are made
 by LAPACK ``getrf`` and returned as :class:`LuFactors`, so a caller that
-solves several right-hand sides against one matrix (the SQP loop solves
-two per KKT matrix, and keeps the factors while its iterate does not
-move) factors it once. Factorizations are wrapped with explicit pivot
-checks so that near-singular systems fail loudly instead of returning
-garbage.
+solves several right-hand sides against one matrix factors it once.
+Every factorization passes the pivot floor of :func:`check_pivots`, so
+that near-singular systems fail loudly instead of returning garbage.
+The SQP loop calls ``dgetrf``, :func:`check_pivots`, ``dgetrs`` and the
+residual self-check itself, on the KKT matrix it keeps.
 
 LAPACK comes from SciPy, whose import costs about as much as the rest of
 the package's start-up. It is loaded at the first factorization (or by
@@ -110,11 +110,16 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not symmetric to tolerance {tol:g}")
 
 
-def _check_residual(a: np.ndarray, scale: float, x: np.ndarray, b: np.ndarray) -> None:
-    # Backward-stable direct solves keep ||Ax - b|| small relative to
-    # ||A|| ||x||, with scale = ||A||_max. A solution that overflowed is
-    # left to the caller's own checks (solve's ||J d + c||_inf guard ends
-    # such a run); a NaN residual of a finite one fails.
+def check_residual(a: np.ndarray, scale: float, x: np.ndarray, b: np.ndarray) -> None:
+    """The self-check of a solution x of a x = b: raise AssertionError if ||Ax - b||_max is too large.
+
+    Backward-stable direct solves keep ||Ax - b|| small relative to
+    ||A|| ||x||, with scale = ||A||_max; the bound is
+    1e-10 * (1 + scale * ||x||_max). A solution that overflowed is left
+    to the caller's own checks (solve's ||J d + c||_inf guard ends such a
+    run); a NaN residual of a finite one fails. Every solve runs it while
+    _CHECK_RESIDUALS is on.
+    """
     x_max = max_abs(x)
     if not math.isfinite(x_max):
         return
@@ -136,33 +141,41 @@ class LuFactors(NamedTuple):
         """Solve a x = b for one right-hand side of length a.shape[0]."""
         x, _ = dgetrs(self.lu, self.piv, b)
         if _CHECK_RESIDUALS:
-            _check_residual(self.a, self.scale, x, b)
+            check_residual(self.a, self.scale, x, b)
         return x
 
 
-def lu_factor(a: np.ndarray, scale: float) -> LuFactors:
-    """Factor a square float64 matrix by LU with partial pivoting.
+def check_pivots(lu: np.ndarray, scale: float) -> None:
+    """The pivot floor, applied to the LU factors lu that getrf made of a matrix A.
 
-    scale is ||A||_max, the largest entry magnitude of a, which sets the
-    pivot floor. The caller passes it: max_abs(a) in general, or a value
-    it knows exactly from the matrix's structure without scanning it.
+    scale is ||A||_max, the largest entry magnitude of A. The caller
+    passes it: max_abs(a) in general, or a value it knows exactly from
+    the matrix's structure without scanning it.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below 1e-14 * scale.
+        If A is zero or any pivot magnitude falls below 1e-14 * scale.
     """
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
     # getrf reports an exactly zero pivot through its info code; the
     # pivot floor below catches that case along with near-zero pivots.
-    lu, piv, _ = dgetrf(a)
     pivots = np.abs(lu.diagonal())
     smallest = pivots.item(pivots.argmin())
     if not (smallest >= PIVOT_RTOL * scale):
         raise SingularMatrixError(
             f"pivot {smallest:g} below {PIVOT_RTOL:g} * ||A||_max = {PIVOT_RTOL * scale:g}"
         )
+
+
+def lu_factor(a: np.ndarray, scale: float) -> LuFactors:
+    """Factor a square float64 matrix by LU with partial pivoting.
+
+    scale is ||A||_max; raises SingularMatrixError where check_pivots does.
+    """
+    lu, piv, _ = dgetrf(a)
+    check_pivots(lu, scale)
     return LuFactors(a, lu, piv, scale)
 
 
@@ -205,5 +218,5 @@ def cholesky_solve(a, b) -> np.ndarray:
         raise NotPositiveDefiniteError("diagonal factor entry at or below the pivot floor")
     x = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
     if _CHECK_RESIDUALS:
-        _check_residual(a, scale, x, b)
+        check_residual(a, scale, x, b)
     return x

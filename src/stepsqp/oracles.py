@@ -126,33 +126,40 @@ class StochasticOracle:
         self._block = self._grad_noise = np.empty(0)
         self._pos = 0
 
-    def _take(self, count: int) -> int:
-        """Reserve the stream's next count normals; return their offset in the current block."""
-        pos = self._pos
-        end = pos + count
-        if end > self._block.size:
-            # Unused normals stay ahead of the new ones, so the order of
-            # the stream is kept across refills.
-            fresh = self._rng.standard_normal(max(NOISE_BLOCK, count))
-            block = self._block = np.concatenate((self._block[pos:], fresh))
-            # Most entries of a block never meet the gradient scale; a
-            # product that overflows is inf, as it would be per sample.
-            with np.errstate(over="ignore"):
-                self._grad_noise = self._grad_scale * block
-            pos, end = 0, count
-        self._pos = end
-        return pos
+    def _refill(self, count: int) -> int:
+        """Start a new block and reserve its first count normals; return their offset, 0.
+
+        noisy_f and noisy_grad call it when the current block has fewer
+        than count normals left, and take their slice in place otherwise.
+        """
+        # Unused normals stay ahead of the new ones, so the order of the
+        # stream is kept across refills.
+        fresh = self._rng.standard_normal(max(NOISE_BLOCK, count))
+        block = self._block = np.concatenate((self._block[self._pos:], fresh))
+        # Most entries of a block never meet the gradient scale; a product
+        # that overflows is inf, as it would be per sample.
+        with np.errstate(over="ignore"):
+            self._grad_noise = self._grad_scale * block
+        self._pos = count
+        return 0
 
     def noisy_f(self, f_value: float) -> float:
         """Exact value f(x) plus one fresh zeroth-order noise draw; increments zeroth_calls."""
         self.zeroth_calls += 1
-        pos = self._take(1)  # before _block is read, since a refill replaces it
+        pos = self._pos
+        if pos < self._block.size:
+            self._pos = pos + 1
+        else:
+            pos = self._refill(1)  # before _block is read, since a refill replaces it
         # A Python float product overflows to inf, as the block product would.
         return f_value + self.config.eps_f_noise * self._block.item(pos)
 
     def noisy_grad(self, g_value: np.ndarray) -> np.ndarray:
         """Exact gradient grad f(x) plus one fresh noise draw; increments first_calls."""
         self.first_calls += 1
-        n = self._n
-        pos = self._take(n)
+        pos, n = self._pos, self._n
+        if pos + n <= self._block.size:
+            self._pos = pos + n
+        else:
+            pos = self._refill(n)
         return g_value + self._grad_noise[pos : pos + n]

@@ -37,15 +37,20 @@ infinite otherwise, with c'y exactly 0 wherever c = 0, and gbar'd is
 taken as c'y - d'd: tau and delta_l come from the same two scalars, and
 the model-reduction bound then holds up to their rounding.
 
-Each run owns one KktSystem: the matrix [[I, J^T], [J, 0]] and the
-right-hand sides (-grad f, 0) and (-gbar, -c), allocated once with fixed
-views of their J, J^T, -g and -c blocks, through which each new iterate
-writes J, J^T and -c and each solve writes -g. The matrix's max-norm,
-the scale of the pivot floor, is max(1, ||J||_max), from the ||J||_max
-the loop takes anyway to test J for finiteness. Its one LU factorization
-per iterate gives the least-squares multipliers and the KKT residual
-(the augmented-system method for linear least squares) and the step,
-whose constraint rows give J d + c. The exact values c, J, grad f and
+solve keeps the KKT workspace itself and calls LAPACK directly: the
+matrix [[I, J^T], [J, 0]] and the right-hand sides (-grad f, 0) and
+(-gbar, -c) are allocated once per run, with fixed views of their J,
+J^T, -g and -c blocks, through which each new iterate writes J, J^T and
+-c and each solve writes -g. Each new iterate is factored once by
+dgetrf, and its pivots pass linalg.check_pivots, whose scale is the
+matrix's max-norm max(1, ||J||_max), from the ||J||_max the loop takes
+anyway to test J for finiteness. Each solve is one dgetrs call against
+those factors, followed by linalg's residual self-check when that is on.
+The one factorization gives the least-squares multipliers and the KKT
+residual (the augmented-system method for linear least squares) and the
+step, whose constraint rows give J d + c. solve_kkt and
+least_squares_multipliers give the same step and multipliers, bit for
+bit, from a freshly assembled matrix. The exact values c, J, grad f and
 f, the factors and the KKT residual all depend on x alone, so after a
 rejected step they are carried over rather than recomputed; no oracle
 sample is ever reused. The run's log is one structured array with a row
@@ -60,14 +65,16 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
-    LuFactors,
     SingularMatrixError,
     as_matrix,
+    check_pivots,
+    check_residual,
     lu_factor,
     # lu_solve stays importable here: perfbench/workloads.py traces it
     # (and max_abs) as sqp attributes.
@@ -141,87 +148,29 @@ class SolverParams:
             raise ValueError("tol_kkt must be >= 0")
 
 
-class KktSolution(NamedTuple):
-    """Direction d, multipliers y, and the linearized infeasibility ||J d + c||_inf."""
+def _kkt_matrix(jac: np.ndarray) -> np.ndarray:
+    """[[I, J^T], [J, 0]] for the (m, n) Jacobian J, assembled as solve assembles it."""
+    m, n = jac.shape
+    a = np.zeros((n + m, n + m))
+    a[:n, :n] = np.eye(n)
+    a[:n, n:] = jac.T
+    a[n:, :n] = jac
+    return a
 
-    d: np.ndarray
-    y: np.ndarray
-    lin_feas: float
 
+def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Direction d, multipliers y and ||J d + c||_inf from [[I, J^T], [J, 0]] (d, y) = -(g, c).
 
-class KktSystem:
-    """[[I, J^T], [J, 0]] for n variables and m constraints, its LU factors and right-hand sides.
-
-    The matrix and the two right-hand sides (-grad f, 0) and (-gbar, -c)
-    are allocated once, with views of their blocks: J and J^T in the
-    matrix, and the top (-g) and bottom (-c) parts of the right-hand
-    sides. update() writes a new J and c through those views and factors
-    once; multipliers() and step() then write -g through them and solve
-    against those factors for any number of gradients.
+    The step solve takes, for the (m, n) Jacobian J, gradient g and
+    constraint values c. Raises SingularMatrixError if J is (near-)rank
+    deficient.
     """
-
-    def __init__(self, n: int, m: int):
-        self._n = n
-        a = self._a = np.zeros((n + m, n + m))
-        a[:n, :n] = np.eye(n)
-        self._jac = a[n:, :n]
-        self._jac_t = a[:n, n:]
-        self._mult_rhs = np.zeros(n + m)
-        self._mult_top = self._mult_rhs[:n]
-        self._step_rhs = np.zeros(n + m)
-        self._step_top = self._step_rhs[:n]
-        self._neg_c = self._step_rhs[n:]
-        self._factors: Optional[LuFactors] = None
-
-    def update(self, jac: np.ndarray, c: np.ndarray, jac_max: float) -> None:
-        """Write J and c, then factor; raises SingularMatrixError if J is (near-)rank deficient.
-
-        jac_max is ||J||_max. The matrix's other entries are 1 and 0, so
-        its ||.||_max, the scale of the pivot floor, is max(1, ||J||_max).
-        """
-        self._jac_t[...] = jac.T
-        self._jac[...] = jac
-        np.negative(c, out=self._neg_c)
-        self._factors = lu_factor(self._a, max(1.0, jac_max))
-
-    def multipliers(self, g: np.ndarray) -> tuple[np.ndarray, float]:
-        """Multipliers y minimizing ||g + J^T y||_2, and ||g + J^T y||_inf.
-
-        The right-hand side (-g, 0) gives d + J^T y = -g and J d = 0, so y
-        minimizes ||g + J^T y||_2 and d = -(g + J^T y) is the residual
-        itself (the augmented-system method for linear least squares).
-        Unlike the normal equations J J^T y = -J g this forms no product
-        J J^T, so where the singular values of J are at least 1 the matrix
-        is conditioned like J, not like J J^T. Singular values below 1
-        still enter squared; Bjorck's scaled form, with alpha * I in place
-        of I and alpha near sigma_min(J), would avoid that at the price of
-        a factorization separate from the step's.
-        """
-        np.negative(g, out=self._mult_top)
-        z = self._factors.solve(self._mult_rhs)
-        n = self._n
-        return z[n:], max_abs(z[:n])
-
-    def step(self, g: np.ndarray) -> KktSolution:
-        """Direction d and multipliers y from [[I, J^T], [J, 0]] (d, y) = -(g, c)."""
-        np.negative(g, out=self._step_top)
-        z = self._factors.solve(self._step_rhs)
-        n = self._n
-        d = z[:n]
-        return KktSolution(d, z[n:], max_abs(self._jac.dot(d) - self._neg_c))
-
-
-def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
-    """One KktSystem.step for the (m, n) Jacobian J, gradient g and constraint values c.
-
-    Raises SingularMatrixError if J is (near-)rank deficient.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    g, c = np.asarray(g, dtype=np.float64), np.asarray(c, dtype=np.float64)
     jac = as_matrix(jac, (c.size, g.size), "J")
-    kkt = KktSystem(g.size, c.size)
-    kkt.update(jac, c, max_abs(jac))
-    return kkt.step(g)
+    a = _kkt_matrix(jac)
+    z = lu_factor(a, max_abs(a)).solve(np.concatenate((-g, -c)))
+    d = z[:g.size]
+    return d, z[g.size:], max_abs(jac.dot(d) + c)
 
 
 def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
@@ -279,11 +228,22 @@ def step_size_update(alpha: float, accepted: bool, gamma: float, alpha_max: floa
 
 
 def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
-    """KktSystem.multipliers for one J: (y, ||g + J^T y||_inf); J must have full row rank."""
-    jac = np.asarray(jac, dtype=np.float64)
-    kkt = KktSystem(jac.shape[1], jac.shape[0])
-    kkt.update(jac, np.zeros(jac.shape[0]), max_abs(jac))
-    return kkt.multipliers(np.asarray(g, dtype=np.float64))
+    """Multipliers y minimizing ||g + J^T y||_2, and ||g + J^T y||_inf, as solve takes them.
+
+    J must have full row rank. The right-hand side (-g, 0) gives
+    d + J^T y = -g and J d = 0, so y minimizes ||g + J^T y||_2 and
+    d = -(g + J^T y) is the residual itself (the augmented-system method
+    for linear least squares). Unlike the normal equations J J^T y = -J g
+    this forms no product J J^T, so where the singular values of J are at
+    least 1 the matrix is conditioned like J, not like J J^T. Singular
+    values below 1 still enter squared; Bjorck's scaled form, with
+    alpha * I in place of I and alpha near sigma_min(J), would avoid that
+    at the price of a factorization separate from the step's.
+    """
+    g, jac = np.asarray(g, dtype=np.float64), np.asarray(jac, dtype=np.float64)
+    a = _kkt_matrix(jac)
+    z = lu_factor(a, max_abs(a)).solve(np.concatenate((-g, np.zeros(jac.shape[0]))))
+    return z[g.size:], max_abs(z[:g.size])
 
 
 # A run log's first rows hold this many iterations, or the run's budget
@@ -393,26 +353,43 @@ def solve(
         propagate.
     """
     t_start = time.perf_counter()
-    # The run's KKT workspace (see the module docstring).
-    kkt = KktSystem(problem.n, problem.m)
+    n = problem.n
+    # The run's KKT workspace (see the module docstring): the matrix with
+    # views of its J and J^T blocks, and the right-hand sides (-grad f, 0)
+    # and (-gbar, -c) with views of their -g and -c parts.
+    kkt = _kkt_matrix(np.zeros((problem.m, n)))
+    jac_block, jac_t_block = kkt[n:, :n], kkt[:n, n:]
+    mult_rhs, step_rhs = np.zeros(len(kkt)), np.zeros(len(kkt))
+    mult_top, step_top, neg_c = mult_rhs[:n], step_rhs[:n], step_rhs[n:]
+    check_residuals = linalg._CHECK_RESIDUALS
 
-    oracle = StochasticOracle(problem.n, oracle_cfg)
+    oracle = StochasticOracle(n, oracle_cfg)
     eps_f, eps_g = oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise
     max_iters, tol_infeas, tol_kkt = params.max_iters, params.tol_infeas, params.tol_kkt
+    # Bound once per run. The helpers are read from this module's globals
+    # here, so a patch made before the run (the benchmark's tracer, the
+    # tests) is the one the run calls.
+    f_at, c_at, jac_at, grad_at = problem.f, problem.c, problem.jacobian, problem.grad_f
+    noisy_f, noisy_grad = oracle.noisy_f, oracle.noisy_grad
+    norm_max, trial_tau, cut_tau, reduction, accept, classify, next_alpha = (
+        max_abs, tau_trial, update_tau, model_reduction, acceptance_test, classify_iteration,
+        step_size_update)
+    isfinite, sqrt, add_reduce, absolute, negative = (
+        math.isfinite, math.sqrt, np.add.reduce, np.abs, np.negative)
 
     x = problem.x0.copy()
     alpha = ALPHA_MAX
     tau_bar = params.tau_init
     tau_floor = TAU_COLLAPSE_RTOL * tau_bar
-    logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(problem.n))
+    logs = np.empty(min(max_iters, RUN_LOG_CAPACITY), run_log_dtype(n))
     # A breakdown sets only reason, which makes the run a LINEAR_ALGEBRA_FAILURE.
     status: Optional[RunStatus] = None
     reason: Optional[str] = None
     # f and c at the current iterate: evaluated here for x0, then carried
     # over from the trial point of each accepted step.
-    f_exact = problem.f(x)
-    c_vec = problem.c(x)
-    c_l1 = float(np.add.reduce(np.abs(c_vec)))
+    f_exact = f_at(x)
+    c_vec = c_at(x)
+    c_l1 = float(add_reduce(absolute(c_vec)))
     # True until the exact quantities below describe the current x.
     moved = True
 
@@ -424,25 +401,34 @@ def solve(
             # infeas_inf and kkt_inf are the run's final metrics, None
             # where the evaluation broke down.
             infeas_inf = kkt_inf = None
-            jac = problem.jacobian(x)
-            g_exact = problem.grad_f(x)
-            c_max = max_abs(c_vec)
-            jac_max = max_abs(jac)
-            if not (
-                math.isfinite(c_max)
-                and math.isfinite(jac_max)
-                and math.isfinite(max_abs(g_exact))
-                and math.isfinite(f_exact)
-            ):
+            jac = jac_at(x)
+            g_exact = grad_at(x)
+            c_max = norm_max(c_vec)
+            jac_max = norm_max(jac)
+            if not (isfinite(c_max) and isfinite(jac_max) and isfinite(norm_max(g_exact))
+                    and isfinite(f_exact)):
                 reason = "non-finite problem evaluation at the current iterate"
                 break
             infeas_inf = c_max
+            # Write J, J^T and -c, factor once, and solve for the
+            # multipliers. The matrix's entries other than J's are 1 and 0,
+            # so its ||.||_max, the scale of the pivot floor, is
+            # max(1, ||J||_max).
+            jac_t_block[...] = jac.T
+            jac_block[...] = jac
+            negative(c_vec, out=neg_c)
+            scale = max(1.0, jac_max)
+            lu, piv, _ = linalg.dgetrf(kkt)
             try:
-                kkt.update(jac, c_vec, jac_max)
+                check_pivots(lu, scale)
             except SingularMatrixError:
                 reason = "constraint Jacobian is rank deficient"
                 break
-            _, kkt_inf = kkt.multipliers(g_exact)
+            negative(g_exact, out=mult_top)
+            z = linalg.dgetrs(lu, piv, mult_rhs)[0]
+            if check_residuals:
+                check_residual(kkt, scale, z, mult_rhs)
+            kkt_inf = norm_max(z[:n])
             moved = False
             if infeas_inf <= tol_infeas and kkt_inf <= tol_kkt:
                 status = RunStatus.CONVERGED
@@ -452,21 +438,26 @@ def solve(
             status = RunStatus.BUDGET_EXHAUSTED
             break
 
-        # Noisy gradient, KKT direction.
-        g_bar = oracle.noisy_grad(g_exact)
-        g_max = max_abs(g_bar)
-        if not math.isfinite(g_max):
+        # Noisy gradient, KKT direction (d, y) and ||J d + c||_inf.
+        g_bar = noisy_grad(g_exact)
+        g_max = norm_max(g_bar)
+        if not isfinite(g_max):
             reason = "non-finite noisy gradient"
             break
-        d, y, lin_feas = kkt.step(g_bar)
+        negative(g_bar, out=step_top)
+        z = linalg.dgetrs(lu, piv, step_rhs)[0]
+        if check_residuals:
+            check_residual(kkt, scale, z, step_rhs)
+        d, y = z[:n], z[n:]
+        lin_feas = norm_max(jac_block.dot(d) - neg_c)
         # The solve's rounding scales with its right-hand side (g_bar, c),
         # and J d's own with ||J||_max ||d||_1, a bound on each |(J d)_i|.
         # That term is taken only where the first bound fails, and only
         # when finite, so an overflowed solve keeps its reason. Negated,
         # so that a NaN fails the test.
         if not (lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + max(infeas_inf, g_max))):
-            jd_bound = jac_max * float(np.add.reduce(np.abs(d)))
-            if not (math.isfinite(jd_bound)
+            jd_bound = jac_max * float(add_reduce(absolute(d)))
+            if not (isfinite(jd_bound)
                     and lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + jd_bound)):
                 reason = f"inaccurate KKT solve: ||J d + c||_inf = {lin_feas:g}"
                 break
@@ -477,14 +468,14 @@ def solve(
         # would then compare inf with inf.
         dd = float(d.dot(d))
         cy = float(c_vec.dot(y))
-        if not (math.isfinite(dd) and math.isfinite(cy)):
+        if not (isfinite(dd) and isfinite(cy)):
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
-        tau_bar = update_tau(tau_bar, tau_trial(cy, c_l1, SIGMA), EPS_TAU)
+        tau_bar = cut_tau(tau_bar, trial_tau(cy, c_l1, SIGMA), EPS_TAU)
         if tau_bar <= tau_floor:
             reason = f"merit parameter collapsed to {tau_bar!r}"
             break
-        delta_l = model_reduction(tau_bar, cy - dd, c_l1)
+        delta_l = reduction(tau_bar, cy - dd, c_l1)
         bound = tau_bar * dd + SIGMA * c_l1
         if not (delta_l >= bound - MODEL_REDUCTION_SLACK * max(1.0, abs(delta_l), bound)):
             raise InvariantViolationError(
@@ -496,26 +487,19 @@ def solve(
         # step is rejected; a -inf one is accepted and ends the run at
         # the new iterate's finiteness check.
         x_plus = x + alpha * d
-        f_plus = problem.f(x_plus)
-        c_plus = problem.c(x_plus)
-        f_bar_current = oracle.noisy_f(f_exact)
-        f_bar_trial = oracle.noisy_f(f_plus)
-        c_plus_l1 = float(np.add.reduce(np.abs(c_plus)))
+        f_plus = f_at(x_plus)
+        c_plus = c_at(x_plus)
+        f_bar_current = noisy_f(f_exact)
+        f_bar_trial = noisy_f(f_plus)
+        c_plus_l1 = float(add_reduce(absolute(c_plus)))
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
-        accepted = acceptance_test(
-            phi_bar_trial, phi_bar_current, alpha, THETA, delta_l, tau_bar, eps_f
-        )
+        accepted = accept(phi_bar_trial, phi_bar_current, alpha, THETA, delta_l, tau_bar, eps_f)
 
         g_err = g_bar - g_exact
-        true_iter = classify_iteration(
-            math.sqrt(g_err.dot(g_err)),
-            abs(f_bar_current - f_exact) + abs(f_bar_trial - f_plus),
-            alpha,
-            delta_l,
-            eps_g,
-            eps_f,
-        )
+        true_iter = classify(sqrt(g_err.dot(g_err)),
+                             abs(f_bar_current - f_exact) + abs(f_bar_trial - f_plus),
+                             alpha, delta_l, eps_g, eps_f)
         if k == len(logs):
             logs = np.concatenate((logs, np.empty_like(logs)))
         logs[k] = (k, x, d, g_bar, alpha, tau_bar, delta_l, phi_bar_current, phi_bar_trial,
@@ -525,7 +509,7 @@ def solve(
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
-        alpha = step_size_update(alpha, accepted, GAMMA, ALPHA_MAX)
+        alpha = next_alpha(alpha, accepted, GAMMA, ALPHA_MAX)
         k += 1
 
     if len(logs) > k:

@@ -243,8 +243,8 @@ def test_ac6_kkt_solver_matches_explicit_inversion():
             continue
         rhs = np.concatenate([-g, -c])
         expected = gauss_jordan_inverse(kkt) @ rhs
-        sol = solve_kkt(jac, g, c)
-        z = np.concatenate([sol.d, sol.y])
+        d, y, _ = solve_kkt(jac, g, c)
+        z = np.concatenate([d, y])
         np.testing.assert_allclose(z, expected, rtol=1e-8, atol=1e-8)
         residual = float(np.max(np.abs(kkt @ z - rhs)))
         assert residual <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))

@@ -4,7 +4,9 @@ A mutant is one exact replacement in one function's source, taken with
 inspect.getsource. The text it replaces must occur exactly once, so an
 edit that removes or repeats it fails here and the catalogue has to
 follow. The mutated function is compiled against a copy of sqp's
-namespace and patched into sqp, where solve looks it up.
+namespace and patched in where the checks look it up: a step-rule
+helper into sqp, where solve looks it up, and solve itself into sqp and
+bench.
 
 Each mutant must be killed by each check in KILLERS, run on SLICE (the
 first 40 default-grid cells of qp10) in order until a cell fails it:
@@ -30,7 +32,7 @@ import pytest
 from reference import assert_matches_reference
 from test_acceptance import check_ac3_cell
 
-from stepsqp import sqp
+from stepsqp import bench, sqp
 from stepsqp.bench import ExperimentGrid, grid_cells
 from stepsqp.problems import get_problem
 
@@ -61,7 +63,15 @@ MUTANTS = [
            "return tau_bar\n", "return min(trial, tau_bar / (1.0 - eps_tau))\n"),
     Mutant("strict Armijo", "acceptance_test",
            "phi_trial <= phi_current", "phi_trial < phi_current"),
+    Mutant("reused value sample", "solve",
+           "tau_bar * f_bar_trial + c_plus_l1", "tau_bar * f_bar_current + c_plus_l1"),
+    Mutant("φ_trial·(1 + 1e-15)", "solve",
+           "tau_bar * f_bar_trial + c_plus_l1", "(tau_bar * f_bar_trial + c_plus_l1) * (1.0 + 1e-15)"),
 ]
+
+# The modules whose globals the checks reach a mutated function through:
+# run_cell, which AC3 calls, finds solve as a bench global.
+LOOKED_UP_IN = {"solve": (sqp, bench)}
 
 
 def ac3_failure(cell):
@@ -93,7 +103,8 @@ def kills():
         mutated = mutant.compile()
         for killer, check in KILLERS.items():
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sqp, mutant.function, mutated)
+                for module in LOOKED_UP_IN.get(mutant.function, (sqp,)):
+                    patch.setattr(module, mutant.function, mutated)
                 kill = next(((cell, how) for cell in SLICE if (how := check(cell))), None)
             if kill is not None:
                 unmutated = check(kill[0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from reference import assert_matches_reference
 
-from stepsqp import sqp
+from stepsqp import linalg, sqp
 from stepsqp.bench import CSV_COLUMNS, ExperimentGrid, GridCell
 from stepsqp.oracles import OracleConfig, derive_stream
 from stepsqp.problems import Problem, get_problem, problem_names
@@ -213,8 +213,8 @@ class TestExactEvaluationReuse:
         record = solve(problem, params=SolverParams(max_iters=60), oracle_cfg=NOISY)
         assert len(record.iterations) == 60
         for log in record.iterations:
-            ref = solve_kkt(problem.jacobian(log.x), log.g_bar, problem.c(log.x))
-            np.testing.assert_array_equal(log.d, ref.d)
+            d, _, _ = solve_kkt(problem.jacobian(log.x), log.g_bar, problem.c(log.x))
+            np.testing.assert_array_equal(log.d, d)
 
 
 class TestReproducibility:
@@ -419,12 +419,20 @@ class TestFailurePaths:
         assert record.zeroth_calls == 2 * len(record.iterations)
 
     def test_nan_linearized_feasibility_fails_the_run(self, monkeypatch):
-        step = sqp.KktSystem.step
+        # The first solve of a run is x0's multipliers, the second its
+        # first step, whose d is made NaN and with it ||J d + c||_inf.
+        linalg.load_lapack()
+        dgetrs = linalg.dgetrs
+        calls = []
 
-        def nan_residual(self, g):
-            return step(self, g)._replace(lin_feas=math.nan)
+        def nan_step(lu, piv, b):
+            z, info = dgetrs(lu, piv, b)
+            calls.append(1)
+            if len(calls) == 2:
+                z[:] = math.nan
+            return z, info
 
-        monkeypatch.setattr(sqp.KktSystem, "step", nan_residual)
+        monkeypatch.setattr(linalg, "dgetrs", nan_step)
         record = solve(get_problem("hs6"), oracle_cfg=NOISY)
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason.startswith("inaccurate KKT solve")

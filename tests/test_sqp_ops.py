@@ -29,10 +29,10 @@ class TestSolveKkt:
     def test_projection_step(self):
         # H=I, J=[1 1], g=0, c=(-2):
         # row 1: d = -J'y, row 2: Jd = 2, so -2y = 2, y = -1, d = (1, 1).
-        sol = solve_kkt([[1.0, 1.0]], [0.0, 0.0], [-2.0])
-        np.testing.assert_allclose(sol.d, [1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(sol.y, [-1.0], atol=1e-14)
-        z = np.concatenate([sol.d, sol.y])
+        d, y, _ = solve_kkt([[1.0, 1.0]], [0.0, 0.0], [-2.0])
+        np.testing.assert_allclose(d, [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(y, [-1.0], atol=1e-14)
+        z = np.concatenate([d, y])
         kkt = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
         assert np.max(np.abs(kkt @ z - [0.0, 0.0, 2.0])) <= 1e-12
 
@@ -44,11 +44,11 @@ class TestSolveKkt:
             jac = rng.standard_normal((m, n))
             g = rng.standard_normal(n)
             c = rng.standard_normal(m)
-            sol = solve_kkt(jac, g, c)
-            np.testing.assert_allclose(jac @ sol.d, -c, atol=1e-9)
-            np.testing.assert_allclose(sol.d + jac.T @ sol.y, -g, atol=1e-9)
+            d, y, _ = solve_kkt(jac, g, c)
+            np.testing.assert_allclose(jac @ d, -c, atol=1e-9)
+            np.testing.assert_allclose(d + jac.T @ y, -g, atol=1e-9)
             # The identity the merit rule relies on: g'd + d'd = c'y.
-            assert c @ sol.y == pytest.approx(g @ sol.d + sol.d @ sol.d, rel=1e-9, abs=1e-9)
+            assert c @ y == pytest.approx(g @ d + d @ d, rel=1e-9, abs=1e-9)
 
     def test_zero_jacobian_row_is_singular(self):
         with pytest.raises(SingularMatrixError):
@@ -70,10 +70,10 @@ class TestMeritParameter:
         # is unbounded rather than 0.
         g = np.array([0.1, 1.1])
         c = np.zeros(1)
-        sol = solve_kkt([[1.0, 1.0]], g, c)
-        assert float(g @ sol.d) + float(sol.d @ sol.d) > 0.0
-        assert float(c @ sol.y) == 0.0
-        assert tau_trial(float(c @ sol.y), 0.0, 0.1) == math.inf
+        d, y, _ = solve_kkt([[1.0, 1.0]], g, c)
+        assert float(g @ d) + float(d @ d) > 0.0
+        assert float(c @ y) == 0.0
+        assert tau_trial(float(c @ y), 0.0, 0.1) == math.inf
 
     def test_tau_trial_exact_zero_denominator(self):
         assert tau_trial(0.0, 1.0, 0.1) == math.inf
