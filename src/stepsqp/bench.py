@@ -406,7 +406,7 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
     one is an unfinished grid. Files are the same whatever jobs, the
     worker-process count, is.
     """
-    if not isinstance(jobs, int) or jobs < 1:
+    if not is_int(jobs) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     t_start = time.perf_counter()
     out_dir = _start_grid_dir(out_dir)

@@ -2,12 +2,12 @@
 
 Everything here operates on float64 numpy arrays sized for desk-scale
 problems (a few hundred unknowns at most). LU factorizations are made
-by LAPACK ``getrf`` and returned as :class:`LuFactors`, so a caller that
-solves several right-hand sides against one matrix factors it once.
-Every factorization passes the pivot floor of :func:`check_pivots`, so
-that near-singular systems fail loudly instead of returning garbage.
-The SQP loop calls ``dgetrf``, :func:`check_pivots`, ``dgetrs`` and the
-residual self-check itself, on the KKT matrix it keeps.
+by LAPACK ``getrf``, and every one passes the pivot floor of
+:func:`check_pivots`, so that near-singular systems fail loudly instead
+of returning garbage. :func:`lu_solve` is the one-shot solve: factor,
+pivot floor, ``getrs``, residual self-check. The SQP loop calls
+``dgetrf``, :func:`check_pivots`, ``dgetrs`` and the residual self-check
+itself, on the KKT matrix it keeps.
 
 LAPACK comes from SciPy, whose import costs about as much as the rest of
 the package's start-up. It is loaded at the first factorization (or by
@@ -18,7 +18,6 @@ never load SciPy.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,22 +128,6 @@ def check_residual(a: np.ndarray, scale: float, x: np.ndarray, b: np.ndarray) ->
         raise AssertionError(f"solve residual {res:g} exceeds bound {bound:g}")
 
 
-class LuFactors(NamedTuple):
-    """LU factors of the square matrix a, kept with a and its ||A||_max for residual checks."""
-
-    a: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
-    scale: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve a x = b for one right-hand side of length a.shape[0]."""
-        x, _ = dgetrs(self.lu, self.piv, b)
-        if _CHECK_RESIDUALS:
-            check_residual(self.a, self.scale, x, b)
-        return x
-
-
 def check_pivots(lu: np.ndarray, scale: float) -> None:
     """The pivot floor, applied to the LU factors lu that getrf made of a matrix A.
 
@@ -169,21 +152,12 @@ def check_pivots(lu: np.ndarray, scale: float) -> None:
         )
 
 
-def lu_factor(a: np.ndarray, scale: float) -> LuFactors:
-    """Factor a square float64 matrix by LU with partial pivoting.
-
-    scale is ||A||_max; raises SingularMatrixError where check_pivots does.
-    """
-    lu, piv, _ = dgetrf(a)
-    check_pivots(lu, scale)
-    return LuFactors(a, lu, piv, scale)
-
-
 def lu_solve(a, b) -> np.ndarray:
     """Solve A x = b for one right-hand side by LU with partial pivoting.
 
     A zero right-hand side returns exact zeros. Raises SingularMatrixError
-    if any pivot magnitude falls below 1e-14 * ||A||_max.
+    where check_pivots does, with scale ||A||_max, and runs the residual
+    self-check while _CHECK_RESIDUALS is on.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -192,7 +166,13 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
-    return lu_factor(a, max_abs(a)).solve(b)
+    scale = max_abs(a)
+    lu, piv, _ = dgetrf(a)
+    check_pivots(lu, scale)
+    x, _ = dgetrs(lu, piv, b)
+    if _CHECK_RESIDUALS:
+        check_residual(a, scale, x, b)
+    return x
 
 
 def cholesky_solve(a, b) -> np.ndarray:

@@ -75,10 +75,7 @@ from .linalg import (
     as_matrix,
     check_pivots,
     check_residual,
-    lu_factor,
-    # lu_solve stays importable here: perfbench/workloads.py traces it
-    # (and max_abs) as sqp attributes.
-    lu_solve,  # noqa: F401
+    lu_solve,
     max_abs,
 )
 from .oracles import OracleConfig, StochasticOracle, is_finite, is_int, require_numbers
@@ -87,7 +84,8 @@ from .problems import Problem
 # The step rule's constants, fixed inputs of the method: the model
 # reduction factor sigma, the merit parameter's cut factor eps_tau, the
 # Armijo factor theta and the step-size factor gamma, each in (0, 1), and
-# the step-size cap alpha_max in (0, 1].
+# the step-size cap alpha_max in (0, 1]. The step-rule helpers below read
+# them here.
 SIGMA = 0.1
 EPS_TAU = 1e-2
 THETA = 1e-4
@@ -167,8 +165,7 @@ def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray
     """
     g, c = np.asarray(g, dtype=np.float64), np.asarray(c, dtype=np.float64)
     jac = as_matrix(jac, (c.size, g.size), "J")
-    a = _kkt_matrix(jac)
-    z = lu_factor(a, max_abs(a)).solve(np.concatenate((-g, -c)))
+    z = lu_solve(_kkt_matrix(jac), np.concatenate((-g, -c)))
     d = z[:g.size]
     return d, z[g.size:], max_abs(jac.dot(d) + c)
 
@@ -178,53 +175,52 @@ def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
     return -tau_bar * gd + c_l1
 
 
-def tau_trial(cy: float, c_l1: float, sigma: float) -> float:
+def tau_trial(cy: float, c_l1: float) -> float:
     """Largest penalty parameter keeping the model reduction adequate.
 
     For a KKT direction the rule's denominator g'd + d'd (model Hessian
     H = I) equals cy = c'y. Returns math.inf when c'y <= 0, in which
-    case any positive parameter is adequate, else (1 - sigma) ||c||_1 / c'y.
+    case any positive parameter is adequate, else (1 - SIGMA) ||c||_1 / c'y.
     Since c'y <= ||c||_1 ||y||_inf, a finite value is at least
-    (1 - sigma) / ||y||_inf.
+    (1 - SIGMA) / ||y||_inf.
     """
     if cy <= 0.0:
         return math.inf
-    return (1.0 - sigma) * c_l1 / cy
+    return (1.0 - SIGMA) * c_l1 / cy
 
 
-def update_tau(tau_bar: float, trial: float, eps_tau: float) -> float:
+def update_tau(tau_bar: float, trial: float) -> float:
     """Keep tau_bar if it does not exceed the trial value, else cut it.
 
-    A change lands at min((1 - eps_tau) * tau_bar, trial), so the
+    A change lands at min((1 - EPS_TAU) * tau_bar, trial), so the
     parameter never increases and any decrease is by a factor of at
-    least (1 - eps_tau).
+    least (1 - EPS_TAU).
     """
     if tau_bar <= trial:
         return tau_bar
-    return min((1.0 - eps_tau) * tau_bar, trial)
+    return min((1.0 - EPS_TAU) * tau_bar, trial)
 
 
 def acceptance_test(
     phi_trial: float,
     phi_current: float,
     alpha: float,
-    theta: float,
     delta_l: float,
     tau_bar: float,
     eps_f: float,
 ) -> bool:
-    """Noise-relaxed sufficient decrease on the sampled merit (non-strict).
+    """Noise-relaxed sufficient decrease on the sampled merit (non-strict), Armijo factor THETA.
 
     A NaN or +inf phi_trial fails it, so such a trial point is rejected.
     """
-    return phi_trial <= phi_current - alpha * theta * delta_l + 2.0 * tau_bar * eps_f
+    return phi_trial <= phi_current - alpha * THETA * delta_l + 2.0 * tau_bar * eps_f
 
 
-def step_size_update(alpha: float, accepted: bool, gamma: float, alpha_max: float) -> float:
-    """Grow alpha by 1/gamma (capped) on acceptance, shrink by gamma otherwise."""
+def step_size_update(alpha: float, accepted: bool) -> float:
+    """Grow alpha by 1/GAMMA (capped at ALPHA_MAX) on acceptance, shrink by GAMMA otherwise."""
     if accepted:
-        return min(alpha_max, alpha / gamma)
-    return gamma * alpha
+        return min(ALPHA_MAX, alpha / GAMMA)
+    return GAMMA * alpha
 
 
 def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
@@ -241,8 +237,7 @@ def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarra
     at the price of a factorization separate from the step's.
     """
     g, jac = np.asarray(g, dtype=np.float64), np.asarray(jac, dtype=np.float64)
-    a = _kkt_matrix(jac)
-    z = lu_factor(a, max_abs(a)).solve(np.concatenate((-g, np.zeros(jac.shape[0]))))
+    z = lu_solve(_kkt_matrix(jac), np.concatenate((-g, np.zeros(jac.shape[0]))))
     return z[g.size:], max_abs(z[:g.size])
 
 
@@ -471,7 +466,7 @@ def solve(
         if not (isfinite(dd) and isfinite(cy)):
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
-        tau_bar = cut_tau(tau_bar, trial_tau(cy, c_l1, SIGMA), EPS_TAU)
+        tau_bar = cut_tau(tau_bar, trial_tau(cy, c_l1))
         if tau_bar <= tau_floor:
             reason = f"merit parameter collapsed to {tau_bar!r}"
             break
@@ -494,7 +489,7 @@ def solve(
         c_plus_l1 = float(add_reduce(absolute(c_plus)))
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
-        accepted = accept(phi_bar_trial, phi_bar_current, alpha, THETA, delta_l, tau_bar, eps_f)
+        accepted = accept(phi_bar_trial, phi_bar_current, alpha, delta_l, tau_bar, eps_f)
 
         g_err = g_bar - g_exact
         true_iter = classify(sqrt(g_err.dot(g_err)),
@@ -509,7 +504,7 @@ def solve(
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
-        alpha = next_alpha(alpha, accepted, GAMMA, ALPHA_MAX)
+        alpha = next_alpha(alpha, accepted)
         k += 1
 
     if len(logs) > k:

@@ -614,9 +614,11 @@ class TestRunGrid:
         assert _summary_without_wall_times(serial) == _summary_without_wall_times(threaded)
 
     def test_bad_jobs_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="jobs"):
-            run_grid(SMALL_GRID, out_dir=tmp_path, jobs=0)
-        assert list(tmp_path.iterdir()) == []
+        # bool is an int subclass; True must not pass for 1 worker.
+        for jobs in (0, True):
+            with pytest.raises(ValueError, match="jobs"):
+                run_grid(SMALL_GRID, out_dir=tmp_path, jobs=jobs)
+            assert list(tmp_path.iterdir()) == []
 
     def test_a_grid_that_stops_leaves_no_summary(self, tmp_path, monkeypatch):
         # The directory holds another grid's whole output; the new grid

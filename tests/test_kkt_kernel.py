@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepsqp import linalg
-from stepsqp.linalg import SingularMatrixError, check_pivots, lu_factor, max_abs
+from stepsqp.linalg import SingularMatrixError, check_pivots, lu_solve, max_abs
 from stepsqp.oracles import OracleConfig
 from stepsqp.problems import get_problem
 from stepsqp.sqp import SolverParams, least_squares_multipliers, solve, solve_kkt
@@ -130,10 +130,10 @@ class TestKktKernel:
             scale = max(1.0, max_abs(jac))
             assert np.float64(scale).view(np.uint64) == np.float64(max_abs(a)).view(np.uint64)
             # solve's pivot floor refuses exactly the matrices the helpers'
-            # lu_factor refuses, with the same message.
+            # lu_solve refuses, with the same message.
             lu, _, _ = linalg.dgetrf(a)
             try:
-                lu_factor(a, max_abs(a))
+                lu_solve(a, np.zeros(n + m))
             except SingularMatrixError as exc:
                 with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
                     check_pivots(lu, scale)

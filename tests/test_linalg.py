@@ -17,8 +17,8 @@ from stepsqp.linalg import (
     SingularMatrixError,
     as_matrix,
     as_vector,
+    check_residual,
     cholesky_solve,
-    lu_factor,
     lu_solve,
     max_abs,
     require_symmetric,
@@ -143,56 +143,49 @@ class TestLuSolve:
 
 
 class TestLuFactor:
-    def test_factors_serve_several_right_hand_sides(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-        factors = lu_factor(a, max_abs(a))
-        for _ in range(3):
-            b = rng.standard_normal(6)
-            np.testing.assert_array_equal(factors.solve(b), lu_solve(a, b))
+    """The checks around lu_solve's factorization: check_pivots and check_residual."""
 
     def test_singular_raises_with_pivot_message(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]), 4.0)
+            lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
         with pytest.raises(SingularMatrixError, match="identically zero"):
-            lu_factor(np.zeros((2, 2)), 0.0)
+            lu_solve(np.zeros((2, 2)), [1.0, 1.0])
 
     def test_nan_matrix_fails_the_pivot_floor(self):
         # A NaN pivot or scale must not pass the floor test silently.
         with pytest.raises(SingularMatrixError, match="pivot nan"):
-            nan_matrix = np.array([[np.nan, 1.0], [1.0, 2.0]])
-            lu_factor(nan_matrix, max_abs(nan_matrix))
+            lu_solve(np.array([[np.nan, 1.0], [1.0, 2.0]]), [1.0, 1.0])
 
     def test_solve_checks_its_residual(self, monkeypatch):
-        # Factors paired with a different matrix cannot solve it: the
+        # Factors of a different matrix cannot solve this one: the
         # residual self-check must notice.
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        mismatched = lu_factor(a, max_abs(a))._replace(a=2.0 * a)
+        linalg.load_lapack()
+        dgetrf = linalg.dgetrf
+        monkeypatch.setattr(linalg, "dgetrf", lambda a: dgetrf(2.0 * a))
         monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
         with pytest.raises(AssertionError, match="residual"):
-            mismatched.solve(np.array([5.0, 10.0]))
+            lu_solve(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
 
-    def test_residual_check_fails_a_nan_residual(self, monkeypatch):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        nan_paired = lu_factor(a, max_abs(a))._replace(a=np.full((2, 2), np.nan))
-        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+    def test_residual_check_fails_a_nan_residual(self):
         with pytest.raises(AssertionError, match="residual nan"):
-            nan_paired.solve(np.array([5.0, 10.0]))
+            check_residual(np.full((2, 2), np.nan), 3.0, np.array([1.0, 3.0]),
+                           np.array([5.0, 10.0]))
 
     def test_residual_check_leaves_an_overflowed_solution_to_the_caller(self, monkeypatch):
         # The pivot 1e-13 passes the floor 1e-14, and 1e300 / 1e-13 overflows.
-        a = np.diag([1.0, 1e-13])
         monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
-        x = lu_factor(a, max_abs(a)).solve(np.array([1.0, 1e300]))
+        x = lu_solve(np.diag([1.0, 1e-13]), np.array([1.0, 1e300]))
         assert x[1] == math.inf
 
-    def test_residual_check_uses_the_pivot_scale_it_was_factored_with(self, monkeypatch):
-        # A scale far above ||A||_max widens the bound enough to pass the
-        # mismatched factors of test_solve_checks_its_residual.
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        mismatched = lu_factor(a, max_abs(a))._replace(a=2.0 * a, scale=1e12)
-        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
-        np.testing.assert_allclose(mismatched.solve(np.array([5.0, 10.0])), [1.0, 3.0])
+    def test_residual_check_uses_the_pivot_scale_it_was_factored_with(self):
+        # (1, 3) solves [[2, 1], [1, 3]] x = (5, 10), not twice that
+        # matrix: the residual fails the bound at that matrix's ||A||_max
+        # and passes it at a scale far above.
+        a = 2.0 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        b, x = np.array([5.0, 10.0]), np.array([1.0, 3.0])
+        with pytest.raises(AssertionError, match="residual"):
+            check_residual(a, max_abs(a), x, b)
+        check_residual(a, 1e12, x, b)
 
 
 class TestCholeskySolve:

@@ -114,7 +114,7 @@ class TestTrajectoryInvariants:
         logs = record.iterations
         assert logs[0].alpha == sqp.ALPHA_MAX
         for prev, nxt in zip(logs, logs[1:]):
-            expected = step_size_update(prev.alpha, prev.accepted, sqp.GAMMA, sqp.ALPHA_MAX)
+            expected = step_size_update(prev.alpha, prev.accepted)
             assert nxt.alpha == expected
             assert 0.0 < nxt.alpha <= sqp.ALPHA_MAX
 

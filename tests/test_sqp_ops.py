@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from stepsqp.linalg import SingularMatrixError, max_abs
 from stepsqp.sqp import (
+    EPS_TAU,
+    SIGMA,
     SolverParams,
     acceptance_test,
     classify_iteration,
@@ -58,10 +60,10 @@ class TestSolveKkt:
 class TestMeritParameter:
     def test_tau_trial_hand_value(self):
         # c'y = 2, ||c||_1 = 2: (1 - 0.1) * 2 / 2 = 0.9.
-        assert tau_trial(2.0, 2.0, 0.1) == pytest.approx(0.9, abs=1e-15)
+        assert tau_trial(2.0, 2.0) == pytest.approx(0.9, abs=1e-15)
 
     def test_tau_trial_nonpositive_denominator_is_unbounded(self):
-        assert tau_trial(-1.0, 2.0, 0.1) == math.inf
+        assert tau_trial(-1.0, 2.0) == math.inf
 
     def test_tau_trial_cancellation_noise_reads_as_nonpositive(self):
         # A feasible point: J = [1 1], g = (0.1, 1.1), c = 0 give
@@ -73,21 +75,21 @@ class TestMeritParameter:
         d, y, _ = solve_kkt([[1.0, 1.0]], g, c)
         assert float(g @ d) + float(d @ d) > 0.0
         assert float(c @ y) == 0.0
-        assert tau_trial(float(c @ y), 0.0, 0.1) == math.inf
+        assert tau_trial(float(c @ y), 0.0) == math.inf
 
     def test_tau_trial_exact_zero_denominator(self):
-        assert tau_trial(0.0, 1.0, 0.1) == math.inf
+        assert tau_trial(0.0, 1.0) == math.inf
 
     def test_update_tau_keeps_small_parameter(self):
-        assert update_tau(0.1, math.inf, 1e-2) == 0.1
-        assert update_tau(0.1, 0.1, 1e-2) == 0.1
+        assert update_tau(0.1, math.inf) == 0.1
+        assert update_tau(0.1, 0.1) == 0.1
 
     def test_update_tau_cuts_by_at_least_the_factor(self):
         # trial just below tau: lands on (1 - eps_tau) * tau.
-        assert update_tau(0.1, 0.0995, 1e-2) == pytest.approx(0.099, abs=1e-15)
+        assert update_tau(0.1, 0.0995) == pytest.approx(0.099, abs=1e-15)
         # trial far below: lands on the trial itself.
-        assert update_tau(0.1, 0.05, 1e-2) == 0.05
-        assert update_tau(0.1, 0.0, 1e-2) == 0.0
+        assert update_tau(0.1, 0.05) == 0.05
+        assert update_tau(0.1, 0.0) == 0.0
 
     def test_model_reduction_hand_values(self):
         # -0.1 * (2 * -1) + 3 = 3.2 and -0.5 * (2 * 2) + 0 = -2.
@@ -106,38 +108,36 @@ class TestMeritParameterProperties:
     @given(
         tau_bar=_magnitudes,
         trial=st.one_of(st.just(0.0), _magnitudes, st.just(math.inf)),
-        eps_tau=st.floats(min_value=1e-6, max_value=0.999),
     )
-    def test_update_tau_never_grows_and_cuts_by_the_factor(self, tau_bar, trial, eps_tau):
-        updated = update_tau(tau_bar, trial, eps_tau)
+    def test_update_tau_never_grows_and_cuts_by_the_factor(self, tau_bar, trial):
+        updated = update_tau(tau_bar, trial)
         assert updated <= tau_bar
         if updated < tau_bar:
-            assert updated <= (1.0 - eps_tau) * tau_bar
+            assert updated <= (1.0 - EPS_TAU) * tau_bar
 
     @settings(max_examples=300, derandomize=True, database=None)
     @given(
         c=st.lists(_signed, min_size=1, max_size=4),
         y=st.lists(_signed, min_size=1, max_size=4),
-        sigma=st.floats(min_value=1e-3, max_value=0.999),
     )
-    def test_tau_trial_is_bounded_below_by_the_multipliers(self, c, y, sigma):
+    def test_tau_trial_is_bounded_below_by_the_multipliers(self, c, y):
         # c'y <= ||c||_1 ||y||_inf, so a finite trial is at least
-        # (1 - sigma) / ||y||_inf: tau can only collapse through
+        # (1 - SIGMA) / ||y||_inf: tau can only collapse through
         # unbounded multipliers.
         size = min(len(c), len(y))
         c, y = np.array(c[:size]), np.array(y[:size])
         cy = float(c @ y)
-        value = tau_trial(cy, float(np.sum(np.abs(c))), sigma)
+        value = tau_trial(cy, float(np.sum(np.abs(c))))
         if cy <= 0.0:
             assert value == math.inf
             return
-        assert value >= (1.0 - sigma) / float(np.max(np.abs(y))) * (1.0 - 1e-12)
+        assert value >= (1.0 - SIGMA) / float(np.max(np.abs(y))) * (1.0 - 1e-12)
 
 
 class TestAcceptance:
     def test_exact_armijo_cases(self):
         # threshold = 10 - 0.5 * 1e-4 * 2 = 9.9999.
-        common = dict(phi_current=10.0, alpha=0.5, theta=1e-4, delta_l=2.0, tau_bar=0.1, eps_f=0.0)
+        common = dict(phi_current=10.0, alpha=0.5, delta_l=2.0, tau_bar=0.1, eps_f=0.0)
         assert acceptance_test(phi_trial=9.0, **common)
         assert acceptance_test(phi_trial=9.9999, **common)  # non-strict boundary
         assert not acceptance_test(phi_trial=9.99990000001, **common)
@@ -148,17 +148,16 @@ class TestAcceptance:
             phi_trial=10.005,
             phi_current=10.0,
             alpha=0.5,
-            theta=1e-4,
             delta_l=2.0,
             tau_bar=0.1,
             eps_f=0.05,
         )
 
     def test_step_size_update(self):
-        assert step_size_update(0.25, True, 0.5, 1.0) == 0.5
-        assert step_size_update(0.25, False, 0.5, 1.0) == 0.125
-        assert step_size_update(1.0, True, 0.5, 1.0) == 1.0  # capped
-        assert step_size_update(0.75, True, 0.5, 1.0) == 1.0  # cap binds mid-range
+        assert step_size_update(0.25, True) == 0.5
+        assert step_size_update(0.25, False) == 0.125
+        assert step_size_update(1.0, True) == 1.0  # capped
+        assert step_size_update(0.75, True) == 1.0  # cap binds mid-range
 
 
 class TestMultipliers:
