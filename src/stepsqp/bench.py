@@ -668,7 +668,9 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
     With several directories, solver labels are prefixed by the
     directory name so that separately produced campaigns can be
     compared on their common instances; instances that some directory
-    lacks are left out. A deterministic run covers the replicates of
+    lacks are left out. A directory's name is the last part of its
+    absolute path, symlinks unresolved, so "." is named after the
+    working directory. A deterministic run covers the replicates of
     its own directory only.
 
     Raises
@@ -682,8 +684,9 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
         raise ValueError("no run directories given")
     run_dirs = [Path(d) for d in run_dirs]
     prefix_labels = len(run_dirs) > 1
-    if (name := _repeated(d.name for d in run_dirs)) is not None:
-        clash = ", ".join(str(d) for d in run_dirs if d.name == name)
+    names = [Path(os.path.abspath(d)).name for d in run_dirs]
+    if (name := _repeated(names)) is not None:
+        clash = ", ".join(str(d) for d, d_name in zip(run_dirs, names) if d_name == name)
         raise ValueError(f"run directories {clash} share the name {name!r}")
     loaded = [load_run_trajectories(d) for d in run_dirs]
     params = loaded[0][0].params
@@ -693,8 +696,8 @@ def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProf
             raise ValueError(f"run directories {run_dirs[0]} and {run_dir} differ in "
                              f"grid.params (first differing key: {differ[0]})")
     tables = [
-        _run_table(grid.replicates, runs, f"{d.name}__" if prefix_labels else "")
-        for d, (grid, runs) in zip(run_dirs, loaded)
+        _run_table(grid.replicates, runs, f"{name}__" if prefix_labels else "")
+        for name, (grid, runs) in zip(names, loaded)
     ]
     common = set.intersection(*({instance for _, instance in table} for table in tables))
     if not common:

@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: run (solve one problem), bench (run a noise grid),
-profile (rebuild performance profiles from grid outputs), check-grad
-(finite-difference derivative checks), list-problems.
+profile (rebuild performance profiles from grid outputs), list-problems.
 
 Configuration comes from an optional JSON file with flat sections
 "solver", "oracle" and "grid", amended by repeatable --set
@@ -16,13 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 from .bench import (
     ExperimentGrid,
@@ -38,7 +34,6 @@ from .oracles import OracleConfig
 from .problems import (
     Problem,
     UnknownProblemError,
-    check_gradients,
     get_problem,
     load_qp_json,
     problem_names,
@@ -180,15 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--out", metavar="DIR", default="profiles", help="output directory")
     p_prof.set_defaults(handler=_cmd_profile)
 
-    p_check = sub.add_parser("check-grad", help="finite-difference derivative checks")
-    p_check.add_argument(
-        "problem",
-        nargs="?",
-        default=None,
-        help="registry name or QP JSON path (default: every registered problem)",
-    )
-    p_check.set_defaults(handler=_cmd_check_grad)
-
     sub.add_parser("list-problems", help="list registered problems").set_defaults(
         handler=_cmd_list_problems
     )
@@ -287,40 +273,6 @@ def _cmd_profile(args) -> int:
     write_profile_files(profiles, out_dir)
     print(json.dumps({"profiles": sorted(profiles), "out": str(out_dir)}, sort_keys=True))
     return EXIT_OK
-
-
-def _ball_points(x0: np.ndarray, count: int, seed: int = 0) -> list[np.ndarray]:
-    # Deterministic sample of points in the unit ball around x0.
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    points = []
-    for _ in range(count):
-        direction = rng.standard_normal(x0.size)
-        direction /= max(float(np.linalg.norm(direction)), 1e-300)
-        radius = rng.random() ** (1.0 / x0.size)
-        points.append(x0 + radius * direction)
-    return points
-
-
-def _cmd_check_grad(args) -> int:
-    if args.problem is None:
-        problems = [get_problem(name) for name in problem_names()]
-    else:
-        problems = [_resolve_problem(args.problem)]
-    tol = 1e-6
-    all_ok = True
-    for problem in problems:
-        points = [problem.x0] + _ball_points(problem.x0, 10)
-        checks = [check_gradients(problem, point) for point in points]
-        # np.max, unlike max, keeps a NaN error (a difference that overflowed).
-        worst = {key: float(np.max([getattr(check, key) for check in checks]))
-                 for key in ("max_rel_err_grad", "max_rel_err_jac")}
-        ok = all(value <= tol for value in worst.values())
-        all_ok = all_ok and ok
-        # Strict JSON has no NaN or Infinity: a non-finite error prints as null.
-        finite = {key: value if math.isfinite(value) else None for key, value in worst.items()}
-        print(json.dumps({"problem": problem.name, **finite, "pass": ok},
-                         sort_keys=True, allow_nan=False))
-    return EXIT_OK if all_ok else EXIT_FAILURE
 
 
 def _cmd_list_problems(args) -> int:

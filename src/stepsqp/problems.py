@@ -91,51 +91,6 @@ class Problem:
         return jac
 
 
-@dataclass(frozen=True)
-class GradientCheck:
-    """Worst relative derivative errors from a central-difference sweep."""
-
-    max_rel_err_grad: float
-    max_rel_err_jac: float
-
-
-def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
-    """Compare analytic derivatives against central differences at x.
-
-    Relative error is |analytic - estimate| / max(1, |analytic|), taken
-    entrywise and maximized over the gradient and the Jacobian. The step
-    along e_j is h, or the float spacing at x_j where that is larger, so
-    x + h e_j and x - h e_j never round to one point. They are still
-    rounded, so each quotient divides by the width w_j = (x + h e_j)_j -
-    (x - h e_j)_j they actually span, not by 2h. Each is first granted
-    its rounding bound, eps * (|v(x + h e_j)| + |v(x - h e_j)|) / w_j for
-    v = f or c_i, so exact derivatives of functions with large values are
-    not flagged.
-    """
-    x = as_vector(x, problem.n)
-    grad = problem.grad_f(x)
-    jac = problem.jacobian(x)
-    steps = np.diag(np.maximum(h, np.spacing(np.abs(x))))
-    width = (x + steps).diagonal() - (x - steps).diagonal()
-    eps = np.finfo(np.float64).eps
-    # Far from the origin a value may overflow; its error is then NaN or
-    # inf, which is the result, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
-        c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
-        err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / width,
-                           eps * np.abs(f_pm).sum(axis=1) / width)
-        err_jac = _excess(jac, (c_pm[:, 0] - c_pm[:, 1]).T / width,
-                          (eps * np.abs(c_pm).sum(axis=1)).T / width)
-    return GradientCheck(float(err_grad.max()), float(err_jac.max()))
-
-
-def _excess(analytic, estimate, rounding):
-    """Entrywise relative error of estimate beyond its rounding bound."""
-    gap = np.maximum(np.abs(analytic - estimate) - rounding, 0.0)
-    return gap / np.maximum(1.0, np.abs(analytic))
-
-
 def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
     """min 0.5 x'Qx + q'x s.t. Ax = b, with shapes checked and Q symmetric."""
     q_vec = as_vector(q, name="q")

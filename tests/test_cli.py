@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import typing
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -672,16 +671,32 @@ class TestBenchAndProfileCommands:
         for path in iteration_files:
             assert (out / path.name).read_bytes() == path.read_bytes()
 
-    def test_profile_rejects_same_named_directories(self, bench_dir, tmp_path, capsys):
+    def test_profile_rejects_same_named_directories(
+        self, bench_dir, tmp_path, capsys, monkeypatch
+    ):
         first, second = tmp_path / "a" / "out", tmp_path / "b" / "out"
         shutil.copytree(bench_dir, first)
         shutil.copytree(bench_dir, second)
-        code = main(["profile", str(first), str(second), "--out", str(tmp_path / "p")])
-        assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert "share the name 'out'" in err
-        assert str(first) in err and str(second) in err
-        assert not (tmp_path / "p").exists()
+        monkeypatch.chdir(first)
+        # Two directories of one name, and "." beside the path it stands for.
+        for dirs in ([str(first), str(second)], [".", str(first)]):
+            code = main(["profile", *dirs, "--out", str(tmp_path / "p")])
+            assert code == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert f"run directories {', '.join(dirs)} share the name 'out'" in err
+            assert not (tmp_path / "p").exists()
+
+    def test_profile_labels_dot_with_the_working_directory_name(
+        self, bench_dir, tmp_path, capsys, monkeypatch
+    ):
+        shutil.copytree(bench_dir, tmp_path / "a")
+        shutil.copytree(bench_dir, tmp_path / "b")
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["profile", ".", "../b", "--out", str(tmp_path / "p")]) == EXIT_OK
+        names = {path.name for path in (tmp_path / "p").iterdir()}
+        assert {"profile__kkt__iterations__a__f0__g0.csv",
+                "profile__kkt__iterations__b__f0__g0.csv"} <= names
+        assert not any("____" in name for name in names)
 
     @pytest.mark.parametrize(
         "column, row, value, message",
@@ -990,77 +1005,12 @@ def test_unreadable_json_file_is_an_error_naming_it(tmp_path, capsys, reader, co
 
 
 class TestOtherCommands:
-    def test_check_grad_all(self, capsys):
-        code = main(["check-grad"])
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(problem_names())
-        for line in lines:
-            entry = json.loads(line)
-            assert entry["pass"] is True
-            assert entry["max_rel_err_grad"] <= 1e-6
-
-    def test_check_grad_single(self, capsys):
-        code = main(["check-grad", "P1"])
-        assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["problem"] == "P1"
-
-    def test_check_grad_passes_exact_derivatives_of_a_large_objective(self, tmp_path, capsys):
-        # f(x0) = -1e8, so rounding f alone moves a difference quotient by about 1e-2.
-        doc = {"name": "bigq", "Q": [[1, 0], [0, 1]], "q": [1e4, 1e4], "A": [[1, -1]],
-               "b": [0], "x0": [-1e4, -1e4]}
-        assert main(["check-grad", _write_json(tmp_path / "bigq.json", doc)]) == EXIT_OK
-        result = json.loads(capsys.readouterr().out)
-        assert result["pass"] is True and result["max_rel_err_grad"] == 0.0
-
-    @pytest.mark.parametrize(
-        "x0", [[-1e6, -1e6], [-1e17, -1e17]], ids=["rounded", "below-spacing"]
-    )
-    def test_check_grad_divides_by_the_step_it_took(self, tmp_path, capsys, x0):
-        # At -1e6, x + h e_j and x - h e_j are rounded to points not exactly
-        # 2h apart; at -1e17, h = 1e-6 is below the float spacing (16), so
-        # both would round to x itself.
-        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
-               "b": [0], "x0": x0}
-        assert main(["check-grad", _write_json(tmp_path / "farq.json", doc)]) == EXIT_OK
-        result = json.loads(capsys.readouterr().out)
-        assert result["pass"] is True and result["max_rel_err_jac"] == 0.0
-
-    def test_check_grad_fails_a_difference_that_overflows(self, tmp_path, capsys):
-        # f(x0 +- h e_j) overflows to inf, so the gradient's quotient is NaN.
-        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
-               "b": [0], "x0": [-1e300, -1e300]}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["check-grad", _write_json(tmp_path / "farq.json", doc)])
-        assert code == EXIT_FAILURE
-        result = json.loads(capsys.readouterr().out)
-        assert result["pass"] is False and result["max_rel_err_grad"] is None
-
-    def test_check_grad_prints_strict_json_and_no_warnings(self, tmp_path, capsys):
-        # The overflowing differences of the test above, with warnings as errors.
-        doc = {"name": "farq", "Q": [[1, 0], [0, 1]], "q": [0, 0], "A": [[1, -1]],
-               "b": [0], "x0": [-1e300, -1e300]}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["check-grad", _write_json(tmp_path / "farq.json", doc)])
-        assert code == EXIT_FAILURE
+    def test_check_grad_is_an_unknown_command(self, capsys):
+        assert main(["check-grad"]) == EXIT_CONFIG_ERROR
         out, err = capsys.readouterr()
-        assert err == ""
-
-        def reject(token):
-            raise ValueError(f"not strict JSON: {token}")
-
-        result = json.loads(out, parse_constant=reject)
-        assert result == {"problem": "farq", "max_rel_err_grad": None,
-                          "max_rel_err_jac": 0.0, "pass": False}
-
-    def test_check_grad_qp_json_number_too_large_for_a_float(self, tmp_path, capsys):
-        qp = _write_json(tmp_path / "huge.json", dict(QP_DOC, q=[int(HUGE), 0]))
-        assert main(["check-grad", qp]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == (
-            "error: q must hold finite numbers: int too large to convert to float\n"
-        )
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "invalid choice: 'check-grad'" in err
 
     def test_list_problems(self, capsys):
         code = main(["list-problems"])

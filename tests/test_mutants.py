@@ -3,10 +3,11 @@
 A mutant is one exact replacement in one function's source, taken with
 inspect.getsource. The text it replaces must occur exactly once, so an
 edit that removes or repeats it fails here and the catalogue has to
-follow. The mutated function is compiled against a copy of sqp's
+follow. The mutated function is compiled against a copy of its module's
 namespace and patched in where the checks look it up: a step-rule
-helper into sqp, where solve looks it up, and solve itself into sqp and
-bench.
+helper into sqp, where solve looks it up, solve itself into sqp and
+bench, and bench.build_profile into bench, where _table_profiles looks
+it up, and into test_bench, where the profile property test does.
 
 Each mutant names the checks of KILLERS that must kill it. A check runs
 on its own cases, in order, until one fails it:
@@ -18,7 +19,14 @@ on its own cases, in order, until one fails it:
   itself, on SLICE;
 * the scale sweep's rule that no run with an unscaled objective ends
   with an inaccurate KKT solve, on the noiseless runs of SWEEP_PROBLEMS
-  with c and J scaled by SWEEP_S_C.
+  with c and J scaled by SWEEP_S_C;
+* the constraint-permutation relation (test_solver.rotation_failure),
+  on every problem with m >= 2 at TestConstraintSignFlip's four pairs;
+* the variable-permutation relation (test_solver.permutation_failure),
+  on every registry problem, noiseless;
+* the performance-profile property test
+  (test_bench.TestBuildProfile.test_rho_is_a_monotone_cdf), its body on
+  derandomized examples of its strategy.
 
 A kill counts only if the same case passes the same check unmutated.
 SLICE is qp10's because a strict Armijo test differs from the
@@ -32,17 +40,21 @@ inaccurate KKT solve after at most 3 iterations at s_c = 1e8.
 """
 
 import inspect
+from types import ModuleType
 from typing import NamedTuple
 
 import pytest
+import test_bench
+from hypothesis import given, settings
 from reference import assert_matches_reference
 from test_acceptance import check_ac3_cell
 from test_scale_sweep import MAX_ITERS, _scaled
+from test_solver import ROTATION_CASES, permutation_failure, rotation_failure
 
 from stepsqp import bench, sqp
 from stepsqp.bench import ExperimentGrid, grid_cells
 from stepsqp.oracles import OracleConfig
-from stepsqp.problems import get_problem
+from stepsqp.problems import get_problem, problem_names
 from stepsqp.sqp import SolverParams
 
 GRID = ExperimentGrid()
@@ -60,12 +72,13 @@ class Mutant(NamedTuple):
     old: str
     new: str
     killers: tuple[str, ...]
+    module: ModuleType = sqp
 
     def compile(self):
-        source = inspect.getsource(getattr(sqp, self.function))
+        source = inspect.getsource(getattr(self.module, self.function))
         count = source.count(self.old)
         assert count == 1, f"{self.name}: {self.old!r} occurs {count} times in {self.function}"
-        namespace = dict(vars(sqp))
+        namespace = dict(vars(self.module))
         exec(compile(source.replace(self.old, self.new), f"<mutant {self.name}>", "exec"),
              namespace)
         return namespace[self.function]
@@ -88,11 +101,20 @@ MUTANTS = [
     Mutant("‖J‖max‖d‖₁ guard term dropped", "solve",
            "and lin_feas <= LINEARIZED_FEASIBILITY_RTOL * (1.0 + jd_bound)", "and False",
            ("scale sweep",)),
+    Mutant("‖c₊‖₁ over all but the last entry", "solve",
+           "add_reduce(absolute(c_plus))", "add_reduce(absolute(c_plus[:-1]))",
+           ("constraint permutation", "AC3", "reference loop")),
+    Mutant("d'd over all but the last entry", "solve",
+           "dd = float(d.dot(d))", "dd = float(d[:-1].dot(d[:-1]))", ("variable permutation",)),
+    Mutant("profile ratio over the largest budget", "build_profile",
+           "best = min(solved.values(), default=None)",
+           "best = max(solved.values(), default=None)", ("profile property",), bench),
 ]
 
 # The modules whose globals the checks reach a mutated function through:
-# run_cell, which AC3 calls, finds solve as a bench global.
-LOOKED_UP_IN = {"solve": (sqp, bench)}
+# run_cell, which AC3 calls, finds solve as a bench global, and the
+# profile property test finds build_profile as a test_bench one.
+LOOKED_UP_IN = {"solve": (sqp, bench), "build_profile": (bench, test_bench)}
 
 
 def ac3_failure(cell):
@@ -121,19 +143,37 @@ def sweep_failure(name):
     return reason if reason.startswith("inaccurate KKT solve") else None
 
 
-# Each check with the cases it runs on, in order.
+@settings(derandomize=True, database=None)
+@given(table=test_bench._BUDGET_TABLES)
+def _profile_property(table):
+    # The property test's body on its own examples: calling the test itself
+    # from a second instance of its class fails Hypothesis's executor check.
+    test_bench.TestBuildProfile.test_rho_is_a_monotone_cdf.hypothesis.inner_test(None, table)
+
+
+def profile_property_failure(_):
+    """How the profile property test's body fails on derandomized examples, or None."""
+    try:
+        _profile_property()
+    except Exception as exc:  # any exception fails a test; several arrive as a group
+        return f"{type(exc).__name__}: " + " ".join(str(exc).split())[:48]
+    return None
+
+
+def cell_where(cell):
+    return f"{cell.problem} ({cell.eps_f:g}, {cell.eps_g:g}) r{cell.replicate}"
+
+
+# Each check with the cases it runs on, in order, and how the table prints a case.
 KILLERS = {
-    "AC3": (SLICE, ac3_failure),
-    "reference loop": (SLICE, reference_failure),
-    "scale sweep": (SWEEP_PROBLEMS, sweep_failure),
+    "AC3": (SLICE, ac3_failure, cell_where),
+    "reference loop": (SLICE, reference_failure, cell_where),
+    "scale sweep": (SWEEP_PROBLEMS, sweep_failure, lambda name: f"{name} s_c={SWEEP_S_C:g}"),
+    "constraint permutation": (ROTATION_CASES, lambda case: rotation_failure(*case),
+                               lambda case: f"{case[0]} ({case[1][0]:g}, {case[1][1]:g})"),
+    "variable permutation": (problem_names(), permutation_failure, str),
+    "profile property": (("examples",), profile_property_failure, lambda _: "derandomized"),
 }
-
-
-def where(case):
-    """A case of KILLERS as the table prints it."""
-    if isinstance(case, str):
-        return f"{case} s_c={SWEEP_S_C:g}"
-    return f"{case.problem} ({case.eps_f:g}, {case.eps_g:g}) r{case.replicate}"
 
 
 @pytest.fixture(scope="module")
@@ -143,22 +183,22 @@ def kills():
     for mutant in MUTANTS:
         mutated = mutant.compile()
         for killer in mutant.killers:
-            cases, check = KILLERS[killer]
+            cases, check, _ = KILLERS[killer]
             with pytest.MonkeyPatch.context() as patch:
-                for module in LOOKED_UP_IN.get(mutant.function, (sqp,)):
+                for module in LOOKED_UP_IN.get(mutant.function, (mutant.module,)):
                     patch.setattr(module, mutant.function, mutated)
                 kill = next(((case, how) for case in cases if (how := check(case))), None)
             if kill is not None:
                 unmutated = check(kill[0])
                 assert unmutated is None, f"{killer} fails unmutated: {unmutated}"
             found[mutant.name, killer] = kill
-    print(f"\n{'mutant':<32}{'killer':<16}{'case':<26}how")
+    print(f"\n{'mutant':<40}{'killer':<24}{'case':<26}how")
     for (name, killer), kill in found.items():
         if kill is None:
-            print(f"{name:<32}{killer:<16}survived")
+            print(f"{name:<40}{killer:<24}survived")
             continue
         case, how = kill
-        print(f"{name:<32}{killer:<16}{where(case):<26}{how}")
+        print(f"{name:<40}{killer:<24}{KILLERS[killer][2](case):<26}{how}")
     return found
 
 

@@ -2,18 +2,20 @@
 
 import dataclasses
 import json
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from stepsqp.linalg import max_abs
+from stepsqp.linalg import as_vector, max_abs
 from stepsqp.problems import (
     Problem,
     UnknownProblemError,
-    check_gradients,
     get_problem,
     load_qp_json,
     problem_names,
+    quadratic_program,
 )
 
 EXPECTED_NAMES = [
@@ -41,6 +43,55 @@ def ball_points(x0, count, seed):
         direction /= max(float(np.linalg.norm(direction)), 1e-300)
         points.append(x0 + rng.random() ** (1.0 / x0.size) * direction)
     return points
+
+
+@dataclass(frozen=True)
+class GradientCheck:
+    """Worst relative derivative errors from a central-difference sweep."""
+
+    max_rel_err_grad: float
+    max_rel_err_jac: float
+
+
+def check_gradients(problem: Problem, x, h: float = 1e-6) -> GradientCheck:
+    """Compare analytic derivatives against central differences at x.
+
+    Relative error is |analytic - estimate| / max(1, |analytic|), taken
+    entrywise and maximized over the gradient and the Jacobian. The step
+    along e_j is h, or the float spacing at x_j where that is larger, so
+    x + h e_j and x - h e_j never round to one point. They are still
+    rounded, so each quotient divides by the width w_j = (x + h e_j)_j -
+    (x - h e_j)_j they actually span, not by 2h. Each is first granted
+    its rounding bound, eps * (|v(x + h e_j)| + |v(x - h e_j)|) / w_j for
+    v = f or c_i, so exact derivatives of functions with large values are
+    not flagged.
+    """
+    x = as_vector(x, problem.n)
+    grad = problem.grad_f(x)
+    jac = problem.jacobian(x)
+    steps = np.diag(np.maximum(h, np.spacing(np.abs(x))))
+    width = (x + steps).diagonal() - (x - steps).diagonal()
+    eps = np.finfo(np.float64).eps
+    # Far from the origin a value may overflow; its error is then NaN or
+    # inf, which is the result, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_pm = np.array([[problem.f(x + step), problem.f(x - step)] for step in steps])
+        c_pm = np.array([[problem.c(x + step), problem.c(x - step)] for step in steps])
+        err_grad = _excess(grad, (f_pm[:, 0] - f_pm[:, 1]) / width,
+                           eps * np.abs(f_pm).sum(axis=1) / width)
+        err_jac = _excess(jac, (c_pm[:, 0] - c_pm[:, 1]).T / width,
+                          (eps * np.abs(c_pm).sum(axis=1)).T / width)
+    return GradientCheck(float(err_grad.max()), float(err_jac.max()))
+
+
+def _excess(analytic, estimate, rounding):
+    """Entrywise relative error of estimate beyond its rounding bound."""
+    gap = np.maximum(np.abs(analytic - estimate) - rounding, 0.0)
+    return gap / np.maximum(1.0, np.abs(analytic))
+
+
+def _within(result, tol=1e-6):
+    return result.max_rel_err_grad <= tol and result.max_rel_err_jac <= tol
 
 
 class TestRegistry:
@@ -72,10 +123,6 @@ class TestRegistry:
             np.testing.assert_array_equal(p.jacobian(x), p.jacobian(x))
 
 
-def _within(result, tol=1e-6):
-    return result.max_rel_err_grad <= tol and result.max_rel_err_jac <= tol
-
-
 class TestGradients:
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
     def test_derivatives_match_central_differences(self, name):
@@ -99,6 +146,33 @@ class TestGradients:
             x0=np.array([1.0, 1.0]),
         )
         assert not _within(check_gradients(p, p.x0))
+
+    def test_check_gradients_passes_exact_derivatives_of_a_large_objective(self):
+        # f(x0) = -1e8, so rounding f alone moves a difference quotient by about 1e-2.
+        x0 = [-1e4, -1e4]
+        p = quadratic_program("bigq", np.eye(2), [1e4, 1e4], [[1.0, -1.0]], [0.0], x0)
+        assert check_gradients(p, p.x0).max_rel_err_grad == 0.0
+
+    @pytest.mark.parametrize(
+        "x0", [[-1e6, -1e6], [-1e17, -1e17]], ids=["rounded", "below-spacing"]
+    )
+    def test_check_gradients_divides_by_the_step_it_took(self, x0):
+        # At -1e6, x + h e_j and x - h e_j are rounded to points not exactly
+        # 2h apart; at -1e17, h = 1e-6 is below the float spacing (16), so
+        # both would round to x itself.
+        p = quadratic_program("farq", np.eye(2), [0.0, 0.0], [[1.0, -1.0]], [0.0], x0)
+        assert check_gradients(p, p.x0).max_rel_err_jac == 0.0
+
+    def test_check_gradients_fails_a_difference_that_overflows(self):
+        # f(x0 +- h e_j) overflows to inf, so the gradient's quotient is NaN,
+        # which is the result, not a warning.
+        x0 = [-1e300, -1e300]
+        p = quadratic_program("farq", np.eye(2), [0.0, 0.0], [[1.0, -1.0]], [0.0], x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = check_gradients(p, p.x0)
+        assert np.isnan(result.max_rel_err_grad)
+        assert result.max_rel_err_jac == 0.0
 
 
 def _qp_kkt_pair(problem):

@@ -25,6 +25,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
+import test_op_count
 import test_problems
 import test_scale_sweep
 
@@ -183,6 +184,9 @@ FACTS = [
      lambda runs: value(runs) == len(grid_cells(ExperimentGrid()))),
     ("registry", claim(r"infeasibility at most (\S+) and stationarity residual at most (\S+), "),
      check_reference_bounds),
+    ("testing", claim(r"cut to (\d+) iterations, at most (\S+) opcodes per iteration"),
+     lambda iters, ceiling: (value(iters), value(ceiling)) == (
+         test_op_count.MAX_ITERS, test_op_count.OPCODES_PER_ITER_CEILING)),
 ]
 
 TEST_COUNT = claim(r"(\d+) tests, (\d+) under `tests/` and the benchmark's own (\d+) under "
