@@ -28,7 +28,10 @@ Every output file is written to a temporary name beside it and then
 renamed over its target, so a reader never sees a partly written file.
 A run's CSV is written where the run was solved, as soon as it ends, and
 summary.json is written last, so a directory without one is an
-unfinished grid.
+unfinished grid. The process that solves a run hands back only its
+summary.json entry. A grid's profiles have one input, its directory:
+run_grid builds them from the run CSVs it wrote, with the reader that
+rebuilds them for the profile command.
 """
 
 from __future__ import annotations
@@ -222,14 +225,10 @@ def _trajectories(
     return {"infeasibility": infeas, "kkt": np.maximum(infeas, residual)}
 
 
-def _record_columns(record: RunRecord) -> np.ndarray:
-    """A run's _TRAJECTORY_COLUMNS as a (2, K) float64 array, the values its run CSV holds."""
-    return np.array([record.iterations[name] for name in _TRAJECTORY_COLUMNS])
-
-
 def record_trajectories(record: RunRecord) -> dict[str, np.ndarray]:
-    """Metric values of one run, as _trajectories gives them."""
-    return _trajectories(_record_columns(record), record.final_infeas_inf, record.final_kkt_inf)
+    """Metric values of one run held in memory, as _trajectories gives them from its run CSV."""
+    columns = np.array([record.iterations[name] for name in _TRAJECTORY_COLUMNS])
+    return _trajectories(columns, record.final_infeas_inf, record.final_kkt_inf)
 
 
 def first_hit(values: np.ndarray, m0: float, m_best: float) -> Optional[int]:
@@ -384,15 +383,13 @@ class GridResult:
     wall_time: float
 
 
-def _solve_and_write(grid: ExperimentGrid, out_dir: Path, cell: GridCell) -> tuple[dict, np.ndarray]:
-    """One grid cell's task: solve it, write its run CSV, and return what the grid keeps.
+def _solve_and_write(grid: ExperimentGrid, out_dir: Path, cell: GridCell) -> dict:
+    """One grid cell's task: solve it, write its run CSV, and return its summary.json entry.
 
-    That is the cell's summary.json entry and its (2, K) trajectory
-    columns. The RunRecord, with its run log, ends here, so no log
-    leaves the process that solved the cell.
+    The RunRecord, with its run log, ends here, so no log and no
+    trajectory leaves the process that solved the cell.
     """
-    record = run_cell(grid, cell)
-    return _write_run(out_dir, cell, record), _record_columns(record)
+    return write_run(out_dir, cell, run_cell(grid, cell))
 
 
 def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict:
@@ -403,7 +400,9 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
     cell finishes; one CSV per profile curve; and, last, a summary.json
     with the grid, statuses, final metrics and timings. A summary.json
     left from an earlier grid is deleted first, so a directory without
-    one is an unfinished grid. Files are the same whatever jobs, the
+    one is an unfinished grid. The profiles are built from the run CSVs
+    once every cell has finished, read back by the reader that
+    load_run_trajectories uses. Files are the same whatever jobs, the
     worker-process count, is.
     """
     if not is_int(jobs) or jobs < 1:
@@ -413,7 +412,7 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
     cells = grid_cells(grid)
     task = functools.partial(_solve_and_write, grid, out_dir)
     if jobs == 1:
-        done = list(map(task, cells))
+        runs = list(map(task, cells))
     else:
         # Imported here, so that a serial grid never loads it. Forked
         # workers inherit LAPACK from here instead of each loading it.
@@ -421,12 +420,8 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
 
         load_lapack()
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(task, cells))
-    runs = [entry for entry, _ in done]
-    table = _run_table(grid.replicates, [
-        (cell, _trajectories(columns, entry["final_infeas_inf"], entry["final_kkt_inf"]))
-        for cell, (entry, columns) in zip(cells, done)
-    ])
+            runs = list(pool.map(task, cells))
+    table = _run_table(grid.replicates, _read_runs(out_dir, cells, runs, out_dir / "summary.json"))
     return _write_summary(out_dir, grid, time.perf_counter() - t_start, runs,
                           _table_profiles(table))
 
@@ -482,9 +477,17 @@ def write_profile_csv(path: Path, points: list[tuple[float, float]]) -> None:
     write_atomically(path, "\n".join(lines) + "\n")
 
 
-def run_summary(cell: GridCell, record: RunRecord) -> dict:
-    """One run's summary.json entry; csv names the run CSV beside it."""
-    return {
+def _start_grid_dir(out_dir: "Path | str") -> Path:
+    """Create out_dir and delete its summary.json, which is written after every other file."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    return out_dir
+
+
+def write_run(out_dir: Path, cell: GridCell, record: RunRecord) -> dict:
+    """Write one run's CSV into out_dir and return its summary.json entry, whose csv names it."""
+    entry = {
         **cell.identity(),
         "status": record.status.value,
         "iterations": len(record.iterations),
@@ -495,19 +498,6 @@ def run_summary(cell: GridCell, record: RunRecord) -> dict:
         "failure_reason": record.failure_reason,
         "wall_time_s": record.wall_time,
     }
-
-
-def _start_grid_dir(out_dir: "Path | str") -> Path:
-    """Create out_dir and delete its summary.json, which is written after every other file."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").unlink(missing_ok=True)
-    return out_dir
-
-
-def _write_run(out_dir: Path, cell: GridCell, record: RunRecord) -> dict:
-    """Write one run's CSV and return its summary.json entry."""
-    entry = run_summary(cell, record)
     write_run_csv(out_dir / entry["csv"], record)
     return entry
 
@@ -525,7 +515,7 @@ def _write_summary(out_dir: Path, grid: ExperimentGrid, wall_time: float, runs: 
 def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
     """Write a grid solved in memory, file for file as run_grid writes it."""
     out_dir = _start_grid_dir(out_dir)
-    runs = [_write_run(out_dir, cell, record) for cell, record in zip(result.cells, result.records)]
+    runs = [write_run(out_dir, cell, record) for cell, record in zip(result.cells, result.records)]
     _write_summary(out_dir, result.grid, result.wall_time, runs, result.profiles)
 
 
@@ -607,10 +597,10 @@ def load_run_trajectories(
 ) -> tuple[ExperimentGrid, list[tuple[GridCell, dict[str, np.ndarray]]]]:
     """Read a grid output directory back into its grid and each cell's trajectories.
 
-    summary.json must be what write_grid_outputs writes: a grid entry
-    that rebuilds an ExperimentGrid bench accepts, and runs that are
-    that grid's cells in order, each with its cell's identity fields.
-    A run CSV is opened by its cell's name, never by a path from the file.
+    summary.json must be what run_grid writes: a grid entry that
+    rebuilds an ExperimentGrid bench accepts, and runs that are that
+    grid's cells in order, each with its cell's identity fields. A run
+    CSV is opened by its cell's name, never by a path from the file.
 
     Raises
     ------
@@ -629,8 +619,19 @@ def load_run_trajectories(
     if not isinstance(summary, dict):
         raise ValueError(f"{summary_path}: top level must be an object")
     grid = _grid_from_entry(_field(summary, "grid", (dict,), summary_path), summary_path)
-    cells = grid_cells(grid)
     entries = _field(summary, "runs", (list,), summary_path)
+    return grid, _read_runs(run_dir, grid_cells(grid), entries, summary_path)
+
+
+def _read_runs(run_dir: Path, cells: list[GridCell], entries: list,
+               summary_path: Path) -> list[tuple[GridCell, dict[str, np.ndarray]]]:
+    """Each cell's trajectories, read from its run CSV in run_dir by its summary.json entry.
+
+    entries must be summary.json's runs for the grid of cells, by the
+    rules load_run_trajectories states; summary_path names them in
+    messages. run_grid calls this before it writes summary.json, with
+    the entries its cells returned.
+    """
     if len(entries) != len(cells):
         raise ValueError(f"{summary_path}: runs has {len(entries)} entries for the grid's "
                          f"{len(cells)} cells")
@@ -659,7 +660,7 @@ def load_run_trajectories(
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         runs.append((cell, trajs))
-    return grid, runs
+    return runs
 
 
 def profiles_from_directories(run_dirs: list[Path]) -> dict[str, PerformanceProfile]:

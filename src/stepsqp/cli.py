@@ -25,10 +25,9 @@ from .bench import (
     GridCell,
     profiles_from_directories,
     run_grid,
-    run_summary,
     write_json,
     write_profile_files,
-    write_run_csv,
+    write_run,
 )
 from .oracles import OracleConfig
 from .problems import (
@@ -222,8 +221,7 @@ def _cmd_run(args) -> int:
     cell = GridCell.at(seed, problem.name, oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise, 0)
     record = solve(problem, params, cell.oracle_config(seed))
 
-    summary = run_summary(cell, record)
-    write_run_csv(out_dir / summary["csv"], record)
+    summary = write_run(out_dir, cell, record)
     write_json(out_dir / (Path(summary["csv"]).stem + ".json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return _STATUS_EXIT[record.status]

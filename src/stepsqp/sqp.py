@@ -309,6 +309,11 @@ def classify_iteration(
     value_err = |fbar(x) - f(x)| + |fbar(x+) - f(x+)|, are within
     2 * eps_f, with eps_f the oracle's eps_f_noise, which the acceptance
     test also allows.
+
+    The result is not invariant when c, J and tau_init are scaled
+    together: delta_l, and so alpha * sqrt(delta_l), scales with them,
+    while grad_err does not. That is why the relation between a run and
+    its copy with c, J and tau_init scaled by 2^k leaves true_iter out.
     """
     grad_ok = grad_err <= max(eps_g, alpha * math.sqrt(max(delta_l, 0.0)))
     return grad_ok and value_err <= 2.0 * eps_f

@@ -6,8 +6,9 @@ edit that removes or repeats it fails here and the catalogue has to
 follow. The mutated function is compiled against a copy of its module's
 namespace and patched in where the checks look it up: a step-rule
 helper into sqp, where solve looks it up, solve itself into sqp and
-bench, and bench.build_profile into bench, where _table_profiles looks
-it up, and into test_bench, where the profile property test does.
+bench, bench.build_profile into bench, where _table_profiles looks it
+up, and into test_bench, where the profile property test does, and
+bench.write_run_csv into bench, where write_run looks it up.
 
 Each mutant names the checks of KILLERS that must kill it. A check runs
 on its own cases, in order, until one fails it:
@@ -26,7 +27,12 @@ on its own cases, in order, until one fails it:
   on every registry problem, noiseless;
 * the performance-profile property test
   (test_bench.TestBuildProfile.test_rho_is_a_monotone_cdf), its body on
-  derandomized examples of its strategy.
+  derandomized examples of its strategy;
+* the bench-profiles check
+  (test_bench.TestRunGrid.test_written_profiles_match_profiles_built_in_memory)
+  and the round-trip check (test_bench.TestRunGrid.test_round_trip_through_files),
+  their bodies on test_bench.SMALL_GRID solved afresh into a temporary
+  directory.
 
 A kill counts only if the same case passes the same check unmutated.
 SLICE is qp10's because a strict Armijo test differs from the
@@ -40,6 +46,8 @@ inaccurate KKT solve after at most 3 iterations at s_c = 1e8.
 """
 
 import inspect
+import tempfile
+from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
 
@@ -109,6 +117,10 @@ MUTANTS = [
     Mutant("profile ratio over the largest budget", "build_profile",
            "best = min(solved.values(), default=None)",
            "best = max(solved.values(), default=None)", ("profile property",), bench),
+    Mutant("infeas_inf and kkt_inf values swapped", "write_run_csv",
+           "record.iterations[name]",
+           'record.iterations[{"infeas_inf": "kkt_inf", "kkt_inf": "infeas_inf"}.get(name, name)]',
+           ("bench profiles", "round trip"), bench),
 ]
 
 # The modules whose globals the checks reach a mutated function through:
@@ -160,6 +172,17 @@ def profile_property_failure(_):
     return None
 
 
+def small_grid_failure(test):
+    """How test, a TestRunGrid test's body on small_result and a scratch directory, fails on
+    SMALL_GRID solved afresh, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            test(None, test_bench.solve_small_grid(Path(tmp, "grid")), Path(tmp))
+        except AssertionError as exc:
+            return " ".join(str(exc).split())[:48]
+    return None
+
+
 def cell_where(cell):
     return f"{cell.problem} ({cell.eps_f:g}, {cell.eps_g:g}) r{cell.replicate}"
 
@@ -173,6 +196,11 @@ KILLERS = {
                                lambda case: f"{case[0]} ({case[1][0]:g}, {case[1][1]:g})"),
     "variable permutation": (problem_names(), permutation_failure, str),
     "profile property": (("examples",), profile_property_failure, lambda _: "derandomized"),
+    "bench profiles": (("SMALL_GRID",), lambda _: small_grid_failure(
+        test_bench.TestRunGrid.test_written_profiles_match_profiles_built_in_memory), str),
+    "round trip": (("SMALL_GRID",), lambda _: small_grid_failure(
+        lambda self, result, _: test_bench.TestRunGrid.test_round_trip_through_files(
+            self, result)), str),
 }
 
 

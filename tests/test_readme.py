@@ -127,6 +127,13 @@ def check_wall_times(cpus, low1, high1, low2, high2, name):
     check_measured((low2, high2), runs_at(data["default_grid"]["wall_time_s"], 2))
 
 
+def check_read_back(low, high, runs, name):
+    seconds = [t for run_set in bench_file(name)["read_back"]["sets"]
+               for t in run_set["default_grid"]["seconds"]]
+    assert len(seconds) == value(runs)
+    check_measured((low, high), seconds)
+
+
 def check_replicate_cap(cap, cells, low, high, name):
     assert value(cap) == MAX_REPLICATES
     assert value(cells) == len(grid_cells(ExperimentGrid(replicates=MAX_REPLICATES)))
@@ -187,6 +194,8 @@ FACTS = [
     ("testing", claim(r"cut to (\d+) iterations, at most (\S+) opcodes per iteration"),
      lambda iters, ceiling: (value(iters), value(ceiling)) == (
          test_op_count.MAX_ITERS, test_op_count.OPCODES_PER_ITER_CEILING)),
+    ("bench", claim(r"that read-back took (\S+)–(\S+) s \((\d+) runs in six sets, "
+                    r"`(BENCH_\d+\.json)`\)"), check_read_back),
 ]
 
 TEST_COUNT = claim(r"(\d+) tests, (\d+) under `tests/` and the benchmark's own (\d+) under "
