@@ -13,6 +13,7 @@ configuration or usage error, 2 budget exhausted (run), 3 failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -202,27 +203,32 @@ def _config(args) -> tuple[SolverParams, OracleConfig, ExperimentGrid]:
     return parse_config(args.config, [*args.overrides, *seed])
 
 
-def _out_dir(path: str) -> Path:
-    """Create the output directory; run and bench call this first, so a bad --out costs no work."""
+@contextlib.contextmanager
+def _writing_to(path: str):
+    """Create the output directory and yield it; an OSError inside the block is a CliError.
+
+    run and bench solve inside the block, so a bad --out costs no work,
+    and a write that fails, as into a directory on an output's name,
+    exits 1 naming the directory.
+    """
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        yield out_dir
     except OSError as exc:
         raise CliError(f"cannot write to {out_dir}: {exc}") from exc
-    return out_dir
 
 
 def _cmd_run(args) -> int:
     params, oracle_cfg, _ = _config(args)
     problem = _resolve_problem(args.problem)
-    out_dir = _out_dir(args.out)
-    # Replicate 0 of the grid cell with this seed and noise pair.
-    seed = oracle_cfg.seed
-    cell = GridCell.at(seed, problem.name, oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise, 0)
-    record = solve(problem, params, cell.oracle_config(seed))
-
-    summary = write_run(out_dir, cell, record)
-    write_json(out_dir / (Path(summary["csv"]).stem + ".json"), summary)
+    with _writing_to(args.out) as out_dir:
+        # Replicate 0 of the grid cell with this seed and noise pair.
+        seed = oracle_cfg.seed
+        cell = GridCell.at(seed, problem.name, oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise, 0)
+        record = solve(problem, params, cell.oracle_config(seed))
+        summary = write_run(out_dir, cell, record)
+        write_json(out_dir / (Path(summary["csv"]).stem + ".json"), summary)
     print(json.dumps(summary, sort_keys=True))
     return _STATUS_EXIT[record.status]
 
@@ -245,7 +251,8 @@ def _cmd_bench(args) -> int:
     if jobs < args.jobs:
         print(f"note: --jobs {args.jobs} lowered to {jobs}, the CPUs this process may use",
               file=sys.stderr)
-    summary = run_grid(grid, out_dir=_out_dir(args.out), jobs=jobs)
+    with _writing_to(args.out) as out_dir:
+        summary = run_grid(grid, out_dir=out_dir, jobs=jobs)
     by_status = Counter(entry["status"] for entry in summary["runs"])
     print(
         json.dumps(
@@ -267,8 +274,8 @@ def _cmd_profile(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot rebuild profiles: {exc}") from exc
     # Only once the inputs load, so that rejected inputs leave no directory.
-    out_dir = _out_dir(args.out)
-    write_profile_files(profiles, out_dir)
+    with _writing_to(args.out) as out_dir:
+        write_profile_files(profiles, out_dir)
     print(json.dumps({"profiles": sorted(profiles), "out": str(out_dir)}, sort_keys=True))
     return EXIT_OK
 

@@ -40,11 +40,12 @@ class Problem:
 
     Evaluators are deterministic pure functions of x; noise is injected
     elsewhere. Use the ``f``/``grad_f``/``c``/``jacobian`` methods rather
-    than the raw callables: they coerce and shape-check the outputs.
+    than the raw callables: they coerce the outputs to float64 and check
+    on every call that they have the shapes (n,), (m,) and (m, n).
 
     The dimensions are not arguments: n is the length of x0, and m is
-    the number of entries of c(x0) (a scalar counts as one), so c is
-    evaluated once at construction.
+    the length of c(x0), so c is evaluated once at construction, and a
+    c(x0) that is not one-dimensional is rejected there.
     """
 
     name: str
@@ -58,7 +59,10 @@ class Problem:
 
     def __post_init__(self):
         x0 = as_vector(self.x0, name=f"{self.name}.x0")
-        n, m = x0.size, np.size(self.eval_c(x0))
+        shape = np.shape(self.eval_c(x0))
+        if len(shape) != 1:
+            raise ValueError(f"{self.name}: c(x0) must be one-dimensional, got shape {shape}")
+        n, m = x0.size, shape[0]
         if m < 1 or m > n:
             raise ValueError(f"{self.name}: need 1 <= m <= n, got n={n}, m={m}")
         object.__setattr__(self, "x0", x0)
@@ -76,16 +80,12 @@ class Problem:
 
     def c(self, x: np.ndarray) -> np.ndarray:
         c = np.asarray(self.eval_c(x), dtype=np.float64)
-        if c.ndim == 0 and self.m == 1:  # a single constraint as a scalar
-            c = c.reshape(1)
         if c.shape != (self.m,):
             raise ValueError(f"{self.name}: constraint shape {c.shape} != ({self.m},)")
         return c
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         jac = np.asarray(self.eval_jacobian(x), dtype=np.float64)
-        if jac.ndim < 2 and self.m == 1 and jac.size == self.n:  # a gradient row
-            jac = jac.reshape(1, self.n)
         if jac.shape != (self.m, self.n):
             raise ValueError(f"{self.name}: jacobian shape {jac.shape} != ({self.m}, {self.n})")
         return jac
@@ -125,20 +125,9 @@ def _p1() -> Problem:
     )
 
 
-_P2_A = np.array([[1.0, 1.0]])
-_P2_B = np.array([2.0])
-
-
 def _p2() -> Problem:
     """Minimum-norm point on a line: min 0.5 ||x||^2 s.t. x1 + x2 = 2."""
-    return Problem(
-        name="P2",
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad_f=lambda x: x.copy(),
-        eval_c=lambda x: _P2_A @ x - _P2_B,
-        eval_jacobian=lambda x: _P2_A.copy(),
-        x0=np.array([0.0, 0.0]),
-    )
+    return quadratic_program("P2", np.eye(2), np.zeros(2), [[1.0, 1.0]], [2.0], np.zeros(2))
 
 
 def _p3() -> Problem:

@@ -469,6 +469,17 @@ class TestRunCommand:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"error: cannot write to {tmp_path / out}: ")
 
+    @pytest.mark.parametrize("blocked", ["P1__f0__g0__r0.csv", "P1__f0__g0__r0.json"])
+    def test_a_directory_on_an_output_name_is_a_write_error(self, tmp_path, capsys, blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        code = main(["run", "P1", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write to {out}: ")
+        assert not list(out.glob(".*.tmp"))
+
     def test_seed_reproducibility(self, tmp_path):
         noise = ["--set", "oracle.eps_f_noise=0.01", "--set", "oracle.eps_g_noise=0.1"]
         csv_name = "P1__f0.01__g0.1__r0.csv"
@@ -605,6 +616,25 @@ class TestBenchAndProfileCommands:
         code = main(["bench", "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "blocked", ["P1__f0__g0__r0.csv", "profile__kkt__iterations__f0__g0.csv", "summary.json"]
+    )
+    def test_a_directory_on_an_output_name_is_a_write_error(
+        self, tmp_path, capsys, monkeypatch, blocked, jobs
+    ):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: jobs)
+        grid = ["--set", 'grid.problems=["P1"]', "--set", "grid.noise_pairs=[[0, 0]]",
+                "--set", "grid.replicates=1"]
+        code = main(["bench", *grid, "--jobs", str(jobs), "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write to {out}: ")
+        assert not list(out.glob(".*.tmp"))
 
     @pytest.mark.parametrize("asked, cpus, expected", [(8, 2, 2), (2, 2, 2), (1, 4, 1)])
     def test_bench_jobs_capped_at_usable_cpus(
@@ -892,6 +922,18 @@ class TestBenchAndProfileCommands:
         code = main(["profile", str(bench_dir), "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"error: cannot write to {out}: ")
+
+    def test_profile_directory_on_an_output_name_is_a_write_error(
+        self, bench_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "p"
+        (out / "profile__kkt__iterations__f0__g0.csv").mkdir(parents=True)
+        code = main(["profile", str(bench_dir), "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write to {out}: ")
+        assert not list(out.glob(".*.tmp"))
 
     @pytest.mark.parametrize(
         "pair, message",

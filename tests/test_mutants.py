@@ -25,6 +25,8 @@ on its own cases, in order, until one fails it:
   on every problem with m >= 2 at TestConstraintSignFlip's four pairs;
 * the variable-permutation relation (test_solver.permutation_failure),
   on every registry problem, noiseless;
+* the constant-shift relation (test_solver.shift_failure), on every
+  registry problem at TestConstraintSignFlip's four pairs;
 * the performance-profile property test
   (test_bench.TestBuildProfile.test_rho_is_a_monotone_cdf), its body on
   derandomized examples of its strategy;
@@ -57,7 +59,13 @@ from hypothesis import given, settings
 from reference import assert_matches_reference
 from test_acceptance import check_ac3_cell
 from test_scale_sweep import MAX_ITERS, _scaled
-from test_solver import ROTATION_CASES, permutation_failure, rotation_failure
+from test_solver import (
+    ROTATION_CASES,
+    SHIFT_CASES,
+    permutation_failure,
+    rotation_failure,
+    shift_failure,
+)
 
 from stepsqp import bench, sqp
 from stepsqp.bench import ExperimentGrid, grid_cells
@@ -98,6 +106,9 @@ MUTANTS = [
     Mutant("τ may rise", "update_tau",
            "return tau_bar\n", "return min(trial, tau_bar / (1.0 - EPS_TAU))\n",
            STEP_RULE_KILLERS),
+    Mutant("allowance scaled by |φ_current|", "acceptance_test",
+           "2.0 * tau_bar * eps_f", "2.0 * tau_bar * eps_f * abs(phi_current)",
+           ("constant shift",)),
     Mutant("strict Armijo", "acceptance_test",
            "phi_trial <= phi_current", "phi_trial < phi_current", STEP_RULE_KILLERS),
     Mutant("reused value sample", "solve",
@@ -195,6 +206,8 @@ KILLERS = {
     "constraint permutation": (ROTATION_CASES, lambda case: rotation_failure(*case),
                                lambda case: f"{case[0]} ({case[1][0]:g}, {case[1][1]:g})"),
     "variable permutation": (problem_names(), permutation_failure, str),
+    "constant shift": (SHIFT_CASES, lambda case: shift_failure(*case),
+                       lambda case: f"{case[0]} ({case[1][0]:g}, {case[1][1]:g})"),
     "profile property": (("examples",), profile_property_failure, lambda _: "derandomized"),
     "bench profiles": (("SMALL_GRID",), lambda _: small_grid_failure(
         test_bench.TestRunGrid.test_written_profiles_match_profiles_built_in_memory), str),

@@ -288,19 +288,24 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"constraint shape \(2,\) != \(1,\)"):
             p.c(p.x0 + 1.0)
 
-    def test_single_constraint_may_be_scalar_with_a_vector_jacobian(self):
+    @pytest.mark.parametrize(("c0", "shape"), [(-1.0, r"\(\)"), ([[-1.0]], r"\(1, 1\)")],
+                             ids=["scalar", "2-D"])
+    def test_c_at_x0_that_is_not_a_vector_rejected(self, c0, shape):
+        evals = dict(self._evals(), eval_c=lambda x: c0)
+        with pytest.raises(ValueError, match=rf"c\(x0\) must be one-dimensional, got shape {shape}"):
+            Problem(name="bad", x0=np.zeros(2), **evals)
+
+    def test_flat_jacobian_row_flagged_at_call(self):
         p = Problem(
             name="flat",
             eval_f=lambda x: 0.0,
             eval_grad_f=lambda x: np.zeros(3),
-            eval_c=lambda x: float(x.sum()) - 1.0,
-            eval_jacobian=lambda x: np.ones(3),
+            eval_c=lambda x: np.array([float(x.sum()) - 1.0]),
+            eval_jacobian=lambda x: np.ones(3),  # a gradient row, not a (1, n) matrix
             x0=np.zeros(3),
         )
-        assert (p.n, p.m) == (3, 1)
-        c = p.c(p.x0)
-        assert c.shape == (1,) and c[0] == -1.0
-        np.testing.assert_array_equal(p.jacobian(p.x0), np.ones((1, 3)))
+        with pytest.raises(ValueError, match=r"jacobian shape \(3,\) != \(1, 3\)"):
+            p.jacobian(p.x0)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_transposed_jacobian_flagged_at_call(self, m):

@@ -4,10 +4,11 @@ Each number is one of two kinds:
 
 * a deterministic fact about the package, checked here against the code
   (the default grid's size, the replicate and noise-pair caps, exit
-  codes, the registry's n and m, the scale sweep's range, the constants
-  each acceptance criterion states), except the default grid's
-  iteration total, which AC3 checks against the steps it counts, and the
-  test count, which is checked against the collected suite;
+  codes, the registry's n and m, the scale sweep's range, the constant
+  shift's K, the constants each acceptance criterion states), except
+  the default grid's iteration total, which AC3 checks against the steps
+  it counts, and the test count, which is checked against the collected
+  suite;
 * a measurement, which names the BENCH_*.json that holds it, and is
   checked against that file to the digits README prints.
 
@@ -28,6 +29,7 @@ import pytest
 import test_op_count
 import test_problems
 import test_scale_sweep
+import test_solver
 
 from stepsqp import cli, sqp
 from stepsqp.bench import (
@@ -196,6 +198,8 @@ FACTS = [
          test_op_count.MAX_ITERS, test_op_count.OPCODES_PER_ITER_CEILING)),
     ("bench", claim(r"that read-back took (\S+)–(\S+) s \((\d+) runs in six sets, "
                     r"`(BENCH_\d+\.json)`\)"), check_read_back),
+    ("testing", claim(r"a check that adding (\S+) to f leaves"),
+     lambda shift: value(shift) == test_solver.F_SHIFT),
 ]
 
 TEST_COUNT = claim(r"(\d+) tests, (\d+) under `tests/` and the benchmark's own (\d+) under "

@@ -710,6 +710,10 @@ def _variables_permuted(problem, perm):
 ROTATION_X_BOUND = 1e-11
 PERMUTATION_X_BOUND = 2e-15
 RELATION_PARAMS = SolverParams(max_iters=300)
+# The constant-shift relation's K, and the log columns it keeps to the bit.
+F_SHIFT = 1024.0
+SHIFT_COLUMNS = ("x", "d", "g_bar", "alpha", "tau_bar", "delta_l", "accepted", "infeas_inf",
+                 "kkt_inf")
 
 
 def relation_failure(record, other, other_x, bound):
@@ -749,10 +753,32 @@ def permutation_failure(name):
     return relation_failure(record, other, other.final_x[np.argsort(perm)], PERMUTATION_X_BOUND)
 
 
+def _shifted(problem):
+    """problem with F_SHIFT added to f: the same gradient, constraints and KKT points."""
+    return dataclasses.replace(problem, eval_f=lambda x: problem.f(x) + F_SHIFT)
+
+
+def shift_failure(name, pair):
+    """How name's run on its grid stream at pair parts from the run with f + F_SHIFT, or None."""
+    seed = ExperimentGrid().seed
+    cfg = GridCell.at(seed, name, *pair, 0).oracle_config(seed)
+    problem = get_problem(name)
+    record = sqp.solve(problem, RELATION_PARAMS, cfg)
+    other = sqp.solve(_shifted(problem), RELATION_PARAMS, cfg)
+    parted = relation_failure(record, other, other.final_x, 0.0)
+    if parted is not None:
+        return parted
+    for column in SHIFT_COLUMNS:
+        if record.iterations[column].tobytes() != other.iterations[column].tobytes():
+            return f"{column} differs"
+    return None
+
+
 ROTATED_PROBLEMS = tuple(name for name in problem_names() if get_problem(name).m >= 2)
 ROTATION_CASES = [
     (name, pair) for name in ROTATED_PROBLEMS for pair in TestConstraintSignFlip.PAIRS
 ]
+SHIFT_CASES = [(name, pair) for name in problem_names() for pair in TestConstraintSignFlip.PAIRS]
 
 
 class TestConstraintPermutation:
@@ -783,3 +809,25 @@ class TestVariablePermutation:
     @pytest.mark.parametrize("name", problem_names())
     def test_noiseless_runs_keep_their_course(self, name):
         assert permutation_failure(name) is None
+
+
+class TestConstantShift:
+    """Adding a constant K to f leaves a run's steps unchanged to the bit.
+
+    grad f is unchanged, so the gradient sample, d, y, tau and delta_l
+    are the same. Every merit sample moves by tau_bar * K, but f + K is
+    rounded, so the two sides of the Armijo test agree only to a few ulps
+    of the merit; the merit and value columns, and true_iter, which reads
+    |fbar - f|, are left out. An acceptance whose margin is that small
+    can flip: on the default budget of 1000 iterations, qp10's run at
+    (0, 1e-1) rejects a step at k = 335 that its shifted copy takes, at
+    alpha of about 6e-8 and an Armijo margin of -4.4e-16 on a merit of
+    0.906. It is the same ulp-margin run whose acceptances the rotation
+    of TestConstraintPermutation flips at other grid seeds. At
+    RELATION_PARAMS' 300 iterations every run agrees.
+    """
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_runs_are_bit_identical(self, name):
+        for pair in TestConstraintSignFlip.PAIRS:
+            assert shift_failure(name, pair) is None, pair
