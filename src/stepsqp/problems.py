@@ -6,8 +6,8 @@ A small registry of smooth problems of the form
 
 Each entry is a :class:`Problem`: callable evaluators for f, its
 gradient, c and its Jacobian, and an infeasible starting point. Building
-the registry evaluates each c once, at x0, and solves nothing; the test
-suite keeps a reference KKT pair for every entry. The hs* entries
+the registry evaluates each f and c once, at x0, and solves nothing; the
+test suite keeps a reference KKT pair for every entry. The hs* entries
 restate classic small test problems from the nonlinear programming
 literature; the remaining entries are simple constructions (linear
 objective on a circle, minimum-norm projection, a convex QP, a weighted
@@ -44,8 +44,9 @@ class Problem:
     on every call that they have the shapes (n,), (m,) and (m, n).
 
     The dimensions are not arguments: n is the length of x0, and m is
-    the length of c(x0), so c is evaluated once at construction, and a
-    c(x0) that is not one-dimensional is rejected there.
+    the length of c(x0). f and c are evaluated once at construction, and
+    an f(x0) that is not a scalar or a c(x0) that is not one-dimensional
+    is rejected there.
     """
 
     name: str
@@ -59,7 +60,13 @@ class Problem:
 
     def __post_init__(self):
         x0 = as_vector(self.x0, name=f"{self.name}.x0")
-        shape = np.shape(self.eval_c(x0))
+        # Only the output forms are checked here, so an overflow in the
+        # values is left to the run that evaluates them.
+        with np.errstate(all="ignore"):
+            f0, c0 = self.eval_f(x0), self.eval_c(x0)
+        if np.shape(f0) != ():
+            raise ValueError(f"{self.name}: f(x0) must be a scalar, got shape {np.shape(f0)}")
+        shape = np.shape(c0)
         if len(shape) != 1:
             raise ValueError(f"{self.name}: c(x0) must be one-dimensional, got shape {shape}")
         n, m = x0.size, shape[0]

@@ -29,7 +29,7 @@ once at each trial point; on acceptance those values become the new
 iterate's, so only grad f and J are evaluated there. The oracle samples
 add fresh noise to the exact f and grad f the loop holds, and the same
 exact values classify the iteration. A step's products are d'd, c'y
-and ||c||_1, each computed once and handed to the helpers below as
+and ||c||_1, each computed once and used by the step rule as
 scalars. For a direction from the system above, gbar'd + d'd = c'y
 (multiply its first block row by d and use J d = -c). So the trial
 penalty parameter is (1 - sigma) * ||c||_1 / c'y when c'y > 0 and
@@ -84,8 +84,8 @@ from .problems import Problem
 # The step rule's constants, fixed inputs of the method: the model
 # reduction factor sigma, the merit parameter's cut factor eps_tau, the
 # Armijo factor theta and the step-size factor gamma, each in (0, 1), and
-# the step-size cap alpha_max in (0, 1]. The step-rule helpers below read
-# them here.
+# the step-size cap alpha_max in (0, 1]. solve and tau_trial read them
+# here.
 SIGMA = 0.1
 EPS_TAU = 1e-2
 THETA = 1e-4
@@ -140,10 +140,10 @@ class SolverParams:
             raise ValueError("tau_init must be finite and > 0")
         if not is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a non-negative integer")
-        if not self.tol_infeas >= 0.0:
-            raise ValueError("tol_infeas must be >= 0")
-        if not self.tol_kkt >= 0.0:
-            raise ValueError("tol_kkt must be >= 0")
+        if not (self.tol_infeas >= 0.0 and is_finite(self.tol_infeas)):
+            raise ValueError("tol_infeas must be finite and >= 0")
+        if not (self.tol_kkt >= 0.0 and is_finite(self.tol_kkt)):
+            raise ValueError("tol_kkt must be finite and >= 0")
 
 
 def _kkt_matrix(jac: np.ndarray) -> np.ndarray:
@@ -170,11 +170,6 @@ def solve_kkt(jac: np.ndarray, g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray
     return d, z[g.size:], max_abs(jac.dot(d) + c)
 
 
-def model_reduction(tau_bar: float, gd: float, c_l1: float) -> float:
-    """Predicted merit decrease -tau * g'd + ||c||_1 of a step, given gd = g'd."""
-    return -tau_bar * gd + c_l1
-
-
 def tau_trial(cy: float, c_l1: float) -> float:
     """Largest penalty parameter keeping the model reduction adequate.
 
@@ -187,40 +182,6 @@ def tau_trial(cy: float, c_l1: float) -> float:
     if cy <= 0.0:
         return math.inf
     return (1.0 - SIGMA) * c_l1 / cy
-
-
-def update_tau(tau_bar: float, trial: float) -> float:
-    """Keep tau_bar if it does not exceed the trial value, else cut it.
-
-    A change lands at min((1 - EPS_TAU) * tau_bar, trial), so the
-    parameter never increases and any decrease is by a factor of at
-    least (1 - EPS_TAU).
-    """
-    if tau_bar <= trial:
-        return tau_bar
-    return min((1.0 - EPS_TAU) * tau_bar, trial)
-
-
-def acceptance_test(
-    phi_trial: float,
-    phi_current: float,
-    alpha: float,
-    delta_l: float,
-    tau_bar: float,
-    eps_f: float,
-) -> bool:
-    """Noise-relaxed sufficient decrease on the sampled merit (non-strict), Armijo factor THETA.
-
-    A NaN or +inf phi_trial fails it, so such a trial point is rejected.
-    """
-    return phi_trial <= phi_current - alpha * THETA * delta_l + 2.0 * tau_bar * eps_f
-
-
-def step_size_update(alpha: float, accepted: bool) -> float:
-    """Grow alpha by 1/GAMMA (capped at ALPHA_MAX) on acceptance, shrink by GAMMA otherwise."""
-    if accepted:
-        return min(ALPHA_MAX, alpha / GAMMA)
-    return GAMMA * alpha
 
 
 def least_squares_multipliers(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
@@ -371,9 +332,7 @@ def solve(
     # tests) is the one the run calls.
     f_at, c_at, jac_at, grad_at = problem.f, problem.c, problem.jacobian, problem.grad_f
     noisy_f, noisy_grad = oracle.noisy_f, oracle.noisy_grad
-    norm_max, trial_tau, cut_tau, reduction, accept, classify, next_alpha = (
-        max_abs, tau_trial, update_tau, model_reduction, acceptance_test, classify_iteration,
-        step_size_update)
+    norm_max, trial_tau, classify = max_abs, tau_trial, classify_iteration
     isfinite, sqrt, add_reduce, absolute, negative = (
         math.isfinite, math.sqrt, np.add.reduce, np.abs, np.negative)
 
@@ -471,21 +430,26 @@ def solve(
         if not (isfinite(dd) and isfinite(cy)):
             reason = f"step too large: d'd = {dd:g}, c'y = {cy:g}"
             break
-        tau_bar = cut_tau(tau_bar, trial_tau(cy, c_l1))
+        # tau_bar never increases, and any cut is by a factor of at least
+        # (1 - EPS_TAU).
+        trial = trial_tau(cy, c_l1)
+        if not tau_bar <= trial:
+            tau_bar = min((1.0 - EPS_TAU) * tau_bar, trial)
         if tau_bar <= tau_floor:
             reason = f"merit parameter collapsed to {tau_bar!r}"
             break
-        delta_l = reduction(tau_bar, cy - dd, c_l1)
+        delta_l = -tau_bar * (cy - dd) + c_l1
         bound = tau_bar * dd + SIGMA * c_l1
         if not (delta_l >= bound - MODEL_REDUCTION_SLACK * max(1.0, abs(delta_l), bound)):
             raise InvariantViolationError(
                 f"model reduction {delta_l:g} below guaranteed bound {bound:g} at iteration {k}"
             )
 
-        # Trial point, its exact f and c, and the two fresh merit samples.
-        # A NaN or +inf trial merit fails the acceptance test, so such a
-        # step is rejected; a -inf one is accepted and ends the run at
-        # the new iterate's finiteness check.
+        # Trial point, its exact f and c, the two fresh merit samples and
+        # the noise-relaxed sufficient-decrease test, which is non-strict.
+        # A NaN or +inf trial merit fails it, so such a step is rejected;
+        # a -inf one is accepted and ends the run at the new iterate's
+        # finiteness check.
         x_plus = x + alpha * d
         f_plus = f_at(x_plus)
         c_plus = c_at(x_plus)
@@ -494,7 +458,7 @@ def solve(
         c_plus_l1 = float(add_reduce(absolute(c_plus)))
         phi_bar_current = tau_bar * f_bar_current + c_l1
         phi_bar_trial = tau_bar * f_bar_trial + c_plus_l1
-        accepted = accept(phi_bar_trial, phi_bar_current, alpha, delta_l, tau_bar, eps_f)
+        accepted = phi_bar_trial <= phi_bar_current - alpha * THETA * delta_l + 2.0 * tau_bar * eps_f
 
         g_err = g_bar - g_exact
         true_iter = classify(sqrt(g_err.dot(g_err)),
@@ -509,7 +473,9 @@ def solve(
         if accepted:
             x, f_exact, c_vec, c_l1 = x_plus, f_plus, c_plus, c_plus_l1
             moved = True
-        alpha = next_alpha(alpha, accepted)
+            alpha = min(ALPHA_MAX, alpha / GAMMA)
+        else:
+            alpha = GAMMA * alpha
         k += 1
 
     if len(logs) > k:

@@ -361,14 +361,18 @@ class TestRunCommand:
         "key, message",
         [
             ("solver.tau_init", "tau_init must be finite and > 0"),
+            ("solver.tol_infeas", "tol_infeas must be finite and >= 0"),
+            ("solver.tol_kkt", "tol_kkt must be finite and >= 0"),
             ("oracle.eps_f_noise", "eps_f_noise must be finite and >= 0"),
             ("oracle.eps_g_noise", "eps_g_noise must be finite and >= 0"),
         ],
     )
     def test_setting_too_large_for_a_float_names_its_field(self, tmp_path, capsys, key, message):
-        code = main(["run", "P2", "--set", f"{key}={HUGE}", "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == f"error: {message}\n"
+        for value in (HUGE, "1e999"):
+            code = main(["run", "P2", "--set", f"{key}={value}", "--out", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_eps_f_accept_is_an_unknown_key(self, tmp_path, capsys):
         # The acceptance test's noise allowance is the oracle's eps_f_noise.

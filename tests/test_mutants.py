@@ -4,9 +4,8 @@ A mutant is one exact replacement in one function's source, taken with
 inspect.getsource. The text it replaces must occur exactly once, so an
 edit that removes or repeats it fails here and the catalogue has to
 follow. The mutated function is compiled against a copy of its module's
-namespace and patched in where the checks look it up: a step-rule
-helper into sqp, where solve looks it up, solve itself into sqp and
-bench, bench.build_profile into bench, where _table_profiles looks it
+namespace and patched in where the checks look it up: solve into sqp
+and bench, bench.build_profile into bench, where _table_profiles looks it
 up, and into test_bench, where the profile property test does, and
 bench.write_run_csv into bench, where write_run looks it up.
 
@@ -101,16 +100,20 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("allowance 1·τ·ε_f", "acceptance_test",
+    Mutant("allowance 1·τ·ε_f", "solve",
            "2.0 * tau_bar * eps_f", "1.0 * tau_bar * eps_f", STEP_RULE_KILLERS),
-    Mutant("τ may rise", "update_tau",
-           "return tau_bar\n", "return min(trial, tau_bar / (1.0 - EPS_TAU))\n",
+    Mutant("τ may rise", "solve",
+           "        if not tau_bar <= trial:\n",
+           "        if tau_bar <= trial:\n"
+           "            tau_bar = min(trial, tau_bar / (1.0 - EPS_TAU))\n"
+           "        else:\n",
            STEP_RULE_KILLERS),
-    Mutant("allowance scaled by |φ_current|", "acceptance_test",
-           "2.0 * tau_bar * eps_f", "2.0 * tau_bar * eps_f * abs(phi_current)",
+    Mutant("allowance scaled by |φ_current|", "solve",
+           "2.0 * tau_bar * eps_f", "2.0 * tau_bar * eps_f * abs(phi_bar_current)",
            ("constant shift",)),
-    Mutant("strict Armijo", "acceptance_test",
-           "phi_trial <= phi_current", "phi_trial < phi_current", STEP_RULE_KILLERS),
+    Mutant("strict Armijo", "solve",
+           "phi_bar_trial <= phi_bar_current", "phi_bar_trial < phi_bar_current",
+           STEP_RULE_KILLERS),
     Mutant("reused value sample", "solve",
            "tau_bar * f_bar_trial + c_plus_l1", "tau_bar * f_bar_current + c_plus_l1",
            STEP_RULE_KILLERS),

@@ -295,6 +295,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=rf"c\(x0\) must be one-dimensional, got shape {shape}"):
             Problem(name="bad", x0=np.zeros(2), **evals)
 
+    @pytest.mark.parametrize(("f", "shape"), [(lambda x: np.ones((1, 2)) @ x, r"\(1,\)"),
+                                              (lambda x: np.ones((1, 1)), r"\(1, 1\)")],
+                             ids=["row product", "2-D"])
+    def test_f_at_x0_that_is_not_a_scalar_rejected(self, f, shape):
+        evals = dict(self._evals(), eval_f=f)
+        with pytest.raises(ValueError, match=rf"^bad: f\(x0\) must be a scalar, got shape {shape}$"):
+            Problem(name="bad", x0=np.zeros(2), **evals)
+
     def test_flat_jacobian_row_flagged_at_call(self):
         p = Problem(
             name="flat",

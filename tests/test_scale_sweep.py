@@ -11,10 +11,13 @@ What is asserted holds today: no run raises; a run ends
 linear_algebra_failure exactly when it has a failure reason, and that
 reason is one README.md lists; at s_f = s_c = 1 no run fails; for s_f = 1
 and any s_c in S_C_SCALES, no run ends with an inaccurate KKT solve,
-since the ||J d + c||_inf guard also scales with ||J||_max ||d||_1. The
-status and reason counts per (s_f, s_c) are printed (pytest -s), so a
-change that moves them shows the move, and so is each merit-parameter
-collapse with its tau and s_c / s_f.
+since the ||J d + c||_inf guard also scales with ||J||_max ||d||_1; and
+in every run the merit parameter never increases and each cut is by a
+factor of at least (1 - EPS_TAU), with tau_bar ranging over the sweep
+from tau_init = 0.1 down to about 1e-12. The status and reason counts
+per (s_f, s_c) are printed (pytest -s), so a change that moves them
+shows the move, and so is each merit-parameter collapse with its tau and
+s_c / s_f.
 
 Not asserted yet, because it does not hold: for s_f = 1 and any s_c in
 S_C_SCALES, no run ends with a rank-deficient Jacobian. Scaling c and J
@@ -36,7 +39,7 @@ import pytest
 from stepsqp.bench import GridCell
 from stepsqp.oracles import OracleConfig
 from stepsqp.problems import Problem, get_problem, problem_names
-from stepsqp.sqp import RunStatus, SolverParams, solve
+from stepsqp.sqp import EPS_TAU, RunStatus, SolverParams, solve
 
 S_F_SCALES = (1e-6, 1.0, 1e6, 1e12)
 S_C_SCALES = (1e-8, 1.0, 1e8, 1e20)
@@ -100,7 +103,10 @@ def readme_failure_reasons() -> list[re.Pattern]:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(key, problem name, status, failure reason) per solve; a raise is its repr as status."""
+    """(key, problem name, status, failure reason, tau_bar column) per solve.
+
+    A raise is its repr as status, with no reason and an empty column.
+    """
     outcomes = []
     for key, problem, cfg in _cases():
         # A gradient sample near 1e308 gives a finite step whose d'd
@@ -108,19 +114,19 @@ def sweep():
         with np.errstate(over="ignore" if cfg.eps_g_noise == 1e308 else "warn"):
             try:
                 record = solve(problem, SolverParams(max_iters=MAX_ITERS), cfg)
-                outcome = (record.status, record.failure_reason)
+                outcome = (record.status, record.failure_reason, record.iterations["tau_bar"])
             except Exception as exc:  # a raise is what is checked
-                outcome = (repr(exc), None)
+                outcome = (repr(exc), None, np.empty(0))
         outcomes.append((key, problem.name, *outcome))
     table = {}
-    for key, _, status, reason in outcomes:
+    for key, _, status, reason, _ in outcomes:
         kind = reason and re.split(r"[:0-9]", reason)[0].strip()
         table.setdefault(key, Counter())[(getattr(status, "value", status), kind)] += 1
     for key, counts in table.items():
         print(key, dict(sorted(counts.items(), key=str)))
     # tau at each merit-parameter collapse, with s_c / s_f (1 at the
     # overflow pairs, which run unscaled); reported, not asserted.
-    for key, name, _, reason in outcomes:
+    for key, name, _, reason, _ in outcomes:
         if (reason or "").startswith("merit parameter collapsed to "):
             s_f, s_c = (1.0, 1.0) if key in HUGE_NOISE_PAIRS else key
             print("collapse", key, name, "tau", reason.rsplit(" ", 1)[1], f"s_c/s_f {s_c / s_f:g}")
@@ -142,7 +148,7 @@ def test_no_run_raises(sweep):
 def test_a_run_fails_exactly_when_it_has_a_reason_that_the_readme_lists(sweep):
     reasons = readme_failure_reasons()
     assert len(reasons) == 6
-    for key, name, status, reason in sweep:
+    for key, name, status, reason, _ in sweep:
         assert (status is RunStatus.LINEAR_ALGEBRA_FAILURE) == (reason is not None), (key, name)
         if reason is not None:
             assert any(pattern.fullmatch(reason) for pattern in reasons), (key, name, reason)
@@ -159,3 +165,12 @@ def test_no_unit_objective_run_ends_with_an_inaccurate_solve(sweep):
     inaccurate = [outcome for outcome in sweep if outcome[0] in unit_objective
                   and (outcome[3] or "").startswith("inaccurate KKT solve")]
     assert inaccurate == []
+
+
+def test_the_merit_parameter_never_grows_and_cuts_by_the_factor(sweep):
+    tau_init = SolverParams().tau_init
+    for key, name, _, _, taus in sweep:
+        previous = np.concatenate(([tau_init], taus[:-1]))
+        cut = taus < previous
+        assert np.all(taus <= previous), (key, name)
+        assert np.all(taus[cut] <= (1.0 - EPS_TAU) * previous[cut]), (key, name)

@@ -13,17 +13,12 @@ from hypothesis import strategies as st
 
 from stepsqp.linalg import SingularMatrixError, max_abs
 from stepsqp.sqp import (
-    EPS_TAU,
     SIGMA,
     SolverParams,
-    acceptance_test,
     classify_iteration,
     least_squares_multipliers,
-    model_reduction,
     solve_kkt,
-    step_size_update,
     tau_trial,
-    update_tau,
 )
 
 
@@ -80,41 +75,14 @@ class TestMeritParameter:
     def test_tau_trial_exact_zero_denominator(self):
         assert tau_trial(0.0, 1.0) == math.inf
 
-    def test_update_tau_keeps_small_parameter(self):
-        assert update_tau(0.1, math.inf) == 0.1
-        assert update_tau(0.1, 0.1) == 0.1
 
-    def test_update_tau_cuts_by_at_least_the_factor(self):
-        # trial just below tau: lands on (1 - eps_tau) * tau.
-        assert update_tau(0.1, 0.0995) == pytest.approx(0.099, abs=1e-15)
-        # trial far below: lands on the trial itself.
-        assert update_tau(0.1, 0.05) == 0.05
-        assert update_tau(0.1, 0.0) == 0.0
-
-    def test_model_reduction_hand_values(self):
-        # -0.1 * (2 * -1) + 3 = 3.2 and -0.5 * (2 * 2) + 0 = -2.
-        assert model_reduction(0.1, -2.0, 3.0) == pytest.approx(3.2)
-        assert model_reduction(0.5, 4.0, 0.0) == pytest.approx(-2.0)
-
-
-# Magnitudes wide enough to exercise the rules, narrow enough that no
+# Magnitudes wide enough to exercise the rule, narrow enough that no
 # product or quotient below overflows or underflows.
 _magnitudes = st.floats(min_value=1e-100, max_value=1e100)
 _signed = st.one_of(_magnitudes, _magnitudes.map(lambda v: -v), st.just(0.0))
 
 
 class TestMeritParameterProperties:
-    @settings(max_examples=300, derandomize=True, database=None)
-    @given(
-        tau_bar=_magnitudes,
-        trial=st.one_of(st.just(0.0), _magnitudes, st.just(math.inf)),
-    )
-    def test_update_tau_never_grows_and_cuts_by_the_factor(self, tau_bar, trial):
-        updated = update_tau(tau_bar, trial)
-        assert updated <= tau_bar
-        if updated < tau_bar:
-            assert updated <= (1.0 - EPS_TAU) * tau_bar
-
     @settings(max_examples=300, derandomize=True, database=None)
     @given(
         c=st.lists(_signed, min_size=1, max_size=4),
@@ -132,32 +100,6 @@ class TestMeritParameterProperties:
             assert value == math.inf
             return
         assert value >= (1.0 - SIGMA) / float(np.max(np.abs(y))) * (1.0 - 1e-12)
-
-
-class TestAcceptance:
-    def test_exact_armijo_cases(self):
-        # threshold = 10 - 0.5 * 1e-4 * 2 = 9.9999.
-        common = dict(phi_current=10.0, alpha=0.5, delta_l=2.0, tau_bar=0.1, eps_f=0.0)
-        assert acceptance_test(phi_trial=9.0, **common)
-        assert acceptance_test(phi_trial=9.9999, **common)  # non-strict boundary
-        assert not acceptance_test(phi_trial=9.99990000001, **common)
-
-    def test_noise_relaxation_admits_small_increases(self):
-        # 2 * tau * eps_f = 0.01 on top of the Armijo threshold.
-        assert acceptance_test(
-            phi_trial=10.005,
-            phi_current=10.0,
-            alpha=0.5,
-            delta_l=2.0,
-            tau_bar=0.1,
-            eps_f=0.05,
-        )
-
-    def test_step_size_update(self):
-        assert step_size_update(0.25, True) == 0.5
-        assert step_size_update(0.25, False) == 0.125
-        assert step_size_update(1.0, True) == 1.0  # capped
-        assert step_size_update(0.75, True) == 1.0  # cap binds mid-range
 
 
 class TestMultipliers:
