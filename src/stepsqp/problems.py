@@ -13,8 +13,10 @@ literature; the remaining entries are simple constructions (linear
 objective on a circle, minimum-norm projection, a convex QP, a weighted
 quadratic on a sphere).
 
-Quadratic programs are built by :func:`quadratic_program`, also from
-JSON files by :func:`load_qp_json`.
+Every quadratic program is built by :func:`quadratic_program`: P2, qp10,
+and hs48 and hs51, which are stated in QP form and so leave their
+textbook objective's constant term out of f. :func:`load_qp_json` builds
+one from a JSON file.
 """
 
 from __future__ import annotations
@@ -299,71 +301,33 @@ def _hs42() -> Problem:
 
 
 def _hs48() -> Problem:
-    """Separable quadratic, two linear constraints, solution at all-ones."""
+    """min (x1 - 1)^2 + (x2 - x3)^2 + (x4 - x5)^2 s.t. two linear constraints Ax = b.
 
-    def grad(x):
-        return np.array(
-            [
-                2.0 * (x[0] - 1.0),
-                2.0 * (x[1] - x[2]),
-                -2.0 * (x[1] - x[2]),
-                2.0 * (x[3] - x[4]),
-                -2.0 * (x[3] - x[4]),
-            ]
-        )
-
-    a_mat = np.array(
-        [
-            [1.0, 1.0, 1.0, 1.0, 1.0],
-            [0.0, 0.0, 1.0, -2.0, -2.0],
-        ]
-    )
-    b_vec = np.array([5.0, -3.0])
-    return Problem(
-        name="hs48",
-        eval_f=lambda x: (x[0] - 1.0) ** 2 + (x[1] - x[2]) ** 2 + (x[3] - x[4]) ** 2,
-        eval_grad_f=grad,
-        eval_c=lambda x: a_mat @ x - b_vec,
-        eval_jacobian=lambda x: a_mat.copy(),
-        # The textbook start is feasible; shifted to an infeasible one.
-        x0=np.array([3.0, 5.0, -3.0, 2.0, -1.0]),
-    )
+    Stated in QP form, so f is the textbook objective minus its constant 1.
+    The solution is all-ones.
+    """
+    q_mat = 2.0 * np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0, 0.0],
+                            [0.0, -1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0],
+                            [0.0, 0.0, 0.0, -1.0, 1.0]])
+    a_mat = [[1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, -2.0, -2.0]]
+    # The textbook start is feasible; shifted to an infeasible one.
+    return quadratic_program("hs48", q_mat, [-2.0, 0.0, 0.0, 0.0, 0.0], a_mat, [5.0, -3.0],
+                             [3.0, 5.0, -3.0, 2.0, -1.0])
 
 
 def _hs51() -> Problem:
-    """Separable quadratic, three linear constraints, solution at all-ones."""
+    """min (x1 - x2)^2 + (x2 + x3 - 2)^2 + (x4 - 1)^2 + (x5 - 1)^2 s.t. Ax = b.
 
-    def grad(x):
-        return np.array(
-            [
-                2.0 * (x[0] - x[1]),
-                -2.0 * (x[0] - x[1]) + 2.0 * (x[1] + x[2] - 2.0),
-                2.0 * (x[1] + x[2] - 2.0),
-                2.0 * (x[3] - 1.0),
-                2.0 * (x[4] - 1.0),
-            ]
-        )
-
-    a_mat = np.array(
-        [
-            [1.0, 3.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0, -2.0],
-            [0.0, 1.0, 0.0, 0.0, -1.0],
-        ]
-    )
-    b_vec = np.array([4.0, 0.0, 0.0])
-    return Problem(
-        name="hs51",
-        eval_f=lambda x: (x[0] - x[1]) ** 2
-        + (x[1] + x[2] - 2.0) ** 2
-        + (x[3] - 1.0) ** 2
-        + (x[4] - 1.0) ** 2,
-        eval_grad_f=grad,
-        eval_c=lambda x: a_mat @ x - b_vec,
-        eval_jacobian=lambda x: a_mat.copy(),
-        # The textbook start is feasible; shifted to an infeasible one.
-        x0=np.array([2.5, 1.0, 2.0, -1.0, 1.0]),
-    )
+    Three linear constraints. Stated in QP form, so f is the textbook objective minus its constant 6.
+    The solution is all-ones.
+    """
+    q_mat = 2.0 * np.array([[1.0, -1.0, 0.0, 0.0, 0.0], [-1.0, 2.0, 1.0, 0.0, 0.0],
+                            [0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0, 1.0]])
+    a_mat = [[1.0, 3.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, -2.0], [0.0, 1.0, 0.0, 0.0, -1.0]]
+    # The textbook start is feasible; shifted to an infeasible one.
+    return quadratic_program("hs51", q_mat, [0.0, -4.0, -4.0, -2.0, -2.0], a_mat,
+                             [4.0, 0.0, 0.0], [2.5, 1.0, 2.0, -1.0, 1.0])
 
 
 _SPHERE_N = 30

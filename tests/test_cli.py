@@ -538,6 +538,21 @@ class TestBenchAndProfileCommands:
         assert runs[0]["failure_reason"].startswith("step too large: d'd = inf")
         assert runs[1]["failure_reason"].startswith("inaccurate KKT solve")
 
+    def test_bench_ignores_the_oracle_noise_levels(self, tmp_path):
+        # bench solves its grid's noise pairs; of the oracle section it reads only the seed.
+        grid = ['grid.problems=["P1", "hs51"]', "grid.noise_pairs=[[0.01, 0.1]]",
+                "grid.replicates=2"]
+        for out, extra in (("plain", []), ("noisy", ["oracle.eps_f_noise=0.5"])):
+            argv = ["bench", "--out", str(tmp_path / out)]
+            for override in grid + extra:
+                argv += ["--set", override]
+            assert main(argv) == EXIT_OK
+        runs = sorted(path.name for path in (tmp_path / "plain").glob("*__r*.csv"))
+        assert len(runs) == 4
+        for name in runs:
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                   (tmp_path / "noisy" / name).read_bytes(), name
+
     def test_bench_unknown_problem(self, tmp_path, capsys):
         code = main(
             ["bench", "--set", 'grid.problems=["ghost"]', "--out", str(tmp_path / "o")]

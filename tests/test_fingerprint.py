@@ -1,4 +1,8 @@
-"""The benchmark workloads' fingerprints, pinned: a speed change must not move a bit.
+"""The benchmark workloads' fingerprints, pinned to the bit.
+
+A speed change must not move a bit. A change to the problems' arithmetic
+may re-record the three hashes only when the status counts, iterations
+and oracle calls stay unchanged, and CHANGES.md lists every run that moved.
 
 Each of perfbench's three grids (stall, converge, campaign) is solved at
 seed 0 through bench.run_cell, and must give the recorded status counts,
@@ -33,25 +37,25 @@ EXPECTED = {
         "status_counts": {"budget_exhausted": 22, "converged": 2},
         "iterations": 22236,
         "oracle_calls": (44472, 22236),
-        "sha256": "8957393e2898ec1c3123dc6141140648b68604ce1969b5f002b1885409b8b40b",
-        "iterations_bytes": "4f8e6701df648d605bb65764198eabdaabcb848e520f598e03ae122cbf12dc9c",
-        "final_x_bytes": "6570826c41bb8ac42da3063c805669498d4b323250ea400ee5c63eb986e87f47",
+        "sha256": "c68db1b16241d5cef254d4f2a0ccdd75c3d38ca76e6806c4188928cd12e28838",
+        "iterations_bytes": "d1b3bbc5a350b66fdf22cfd0b0f8c6b85dd48971ec2c1d6273f961e0660a31ab",
+        "final_x_bytes": "30754fcaa0bbc5599a238c108ef2753e2575e869e797649c52b5bc14c71dea64",
     },
     "converge": {
         "status_counts": {"converged": 24},
         "iterations": 2827,
         "oracle_calls": (5654, 2827),
-        "sha256": "2c88ce1e0e7b359f4ee349c8d2c177362e506c70dd7d0874dffef4a9e7744685",
-        "iterations_bytes": "c3778b75700108a5a47e2761f00e5774cc24c447d84ae5487092b4a92887cadf",
-        "final_x_bytes": "0dea66d8ad47ad1eb624b0ddd4c59f90fd42e6fe85fd6ffbf01388a7085786a1",
+        "sha256": "021cd5d97677fd291fedf1d6762d94e4e9e3c060af01509286c7caa18eb5a3b1",
+        "iterations_bytes": "edc385c26be63758ffc2c83b288ef9fefefc9c06ede308e95b82ca861a00c246",
+        "final_x_bytes": "38e71ca8201ed8c9f79a08161336f66cca26d622b6d455a30374cf9921a09ff2",
     },
     "campaign": {
         "status_counts": {"budget_exhausted": 26, "converged": 22},
         "iterations": 9823,
         "oracle_calls": (19646, 9823),
-        "sha256": "faefe827e857af7f2571867ad1df1519a5fd5d1af922b4c53f1a44363c4737a8",
-        "iterations_bytes": "26ad23082d3f6de19a473adb21494182bf3ada8e41ddcfc014cd1a46f6508bc7",
-        "final_x_bytes": "2342eceff4afbaf6abba76bf19d0c458a268f3b4b9c02925d0f3c3af7a6ca773",
+        "sha256": "42492f174ef79649475f39d305918de400e5ec718390ac9601e979708d37efc7",
+        "iterations_bytes": "32a86d0fc500f4ba5216d076c94b9e526d45b93725f109a5dbc0befd886f922e",
+        "final_x_bytes": "f3517794f3ab85f73cffea4141e9000fb5c53304a43e66bc730394261a13c8f5",
     },
 }
 

@@ -33,7 +33,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MEASURED_WITH = {"python": "3.11", "numpy": "2.4.6"}
 
-OPCODES_PER_ITER_CEILING = 782.14
+OPCODES_PER_ITER_CEILING = 774.52
 MAX_ITERS = 100
 
 

@@ -239,6 +239,28 @@ class TestReferencePoints:
         np.testing.assert_allclose(REFERENCE_KKT_PAIRS["P2"][0], x_star, atol=1e-14)
 
 
+# The textbook objective of each hs entry stated in QP form, with the
+# constant term that quadratic_program leaves out of f.
+TEXTBOOK_OBJECTIVES = {
+    "hs48": (lambda x: (x[0] - 1.0) ** 2 + (x[1] - x[2]) ** 2 + (x[3] - x[4]) ** 2, 1.0),
+    "hs51": (lambda x: (x[0] - x[1]) ** 2 + (x[1] + x[2] - 2.0) ** 2 + (x[3] - 1.0) ** 2
+             + (x[4] - 1.0) ** 2, 6.0),
+}
+
+
+class TestTextbookObjectives:
+    @pytest.mark.parametrize("name", TEXTBOOK_OBJECTIVES)
+    def test_f_plus_its_constant_is_the_textbook_objective(self, name):
+        # A wrong Q or q entry that keeps all-ones stationary passes the
+        # reference KKT pair and the derivative check, but not this.
+        textbook, constant = TEXTBOOK_OBJECTIVES[name]
+        p = get_problem(name)
+        eps = np.finfo(np.float64).eps
+        for point in [p.x0] + ball_points(p.x0, 10, seed=0):
+            f = p.f(point)
+            assert abs(f + constant - textbook(point)) <= 16 * eps * max(1.0, abs(f)), (name, point)
+
+
 class TestProblemValidation:
     def _evals(self):
         return dict(

@@ -5,7 +5,8 @@ Each number is one of two kinds:
 * a deterministic fact about the package, checked here against the code
   (the default grid's size, the replicate and noise-pair caps, exit
   codes, the registry's n and m, the scale sweep's range, the constant
-  shift's K, the constants each acceptance criterion states), except
+  shift's K, the constant each QP-form hs entry leaves out of f, the
+  constants each acceptance criterion states), except
   the default grid's iteration total, which AC3 checks against the steps
   it counts, and the test count, which is checked against the collected
   suite;
@@ -193,6 +194,9 @@ FACTS = [
      lambda runs: value(runs) == len(grid_cells(ExperimentGrid()))),
     ("registry", claim(r"infeasibility at most (\S+) and stationarity residual at most (\S+), "),
      check_reference_bounds),
+    ("registry", claim(r"hs48's f is the textbook one minus (\d+), and hs51's minus (\d+)"),
+     lambda hs48, hs51: [value(hs48), value(hs51)] == [
+         test_problems.TEXTBOOK_OBJECTIVES[name][1] for name in ("hs48", "hs51")]),
     ("testing", claim(r"cut to (\d+) iterations, at most (\S+) opcodes per iteration"),
      lambda iters, ceiling: (value(iters), value(ceiling)) == (
          test_op_count.MAX_ITERS, test_op_count.OPCODES_PER_ITER_CEILING)),
