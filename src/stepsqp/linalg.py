@@ -5,9 +5,11 @@ problems (a few hundred unknowns at most). LU factorizations are made
 by LAPACK ``getrf``, and every one passes the pivot floor of
 :func:`check_pivots`, so that near-singular systems fail loudly instead
 of returning garbage. :func:`lu_solve` is the one-shot solve: factor,
-pivot floor, ``getrs``, residual self-check. The SQP loop calls
-``dgetrf``, :func:`check_pivots`, ``dgetrs`` and the residual self-check
-itself, on the KKT matrix it keeps.
+pivot floor, ``getrs``. The SQP loop calls ``dgetrf``,
+:func:`check_pivots` and ``dgetrs`` itself, on the KKT matrix it keeps.
+The test suite checks the residual of every solve, in a fixture that
+wraps SciPy's ``dgetrf`` and ``dgetrs`` before :func:`load_lapack`
+binds them (tests/conftest.py).
 
 LAPACK comes from SciPy, whose import costs about as much as the rest of
 the package's start-up. It is loaded at the first factorization (or by
@@ -17,18 +19,12 @@ never load SciPy.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Relative floor for pivots / Cholesky diagonal entries.
 PIVOT_RTOL = 1e-14
 # Allowed relative asymmetry before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
-
-# Flipped on by the test suite: every solve with a finite solution then
-# verifies its own residual.
-_CHECK_RESIDUALS = False
 
 
 def load_lapack() -> None:
@@ -109,25 +105,6 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not symmetric to tolerance {tol:g}")
 
 
-def check_residual(a: np.ndarray, scale: float, x: np.ndarray, b: np.ndarray) -> None:
-    """The self-check of a solution x of a x = b: raise AssertionError if ||Ax - b||_max is too large.
-
-    Backward-stable direct solves keep ||Ax - b|| small relative to
-    ||A|| ||x||, with scale = ||A||_max; the bound is
-    1e-10 * (1 + scale * ||x||_max). A solution that overflowed is left
-    to the caller's own checks (solve's ||J d + c||_inf guard ends such a
-    run); a NaN residual of a finite one fails. Every solve runs it while
-    _CHECK_RESIDUALS is on.
-    """
-    x_max = max_abs(x)
-    if not math.isfinite(x_max):
-        return
-    res = max_abs(a @ x - b)
-    bound = 1e-10 * (1.0 + scale * x_max)
-    if not res <= bound:
-        raise AssertionError(f"solve residual {res:g} exceeds bound {bound:g}")
-
-
 def check_pivots(lu: np.ndarray, scale: float) -> None:
     """The pivot floor, applied to the LU factors lu that getrf made of a matrix A.
 
@@ -156,8 +133,7 @@ def lu_solve(a, b) -> np.ndarray:
     """Solve A x = b for one right-hand side by LU with partial pivoting.
 
     A zero right-hand side returns exact zeros. Raises SingularMatrixError
-    where check_pivots does, with scale ||A||_max, and runs the residual
-    self-check while _CHECK_RESIDUALS is on.
+    where check_pivots does, with scale ||A||_max.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -166,13 +142,9 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
-    scale = max_abs(a)
     lu, piv, _ = dgetrf(a)
-    check_pivots(lu, scale)
-    x, _ = dgetrs(lu, piv, b)
-    if _CHECK_RESIDUALS:
-        check_residual(a, scale, x, b)
-    return x
+    check_pivots(lu, max_abs(a))
+    return dgetrs(lu, piv, b)[0]
 
 
 def cholesky_solve(a, b) -> np.ndarray:
@@ -196,7 +168,4 @@ def cholesky_solve(a, b) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
     if scale == 0.0 or np.min(np.diagonal(factor)) <= PIVOT_RTOL * scale:
         raise NotPositiveDefiniteError("diagonal factor entry at or below the pivot floor")
-    x = scipy.linalg.cho_solve((factor, True), b, check_finite=False)
-    if _CHECK_RESIDUALS:
-        check_residual(a, scale, x, b)
-    return x
+    return scipy.linalg.cho_solve((factor, True), b, check_finite=False)

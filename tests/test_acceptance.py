@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import time
 
+import conftest
 import numpy as np
 from reference import gauss_jordan_inverse
 from test_readme import readme_default_grid
@@ -73,9 +74,9 @@ def check_ac3_cell(grid, cell):
     Returns the run's step count, whether it failed, and its violations.
     The checks read the run log's columns; c and J are evaluated afresh
     at every logged x. Runs in the forked workers of the AC3 pool, so it
-    first checks that the kernel's residual self-checks came along.
+    first checks that the suite's residual-checked dgetrs came along.
     """
-    assert linalg._CHECK_RESIDUALS, "residual self-checks are off in this process"
+    assert linalg.dgetrs is conftest.checked_dgetrs, "solves are unchecked in this process"
     problem = get_problem(cell.problem)
     record = run_cell(grid, cell)
     logs = record.iterations

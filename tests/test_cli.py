@@ -529,7 +529,7 @@ class TestBenchAndProfileCommands:
                 "--out", str(out)]
         # P1's d'd overflows, and hs6's step overflows inside the solve,
         # which the run reports as an inaccurate KKT solve; the test
-        # session's residual self-check leaves that non-finite step alone.
+        # session's residual check leaves that non-finite step alone.
         with np.errstate(over="ignore"):
             code = main(argv)
         assert code == EXIT_FAILURE
@@ -1237,7 +1237,12 @@ def test_readme_quick_start_runs():
         text=True,
         check=True,
     ).stdout
-    assert out.splitlines()[0] == "converged"
+    status, final_x, final_kkt_inf = out.splitlines()
+    assert status == "converged"
+    # The values the block's comments state, each rounded to the digits stated.
+    assert "# approx (-1, -1)\n" in block and "# approx 3e-3," in block
+    assert [round(float(v)) for v in final_x.strip("[]").split()] == [-1, -1]
+    assert f"{float(final_kkt_inf):.0e}" == "3e-03"
 
 
 def test_importing_oracles_loads_no_other_stepsqp_module():

@@ -3,16 +3,17 @@
 sqp.solve keeps the matrix [[I, J^T], [J, 0]] itself and calls LAPACK
 directly: at each new iterate it factors once (linalg.dgetrf, then the
 pivot floor linalg.check_pivots), and each solve against those factors
-(linalg.dgetrs) is checked for its residual when the suite turns the
-self-checks on. Its solves must match the one-shot helpers solve_kkt and
-least_squares_multipliers bit for bit; the least-squares multipliers are
-compared against numpy.linalg.lstsq on Jacobians with condition numbers
-up to 1e8.
+(linalg.dgetrs) is checked for its residual by the suite's wrapper
+around dgetrs (tests/conftest.py). Its solves must match the one-shot
+helpers solve_kkt and least_squares_multipliers bit for bit; the
+least-squares multipliers are compared against numpy.linalg.lstsq on
+Jacobians with condition numbers up to 1e8.
 """
 
 import re
 from collections import Counter
 
+import conftest
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,11 +158,11 @@ class TestKktKernel:
     @pytest.mark.parametrize("perturbed", [0, 1], ids=["multipliers", "step"])
     def test_solve_checks_the_residual_of_each_lapack_solve(self, monkeypatch, perturbed):
         # A multiplier of dgetrs's solution off by 1e-6 leaves a residual
-        # far above the self-check's bound, and nothing else in solve sees
-        # it. The first solve of a run is x0's multipliers, the second its
-        # first step.
-        linalg.load_lapack()
-        dgetrs = linalg.dgetrs
+        # far above the check's bound, and nothing else in solve sees it.
+        # The first solve of a run is x0's multipliers, the second its
+        # first step. The perturbation is made in the routine the suite's
+        # wrapper calls, beneath the check.
+        dgetrs = conftest.raw_dgetrs
         calls = []
 
         def perturbed_getrs(lu, piv, b):
@@ -171,12 +172,13 @@ class TestKktKernel:
             calls.append(1)
             return z, info
 
-        monkeypatch.setattr(linalg, "dgetrs", perturbed_getrs)
+        monkeypatch.setattr(conftest, "raw_dgetrs", perturbed_getrs)
         with pytest.raises(AssertionError, match="solve residual"):
             solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY)
         assert len(calls) == perturbed + 1
-        # Without the self-check the same run ends normally.
-        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", False)
+        # Without the check the same run ends normally.
+        monkeypatch.setattr(linalg, "dgetrf", conftest.raw_dgetrf)
+        monkeypatch.setattr(linalg, "dgetrs", perturbed_getrs)
         calls.clear()
         assert len(solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY).iterations) == 5
 

@@ -7,8 +7,10 @@ systems, besides fixed hand-checked cases.
 
 import math
 
+import conftest
 import numpy as np
 import pytest
+from conftest import check_residual
 from reference import gauss_jordan_inverse
 
 from stepsqp import linalg
@@ -17,7 +19,6 @@ from stepsqp.linalg import (
     SingularMatrixError,
     as_matrix,
     as_vector,
-    check_residual,
     cholesky_solve,
     lu_solve,
     max_abs,
@@ -143,7 +144,7 @@ class TestLuSolve:
 
 
 class TestLuFactor:
-    """The checks around lu_solve's factorization: check_pivots and check_residual."""
+    """The checks around lu_solve's factorization: check_pivots, and the suite's check_residual."""
 
     def test_singular_raises_with_pivot_message(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
@@ -158,11 +159,10 @@ class TestLuFactor:
 
     def test_solve_checks_its_residual(self, monkeypatch):
         # Factors of a different matrix cannot solve this one: the
-        # residual self-check must notice.
-        linalg.load_lapack()
-        dgetrf = linalg.dgetrf
-        monkeypatch.setattr(linalg, "dgetrf", lambda a: dgetrf(2.0 * a))
-        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
+        # residual check must notice. The wrong factors are made beneath
+        # the check, which pairs them with this matrix.
+        dgetrf = conftest.raw_dgetrf
+        monkeypatch.setattr(conftest, "raw_dgetrf", lambda a: dgetrf(2.0 * a))
         with pytest.raises(AssertionError, match="residual"):
             lu_solve(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0]))
 
@@ -171,9 +171,8 @@ class TestLuFactor:
             check_residual(np.full((2, 2), np.nan), 3.0, np.array([1.0, 3.0]),
                            np.array([5.0, 10.0]))
 
-    def test_residual_check_leaves_an_overflowed_solution_to_the_caller(self, monkeypatch):
+    def test_residual_check_leaves_an_overflowed_solution_to_the_caller(self):
         # The pivot 1e-13 passes the floor 1e-14, and 1e300 / 1e-13 overflows.
-        monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", True)
         x = lu_solve(np.diag([1.0, 1e-13]), np.array([1.0, 1e300]))
         assert x[1] == math.inf
 
@@ -186,6 +185,37 @@ class TestLuFactor:
         with pytest.raises(AssertionError, match="residual"):
             check_residual(a, max_abs(a), x, b)
         check_residual(a, 1e12, x, b)
+
+
+class TestCheckedLapack:
+    """The suite's wrappers around dgetrf and dgetrs (tests/conftest.py)."""
+
+    def test_load_lapack_keeps_the_checked_routines(self):
+        # load_lapack imports the names from SciPy, where the wrappers sit.
+        linalg.load_lapack()
+        assert linalg.dgetrf is conftest.checked_dgetrf
+        assert linalg.dgetrs is conftest.checked_dgetrs
+
+    def test_a_solve_on_factors_the_wrapper_did_not_return_fails(self):
+        a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0])
+        lu, piv, _ = conftest.raw_dgetrf(a)
+        with pytest.raises(AssertionError, match="factors checked_dgetrf did not return"):
+            linalg.dgetrs(lu, piv, b)
+        # Equal values are not the same factors.
+        lu, piv, _ = linalg.dgetrf(a)
+        with pytest.raises(AssertionError, match="factors checked_dgetrf did not return"):
+            linalg.dgetrs(lu.copy(), piv, b)
+        np.testing.assert_allclose(linalg.dgetrs(lu, piv, b)[0], [1.0, 3.0])
+
+    def test_each_solve_is_checked_against_the_matrix_its_factors_came_from(self):
+        # Solves against the first factors, made before the second, are
+        # checked against the first matrix, not the last one factored.
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        first = linalg.dgetrf(a)
+        second = linalg.dgetrf(2.0 * a)
+        b = np.array([5.0, 10.0])
+        np.testing.assert_allclose(linalg.dgetrs(first[0], first[1], b)[0], [1.0, 3.0])
+        np.testing.assert_allclose(linalg.dgetrs(second[0], second[1], b)[0], [0.5, 1.5])
 
 
 class TestCholeskySolve:

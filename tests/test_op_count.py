@@ -24,6 +24,7 @@ from collections import Counter
 from importlib.metadata import version
 from pathlib import Path
 
+import conftest
 import pytest
 
 from stepsqp import bench, linalg
@@ -33,7 +34,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MEASURED_WITH = {"python": "3.11", "numpy": "2.4.6"}
 
-OPCODES_PER_ITER_CEILING = 774.52
+OPCODES_PER_ITER_CEILING = 768.73
 MAX_ITERS = 100
 
 
@@ -65,8 +66,10 @@ def test_opcodes_per_iteration_stay_under_the_ceiling(monkeypatch):
     if sys.implementation.name != "cpython" or installed != MEASURED_WITH:
         pytest.skip(f"ceiling measured on CPython with {MEASURED_WITH}, this install is "
                     f"{sys.implementation.name} with {installed}")
-    # The path a run takes outside this suite, whose conftest turns the check on.
-    monkeypatch.setattr(linalg, "_CHECK_RESIDUALS", False)
+    # The path a run takes outside this suite, whose conftest wraps both
+    # routines in its residual check: SciPy's own.
+    monkeypatch.setattr(linalg, "dgetrf", conftest.raw_dgetrf)
+    monkeypatch.setattr(linalg, "dgetrs", conftest.raw_dgetrs)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import STALL_PAIRS
 
