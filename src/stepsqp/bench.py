@@ -49,7 +49,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import load_lapack
 from .oracles import OracleConfig, derive_stream, is_finite, is_int
 from .problems import get_problem, problem_names, read_json
 from .sqp import RunRecord, SolverParams, solve
@@ -418,7 +417,7 @@ def run_grid(grid: ExperimentGrid, out_dir: "Path | str", jobs: int = 1) -> dict
         # workers inherit LAPACK from here instead of each loading it.
         import concurrent.futures
 
-        load_lapack()
+        import scipy.linalg.lapack
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(task, cells))
     table = _run_table(grid.replicates, _read_runs(out_dir, cells, runs, out_dir / "summary.json"))

@@ -8,13 +8,13 @@ of returning garbage. :func:`lu_solve` is the one-shot solve: factor,
 pivot floor, ``getrs``. The SQP loop calls ``dgetrf``,
 :func:`check_pivots` and ``dgetrs`` itself, on the KKT matrix it keeps.
 The test suite checks the residual of every solve, in a fixture that
-wraps SciPy's ``dgetrf`` and ``dgetrs`` before :func:`load_lapack`
-binds them (tests/conftest.py).
+wraps SciPy's ``dgetrf`` and ``dgetrs`` in ``scipy.linalg.lapack``
+(tests/conftest.py).
 
 LAPACK comes from SciPy, whose import costs about as much as the rest of
-the package's start-up. It is loaded at the first factorization (or by
-:func:`load_lapack`), never at import, so commands that solve nothing
-never load SciPy.
+the package's start-up. So nothing imports it at module level: each
+caller imports the routines from ``scipy.linalg.lapack`` where it calls
+them, and commands that solve nothing never load SciPy.
 """
 
 from __future__ import annotations
@@ -25,25 +25,6 @@ import numpy as np
 PIVOT_RTOL = 1e-14
 # Allowed relative asymmetry before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
-
-
-def load_lapack() -> None:
-    """Bind ``dgetrf``/``dgetrs`` to SciPy's LAPACK routines; later calls cost one import lookup."""
-    global dgetrf, dgetrs
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
-
-# Stand-ins until LAPACK is loaded. load_lapack rebinds both module globals,
-# so the call below each reaches the real routine, and so does every later
-# factorization and solve, with no extra Python call.
-def dgetrf(*args, **kwargs):
-    load_lapack()
-    return dgetrf(*args, **kwargs)
-
-
-def dgetrs(*args, **kwargs):
-    load_lapack()
-    return dgetrs(*args, **kwargs)
 
 
 class SingularMatrixError(Exception):
@@ -133,7 +114,9 @@ def lu_solve(a, b) -> np.ndarray:
     """Solve A x = b for one right-hand side by LU with partial pivoting.
 
     A zero right-hand side returns exact zeros. Raises SingularMatrixError
-    where check_pivots does, with scale ||A||_max.
+    where check_pivots does, with scale ||A||_max. dgetrf and dgetrs are
+    imported from scipy.linalg.lapack at each call, as cholesky_solve
+    imports scipy.linalg (see the module docstring).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -142,6 +125,8 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     lu, piv, _ = dgetrf(a)
     check_pivots(lu, max_abs(a))
     return dgetrs(lu, piv, b)[0]

@@ -45,9 +45,11 @@ J^T, -g and -c blocks, through which each new iterate writes J, J^T and
 dgetrf, and its pivots pass linalg.check_pivots, whose scale is the
 matrix's max-norm max(1, ||J||_max), from the ||J||_max the loop takes
 anyway to test J for finiteness. Each solve is one dgetrs call against
-those factors. The loop runs no residual check of its own: the test
-suite checks each solve's residual by wrapping the LAPACK routines that
-linalg binds (tests/conftest.py).
+those factors. Both routines are imported from scipy.linalg.lapack once
+at the start of each run, so SciPy loads only when something solves, and
+a patch of that module's names made before a run is the one it calls.
+The loop runs no residual check of its own: the test suite checks each
+solve's residual by wrapping those routines (tests/conftest.py).
 The one factorization gives the least-squares multipliers and the KKT
 residual (the augmented-system method for linear least squares) and the
 step, whose constraint rows give J d + c. solve_kkt and
@@ -71,7 +73,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     SingularMatrixError,
     as_matrix,
@@ -328,8 +329,11 @@ def solve(
     eps_f, eps_g = oracle_cfg.eps_f_noise, oracle_cfg.eps_g_noise
     max_iters, tol_infeas, tol_kkt = params.max_iters, params.tol_infeas, params.tol_kkt
     # Bound once per run. The helpers are read from this module's globals
-    # here, so a patch made before the run (the benchmark's tracer, the
-    # tests) is the one the run calls.
+    # and LAPACK's routines from SciPy's module here, so a patch made
+    # before the run (the benchmark's tracer, the tests) is the one the
+    # run calls.
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     f_at, c_at, jac_at, grad_at = problem.f, problem.c, problem.jacobian, problem.grad_f
     noisy_f, noisy_grad = oracle.noisy_f, oracle.noisy_grad
     norm_max, trial_tau, classify = max_abs, tau_trial, classify_iteration
@@ -376,14 +380,14 @@ def solve(
             jac_t_block[...] = jac.T
             jac_block[...] = jac
             negative(c_vec, out=neg_c)
-            lu, piv, _ = linalg.dgetrf(kkt)
+            lu, piv, _ = dgetrf(kkt)
             try:
                 check_pivots(lu, max(1.0, jac_max))
             except SingularMatrixError:
                 reason = "constraint Jacobian is rank deficient"
                 break
             negative(g_exact, out=mult_top)
-            kkt_inf = norm_max(linalg.dgetrs(lu, piv, mult_rhs)[0][:n])
+            kkt_inf = norm_max(dgetrs(lu, piv, mult_rhs)[0][:n])
             moved = False
             if infeas_inf <= tol_infeas and kkt_inf <= tol_kkt:
                 status = RunStatus.CONVERGED
@@ -400,7 +404,7 @@ def solve(
             reason = "non-finite noisy gradient"
             break
         negative(g_bar, out=step_top)
-        z = linalg.dgetrs(lu, piv, step_rhs)[0]
+        z = dgetrs(lu, piv, step_rhs)[0]
         d, y = z[:n], z[n:]
         lin_feas = norm_max(jac_block.dot(d) - neg_c)
         # The solve's rounding scales with its right-hand side (g_bar, c),

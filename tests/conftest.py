@@ -1,16 +1,15 @@
 """Shared test configuration.
 
 The session fixture _check_every_lapack_solve checks the residual of
-every LAPACK solve the suite makes through stepsqp.linalg, with no hook
-in the package. It wraps scipy.linalg.lapack's dgetrf and dgetrs and
-then calls linalg.load_lapack, which binds linalg's names to the
-wrappers; so does any later load_lapack call, and the forked workers of
-a process pool inherit them. checked_dgetrf keeps a copy of each matrix
-it factors, and checked_dgetrs runs check_residual on each solution
-against the matrix whose factors it was given, paired by the identity of
-the factor array. The wrappers call raw_dgetrf and raw_dgetrs, SciPy's
-own routines while the fixture is active; a test that perturbs a solve
-beneath the check patches those.
+every LAPACK solve the suite makes, with no hook in the package. It
+replaces dgetrf and dgetrs in scipy.linalg.lapack, the module from which
+sqp.solve and linalg.lu_solve import them when they solve, by wrappers;
+the forked workers of a process pool inherit them. checked_dgetrf keeps
+a copy of each matrix it factors, and checked_dgetrs runs check_residual
+on each solution against the matrix whose factors it was given, paired
+by the identity of the factor array. The wrappers call raw_dgetrf and
+raw_dgetrs, SciPy's own routines while the fixture is active; a test
+that perturbs a solve beneath the check patches those.
 
 The collection hook records how many tests the run collected under
 tests/ and perfbench/, and whether that is the whole suite, for the
@@ -24,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepsqp import linalg
 from stepsqp.linalg import max_abs
 
 _DESELECTED = pytest.StashKey[int]()
@@ -86,10 +84,8 @@ def _check_every_lapack_solve():
 
     raw_dgetrf, raw_dgetrs = lapack.dgetrf, lapack.dgetrs
     lapack.dgetrf, lapack.dgetrs = checked_dgetrf, checked_dgetrs
-    linalg.load_lapack()
     yield
     lapack.dgetrf, lapack.dgetrs = raw_dgetrf, raw_dgetrs
-    linalg.load_lapack()
 
 
 def pytest_deselected(items):

@@ -16,13 +16,12 @@ import time
 
 import conftest
 import numpy as np
+import scipy.linalg.lapack
 from reference import gauss_jordan_inverse
 from test_readme import readme_default_grid
 
-from stepsqp import linalg
 from stepsqp.bench import ExperimentGrid, build_profile, first_hit, grid_cells, run_cell
 from stepsqp.cli import EXIT_OK, _usable_cpus, main
-from stepsqp.linalg import load_lapack
 from stepsqp.oracles import OracleConfig, StochasticOracle, derive_stream
 from stepsqp.problems import get_problem, problem_names
 from stepsqp.sqp import EPS_TAU, SIGMA, THETA, RunStatus, solve, solve_kkt
@@ -76,7 +75,8 @@ def check_ac3_cell(grid, cell):
     at every logged x. Runs in the forked workers of the AC3 pool, so it
     first checks that the suite's residual-checked dgetrs came along.
     """
-    assert linalg.dgetrs is conftest.checked_dgetrs, "solves are unchecked in this process"
+    assert scipy.linalg.lapack.dgetrs is conftest.checked_dgetrs, \
+        "solves are unchecked in this process"
     problem = get_problem(cell.problem)
     record = run_cell(grid, cell)
     logs = record.iterations
@@ -146,8 +146,8 @@ def test_ac3_invariants_hold_across_the_full_grid():
     cells = grid_cells(grid)
     workers = _usable_cpus()
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Forked workers inherit LAPACK from here instead of each loading it.
-        load_lapack()
+        # Forked workers inherit LAPACK from here, where this module
+        # imported it, instead of each loading it.
         context = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
             results = list(pool.map(task, cells, chunksize=4))

@@ -1,13 +1,14 @@
 """Tests for the KKT kernel: one factorization per iterate, several right-hand sides.
 
 sqp.solve keeps the matrix [[I, J^T], [J, 0]] itself and calls LAPACK
-directly: at each new iterate it factors once (linalg.dgetrf, then the
-pivot floor linalg.check_pivots), and each solve against those factors
-(linalg.dgetrs) is checked for its residual by the suite's wrapper
-around dgetrs (tests/conftest.py). Its solves must match the one-shot
-helpers solve_kkt and least_squares_multipliers bit for bit; the
-least-squares multipliers are compared against numpy.linalg.lstsq on
-Jacobians with condition numbers up to 1e8.
+directly: at each new iterate it factors once (dgetrf, then the pivot
+floor linalg.check_pivots), and each solve against those factors
+(dgetrs) is checked for its residual by the suite's wrapper around
+dgetrs (tests/conftest.py). solve imports both from scipy.linalg.lapack
+at the start of each run, so the tests patch that module. Its solves
+must match the one-shot helpers solve_kkt and least_squares_multipliers
+bit for bit; the least-squares multipliers are compared against
+numpy.linalg.lstsq on Jacobians with condition numbers up to 1e8.
 """
 
 import re
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from stepsqp import linalg
 from stepsqp.linalg import SingularMatrixError, check_pivots, lu_solve, max_abs
 from stepsqp.oracles import OracleConfig
 from stepsqp.problems import get_problem
@@ -29,13 +30,12 @@ NOISY = OracleConfig(eps_f_noise=1e-1, eps_g_noise=1e-1, seed=5, stream_id=2)
 
 
 def recorded_lapack_calls(monkeypatch):
-    """Wrap linalg's dgetrf and dgetrs, which solve calls; return what they record.
+    """Wrap SciPy's dgetrf and dgetrs, which solve calls; return what they record.
 
     factors counts the factorizations in its "dgetrf" entry; solves gets
     one (right-hand side, solution) pair per solve, both copied.
     """
-    linalg.load_lapack()
-    dgetrf, dgetrs = linalg.dgetrf, linalg.dgetrs
+    dgetrf, dgetrs = lapack.dgetrf, lapack.dgetrs
     factors, solves = Counter(), []
 
     def getrf(a):
@@ -47,8 +47,8 @@ def recorded_lapack_calls(monkeypatch):
         solves.append((b.copy(), z.copy()))
         return z, info
 
-    monkeypatch.setattr(linalg, "dgetrf", getrf)
-    monkeypatch.setattr(linalg, "dgetrs", getrs)
+    monkeypatch.setattr(lapack, "dgetrf", getrf)
+    monkeypatch.setattr(lapack, "dgetrs", getrs)
     return factors, solves
 
 
@@ -132,7 +132,7 @@ class TestKktKernel:
             assert np.float64(scale).view(np.uint64) == np.float64(max_abs(a)).view(np.uint64)
             # solve's pivot floor refuses exactly the matrices the helpers'
             # lu_solve refuses, with the same message.
-            lu, _, _ = linalg.dgetrf(a)
+            lu, _, _ = lapack.dgetrf(a)
             try:
                 lu_solve(a, np.zeros(n + m))
             except SingularMatrixError as exc:
@@ -177,8 +177,8 @@ class TestKktKernel:
             solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY)
         assert len(calls) == perturbed + 1
         # Without the check the same run ends normally.
-        monkeypatch.setattr(linalg, "dgetrf", conftest.raw_dgetrf)
-        monkeypatch.setattr(linalg, "dgetrs", perturbed_getrs)
+        monkeypatch.setattr(lapack, "dgetrf", conftest.raw_dgetrf)
+        monkeypatch.setattr(lapack, "dgetrs", perturbed_getrs)
         calls.clear()
         assert len(solve(get_problem("hs6"), SolverParams(max_iters=5), NOISY).iterations) == 5
 

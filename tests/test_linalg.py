@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from conftest import check_residual
 from reference import gauss_jordan_inverse
+from scipy.linalg import lapack
 
-from stepsqp import linalg
 from stepsqp.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -188,34 +188,28 @@ class TestLuFactor:
 
 
 class TestCheckedLapack:
-    """The suite's wrappers around dgetrf and dgetrs (tests/conftest.py)."""
-
-    def test_load_lapack_keeps_the_checked_routines(self):
-        # load_lapack imports the names from SciPy, where the wrappers sit.
-        linalg.load_lapack()
-        assert linalg.dgetrf is conftest.checked_dgetrf
-        assert linalg.dgetrs is conftest.checked_dgetrs
+    """The suite's wrappers around SciPy's dgetrf and dgetrs (tests/conftest.py)."""
 
     def test_a_solve_on_factors_the_wrapper_did_not_return_fails(self):
         a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([5.0, 10.0])
         lu, piv, _ = conftest.raw_dgetrf(a)
         with pytest.raises(AssertionError, match="factors checked_dgetrf did not return"):
-            linalg.dgetrs(lu, piv, b)
+            lapack.dgetrs(lu, piv, b)
         # Equal values are not the same factors.
-        lu, piv, _ = linalg.dgetrf(a)
+        lu, piv, _ = lapack.dgetrf(a)
         with pytest.raises(AssertionError, match="factors checked_dgetrf did not return"):
-            linalg.dgetrs(lu.copy(), piv, b)
-        np.testing.assert_allclose(linalg.dgetrs(lu, piv, b)[0], [1.0, 3.0])
+            lapack.dgetrs(lu.copy(), piv, b)
+        np.testing.assert_allclose(lapack.dgetrs(lu, piv, b)[0], [1.0, 3.0])
 
     def test_each_solve_is_checked_against_the_matrix_its_factors_came_from(self):
         # Solves against the first factors, made before the second, are
         # checked against the first matrix, not the last one factored.
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        first = linalg.dgetrf(a)
-        second = linalg.dgetrf(2.0 * a)
+        first = lapack.dgetrf(a)
+        second = lapack.dgetrf(2.0 * a)
         b = np.array([5.0, 10.0])
-        np.testing.assert_allclose(linalg.dgetrs(first[0], first[1], b)[0], [1.0, 3.0])
-        np.testing.assert_allclose(linalg.dgetrs(second[0], second[1], b)[0], [0.5, 1.5])
+        np.testing.assert_allclose(lapack.dgetrs(first[0], first[1], b)[0], [1.0, 3.0])
+        np.testing.assert_allclose(lapack.dgetrs(second[0], second[1], b)[0], [0.5, 1.5])
 
 
 class TestCholeskySolve:

@@ -106,15 +106,15 @@ def check_default_grid_size(runs, iterations):
     assert value(runs) == len(grid_cells(ExperimentGrid()))
 
 
-def runs_at(table: dict, jobs: int) -> list[float]:
-    """The parent's and the change's runs at --jobs jobs in a BENCH file's default_grid table."""
-    return table[f"parent-j{jobs}"] + table[f"change-j{jobs}"]
+def check_change_runs(table: dict, jobs1: str, jobs2: str) -> None:
+    """A BENCH file's default_grid table holds the change's one run at --jobs 1 and at
+    --jobs 2, and jobs1 and jobs2 are those runs to the digits README prints."""
+    for printed, key in ((jobs1, "change-j1"), (jobs2, "change-j2")):
+        check_measured((printed, printed), [table[key]])
 
 
-def check_peak_memory(low, high, name):
-    table = bench_file(name)["default_grid"]["peak_rss_mb"]
-    assert len(runs_at(table, 1)) == len(runs_at(table, 2)) == 4
-    check_measured((low, high), runs_at(table, 1) + runs_at(table, 2))
+def check_peak_memory(jobs1, jobs2, name):
+    check_change_runs(bench_file(name)["default_grid"]["peak_rss_mb"], jobs1, jobs2)
 
 
 def check_logged_memory(low, high, name):
@@ -123,11 +123,10 @@ def check_logged_memory(low, high, name):
                    + grid["jobs2"]["parent"]["peak_rss_mb"])
 
 
-def check_wall_times(cpus, low1, high1, low2, high2, name):
+def check_wall_times(cpus, jobs1, jobs2, name):
     data = bench_file(name)
     assert data["environment"]["nproc"] == int(cpus)
-    check_measured((low1, high1), runs_at(data["default_grid"]["wall_time_s"], 1))
-    check_measured((low2, high2), runs_at(data["default_grid"]["wall_time_s"], 2))
+    check_change_runs(data["default_grid"]["wall_time_s"], jobs1, jobs2)
 
 
 def check_read_back(low, high, runs, name):
@@ -164,11 +163,11 @@ def check_reference_bounds(infeasibility, residual):
 # (section, pattern, check): check takes the pattern's groups and asserts.
 FACTS = [
     ("bench", DEFAULT_GRID, check_default_grid_size),
-    ("bench", claim(r"peaks at (\S+)–(\S+) MB at `--jobs` 1 and 2 \(four runs each, "
-                    r"`(BENCH_\d+\.json)`\)"), check_peak_memory),
+    ("bench", claim(r"peaked at (\S+) MB at `--jobs 1` and (\S+) MB at `--jobs 2` \(one run "
+                    r"each, `(BENCH_\d+\.json)`\)"), check_peak_memory),
     ("bench", claim(r"took (\S+)–(\S+) MB \(`(BENCH_\d+\.json)`\)"), check_logged_memory),
-    ("bench", claim(r"On a shared (\d+)-vCPU machine the default grid took (\S+)–(\S+) s at "
-                    r"`--jobs 1` and (\S+)–(\S+) s at `--jobs 2` in those runs "
+    ("bench", claim(r"On a shared (\d+)-vCPU machine the default grid took (\S+) s at "
+                    r"`--jobs 1` and (\S+) s at `--jobs 2` in those runs "
                     r"\(`(BENCH_\d+\.json)`\)"), check_wall_times),
     ("bench", claim(r"\(default (\d+), serial"),
      lambda jobs: value(jobs) == cli.build_parser().parse_args(["bench"]).jobs),

@@ -9,8 +9,9 @@ from collections import Counter
 import numpy as np
 import pytest
 from reference import assert_matches_reference
+from scipy.linalg import lapack
 
-from stepsqp import linalg, sqp
+from stepsqp import sqp
 from stepsqp.bench import CSV_COLUMNS, ExperimentGrid, GridCell
 from stepsqp.oracles import OracleConfig, derive_stream
 from stepsqp.problems import Problem, get_problem, problem_names
@@ -433,8 +434,7 @@ class TestFailurePaths:
     def test_nan_linearized_feasibility_fails_the_run(self, monkeypatch):
         # The first solve of a run is x0's multipliers, the second its
         # first step, whose d is made NaN and with it ||J d + c||_inf.
-        linalg.load_lapack()
-        dgetrs = linalg.dgetrs
+        dgetrs = lapack.dgetrs
         calls = []
 
         def nan_step(lu, piv, b):
@@ -444,7 +444,7 @@ class TestFailurePaths:
                 z[:] = math.nan
             return z, info
 
-        monkeypatch.setattr(linalg, "dgetrs", nan_step)
+        monkeypatch.setattr(lapack, "dgetrs", nan_step)
         record = solve(get_problem("hs6"), oracle_cfg=NOISY)
         assert record.status == RunStatus.LINEAR_ALGEBRA_FAILURE
         assert record.failure_reason.startswith("inaccurate KKT solve")
@@ -731,11 +731,21 @@ SHIFT_COLUMNS = ("x", "d", "g_bar", "alpha", "tau_bar", "delta_l", "accepted", "
                  "kkt_inf")
 
 
-def relation_failure(record, other, other_x, bound):
+def armijo_margin(row, eps_f):
+    """phi_bar - alpha theta delta_l + 2 tau eps_f - phi_bar_trial at a logged iteration:
+    the slack of its acceptance test, which accepts where it is >= 0."""
+    return (row.phi_bar_current - row.alpha * sqp.THETA * row.delta_l
+            + 2.0 * row.tau_bar * eps_f - row.phi_bar_trial)
+
+
+def relation_failure(record, other, other_x, bound, eps_f):
     """How two runs of related problems part, or None.
 
     They must agree in status, length and accepted column, and in final
-    x (other_x, mapped back to record's variables) within bound.
+    x (other_x, mapped back to record's variables) within bound. Where
+    an acceptance differs, the message gives each run's Armijo margin
+    there (the runs' oracles have noise level eps_f) and record's
+    |phi_bar|, so that a flip within a few ulps of the merit reads as one.
     """
     if record.status != other.status:
         return f"status {record.status.value} against {other.status.value}"
@@ -743,7 +753,11 @@ def relation_failure(record, other, other_x, bound):
         return f"{len(record.iterations)} iterations against {len(other.iterations)}"
     parted = np.flatnonzero(record.iterations["accepted"] != other.iterations["accepted"])
     if parted.size:
-        return f"accepted differs first at iteration {parted[0]}"
+        k = parted[0]
+        row, other_row = record.iterations[k], other.iterations[k]
+        return (f"accepted differs first at iteration {k}: Armijo margins "
+                f"{armijo_margin(row, eps_f):+.2g} and {armijo_margin(other_row, eps_f):+.2g} "
+                f"on |phi_bar| {abs(row.phi_bar_current):.3g}")
     gap = float(np.max(np.abs(record.final_x - other_x)))
     return f"final x differs by {gap:.3g}" if gap > bound else None
 
@@ -756,7 +770,7 @@ def rotation_failure(name, pair):
     # sqp.solve, where tests/test_mutants.py patches in a mutated solve.
     record = sqp.solve(problem, RELATION_PARAMS, cfg)
     other = sqp.solve(_constraints_rotated(problem), RELATION_PARAMS, cfg)
-    return relation_failure(record, other, other.final_x, ROTATION_X_BOUND)
+    return relation_failure(record, other, other.final_x, ROTATION_X_BOUND, pair[0])
 
 
 def permutation_failure(name):
@@ -765,7 +779,8 @@ def permutation_failure(name):
     perm = np.random.default_rng(ExperimentGrid().seed).permutation(problem.n)
     record = sqp.solve(problem, RELATION_PARAMS, quiet())
     other = sqp.solve(_variables_permuted(problem, perm), RELATION_PARAMS, quiet())
-    return relation_failure(record, other, other.final_x[np.argsort(perm)], PERMUTATION_X_BOUND)
+    return relation_failure(record, other, other.final_x[np.argsort(perm)], PERMUTATION_X_BOUND,
+                            0.0)
 
 
 def _shifted(problem):
@@ -780,7 +795,7 @@ def shift_failure(name, pair):
     problem = get_problem(name)
     record = sqp.solve(problem, RELATION_PARAMS, cfg)
     other = sqp.solve(_shifted(problem), RELATION_PARAMS, cfg)
-    parted = relation_failure(record, other, other.final_x, 0.0)
+    parted = relation_failure(record, other, other.final_x, 0.0, pair[0])
     if parted is not None:
         return parted
     for column in SHIFT_COLUMNS:
@@ -846,3 +861,30 @@ class TestConstantShift:
     def test_runs_are_bit_identical(self, name):
         for pair in TestConstraintSignFlip.PAIRS:
             assert shift_failure(name, pair) is None, pair
+
+
+def _synthetic_record(phi_bar_trials, accepted):
+    """A two-iteration budget_exhausted record on one variable whose second step is tested
+    at phi_bar = -1, alpha = 0.5, delta_l = 2 and tau_bar = 1: its Armijo bound is
+    -0.5 - THETA + 2 eps_f."""
+    logs = np.zeros(2, sqp.run_log_dtype(1))
+    logs["phi_bar_current"], logs["alpha"], logs["delta_l"], logs["tau_bar"] = -1.0, 0.5, 2.0, 1.0
+    logs["phi_bar_trial"], logs["accepted"] = phi_bar_trials, accepted
+    return sqp.RunRecord(status=RunStatus.BUDGET_EXHAUSTED, iterations=logs,
+                         final_x=np.zeros(1), wall_time=0.0)
+
+
+def test_relation_failure_reports_each_runs_armijo_margin():
+    # Both runs accept at k = 0; at k = 1 one rejects a trial merit 0.25
+    # above its bound at eps_f = 0.25, the other accepts one 0.75 below.
+    bound = -0.5 - sqp.THETA
+    record = _synthetic_record([-2.0, bound + 0.25], [1, 0])
+    other = _synthetic_record([-2.0, bound - 0.75], [1, 1])
+    assert relation_failure(record, other, other.final_x, 0.0, 0.25) == (
+        "accepted differs first at iteration 1: Armijo margins -0.25 and +0.75 "
+        "on |phi_bar| 1")
+    # The margins take the allowance 2 tau eps_f at the eps_f passed in.
+    assert relation_failure(record, other, other.final_x, 0.0, 0.0) == (
+        "accepted differs first at iteration 1: Armijo margins -0.75 and +0.25 "
+        "on |phi_bar| 1")
+    assert relation_failure(record, record, record.final_x, 0.0, 0.25) is None
