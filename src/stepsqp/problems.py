@@ -6,7 +6,7 @@ A small registry of smooth problems of the form
 
 Each entry is a :class:`Problem`: callable evaluators for f, its
 gradient, c and its Jacobian, and an infeasible starting point. Building
-the registry evaluates each f and c once, at x0, and solves nothing; the
+the registry calls each evaluator once, at x0, and solves nothing; the
 test suite keeps a reference KKT pair for every entry. The hs* entries
 restate classic small test problems from the nonlinear programming
 literature; the remaining entries are simple constructions (linear
@@ -41,14 +41,16 @@ class Problem:
     """One equality-constrained minimization problem.
 
     Evaluators are deterministic pure functions of x; noise is injected
-    elsewhere. Use the ``f``/``grad_f``/``c``/``jacobian`` methods rather
-    than the raw callables: they coerce the outputs to float64 and check
-    on every call that they have the shapes (n,), (m,) and (m, n).
+    elsewhere. The gradient, constraint and Jacobian evaluators return
+    float64 arrays of shapes (n,), (m,) and (m, n), and the
+    ``grad_f``/``c``/``jacobian`` methods return those arrays as they
+    are; ``f`` returns a float.
 
     The dimensions are not arguments: n is the length of x0, and m is
-    the length of c(x0). f and c are evaluated once at construction, and
-    an f(x0) that is not a scalar or a c(x0) that is not one-dimensional
-    is rejected there.
+    the length of c(x0). Every evaluator is called once at construction,
+    at x0, and an f(x0) that is not a scalar, a c(x0) that is not
+    one-dimensional, or a gradient, c or J that is not a float64 array
+    of its shape is rejected there. Nothing is checked on later calls.
     """
 
     name: str
@@ -66,6 +68,7 @@ class Problem:
         # values is left to the run that evaluates them.
         with np.errstate(all="ignore"):
             f0, c0 = self.eval_f(x0), self.eval_c(x0)
+            g0, jac0 = self.eval_grad_f(x0), self.eval_jacobian(x0)
         if np.shape(f0) != ():
             raise ValueError(f"{self.name}: f(x0) must be a scalar, got shape {np.shape(f0)}")
         shape = np.shape(c0)
@@ -74,6 +77,12 @@ class Problem:
         n, m = x0.size, shape[0]
         if m < 1 or m > n:
             raise ValueError(f"{self.name}: need 1 <= m <= n, got n={n}, m={m}")
+        for what, out, want in (("grad_f", g0, (n,)), ("c", c0, (m,)), ("jacobian", jac0, (m, n))):
+            if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == want):
+                got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+                       else f"{type(out).__name__}, not an ndarray")
+                raise ValueError(f"{self.name}: {what}(x0) must be a float64 array of shape "
+                                 f"{want}, got {got}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
@@ -82,22 +91,13 @@ class Problem:
         return float(self.eval_f(x))
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.eval_grad_f(x), dtype=np.float64)
-        if g.shape != (self.n,):
-            raise ValueError(f"{self.name}: gradient shape {g.shape} != ({self.n},)")
-        return g
+        return self.eval_grad_f(x)
 
     def c(self, x: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.eval_c(x), dtype=np.float64)
-        if c.shape != (self.m,):
-            raise ValueError(f"{self.name}: constraint shape {c.shape} != ({self.m},)")
-        return c
+        return self.eval_c(x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        jac = np.asarray(self.eval_jacobian(x), dtype=np.float64)
-        if jac.shape != (self.m, self.n):
-            raise ValueError(f"{self.name}: jacobian shape {jac.shape} != ({self.m}, {self.n})")
-        return jac
+        return self.eval_jacobian(x)
 
 
 def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
@@ -110,9 +110,9 @@ def quadratic_program(name: str, Q, q, A, b, x0) -> Problem:
     a_mat = as_matrix(A, (b_vec.size, n), name="A")
     return Problem(
         name=name,
-        eval_f=lambda x: 0.5 * float(x @ (q_mat @ x)) + float(q_vec @ x),
-        eval_grad_f=lambda x: q_mat @ x + q_vec,
-        eval_c=lambda x: a_mat @ x - b_vec,
+        eval_f=lambda x: 0.5 * float(x.dot(q_mat.dot(x))) + float(q_vec.dot(x)),
+        eval_grad_f=lambda x: q_mat.dot(x) + q_vec,
+        eval_c=lambda x: a_mat.dot(x) - b_vec,
         eval_jacobian=lambda x: a_mat.copy(),
         x0=as_vector(x0, n, name="x0"),
     )
@@ -339,9 +339,9 @@ def _sphere30() -> Problem:
     n = _SPHERE_N
     return Problem(
         name="sphere30",
-        eval_f=lambda x: 0.5 * float(_SPHERE_W @ (x * x)),
+        eval_f=lambda x: 0.5 * float(_SPHERE_W.dot(x * x)),
         eval_grad_f=lambda x: _SPHERE_W * x,
-        eval_c=lambda x: np.array([float(x @ x) - 1.0]),
+        eval_c=lambda x: np.array([float(x.dot(x)) - 1.0]),
         eval_jacobian=lambda x: (2.0 * x)[np.newaxis, :],
         x0=(1.0 + 0.05 * np.arange(n)) / np.sqrt(n),
     )

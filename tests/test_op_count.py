@@ -35,7 +35,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MEASURED_WITH = {"python": "3.11", "numpy": "2.4.6"}
 
-OPCODES_PER_ITER_CEILING = 768.82
+OPCODES_PER_ITER_CEILING = 734.58
 MAX_ITERS = 100
 
 

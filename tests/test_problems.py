@@ -286,7 +286,8 @@ class TestProblemValidation:
 
     def test_replace_recomputes_the_dimensions(self):
         p = Problem(name="one", x0=np.zeros(2), **self._evals())
-        q = dataclasses.replace(p, x0=np.zeros(3), eval_c=lambda x: x[:2])
+        q = dataclasses.replace(p, x0=np.zeros(3), eval_c=lambda x: x[:2],
+                                eval_jacobian=lambda x: np.eye(2, 3))
         assert (p.n, p.m) == (2, 1)
         assert (q.n, q.m) == (3, 2)
         assert q.x0.shape == (3,)
@@ -295,20 +296,6 @@ class TestProblemValidation:
     def test_dimensions_are_not_arguments(self, given):
         with pytest.raises(TypeError, match="unexpected keyword"):
             Problem(name="bad", x0=np.zeros(2), **given, **self._evals())
-
-    def test_wrong_constraint_shape_flagged_at_call(self):
-        p = Problem(
-            name="bad",
-            eval_f=lambda x: 0.0,
-            eval_grad_f=lambda x: np.zeros(2),
-            # One entry at x0, so m is 1; two entries anywhere else.
-            eval_c=lambda x: np.ones(1 if x[0] == 0.0 else 2),
-            eval_jacobian=lambda x: np.ones((1, 2)),
-            x0=np.zeros(2),
-        )
-        assert p.m == 1
-        with pytest.raises(ValueError, match=r"constraint shape \(2,\) != \(1,\)"):
-            p.c(p.x0 + 1.0)
 
     @pytest.mark.parametrize(("c0", "shape"), [(-1.0, r"\(\)"), ([[-1.0]], r"\(1, 1\)")],
                              ids=["scalar", "2-D"])
@@ -325,42 +312,49 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=rf"^bad: f\(x0\) must be a scalar, got shape {shape}$"):
             Problem(name="bad", x0=np.zeros(2), **evals)
 
-    def test_flat_jacobian_row_flagged_at_call(self):
-        p = Problem(
-            name="flat",
-            eval_f=lambda x: 0.0,
-            eval_grad_f=lambda x: np.zeros(3),
-            eval_c=lambda x: np.array([float(x.sum()) - 1.0]),
-            eval_jacobian=lambda x: np.ones(3),  # a gradient row, not a (1, n) matrix
-            x0=np.zeros(3),
-        )
-        with pytest.raises(ValueError, match=r"jacobian shape \(3,\) != \(1, 3\)"):
-            p.jacobian(p.x0)
+    def test_flat_jacobian_row_rejected_at_construction(self):
+        evals = dict(self._evals(), eval_grad_f=lambda x: np.zeros(3),
+                     eval_c=lambda x: np.array([float(x.sum()) - 1.0]),
+                     eval_jacobian=lambda x: np.ones(3))  # a gradient row, not a (1, n) matrix
+        with pytest.raises(ValueError, match=r"^flat: jacobian\(x0\) must be a float64 array of "
+                                             r"shape \(1, 3\), got float64 array of shape \(3,\)$"):
+            Problem(name="flat", x0=np.zeros(3), **evals)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_transposed_jacobian_flagged_at_call(self, m):
-        p = Problem(
-            name="bad",
-            eval_f=lambda x: 0.0,
-            eval_grad_f=lambda x: np.zeros(3),
-            eval_c=lambda x: np.zeros(m),
-            eval_jacobian=lambda x: np.ones((3, m)),  # (n, m), not (m, n)
-            x0=np.zeros(3),
-        )
-        with pytest.raises(ValueError, match="jacobian shape"):
-            p.jacobian(p.x0)
+    def test_transposed_jacobian_rejected_at_construction(self, m):
+        evals = dict(self._evals(), eval_grad_f=lambda x: np.zeros(3),
+                     eval_c=lambda x: np.zeros(m),
+                     eval_jacobian=lambda x: np.ones((3, m)))  # (n, m), not (m, n)
+        with pytest.raises(ValueError, match=rf"jacobian\(x0\) must be a float64 array of shape "
+                                             rf"\({m}, 3\), got float64 array of shape \(3, {m}\)$"):
+            Problem(name="bad", x0=np.zeros(3), **evals)
 
-    def test_wrong_gradient_shape_flagged_at_call(self):
-        p = Problem(
-            name="bad",
-            eval_f=lambda x: 0.0,
-            eval_grad_f=lambda x: np.zeros(3),
-            eval_c=lambda x: np.array([1.0]),
-            eval_jacobian=lambda x: np.ones((1, 2)),
-            x0=np.zeros(2),
-        )
-        with pytest.raises(ValueError, match="gradient shape"):
-            p.grad_f(p.x0)
+    def test_wrong_gradient_shape_rejected_at_construction(self):
+        evals = dict(self._evals(), eval_grad_f=lambda x: np.zeros(3))
+        with pytest.raises(ValueError, match=r"grad_f\(x0\) must be a float64 array of shape "
+                                             r"\(2,\), got float64 array of shape \(3,\)$"):
+            Problem(name="bad", x0=np.zeros(2), **evals)
+
+    @pytest.mark.parametrize("evaluator", ["grad_f", "c", "jacobian"])
+    @pytest.mark.parametrize("form", ["list", "int64"])
+    def test_output_that_is_not_a_float64_array_rejected_at_construction(self, evaluator, form):
+        # The right values and shape, as a list or an int64 array.
+        right = self._evals()[f"eval_{evaluator}"]
+        wrong = {"list": lambda x: right(x).tolist(),
+                 "int64": lambda x: right(x).astype(np.int64)}[form]
+        evals = dict(self._evals(), **{f"eval_{evaluator}": wrong})
+        got = "list, not an ndarray" if form == "list" else "int64 array of shape"
+        with pytest.raises(ValueError, match=rf"^bad: {evaluator}\(x0\) must be a float64 array "
+                                             rf"of shape .*, got {got}"):
+            Problem(name="bad", x0=np.ones(2), **evals)
+
+    def test_methods_return_the_evaluators_arrays(self):
+        g, c, jac = np.zeros(2), np.ones(1), np.ones((1, 2))
+        p = Problem(name="same", eval_f=lambda x: 0.0, eval_grad_f=lambda x: g,
+                    eval_c=lambda x: c, eval_jacobian=lambda x: jac, x0=np.zeros(2))
+        assert p.grad_f(p.x0) is g
+        assert p.c(p.x0) is c
+        assert p.jacobian(p.x0) is jac
 
 
 QP_DOC = {

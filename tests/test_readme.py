@@ -1,12 +1,14 @@
-"""Every number README.md states in its "bench", "Testing" and "Problem registry" sections.
+"""Every number README.md states in its "Library quick start", "bench", "Testing" and
+"Problem registry" sections.
 
 Each number is one of two kinds:
 
 * a deterministic fact about the package, checked here against the code
-  (the default grid's size, the replicate and noise-pair caps, exit
-  codes, the registry's n and m, the scale sweep's range, the constant
-  shift's K, the constant each QP-form hs entry leaves out of f, the
-  constants each acceptance criterion states), except
+  (the run log's row size, the solver's failure thresholds, the default
+  grid's size, the replicate and noise-pair caps, exit codes, the
+  registry's n and m, the scale sweep's range, the constant shift's K,
+  the constant each QP-form hs entry leaves out of f, the constants each
+  acceptance criterion states), except
   the default grid's iteration total, which AC3 checks against the steps
   it counts, and the test count, which is checked against the collected
   suite;
@@ -61,7 +63,8 @@ def section(heading: str) -> str:
     return text[start:end.start() if end else len(text)]
 
 
-SECTIONS = {"bench": "### bench", "testing": "## Testing", "registry": "## Problem registry"}
+SECTIONS = {"bench": "### bench", "testing": "## Testing", "registry": "## Problem registry",
+            "library": "## Library quick start"}
 
 
 def claim(pattern: str) -> re.Pattern:
@@ -142,6 +145,27 @@ def check_replicate_cap(cap, cells, low, high, name):
     check_measured((low, high), bench_file(name)["grid_cells_at_max_replicates"]["seconds"])
 
 
+def check_record_reads(column, row, name):
+    timings = bench_file(name)["record_timeit"]
+    check_measured((column, column), timings["column_read_us"]["change"])
+    check_measured((row, row), timings["row_read_us"]["change"])
+
+
+def check_row_size(word, fixed, per_variable):
+    for n in range(1, 31):
+        assert sqp.run_log_dtype(n).itemsize == value(word) * (value(fixed) + value(per_variable) * n)
+
+
+def check_kkt_solve_bound(rtol, one):
+    assert value(rtol) == sqp.LINEARIZED_FEASIBILITY_RTOL
+    assert f"LINEARIZED_FEASIBILITY_RTOL * ({one}.0 + max(" in inspect.getsource(sqp.solve)
+
+
+def check_tau_collapse(rtol, floor, tau_init):
+    assert (value(rtol), value(tau_init)) == (sqp.TAU_COLLAPSE_RTOL, SolverParams().tau_init)
+    assert value(floor) == sqp.TAU_COLLAPSE_RTOL * SolverParams().tau_init
+
+
 def literals(*functions) -> set:
     """The numbers written in the functions' source, numeric strings such as "4" included."""
     found = set()
@@ -203,6 +227,13 @@ FACTS = [
     ("registry", claim(r"hs48's f is the textbook one minus (\d+), and hs51's minus (\d+)"),
      lambda hs48, hs51: [value(hs48), value(hs51)] == [
          test_problems.TEXTBOOK_OBJECTIVES[name][1] for name in ("hs48", "hs51")]),
+    ("library", claim(r"a record costs (\d+)·\((\d+) \+ (\d+)n\) bytes per iteration"),
+     check_row_size),
+    ("library", claim(r"A column read takes about (\S+) µs and a row attribute read about (\S+) µs "
+                      r"\(`(BENCH_\d+\.json)`\)"), check_record_reads),
+    ("library", claim(r"exceeds (\S+)·\((\d+) \+ max\("), check_kkt_solve_bound),
+    ("library", claim(r"at or below (\S+)·`tau_init`, which is (\S+) at the default `tau_init` "
+                      r"of (\S+) "), check_tau_collapse),
 ]
 
 TEST_COUNT = claim(r"(\d+) tests, (\d+) under `tests/` and the benchmark's own (\d+) under "
